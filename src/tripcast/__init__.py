@@ -13,7 +13,6 @@ from .ensembles import (
     fit_bagging,
     fit_gbm,
     fit_random_forest,
-    predict_ensemble,
     predict_ensemble_batch,
 )
 from .errors import (
@@ -40,12 +39,11 @@ from .registry import REGISTRY, make_model
 from .synthgen import GenConfig, generate, load_gen_config
 from .trees import (
     BinMap,
+    Tree,
     TreeConfig,
-    TreeNode,
     build_bins,
     fit_tree_exact,
     fit_tree_hist,
-    predict_tree,
     predict_tree_batch,
 )
 from .trip_data import (

@@ -145,14 +145,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = _model_overrides(args)
     table = _load_table(args.stops, target)
 
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     runs = []
     for name in models:
 
         def factory(fold_index: int, _name=name):
             return make_model(_name, derive_seed(args.seed, _name, fold_index), **overrides)
 
-        run = run_scenario(table, spec, name, factory, n_jobs=jobs)
+        run = run_scenario(table, spec, name, factory)
         for diag in run.diagnostics:
             print(f"note [{name}]: {diag}", file=sys.stderr)
         runs.append((name, run))
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--models", required=True, help="comma-separated abbreviations (e.g. hgb,gb,dt)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=None, help="parallel folds (default: cpu count)")
     p_run.add_argument("--n-estimators", type=int, default=None)
     p_run.add_argument("--learning-rate", type=float, default=None)
     p_run.add_argument("--max-depth", type=int, default=None)

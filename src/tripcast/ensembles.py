@@ -12,30 +12,35 @@ All four are built on the regression trees in :mod:`tripcast.trees`:
 
 Training rows are brought into canonical order before any bootstrap index
 is drawn, so fitted models are deterministic in (data, config, seed) and
-invariant to input row order.
+invariant to input row order. Members are flat :class:`~tripcast.trees.Tree`
+records; prediction descends them one at a time and combines their values
+in member order. A single decision tree is a one-member bagging ensemble
+without bootstrap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from .errors import DataError
 from .rng import derive_seed, substream
 from .trees import (
-    BinMap,
+    Tree,
     TreeConfig,
-    TreeNode,
     _FitData,
     _grow,
     build_bins,
     canonical_rows,
     column_presort,
+    descend,
     fit_tree_exact,
     predict_tree_batch,
+    require_finite,
+    row_major,
 )
 
 EnsembleKind = Literal["bagging", "random_forest", "gbm_exact", "gbm_hist", "adaboost_r2"]
@@ -91,8 +96,7 @@ class EnsembleModel:
     kind: EnsembleKind
     n_features: int
     base_prediction: float
-    members: list[tuple[TreeNode, float]]
-    bins: BinMap | None = None
+    members: list[tuple[Tree, float]]
     config: EnsembleConfig = field(default_factory=EnsembleConfig)
     train_mse: list[float] = field(default_factory=list)
 
@@ -110,6 +114,7 @@ def _prepare(X, y, cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise DataError("cannot fit an ensemble on empty data")
     if X.shape[0] != y.shape[0]:
         raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+    require_finite(X, y)
     return canonical_rows(X, y, np.ones(X.shape[0]))
 
 
@@ -136,7 +141,7 @@ def _fit_averaged(
     Xc, yc, wc = _prepare(X, y, cfg)
     subsample = cfg.feature_subsample if cfg.feature_subsample is not None else default_subsample
     base_tree = _member_tree_config(cfg, default_depth=None)
-    members: list[tuple[TreeNode, float]] = []
+    members: list[tuple[Tree, float]] = []
     n = Xc.shape[0]
     for m in range(cfg.n_estimators):
         if cfg.bootstrap:
@@ -190,23 +195,24 @@ def fit_gbm(
 
     base = float(np.sum(yc) / n)
     current = np.full(n, base)
-    members: list[tuple[TreeNode, float]] = []
+    members: list[tuple[Tree, float]] = []
     train_mse: list[float] = []
     nu = cfg.learning_rate
     for m in range(cfg.n_estimators):
         residual = yc - current
         stage_cfg = replace(tree_cfg, seed=derive_seed(cfg.seed, "member-tree", m))
         fit = _FitData.from_canonical(Xc, residual, wc, stage_cfg)
-        tree = _grow(fit, bins=bins, binned=binned, presort=presort)
+        # Growth routed the training rows with the same `<=` test a
+        # prediction would, so their leaves give the stage's predictions.
+        tree, leaf_of = _grow(fit, bins=bins, binned=binned, presort=presort)
         members.append((tree, nu))
-        current = current + nu * predict_tree_batch(tree, Xc)
+        current = current + nu * tree.value[leaf_of]
         train_mse.append(float(np.mean((yc - current) ** 2)))
     return EnsembleModel(
         kind="gbm_hist" if mode == "hist" else "gbm_exact",
         n_features=Xc.shape[1],
         base_prediction=base,
         members=members,
-        bins=bins,
         config=cfg,
         train_mse=train_mse,
     )
@@ -230,7 +236,7 @@ def fit_adaboost_r2(
     tree_cfg = _member_tree_config(cfg, default_depth=3)
     n = Xc.shape[0]
     sample_weight = np.full(n, 1.0 / n)
-    members: list[tuple[TreeNode, float]] = []
+    members: list[tuple[Tree, float]] = []
     for m in range(cfg.n_estimators):
         rng = substream(cfg.seed, "resample", m)
         idx = rng.choice(n, size=n, replace=True, p=sample_weight)
@@ -270,38 +276,33 @@ def fit_adaboost_r2(
     )
 
 
-def predict_ensemble(model: EnsembleModel, x: Sequence[float] | np.ndarray) -> float:
-    """Single-vector prediction."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(predict_ensemble_batch(model, x)[0])
-
-
 def predict_ensemble_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
-    """Row-matrix prediction: mean, boosted sum, or weighted median by kind."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError(f"expected a 2-D feature matrix, got shape {X.shape}")
-    if X.shape[1] != model.n_features:
-        raise DataError(
-            f"model expects {model.n_features} features, got {X.shape[1]}"
-        )
+    """Row-matrix prediction: mean, boosted sum, or weighted median by kind.
+
+    Members are descended one at a time, so apart from AdaBoost's member
+    prediction matrix the working set stays a few arrays of one entry per
+    row; sums run in member order.
+    """
+    flat, offsets = row_major(X, model.n_features)
     if not model.members:
         raise DataError("ensemble has no members")
 
     if model.kind in ("bagging", "random_forest"):
-        total = np.zeros(X.shape[0])
+        total = np.zeros(offsets.shape[0])
         for tree, _ in model.members:
-            total += predict_tree_batch(tree, X)
+            total += descend(tree, flat, offsets)
         return total / len(model.members)
 
     if model.kind in ("gbm_exact", "gbm_hist"):
-        out = np.full(X.shape[0], model.base_prediction)
+        out = np.full(offsets.shape[0], model.base_prediction)
         for tree, weight in model.members:
-            out += weight * predict_tree_batch(tree, X)
+            out += weight * descend(tree, flat, offsets)
         return out
 
     if model.kind == "adaboost_r2":
-        preds = np.stack([predict_tree_batch(tree, X) for tree, _ in model.members], axis=1)
+        preds = np.empty((offsets.shape[0], len(model.members)))
+        for j, (tree, _) in enumerate(model.members):
+            preds[:, j] = descend(tree, flat, offsets)
         weights = np.array([w for _, w in model.members])
         return weighted_median(preds, weights)
 
@@ -312,11 +313,15 @@ def weighted_median(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise weighted median of member predictions.
 
     For each row, member predictions are sorted and the first one whose
-    cumulative weight reaches half the total is returned.
+    cumulative weight reaches half the total is returned. Only the picked
+    member is gathered through the sort order, and the cumulative weights
+    are summed in place, so the temporaries are one index matrix, one
+    weight matrix and one boolean mask.
     """
     order = np.argsort(predictions, axis=1, kind="stable")
-    sorted_preds = np.take_along_axis(predictions, order, axis=1)
-    cum = np.cumsum(weights[order], axis=1)
-    half = 0.5 * cum[:, -1][:, None]
+    cum = weights[order]
+    np.cumsum(cum, axis=1, out=cum)
+    half = 0.5 * cum[:, -1:]
     pick = np.argmax(cum >= half, axis=1)
-    return sorted_preds[np.arange(predictions.shape[0]), pick]
+    member = np.take_along_axis(order, pick[:, None], axis=1)
+    return np.take_along_axis(predictions, member, axis=1)[:, 0]

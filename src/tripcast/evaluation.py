@@ -19,7 +19,6 @@ windows are 7/1-day slices anchored at the test-period start.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, Mapping, Protocol, Sequence
@@ -202,7 +201,6 @@ def run_scenario(
     spec: ScenarioSpec,
     model_name: str,
     factory: ModelFactory,
-    n_jobs: int = 1,
 ) -> ScenarioRun:
     """Fit/evaluate one model over every fold of a scenario.
 
@@ -257,11 +255,7 @@ def run_scenario(
             None,
         )
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(run_fold, folds))
-    else:
-        outcomes = [run_fold(fold) for fold in folds]
+    outcomes = [run_fold(fold) for fold in folds]
 
     results = [r for r, _ in outcomes if r is not None]
     diagnostics = [d for _, d in outcomes if d is not None]

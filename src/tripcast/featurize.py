@@ -118,16 +118,6 @@ class FeatureTable:
     def __len__(self) -> int:
         return len(self.trip_ids)
 
-    def slice(self, index: np.ndarray | Sequence[int]) -> "FeatureTable":
-        idx = np.asarray(index, dtype=np.int64)
-        return FeatureTable(
-            trip_ids=[self.trip_ids[i] for i in idx],
-            start_times=[self.start_times[i] for i in idx],
-            X=self.X[idx],
-            y=self.y[idx],
-            target=self.target,
-        )
-
 
 def build_table(trips: Sequence[Trip], target: TargetKind) -> FeatureTable:
     """Featurize trips into a table sorted by start time (ties: trip id)."""

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .featurize import N_DAY_TYPES
 
 #: Diagonal jitter applied to the normal equations (rank-deficiency guard).
 SOLVE_JITTER = 1e-10
-
-N_DAY_TYPES = 7
 
 
 @dataclass(slots=True)

@@ -5,6 +5,12 @@ loaded model reproduces the original's predictions bit for bit. The
 payload is guarded by a SHA-256 checksum and a format version; truncation,
 corruption, or an unknown version all fail loudly instead of returning a
 half-usable model.
+
+Format version 2 stores each tree as flat per-node lists (``feature``,
+``threshold``, ``left``, ``right``, ``value``); version 1 documents, which
+nested one object per node, are rejected. Because a document comes from
+outside the program, the loader also checks that each tree's arrays form a
+tree before it is used (see :meth:`tripcast.trees.Tree.from_dict`).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .errors import PersistError
 from .registry import model_from_payload
 
 FORMAT_NAME = "tripcast-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _canonical_bytes(doc: dict) -> bytes:

@@ -19,45 +19,6 @@ from .errors import DataError, UsageError
 from .featurize import DAY_TYPE_COLUMN
 
 
-class DecisionTreeModel:
-    """Single exact CART regression tree (abbreviation ``dt``)."""
-
-    kind = "decision_tree"
-
-    def __init__(self, seed: int = 0, max_depth: int | None = None, min_samples_leaf: int = 1):
-        self.config = trees.TreeConfig(
-            max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=seed
-        )
-        self.tree: trees.TreeNode | None = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeModel":
-        self.tree = trees.fit_tree_exact(X, y, cfg=self.config)
-        self.n_features = int(np.asarray(X).shape[1])
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.tree is None:
-            raise DataError("model is not fitted")
-        return trees.predict_tree_batch(self.tree, np.asarray(X, dtype=np.float64))
-
-    def to_payload(self) -> dict:
-        if self.tree is None:
-            raise DataError("cannot persist an unfitted model")
-        return {
-            "config": asdict(self.config),
-            "n_features": self.n_features,
-            "tree": self.tree.to_dict(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DecisionTreeModel":
-        model = cls.__new__(cls)
-        model.config = trees.TreeConfig(**payload["config"])
-        model.n_features = int(payload["n_features"])
-        model.tree = trees.TreeNode.from_dict(payload["tree"])
-        return model
-
-
 class EnsembleEstimator:
     """fit/predict adapter around the ensemble fitters."""
 
@@ -97,7 +58,6 @@ class EnsembleEstimator:
             "members": [
                 {"tree": tree.to_dict(), "weight": weight} for tree, weight in self.model.members
             ],
-            "bins": self.model.bins.to_dict() if self.model.bins is not None else None,
         }
 
     @classmethod
@@ -107,15 +67,15 @@ class EnsembleEstimator:
         tree_cfg = trees.TreeConfig(**tree_doc) if tree_doc is not None else None
         config = ensembles.EnsembleConfig(tree=tree_cfg, **cfg_doc)
         est = cls(kind, config)
+        n_features = int(payload["n_features"])
         est.model = ensembles.EnsembleModel(
             kind=kind,  # type: ignore[arg-type]
-            n_features=int(payload["n_features"]),
+            n_features=n_features,
             base_prediction=float(payload["base_prediction"]),
             members=[
-                (trees.TreeNode.from_dict(m["tree"]), float(m["weight"]))
+                (trees.Tree.from_dict(m["tree"], n_features), float(m["weight"]))
                 for m in payload["members"]
             ],
-            bins=trees.BinMap.from_dict(payload["bins"]) if payload["bins"] is not None else None,
             config=config,
         )
         return est
@@ -178,8 +138,13 @@ class ModelRegistryEntry:
     build: Callable[..., object]
 
 
-def _build_tree(seed: int, max_depth: int | None = None, **_: object) -> DecisionTreeModel:
-    return DecisionTreeModel(seed=seed, max_depth=max_depth)
+def _build_tree(seed: int, max_depth: int | None = None, **_: object) -> EnsembleEstimator:
+    # A single tree is bagging with one member and no bootstrap; it takes no
+    # n_estimators or learning_rate.
+    cfg = ensembles.EnsembleConfig(
+        n_estimators=1, bootstrap=False, tree=trees.TreeConfig(max_depth=max_depth), seed=seed
+    )
+    return EnsembleEstimator("bagging", cfg)
 
 
 def _ensemble_builder(kind: str, default_depth: int | None):
@@ -246,8 +211,6 @@ def make_model(abbreviation: str, seed: int, **overrides: object):
 
 def model_from_payload(kind: str, payload: dict):
     """Rebuild a fitted estimator from a persisted payload."""
-    if kind == "decision_tree":
-        return DecisionTreeModel.from_payload(payload)
     if kind == "linear":
         return LinearEstimator.from_payload(payload)
     if kind in ("bagging", "random_forest", "gbm_exact", "gbm_hist", "adaboost_r2"):

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from tripcast.trees import predict_tree_batch
 from tripcast.trip_data import StopRecord, Trip
 
 
@@ -44,3 +45,25 @@ class MeanModel:
 
     def predict(self, X):
         return np.full(X.shape[0], self.mean)
+
+
+def tree_arrays(tree):
+    """A fitted tree's node arrays as lists, for exact structural comparison."""
+    return [getattr(tree, name).tolist() for name in ("feature", "threshold", "left", "right", "value")]
+
+
+def reference_predict(tree, X):
+    """Walk each row from the root one node at a time: the plain reading of the node arrays."""
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[i] = tree.value[node]
+    return out
+
+
+def training_mse(tree, X, y):
+    """Mean squared error of a fitted tree on its training rows."""
+    return float(np.mean((y - predict_tree_batch(tree, X)) ** 2))

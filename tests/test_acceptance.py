@@ -40,7 +40,7 @@ from tripcast.trees import (
 )
 from tripcast.trip_data import assemble_trips, parse_stops_csv, summarize
 
-from tests.helpers import MeanModel
+from tests.helpers import MeanModel, tree_arrays
 
 
 def _report(number: int, name: str, elapsed: float, budget: float) -> None:
@@ -125,7 +125,7 @@ def test_acceptance_2_exact_histogram_equivalence():
         cfg = TreeConfig(max_depth=None if case % 3 else 5)
         exact = fit_tree_exact(X, y, cfg=cfg)
         hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
-        assert exact.to_dict() == hist.to_dict(), f"case {case}: tree structures differ"
+        assert tree_arrays(exact) == tree_arrays(hist), f"case {case}: tree structures differ"
         queries = rng.normal(scale=float(distinct), size=(200, k))
         assert np.array_equal(
             predict_tree_batch(exact, queries), predict_tree_batch(hist, queries)

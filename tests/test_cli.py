@@ -69,7 +69,6 @@ def test_run_writes_results_and_aggregates(tmp_path, stops_csv):
             "--models", "hgb,dt,lr",
             "--seed", "5",
             "--n-estimators", "8",
-            "--jobs", "1",
             "--out", str(out_dir),
         ]
     )
@@ -90,7 +89,7 @@ def test_run_metric_columns_deterministic(tmp_path, stops_csv):
         code = main(
             ["run", str(stops_csv), "--scenario", "2", "--target", "delay",
              "--models", "hgb", "--seed", "9", "--n-estimators", "6",
-             "--jobs", "2", "--out", str(out_dir)]
+             "--out", str(out_dir)]
         )
         assert code == 0
         rows = _read_csv(out_dir / "results.csv")

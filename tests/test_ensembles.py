@@ -1,5 +1,7 @@
 """Ensembles: identity degeneracies, boosting recursion, AdaBoost.R2 behaviour."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,14 @@ from tripcast.ensembles import (
     fit_bagging,
     fit_gbm,
     fit_random_forest,
-    predict_ensemble,
     predict_ensemble_batch,
     weighted_median,
 )
 from tripcast.errors import DataError
-from tripcast.persist import dumps_model
-from tripcast.registry import EnsembleEstimator
-from tripcast.trees import TreeConfig, fit_tree_exact, predict_tree_batch, tree_training_mse
+from tripcast.registry import make_model
+from tripcast.trees import TreeConfig, fit_tree_exact, predict_tree_batch
+
+from tests.helpers import training_mse, tree_arrays
 
 
 def _regression_data(seed, n=300, k=5, noise=1.0):
@@ -54,7 +56,7 @@ def test_gbm_constant_target_zero_stage_trees():
     model = fit_gbm(X, np.full(30, 5.0), EnsembleConfig(n_estimators=4, seed=0))
     assert model.base_prediction == 5.0
     for tree, _ in model.members:
-        assert tree.is_leaf and tree.value == 0.0
+        assert tree_arrays(tree) == [[-1], [0.0], [0], [0], [0.0]]
 
 
 def test_random_forest_full_subsample_equals_bagging():
@@ -76,7 +78,7 @@ def test_bagging_beats_single_tree_in_paired_runs():
         tc = TreeConfig(max_depth=5)
         bag = fit_bagging(X, y, EnsembleConfig(n_estimators=50, tree=tc, seed=seed))
         tree = fit_tree_exact(X, y, cfg=tc)
-        wins += float(np.mean((y - bag.predict(X)) ** 2)) <= tree_training_mse(tree, X, y)
+        wins += float(np.mean((y - bag.predict(X)) ** 2)) <= training_mse(tree, X, y)
     assert wins >= 19
 
 
@@ -87,7 +89,7 @@ def test_gbm_two_stage_hand_recursion():
     assert model.base_prediction == 5.0
     # stage 1 leaves -5/+5 -> F1 = [2.5, 7.5]; stage 2 residuals -+2.5 -> F2 = [1.25, 8.75]
     assert np.allclose(model.predict(X), [1.25, 8.75])
-    assert predict_ensemble(model, [0.0]) == 1.25
+    assert predict_ensemble_batch(model, np.array([[0.0]])).tolist() == [1.25]
 
 
 def test_gbm_one_stage_perfect_fit():
@@ -176,19 +178,17 @@ def test_prediction_range_bounded_for_averaging_ensembles():
 
 def test_seed_determinism_identical_serialized_models():
     X, y = _regression_data(50, n=150, k=4)
-    for fit, kw in (
-        (fit_bagging, {}),
-        (fit_random_forest, {}),
-        (lambda a, b, c: fit_gbm(a, b, c, mode="hist"), {}),
-        (fit_adaboost_r2, {}),
+    for fit in (
+        fit_bagging,
+        fit_random_forest,
+        lambda a, b, c: fit_gbm(a, b, c, mode="hist"),
+        fit_adaboost_r2,
     ):
         cfg = EnsembleConfig(n_estimators=5, seed=12345)
         m1, m2 = fit(X, y, cfg), fit(X, y, cfg)
-        e1 = EnsembleEstimator(m1.kind, cfg)
-        e1.model = m1
-        e2 = EnsembleEstimator(m2.kind, cfg)
-        e2.model = m2
-        assert dumps_model(e1) == dumps_model(e2)
+        assert [(tree_arrays(t), w) for t, w in m1.members] == [
+            (tree_arrays(t), w) for t, w in m2.members
+        ]
 
 
 def test_ensemble_permutation_invariance():
@@ -221,3 +221,18 @@ def test_weighted_median_simple_cases():
     assert weighted_median(preds, np.array([1.0, 1.0, 1.0]))[0] == 2.0
     assert weighted_median(preds, np.array([5.0, 1.0, 1.0]))[0] == 1.0
     assert weighted_median(preds, np.array([1.0, 1.0, 5.0]))[0] == 100.0
+
+
+@pytest.mark.parametrize("abbrev", ["dt", "br", "rf", "gb", "hgb", "ab"])
+@pytest.mark.parametrize("where, bad", [("X", np.nan), ("X", np.inf), ("y", np.nan)])
+def test_non_finite_training_data_rejected(abbrev, where, bad):
+    X, y = _regression_data(3, n=200, k=4)
+    if where == "X":
+        X[17, 1] = bad
+    else:
+        y[17] = bad
+    model = make_model(abbrev, seed=0, n_estimators=3)
+    t0 = time.perf_counter()
+    with pytest.raises(DataError, match="NaN or infinite"):
+        model.fit(X, y)
+    assert time.perf_counter() - t0 < 1.0

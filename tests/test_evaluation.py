@@ -185,15 +185,6 @@ def test_run_scenario_metrics_deterministic():
     assert [(r.mae, r.rmse) for r in a.results] == [(r.mae, r.rmse) for r in b.results]
 
 
-def test_run_scenario_parallel_matches_serial():
-    table = _seven_month_table()
-    serial = run_scenario(table, ScenarioSpec.for_id(3), "mean", lambda fold: MeanModel(), n_jobs=1)
-    parallel = run_scenario(table, ScenarioSpec.for_id(3), "mean", lambda fold: MeanModel(), n_jobs=4)
-    assert [(r.fold, r.mae, r.rmse) for r in serial.results] == [
-        (r.fold, r.mae, r.rmse) for r in parallel.results
-    ]
-
-
 def test_run_scenario_empty_test_fold_skipped_and_reported():
     # Hole aligned with a weekly test slice: slices anchor at Jul 1, so
     # [Sep 2, Sep 9) is exactly the tenth slice.

@@ -1,12 +1,20 @@
 """Model persistence: exact prediction round trips and failure modes."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from tripcast.errors import PersistError
-from tripcast.persist import FORMAT_VERSION, dumps_model, load_model, loads_model, save_model
+from tripcast.persist import (
+    FORMAT_VERSION,
+    _canonical_bytes,
+    dumps_model,
+    load_model,
+    loads_model,
+    save_model,
+)
 from tripcast.registry import make_model
 
 
@@ -81,3 +89,65 @@ def test_unfitted_model_not_persistable():
     model = make_model("dt", seed=1)
     with pytest.raises(Exception):
         dumps_model(model)
+
+
+def _rechecksummed(doc: dict) -> str:
+    """A document edited after saving, with a checksum that matches the edit."""
+    body = {k: v for k, v in doc.items() if k != "checksum"}
+    return json.dumps({**body, "checksum": hashlib.sha256(_canonical_bytes(body)).hexdigest()})
+
+
+def test_version_1_document_rejected():
+    # Format 1 nested one object per node; this build reads flat node lists only.
+    leaf = {"kind": "leaf", "value": 1.0, "n": 2, "n_features": 9}
+    payload = {
+        "config": {"max_depth": None, "min_samples_leaf": 1, "min_samples_split": 2,
+                   "max_bins": 255, "feature_subsample": 1.0, "seed": 0},
+        "n_features": 9,
+        "tree": leaf,
+    }
+    doc = {"format": "tripcast-model", "format_version": 1, "kind": "decision_tree", "payload": payload}
+    with pytest.raises(PersistError, match="version 1"):
+        loads_model(_rechecksummed(doc))
+
+
+def _saved_tree_doc():
+    X, y = _data()
+    doc = json.loads(dumps_model(make_model("dt", seed=1, max_depth=4).fit(X, y)))
+    tree = doc["payload"]["members"][0]["tree"]
+    assert tree["feature"][0] >= 0  # the root splits
+    return doc, tree
+
+
+def test_backward_child_index_rejected():
+    doc, tree = _saved_tree_doc()
+    last = len(tree["left"]) - 1
+    assert tree["feature"][last] == -1
+    tree["feature"][last], tree["threshold"][last] = 0, 0.5
+    tree["left"][last] = tree["right"][last] = 0  # points back at the root: a cycle
+    with pytest.raises(PersistError, match="past its parent"):
+        loads_model(_rechecksummed(doc))
+
+
+def test_feature_out_of_range_rejected():
+    doc, tree = _saved_tree_doc()
+    tree["feature"][0] = doc["payload"]["n_features"]
+    with pytest.raises(PersistError, match="feature"):
+        loads_model(_rechecksummed(doc))
+
+
+@pytest.mark.parametrize("edit", ["short_value", "no_value", "text_feature", "infinite_threshold", "shared_child"])
+def test_malformed_tree_arrays_rejected(edit):
+    doc, tree = _saved_tree_doc()
+    if edit == "short_value":
+        tree["value"].pop()
+    elif edit == "no_value":
+        del tree["value"]
+    elif edit == "text_feature":
+        tree["feature"][0] = "x"
+    elif edit == "infinite_threshold":
+        tree["threshold"][0] = float("inf")
+    else:
+        tree["right"][0] = tree["left"][0]
+    with pytest.raises(PersistError, match="tree"):
+        loads_model(_rechecksummed(doc))

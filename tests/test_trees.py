@@ -5,65 +5,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripcast.ensembles import EnsembleConfig, fit_adaboost_r2, fit_bagging, fit_gbm, fit_random_forest
 from tripcast.errors import DataError
 from tripcast.trees import (
+    Tree,
     TreeConfig,
-    TreeNode,
     build_bins,
     fit_tree_exact,
     fit_tree_hist,
     n_candidate_features,
-    predict_tree,
     predict_tree_batch,
-    tree_training_mse,
 )
+
+from tests.helpers import reference_predict, training_mse, tree_arrays
 
 
 def test_two_point_split():
     tree = fit_tree_exact(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]), cfg=TreeConfig(max_depth=1))
-    assert tree.feature == 0 and tree.threshold == 0.5
-    assert tree.left.value == 0.0 and tree.right.value == 10.0
-    assert tree_training_mse(tree, np.array([[0.0], [1.0]]), np.array([0.0, 10.0])) == 0.0
+    assert tree_arrays(tree) == [[0, -1, -1], [0.5, 0.0, 0.0], [1, 1, 2], [2, 1, 2], [5.0, 0.0, 10.0]]
+    assert tree.depth == 1
+    assert training_mse(tree, np.array([[0.0], [1.0]]), np.array([0.0, 10.0])) == 0.0
 
 
 def test_predict_tie_goes_left():
     tree = fit_tree_exact(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]), cfg=TreeConfig(max_depth=1))
-    assert predict_tree(tree, [0.2]) == 0.0
-    assert predict_tree(tree, [0.5]) == 0.0  # exactly at threshold
-    assert predict_tree(tree, [0.51]) == 10.0
+    got = predict_tree_batch(tree, np.array([[0.2], [0.5], [0.51]]))  # 0.5 is the threshold
+    assert got.tolist() == [0.0, 0.0, 10.0]
 
 
 def test_constant_target_single_leaf():
     X = np.array([[1.0], [5.0], [9.0]])
     tree = fit_tree_exact(X, np.full(3, 7.0))
-    assert tree.is_leaf and tree.value == 7.0
-    assert predict_tree(tree, [123.0]) == 7.0
+    assert tree_arrays(tree) == [[-1], [0.0], [0], [0], [7.0]]
+    assert tree.depth == 0
+    assert predict_tree_batch(tree, np.array([[123.0]])).tolist() == [7.0]
 
 
 def test_perfect_fit_three_rows():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 3.0])
     tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=None, min_samples_leaf=1))
-    assert tree_training_mse(tree, X, y) == 0.0
+    assert training_mse(tree, X, y) == 0.0
 
 
 def test_min_samples_constraints_block_splits():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 3.0])
-    assert fit_tree_exact(X, y, cfg=TreeConfig(min_samples_leaf=2)).n_leaves() == 1
-    assert fit_tree_exact(X, y, cfg=TreeConfig(min_samples_split=4)).is_leaf
+    assert fit_tree_exact(X, y, cfg=TreeConfig(min_samples_leaf=2)).feature.tolist() == [-1]
+    assert fit_tree_exact(X, y, cfg=TreeConfig(min_samples_split=4)).feature.tolist() == [-1]
 
 
 def test_tie_break_lowest_feature_then_threshold():
     # identical columns: equal gain -> feature 0 must win
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     tree = fit_tree_exact(X, np.array([0.0, 10.0]), cfg=TreeConfig(max_depth=1))
-    assert tree.feature == 0
+    assert tree.feature[0] == 0
     # two equal-gain thresholds within one feature -> the lower one wins
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([0.0, 10.0, 0.0])
     tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=1))
-    assert tree.threshold == 1.5
+    assert tree.threshold[0] == 1.5
 
 
 def test_build_bins_midpoints_small_cardinality():
@@ -101,7 +102,7 @@ def test_hist_equals_exact_when_bins_cover_distinct_values(seed):
     cfg = TreeConfig(max_depth=None)
     exact = fit_tree_exact(X, y, cfg=cfg)
     hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
-    assert exact.to_dict() == hist.to_dict()
+    assert tree_arrays(exact) == tree_arrays(hist)
     grid = rng.normal(scale=6.0, size=(300, 4))
     assert np.array_equal(predict_tree_batch(exact, grid), predict_tree_batch(hist, grid))
 
@@ -113,8 +114,8 @@ def test_hist_close_to_exact_on_large_continuous_data():
     cfg = TreeConfig(max_depth=6)
     exact = fit_tree_exact(X, y, cfg=cfg)
     hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
-    mse_exact = tree_training_mse(exact, X, y)
-    mse_hist = tree_training_mse(hist, X, y)
+    mse_exact = training_mse(exact, X, y)
+    mse_hist = training_mse(hist, X, y)
     assert mse_hist <= mse_exact * 1.05
 
 
@@ -123,7 +124,7 @@ def test_training_mse_monotone_in_depth():
     X = rng.normal(size=(400, 5))
     y = X[:, 0] + rng.normal(size=400)
     mses = [
-        tree_training_mse(fit_tree_exact(X, y, cfg=TreeConfig(max_depth=d)), X, y)
+        training_mse(fit_tree_exact(X, y, cfg=TreeConfig(max_depth=d)), X, y)
         for d in range(1, 9)
     ]
     for shallower, deeper in zip(mses, mses[1:]):
@@ -137,17 +138,16 @@ def test_leaf_values_are_weighted_means():
     w = rng.uniform(0.5, 2.0, size=300)
     tree = fit_tree_exact(X, y, w, TreeConfig(max_depth=4))
 
-    def check(node, idx):
+    stack = [(0, np.arange(300))]
+    while stack:
+        node, idx = stack.pop()
+        assert idx.size > 0
         expected = float(np.average(y[idx], weights=w[idx]))
-        assert node.value == pytest.approx(expected, rel=1e-12)
-        assert node.n_samples == idx.size
-        if not node.is_leaf:
-            mask = X[idx, node.feature] <= node.threshold
-            assert node.left.n_samples + node.right.n_samples == node.n_samples
-            check(node.left, idx[mask])
-            check(node.right, idx[~mask])
-
-    check(tree, np.arange(300))
+        assert tree.value[node] == pytest.approx(expected, rel=1e-12)
+        if tree.feature[node] >= 0:
+            mask = X[idx, tree.feature[node]] <= tree.threshold[node]
+            stack.append((tree.left[node], idx[mask]))
+            stack.append((tree.right[node], idx[~mask]))
 
 
 def test_permutation_invariance_bitwise():
@@ -158,7 +158,7 @@ def test_permutation_invariance_bitwise():
     for _ in range(3):
         p = rng.permutation(250)
         again = fit_tree_exact(X[p], y[p], cfg=TreeConfig(max_depth=5))
-        assert base.to_dict() == again.to_dict()
+        assert tree_arrays(base) == tree_arrays(again)
 
 
 def test_feature_subsample_candidate_count():
@@ -174,17 +174,17 @@ def test_feature_subsample_deterministic_given_seed():
     cfg = TreeConfig(max_depth=4, feature_subsample=1.0 / 3.0, seed=77)
     a = fit_tree_exact(X, y, cfg=cfg)
     b = fit_tree_exact(X, y, cfg=cfg)
-    assert a.to_dict() == b.to_dict()
+    assert tree_arrays(a) == tree_arrays(b)
     c = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=4, feature_subsample=1.0 / 3.0, seed=78))
-    assert a.to_dict() != c.to_dict()  # overwhelmingly likely
+    assert tree_arrays(a) != tree_arrays(c)  # overwhelmingly likely
 
 
 def test_predict_arity_mismatch():
     tree = fit_tree_exact(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]), cfg=TreeConfig(max_depth=1))
     with pytest.raises(DataError, match="feature"):
-        predict_tree(tree, [0.5])
-    with pytest.raises(DataError, match="feature"):
         predict_tree_batch(tree, np.zeros((3, 1)))
+    with pytest.raises(DataError, match="feature"):
+        predict_tree_batch(tree, np.zeros((3, 3)))
 
 
 def test_fit_validation_errors():
@@ -203,9 +203,40 @@ def test_tree_serialization_round_trip():
     X = rng.normal(size=(100, 3))
     y = rng.normal(size=100)
     tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=5))
-    clone = TreeNode.from_dict(tree.to_dict())
-    assert clone.to_dict() == tree.to_dict()
+    clone = Tree.from_dict(tree.to_dict(), tree.n_features)
+    assert tree_arrays(clone) == tree_arrays(tree)
     assert np.array_equal(predict_tree_batch(clone, X), predict_tree_batch(tree, X))
+
+
+def _ensemble_trees():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(400, 4))
+    X[:, 3] = rng.integers(0, 5, size=400)  # ties at thresholds
+    y = X[:, 0] * 2.0 + np.sin(3.0 * X[:, 1]) + rng.normal(size=400)
+    cfg = EnsembleConfig(n_estimators=4, seed=3)
+    for model in (
+        fit_bagging(X, y, cfg),
+        fit_random_forest(X, y, cfg),
+        fit_gbm(X, y, cfg, mode="exact"),
+        fit_gbm(X, y, cfg, mode="hist"),
+        fit_adaboost_r2(X, y, cfg),
+    ):
+        for tree, _ in model.members:
+            yield model.kind, tree, X
+
+
+def test_vectorized_descent_matches_row_walk_for_every_tree_kind():
+    # An unlimited-depth tree on exponentially growing targets peels off one
+    # row per level, so it is far deeper than 30 levels.
+    X = np.arange(60.0).reshape(-1, 1)
+    deep = fit_tree_exact(X, 2.0 ** np.arange(60), cfg=TreeConfig(max_depth=None))
+    assert deep.depth > 30
+    cases = [("decision_tree", deep, X), *_ensemble_trees()]
+    rng = np.random.default_rng(6)
+    for kind, tree, X in cases:
+        queries = np.vstack([X, rng.normal(scale=3.0, size=(200, X.shape[1]))])
+        got = predict_tree_batch(tree, queries)
+        assert got.tobytes() == reference_predict(tree, queries).tobytes(), kind
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,7 +258,7 @@ def test_property_hist_exact_equivalence_and_permutation(data, depth):
     cfg = TreeConfig(max_depth=depth)
     exact = fit_tree_exact(X, y, cfg=cfg)
     hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
-    assert exact.to_dict() == hist.to_dict()
+    assert tree_arrays(exact) == tree_arrays(hist)
     rng = np.random.default_rng(0)
     p = rng.permutation(len(y))
-    assert fit_tree_exact(X[p], y[p], cfg=cfg).to_dict() == exact.to_dict()
+    assert tree_arrays(fit_tree_exact(X[p], y[p], cfg=cfg)) == tree_arrays(exact)
