@@ -15,7 +15,8 @@ from tripcast.ensembles import (
     weighted_median,
 )
 from tripcast.errors import DataError
-from tripcast.registry import make_model
+from tripcast.persist import dumps_model
+from tripcast.registry import EnsembleEstimator, make_model
 from tripcast.trees import TreeConfig, fit_tree_exact, predict_tree_batch
 
 from tests.helpers import training_mse, tree_arrays
@@ -178,17 +179,19 @@ def test_prediction_range_bounded_for_averaging_ensembles():
 
 def test_seed_determinism_identical_serialized_models():
     X, y = _regression_data(50, n=150, k=4)
-    for fit in (
-        fit_bagging,
-        fit_random_forest,
-        lambda a, b, c: fit_gbm(a, b, c, mode="hist"),
-        fit_adaboost_r2,
+    for fit, kw in (
+        (fit_bagging, {}),
+        (fit_random_forest, {}),
+        (lambda a, b, c: fit_gbm(a, b, c, mode="hist"), {}),
+        (fit_adaboost_r2, {}),
     ):
         cfg = EnsembleConfig(n_estimators=5, seed=12345)
         m1, m2 = fit(X, y, cfg), fit(X, y, cfg)
-        assert [(tree_arrays(t), w) for t, w in m1.members] == [
-            (tree_arrays(t), w) for t, w in m2.members
-        ]
+        e1 = EnsembleEstimator(m1.kind, cfg)
+        e1.model = m1
+        e2 = EnsembleEstimator(m2.kind, cfg)
+        e2.model = m2
+        assert dumps_model(e1) == dumps_model(e2)
 
 
 def test_ensemble_permutation_invariance():
