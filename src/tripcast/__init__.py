@@ -32,7 +32,7 @@ from .evaluation import (
     run_scale_bench,
     run_scenario,
 )
-from .featurize import FeatureRow, FeatureTable, TargetKind, build_table, featurize_trip
+from .featurize import FeatureTable, TargetKind, build_table
 from .linear import LinearModel, fit_lasso, fit_ols, fit_ridge, lasso_lambda_max
 from .persist import load_model, save_model
 from .registry import REGISTRY, make_model
@@ -48,8 +48,8 @@ from .trees import (
 )
 from .trip_data import (
     DatasetSummary,
-    StopRecord,
-    Trip,
+    StopTable,
+    TripTable,
     assemble_trips,
     parse_stops_csv,
     summarize,

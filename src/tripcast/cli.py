@@ -76,10 +76,10 @@ def _parse_models(raw: str) -> list[str]:
 
 
 def _load_table(stops_path: str, target: TargetKind):
-    records, row_rejects = parse_stops_csv(stops_path)
+    stops, row_rejects = parse_stops_csv(stops_path)
     if row_rejects:
         print(f"note: {len(row_rejects)} row(s) rejected while parsing", file=sys.stderr)
-    trips, trip_rejects = assemble_trips(records)
+    trips, trip_rejects = assemble_trips(stops)
     if trip_rejects:
         print(f"note: {len(trip_rejects)} trip(s) excluded during assembly", file=sys.stderr)
     if not trips:
@@ -108,12 +108,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = load_gen_config(args.config) if args.config else GenConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    records = generate(config)
+    stops = generate(config)
     out = Path(args.out)
     count = [0]
 
     def produce(handle):
-        count[0] = write_stops_csv(records, handle)
+        count[0] = write_stops_csv(stops, handle)
 
     _atomic_write_text(out, produce)
     print(f"wrote {count[0]} stop rows to {out}")
@@ -121,8 +121,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    records, row_rejects = parse_stops_csv(args.stops)
-    trips, trip_rejects = assemble_trips(records)
+    stops, row_rejects = parse_stops_csv(args.stops)
+    trips, trip_rejects = assemble_trips(stops)
     if not trips:
         raise DataError("no usable trips in the stops file")
     summary = summarize(trips)

@@ -13,7 +13,9 @@ Test slices partition the 3-month test period exactly (the last slice may
 be shorter); each fold trains on the window immediately preceding its test
 slice, so train always ends where test begins and no fold can leak future
 rows into training. "Month" means calendar-month boundaries; week and day
-windows are 7/1-day slices anchored at the test-period start.
+windows are 7/1-day slices anchored at the test-period start. Fold bounds
+are ``datetime`` values; the rows of each window are found by binary search
+in the table's ``datetime64[s]`` start times, which must be sorted.
 """
 
 from __future__ import annotations
@@ -104,12 +106,12 @@ def make_folds(table: FeatureTable, spec: ScenarioSpec) -> list[Fold]:
     if len(table) == 0:
         raise DataError("cannot fold an empty table")
     starts = table.start_times
-    if not starts:
+    if len(starts) == 0:
         raise DataError("table has no start times (loaded from csv?); fold on assembled trips")
-    if any(a > b for a, b in zip(starts, starts[1:])):
+    if np.any(starts[1:] < starts[:-1]):
         raise DataError("feature table must be chronologically sorted")
 
-    t_min, t_max = starts[0], starts[-1]
+    t_min, t_max = starts[0].item(), starts[-1].item()
     test_start = add_months(month_floor(t_max), -(TEST_PERIOD_MONTHS - 1))
     end_exclusive = t_max + timedelta(seconds=1)
     if test_start <= t_min:
@@ -212,11 +214,11 @@ def run_scenario(
     fixed seed; fit times are not.
     """
     folds = make_folds(table, spec)
-    times_s = np.array(table.start_times, dtype="datetime64[s]")
+    times_s = table.start_times
 
     def leakage_guard(fold: Fold, tr: tuple[int, int], te: tuple[int, int]) -> None:
-        last_train = table.start_times[tr[1] - 1]
-        first_test = table.start_times[te[0]]
+        last_train = times_s[tr[1] - 1]
+        first_test = times_s[te[0]]
         if not (last_train < first_test):
             raise AssertionError(f"fold {fold.index}: train overlaps test")
 

@@ -2,9 +2,11 @@
 
 Each trip becomes one row: counts (stops, cities), calendar fields taken
 from the first scheduled stop, the scheduled duration, and one of two
-targets (actual duration or delay), all in seconds. The trip id is carried
-for traceability but is never part of the model input: an opaque unique
-identifier would only act as a memorization key.
+targets (actual duration or delay), all in seconds. The table is built from
+a :class:`~tripcast.trip_data.TripTable` column by column: calendar fields
+come from ``datetime64`` arithmetic and the row order from one ``lexsort``.
+The trip id is carried for traceability but is never part of the model
+input: an opaque unique identifier would only act as a memorization key.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
 from .errors import DataError
-from .trip_data import Trip
+from .trip_data import TripTable, weekdays
 
 
 class TargetKind(enum.Enum):
@@ -53,64 +54,37 @@ DAY_TYPE_COLUMN = FEATURE_COLUMNS.index("day_type")
 N_DAY_TYPES = 7
 
 
-@dataclass(slots=True, frozen=True)
-class FeatureRow:
-    """One trip's features plus target (seconds)."""
+def calendar_fields(times: np.ndarray) -> dict[str, np.ndarray]:
+    """Calendar feature columns of ``datetime64`` times, by feature name.
 
-    trip_id: str
-    num_cities: int
-    num_stops: int
-    month: int
-    week_number: int
-    day_of_month: int
-    day_type: int
-    hour: int
-    minute: int
-    scheduled_duration: float
-    target: float
-
-    def features(self) -> tuple[float, ...]:
-        return (
-            float(self.num_cities),
-            float(self.num_stops),
-            float(self.month),
-            float(self.week_number),
-            float(self.day_of_month),
-            float(self.day_type),
-            float(self.hour),
-            float(self.minute),
-            float(self.scheduled_duration),
-        )
-
-
-def featurize_trip(trip: Trip, target: TargetKind) -> FeatureRow:
-    """Feature row for one trip; calendar fields from the first scheduled stop."""
-    start = trip.start_time
-    return FeatureRow(
-        trip_id=trip.trip_id,
-        num_cities=trip.num_cities,
-        num_stops=trip.num_stops,
-        month=start.month,
-        week_number=start.isocalendar()[1],
-        day_of_month=start.day,
-        day_type=start.weekday(),
-        hour=start.hour,
-        minute=start.minute,
-        scheduled_duration=trip.scheduled_duration,
-        target=trip.actual_duration if target is TargetKind.DURATION else trip.delay,
-    )
+    Month, ISO week number, day of month, day type (Monday=0), hour and
+    minute, all int64, from ``datetime64`` arithmetic alone.
+    """
+    times = times.astype("datetime64[s]")
+    days = times.astype("datetime64[D]")
+    day_type = weekdays(days)
+    thursday = days + (3 - day_type)  # an ISO week belongs to the year of its Thursday
+    seconds = (times - days).astype(np.int64)
+    return {
+        "month": times.astype("datetime64[M]").astype(np.int64) % 12 + 1,
+        "week_number": (thursday - thursday.astype("datetime64[Y]")).astype(np.int64) // 7 + 1,
+        "day_of_month": (days - days.astype("datetime64[M]")).astype(np.int64) + 1,
+        "day_type": day_type,
+        "hour": seconds // 3600,
+        "minute": seconds // 60 % 60,
+    }
 
 
 @dataclass(slots=True)
 class FeatureTable:
-    """Feature rows in chronological order, as numpy arrays.
+    """One row per trip in chronological order, as numpy arrays.
 
-    ``X`` columns follow ``FEATURE_COLUMNS``; ``start_times`` mirror each
-    row's trip start and drive the fold construction in evaluation.
+    ``X`` columns follow ``FEATURE_COLUMNS``; ``start_times`` (``datetime64[s]``)
+    hold each row's trip start and drive the fold construction in evaluation.
     """
 
     trip_ids: list[str]
-    start_times: list[datetime]
+    start_times: np.ndarray
     X: np.ndarray
     y: np.ndarray
     target: TargetKind
@@ -119,20 +93,29 @@ class FeatureTable:
         return len(self.trip_ids)
 
 
-def build_table(trips: Sequence[Trip], target: TargetKind) -> FeatureTable:
-    """Featurize trips into a table sorted by start time (ties: trip id)."""
-    if not trips:
+def build_table(trips: TripTable, target: TargetKind) -> FeatureTable:
+    """Featurize trips into a table sorted by start time (ties: trip id).
+
+    Calendar fields come from each trip's first scheduled stop.
+    """
+    if len(trips) == 0:
         raise DataError("build_table() requires at least one trip")
-    rows = [featurize_trip(t, target) for t in trips]
-    order = sorted(range(len(rows)), key=lambda i: (trips[i].start_time, rows[i].trip_id))
-    rows = [rows[i] for i in order]
-    X = np.array([r.features() for r in rows], dtype=np.float64)
-    y = np.array([r.target for r in rows], dtype=np.float64)
+    id_rank = np.empty(len(trips), np.int64)
+    id_rank[np.argsort(trips.trip_ids, kind="stable")] = np.arange(len(trips))
+    order = np.lexsort((id_rank, trips.start_time))
+    start = trips.start_time[order]
+    columns = {
+        "num_cities": trips.num_cities[order],
+        "num_stops": trips.num_stops[order],
+        **calendar_fields(start),
+        "scheduled_duration": trips.scheduled_duration[order],
+    }
+    y = trips.actual_duration if target is TargetKind.DURATION else trips.delay
     return FeatureTable(
-        trip_ids=[r.trip_id for r in rows],
-        start_times=[trips[i].start_time for i in order],
-        X=X,
-        y=y,
+        trip_ids=trips.trip_ids[order].tolist(),
+        start_times=start,
+        X=np.column_stack([columns[name] for name in FEATURE_COLUMNS]).astype(np.float64),
+        y=y[order].astype(np.float64),
         target=target,
     )
 
@@ -187,7 +170,7 @@ def read_feature_csv(path: str | Path, target: TargetKind) -> FeatureTable:
         raise DataError(f"feature csv {path} has no rows")
     return FeatureTable(
         trip_ids=trip_ids,
-        start_times=[],
+        start_times=np.zeros(0, "datetime64[s]"),
         X=np.array(xs, dtype=np.float64),
         y=np.array(ys, dtype=np.float64),
         target=target,

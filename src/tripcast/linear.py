@@ -49,6 +49,8 @@ class LinearModel:
             raise DataError(
                 f"model expects {self.n_raw_features} features, got {X.shape[1]}"
             )
+        if not np.all(np.isfinite(X)):
+            raise DataError("feature matrix contains NaN or infinite values")
         Xe = expand_day_type(X, self.day_type_col)
         Xs = (Xe - self.feature_means) / self.feature_scales
         return Xs @ self.coefficients + self.intercept

@@ -65,7 +65,7 @@ def loads_model(text: str):
     actual = hashlib.sha256(_canonical_bytes(body)).hexdigest()
     if stored != actual:
         raise PersistError("model document checksum mismatch (corrupted file)")
-    return model_from_payload(doc["kind"], doc["payload"])
+    return model_from_payload(doc.get("kind"), doc.get("payload"))
 
 
 def load_model(path: str | Path):

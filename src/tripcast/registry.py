@@ -9,14 +9,15 @@ to the vendor libraries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import ensembles, linear, trees
-from .errors import DataError, UsageError
-from .featurize import DAY_TYPE_COLUMN
+from .errors import DataError, PersistError, UsageError
+from .featurize import DAY_TYPE_COLUMN, N_DAY_TYPES
 
 
 class EnsembleEstimator:
@@ -62,20 +63,30 @@ class EnsembleEstimator:
 
     @classmethod
     def from_payload(cls, kind: str, payload: dict) -> "EnsembleEstimator":
+        """Rebuild a persisted ensemble; a malformed payload raises ``PersistError``."""
+        _require_keys(payload, ("config", "n_features", "base_prediction", "members"))
+        n_features, members = payload["n_features"], payload["members"]
+        _require(_is_int(n_features) and n_features >= 1, "n_features is not a positive integer")
+        _require(_is_finite(payload["base_prediction"]), "base_prediction is not a finite number")
+        _require(isinstance(members, list) and len(members) > 0, "members is not a non-empty list")
+        for member in members:
+            _require_keys(member, ("tree", "weight"), "member")
+            _require(_is_finite(member["weight"]), "a member weight is not a finite number")
+        _require(isinstance(payload["config"], dict), "config is not an object")
         cfg_doc = dict(payload["config"])
         tree_doc = cfg_doc.pop("tree", None)
-        tree_cfg = trees.TreeConfig(**tree_doc) if tree_doc is not None else None
-        config = ensembles.EnsembleConfig(tree=tree_cfg, **cfg_doc)
+        try:
+            tree_cfg = trees.TreeConfig(**tree_doc) if tree_doc is not None else None
+            config = ensembles.EnsembleConfig(tree=tree_cfg, **cfg_doc)
+            config.validate()
+        except (TypeError, DataError) as exc:
+            raise PersistError(f"malformed model document: config: {exc}") from exc
         est = cls(kind, config)
-        n_features = int(payload["n_features"])
         est.model = ensembles.EnsembleModel(
             kind=kind,  # type: ignore[arg-type]
             n_features=n_features,
             base_prediction=float(payload["base_prediction"]),
-            members=[
-                (trees.Tree.from_dict(m["tree"], n_features), float(m["weight"]))
-                for m in payload["members"]
-            ],
+            members=[(trees.Tree.from_dict(m["tree"], n_features), float(m["weight"])) for m in members],
             config=config,
         )
         return est
@@ -125,10 +136,65 @@ class LinearEstimator:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "LinearEstimator":
-        model = linear.LinearModel.from_dict(payload["model"])
+        """Rebuild a persisted linear model; a malformed payload raises ``PersistError``."""
+        _require_keys(payload, ("model",))
+        doc = payload["model"]
+        _require_keys(doc, _LINEAR_FIELDS, "model")
+        n_raw, col = doc["n_raw_features"], doc["day_type_col"]
+        _require(_is_int(n_raw) and n_raw >= 1, "n_raw_features is not a positive integer")
+        _require(col is None or (_is_int(col) and 0 <= col < n_raw), "day_type_col is out of range")
+        width = n_raw if col is None else n_raw - 1 + N_DAY_TYPES
+        for key in ("coefficients", "feature_means", "feature_scales"):
+            values = doc[key]
+            _require(
+                isinstance(values, list) and len(values) == width and all(map(_is_finite, values)),
+                f"{key} is not a list of {width} finite numbers",
+            )
+        _require(all(v != 0 for v in doc["feature_scales"]), "feature_scales holds a zero")
+        _require(_is_finite(doc["intercept"]) and _is_finite(doc["lam"]), "intercept or lam is not a finite number")
+        _require(doc["penalty"] in ("none", "l2", "l1"), f"unknown penalty {doc['penalty']!r}")
+        _require(isinstance(doc["converged"], bool), "converged is not a boolean")
+        model = linear.LinearModel.from_dict(doc)
         est = cls(penalty=model.penalty, lam=model.lam, day_type_col=model.day_type_col)
         est.model = model
         return est
+
+
+_LINEAR_FIELDS = (
+    "coefficients",
+    "intercept",
+    "feature_means",
+    "feature_scales",
+    "penalty",
+    "lam",
+    "day_type_col",
+    "n_raw_features",
+    "converged",
+)
+
+
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise PersistError(f"malformed model document: {problem}")
+
+
+def _require_keys(doc: object, keys: tuple[str, ...], what: str = "payload") -> None:
+    _require(isinstance(doc, dict), f"{what} is not an object")
+    missing = [k for k in keys if k not in doc]  # type: ignore[operator]
+    _require(not missing, f"{what} lacks {', '.join(missing)}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)  # type: ignore[arg-type]
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(slots=True, frozen=True)
@@ -215,4 +281,4 @@ def model_from_payload(kind: str, payload: dict):
         return LinearEstimator.from_payload(payload)
     if kind in ("bagging", "random_forest", "gbm_exact", "gbm_hist", "adaboost_r2"):
         return EnsembleEstimator.from_payload(kind, payload)
-    raise DataError(f"unknown persisted model kind {kind!r}")
+    raise PersistError(f"unknown persisted model kind {kind!r}")

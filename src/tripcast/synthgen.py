@@ -7,6 +7,15 @@ delivery log. Output is deterministic for a fixed seed: every calendar day
 derives an independent PCG64 substream from (seed, date), and days are
 emitted in chronological order.
 
+The output is a columnar :class:`~tripcast.trip_data.StopTable`. Each day
+makes one vectorized draw per quantity (trip count, stop counts, delays,
+base durations, start times, interior stop fractions, cities) and lays its
+rows out with ``repeat``/``cumsum`` offsets; interior fractions are sorted
+within each trip by one ``lexsort``. The draw order and every floating-point
+operation are those of a per-stop loop, so the CSV bytes for a seed do not
+depend on the layout. Client names and addresses depend only on (stop index,
+city) and are stored as codes into the distinct pairs' labels.
+
 Calibration notes. Per-trip delay is drawn directly from the configured
 normal distribution. The scheduled duration is ``max(base, min_duration -
 delay)`` where ``base`` is lognormal; the floor guarantees every actual
@@ -20,10 +29,11 @@ per trip matches the configured mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
-from datetime import datetime, timedelta
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +41,7 @@ from scipy.special import ndtr
 
 from .errors import DataError
 from .rng import substream
-from .trip_data import DAY_TYPES, StopRecord, day_type_of
+from .trip_data import DAY_TYPES, Coded, StopTable, day_type_of
 
 DEFAULT_MONTHS: tuple[tuple[int, int], ...] = (
     (2019, 3),
@@ -229,29 +239,38 @@ def _calibrate(cfg: GenConfig) -> _Calibration:
     return _Calibration(mu, sigma, base_mean, _solve_city_pool_size(cfg))
 
 
-def generate(config: GenConfig) -> list[StopRecord]:
+def generate(config: GenConfig) -> StopTable:
     """Generate the synthetic stops table for ``config``.
 
     Deterministic for a fixed config+seed. Rows come out sorted by
     (trip_number, stop_number); trip numbers embed the date, so the order is
-    chronological by day.
+    chronological by day. Every column is built a day at a time with array
+    operations; the only per-trip Python work is formatting trip numbers.
     """
     config.validate()
     cal = _calibrate(config)
-
-    records: list[StopRecord] = []
-    for year, month in config.months:
-        for day in _month_days(year, month):
-            records.extend(_generate_day(config, cal, day))
-    return records
+    days = [_generate_day(config, cal, day) for year, month in config.months for day in _month_days(year, month)]
+    return _stop_table([d for d in days if d is not None], cal.pool_size)
 
 
-def _generate_day(cfg: GenConfig, cal: _Calibration, day: Date) -> list[StopRecord]:
+@dataclass(slots=True, frozen=True)
+class _Day:
+    """One day's trips: per-trip number, delivery round and stop count; per-stop city and times."""
+
+    trip_numbers: list[str]
+    delivery_round: np.ndarray
+    stop_counts: np.ndarray
+    city: np.ndarray
+    scheduled_time: np.ndarray
+    actual_time: np.ndarray
+
+
+def _generate_day(cfg: GenConfig, cal: _Calibration, day: Date) -> _Day | None:
     rng = substream(cfg.seed, "day", day.isoformat())
     mean_trips, std_trips = cfg.trips_per_daytype[day_type_of(day)]
     n_trips = int(max(round(rng.normal(mean_trips, std_trips)) if std_trips > 0 else round(mean_trips), 0))
     if n_trips == 0:
-        return []
+        return None
 
     if cfg.stops_std > 0:
         stop_counts = np.rint(rng.normal(cfg.stops_mean, cfg.stops_std, size=n_trips))
@@ -278,44 +297,71 @@ def _generate_day(cfg: GenConfig, cal: _Calibration, day: Date) -> list[StopReco
     interior_flat = rng.random(int(interior_counts.sum()))
     city_flat = rng.integers(0, cal.pool_size, size=int(stop_counts.sum()))
 
-    day_base = datetime(day.year, day.month, day.day)
+    # Each trip's stops sit at fractions 0, its sorted interior draws, then 1
+    # of the trip's span; rows are trip-major, so are the interior draws.
+    trip_of_row, stop_index = _row_layout(stop_counts)
+    last = stop_index == stop_counts[trip_of_row] - 1
+    fracs = last.astype(np.float64)
+    trip_of_interior = np.repeat(np.arange(n_trips), interior_counts)
+    fracs[(stop_index > 0) & ~last] = interior_flat[np.lexsort((interior_flat, trip_of_interior))]
+
+    start = np.datetime64(day, "s") + start_seconds.astype("timedelta64[s]")
+    start_of_row = start[trip_of_row]
+
+    def times(span_h: np.ndarray) -> np.ndarray:
+        offsets = np.rint(fracs * np.repeat(span_h * 3600.0, stop_counts)).astype(np.int64)
+        return start_of_row + offsets.astype("timedelta64[s]")
+
     date_token = day.strftime("%Y%m%d")
-    records: list[StopRecord] = []
-    int_pos = 0
-    city_pos = 0
-    for i in range(n_trips):
-        s = int(stop_counts[i])
-        k = s - 2
-        fracs = np.empty(s)
-        fracs[0] = 0.0
-        fracs[-1] = 1.0
-        if k > 0:
-            fracs[1:-1] = np.sort(interior_flat[int_pos : int_pos + k])
-            int_pos += k
-        cities = city_flat[city_pos : city_pos + s]
-        city_pos += s
+    return _Day(
+        trip_numbers=[f"T{date_token}-{i:05d}" for i in range(n_trips)],
+        delivery_round=np.arange(n_trips) % 97,
+        stop_counts=stop_counts,
+        city=city_flat,
+        scheduled_time=times(sched_h),
+        actual_time=times(actual_h),
+    )
 
-        start = day_base + timedelta(seconds=int(start_seconds[i]))
-        sched_offsets = np.rint(fracs * (sched_h[i] * 3600.0)).astype(np.int64)
-        actual_offsets = np.rint(fracs * (actual_h[i] * 3600.0)).astype(np.int64)
 
-        trip_number = f"T{date_token}-{i:05d}"
-        description = f"synthetic delivery round {i % 97}"
-        for stop_idx in range(s):
-            city = f"City-{int(cities[stop_idx]):03d}"
-            records.append(
-                StopRecord(
-                    trip_number=trip_number,
-                    trip_description=description,
-                    stop_number=stop_idx + 1,
-                    client_name=f"client-{int(cities[stop_idx]):03d}-{stop_idx:02d}",
-                    address=f"{stop_idx + 1} Depot Street, {city}",
-                    city=city,
-                    scheduled_time=start + timedelta(seconds=int(sched_offsets[stop_idx])),
-                    actual_time=start + timedelta(seconds=int(actual_offsets[stop_idx])),
-                )
-            )
-    return records
+def _row_layout(stop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trip-major stop rows: each row's trip and its 0-based stop index within the trip."""
+    trip = np.repeat(np.arange(len(stop_counts)), stop_counts)
+    return trip, np.arange(len(trip)) - (np.cumsum(stop_counts) - stop_counts)[trip]
+
+
+def _stop_table(days: list[_Day], pool_size: int) -> StopTable:
+    """All days' rows as one table, with the generator's free-text columns."""
+
+    def joined(name: str, dtype: str) -> np.ndarray:
+        return np.concatenate([getattr(d, name) for d in days] or [np.zeros(0, dtype)])
+
+    stop_counts, city = joined("stop_counts", "int64"), joined("city", "int64")
+    trip, stop_index = _row_layout(stop_counts)
+    # Client and address text depend on (stop index, city) only: code the pairs.
+    pairs, pair_code = np.unique(stop_index * pool_size + city, return_inverse=True)
+    pair_stop, pair_city = (part.tolist() for part in np.divmod(pairs, pool_size))
+    city_names = [f"City-{c:03d}" for c in range(pool_size)]
+    return StopTable(
+        trip=Coded(trip, np.array(list(itertools.chain.from_iterable(d.trip_numbers for d in days)), dtype=object)),
+        stop_number=stop_index + 1,
+        city=Coded(city, np.array(city_names, dtype=object)),
+        scheduled_time=joined("scheduled_time", "datetime64[s]"),
+        actual_time=joined("actual_time", "datetime64[s]"),
+        text={
+            "trip_description": Coded(
+                np.repeat(joined("delivery_round", "int64"), stop_counts),
+                np.array([f"synthetic delivery round {k}" for k in range(97)], dtype=object),
+            ),
+            "client_name": Coded(
+                pair_code,
+                np.array([f"client-{c:03d}-{s:02d}" for s, c in zip(pair_stop, pair_city)], dtype=object),
+            ),
+            "address": Coded(
+                pair_code,
+                np.array([f"{s + 1} Depot Street, {city_names[c]}" for s, c in zip(pair_stop, pair_city)], dtype=object),
+            ),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

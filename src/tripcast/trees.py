@@ -231,10 +231,17 @@ def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 
 def row_major(X: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` as one flat row-major array plus the offset of each row in it."""
+    """``X`` as one flat row-major array plus the offset of each row in it.
+
+    Every tree and ensemble prediction enters here, so this is where a
+    query with NaN or infinite features is rejected: a NaN compares false
+    with every threshold and would quietly take the right branch.
+    """
     X = _as_matrix(X)
     if X.shape[1] != n_features:
         raise DataError(f"model was fit on {n_features} features, input has {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise DataError("feature matrix contains NaN or infinite values")
     return np.ascontiguousarray(X).ravel(), np.arange(X.shape[0]) * n_features
 
 

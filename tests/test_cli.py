@@ -1,12 +1,15 @@
 """End-to-end CLI behaviour: exit codes, atomic writes, determinism."""
 
 import csv
+import hashlib
+import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 from tripcast.cli import main
+from tripcast.persist import _canonical_bytes
 
 SMALL_CONFIG = """
 months = 2019-03..2019-09
@@ -192,6 +195,28 @@ def test_load_model_corrupted(tmp_path, stops_csv, capsys):
     text = model_path.read_text()
     model_path.write_text(text[: len(text) - 40], encoding="utf-8")
     assert main(["load-model", str(model_path)]) == 2
+
+
+@pytest.mark.parametrize("edit", ["drop_members", "empty_members", "drop_config"])
+def test_load_model_malformed_payload_is_data_error(tmp_path, stops_csv, capsys, edit):
+    model_path = tmp_path / "model.json"
+    assert main(
+        ["save-model", str(stops_csv), "--model", "gb", "--target", "duration",
+         "--n-estimators", "3", "--out", str(model_path)]
+    ) == 0
+    doc = json.loads(model_path.read_text())
+    if edit == "drop_members":
+        del doc["payload"]["members"]
+    elif edit == "empty_members":
+        doc["payload"]["members"] = []
+    else:
+        del doc["payload"]["config"]
+    body = {k: v for k, v in doc.items() if k != "checksum"}
+    doc["checksum"] = hashlib.sha256(_canonical_bytes(body)).hexdigest()
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["load-model", str(model_path)]) == 2
+    assert "malformed model document" in capsys.readouterr().err
 
 
 def test_usage_error_on_bad_flags(capsys):

@@ -239,3 +239,16 @@ def test_non_finite_training_data_rejected(abbrev, where, bad):
     with pytest.raises(DataError, match="NaN or infinite"):
         model.fit(X, y)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("abbrev", ["lr", "ri", "la", "dt", "br", "rf", "gb", "ab", "hgb"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected(abbrev, bad):
+    X, y = _regression_data(4, n=200, k=9)
+    X[:, 5] = np.arange(200) % 7  # the day-type column linear models one-hot expand
+    model = make_model(abbrev, seed=0, n_estimators=3).fit(X, y)
+    query = X[:5].copy()
+    query[2, 3] = bad
+    with pytest.raises(DataError, match="NaN or infinite"):
+        model.predict(query)
+    assert np.all(np.isfinite(model.predict(X[:5])))

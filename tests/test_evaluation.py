@@ -19,7 +19,7 @@ from tripcast.evaluation import (
     run_scenario,
 )
 from tripcast.featurize import TargetKind, build_table
-from tests.helpers import MeanModel, make_trip
+from tests.helpers import MeanModel, make_trip, trip_table
 
 
 def test_mae_rmse_pinned_values():
@@ -79,7 +79,7 @@ def _seven_month_table(trips_per_day=2, target=TargetKind.DURATION):
             )
             i += 1
         day += timedelta(days=1)
-    return build_table(trips, target)
+    return build_table(trip_table(trips), target)
 
 
 def test_scenario_0_single_fold_four_month_train():
@@ -145,7 +145,7 @@ def test_insufficient_span_errors():
         trips.append(make_trip(f"T{i:05d}", day + timedelta(hours=9), 3600, 4000))
         i += 1
         day += timedelta(days=1)
-    table = build_table(trips, TargetKind.DURATION)
+    table = build_table(trip_table(trips), TargetKind.DURATION)
     with pytest.raises(InsufficientSpanError):
         make_folds(table, ScenarioSpec.for_id(0))
     # scenario 4 needs only 3 days of history before July: fine
@@ -196,7 +196,7 @@ def test_run_scenario_empty_test_fold_skipped_and_reported():
             trips.append(make_trip(f"T{i:06d}", day + timedelta(hours=8), 3600, 4000))
             i += 1
         day += timedelta(days=1)
-    table = build_table(trips, TargetKind.DURATION)
+    table = build_table(trip_table(trips), TargetKind.DURATION)
     run = run_scenario(table, ScenarioSpec.for_id(3), "mean", lambda fold: MeanModel())
     assert any("no test rows" in d for d in run.diagnostics)
     executed_folds = {r.fold for r in run.results}
@@ -213,7 +213,7 @@ def test_run_scenario_empty_train_fold_reported_run_continues():
             trips.append(make_trip(f"T{i:06d}", day + timedelta(hours=8), 3600, 4000))
             i += 1
         day += timedelta(days=1)
-    table = build_table(trips, TargetKind.DURATION)
+    table = build_table(trip_table(trips), TargetKind.DURATION)
     run = run_scenario(table, ScenarioSpec.for_id(4), "mean", lambda fold: MeanModel())
     assert any("no training rows" in d for d in run.diagnostics)
     assert run.results

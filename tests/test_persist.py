@@ -151,3 +151,83 @@ def test_malformed_tree_arrays_rejected(edit):
         tree["right"][0] = tree["left"][0]
     with pytest.raises(PersistError, match="tree"):
         loads_model(_rechecksummed(doc))
+
+
+def _saved_doc(abbrev):
+    X, y = _data()
+    return json.loads(dumps_model(make_model(abbrev, seed=1, n_estimators=3).fit(X, y)))
+
+
+def _drop(key):
+    return lambda payload: payload.pop(key)
+
+
+def _set(key, value):
+    return lambda payload: payload.__setitem__(key, value)
+
+
+def _member(key, value=None):
+    def edit(payload):
+        if value is None:
+            del payload["members"][0][key]
+        else:
+            payload["members"][0][key] = value
+
+    return edit
+
+
+def _linear(key, value=None):
+    def edit(payload):
+        if value is None:
+            del payload["model"][key]
+        else:
+            payload["model"][key] = value
+
+    return edit
+
+
+MALFORMED_PAYLOADS = {
+    "gb_no_members": ("gb", _drop("members"), "lacks members"),
+    "gb_no_config": ("gb", _drop("config"), "lacks config"),
+    "gb_no_n_features": ("gb", _drop("n_features"), "lacks n_features"),
+    "gb_no_base_prediction": ("gb", _drop("base_prediction"), "lacks base_prediction"),
+    "gb_empty_members": ("gb", _set("members", []), "non-empty list"),
+    "gb_members_not_list": ("gb", _set("members", {"tree": 1}), "non-empty list"),
+    "gb_text_n_features": ("gb", _set("n_features", "9"), "n_features"),
+    "gb_nan_base_prediction": ("gb", _set("base_prediction", float("nan")), "base_prediction"),
+    "gb_config_not_object": ("gb", _set("config", [1]), "config"),
+    "gb_unknown_config_key": ("gb", lambda p: p["config"].__setitem__("bogus", 1), "config"),
+    "gb_bad_config_value": ("gb", lambda p: p["config"].__setitem__("learning_rate", 5.0), "config"),
+    "gb_member_no_tree": ("gb", _member("tree"), "member lacks tree"),
+    "gb_member_no_weight": ("gb", _member("weight"), "member lacks weight"),
+    "gb_member_text_weight": ("gb", _member("weight", "x"), "weight"),
+    "gb_member_huge_weight": ("gb", _member("weight", 10**400), "weight"),
+    "gb_member_not_object": ("gb", lambda p: p["members"].__setitem__(0, 3), "member is not an object"),
+    "dt_payload_list": ("dt", lambda p: p.clear(), "lacks"),
+    "lr_no_model": ("lr", _drop("model"), "lacks model"),
+    "lr_no_coefficients": ("lr", _linear("coefficients"), "lacks coefficients"),
+    "lr_short_coefficients": ("lr", lambda p: p["model"]["coefficients"].pop(), "coefficients"),
+    "lr_text_coefficient": ("lr", lambda p: p["model"]["coefficients"].__setitem__(0, "x"), "coefficients"),
+    "la_zero_scale": ("la", lambda p: p["model"]["feature_scales"].__setitem__(0, 0.0), "zero"),
+    "ri_bad_penalty": ("ri", _linear("penalty", "l3"), "penalty"),
+    "lr_day_type_col_out_of_range": ("lr", _linear("day_type_col", 40), "day_type_col"),
+    "lr_text_n_raw_features": ("lr", _linear("n_raw_features", "9"), "n_raw_features"),
+    "lr_converged_text": ("lr", _linear("converged", "yes"), "converged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+def test_malformed_payload_rejected(case):
+    abbrev, edit, message = MALFORMED_PAYLOADS[case]
+    doc = _saved_doc(abbrev)
+    edit(doc["payload"])
+    with pytest.raises(PersistError, match=message):
+        loads_model(_rechecksummed(doc))
+
+
+@pytest.mark.parametrize("key", ["kind", "payload"])
+def test_document_without_kind_or_payload_rejected(key):
+    doc = _saved_doc("gb")
+    del doc[key]
+    with pytest.raises(PersistError):
+        loads_model(_rechecksummed(doc))
