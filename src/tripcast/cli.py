@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .featurize import TargetKind, build_table
 from .persist import dumps_model, load_model
-from .registry import OUT_OF_SCOPE, REGISTRY, make_model
+from .registry import make_model, model_name
 from .report import scale_chart_svg
 from .rng import derive_seed
 from .synthgen import GenConfig, generate, load_gen_config
@@ -59,20 +59,10 @@ def _atomic_write_text(path: Path, produce: Callable[[io.TextIOBase], None]) -> 
 
 
 def _parse_models(raw: str) -> list[str]:
-    names = [tok.strip().lower() for tok in raw.split(",") if tok.strip()]
+    names = [model_name(tok) for tok in raw.split(",") if tok.strip()]
     if not names:
         raise UsageError("no model abbreviations given")
-    seen: list[str] = []
-    for name in names:
-        if name in OUT_OF_SCOPE:
-            raise UsageError(f"model {name!r} is not available: {OUT_OF_SCOPE[name]}")
-        if name not in REGISTRY:
-            raise UsageError(
-                f"unknown model {name!r}; valid abbreviations: {', '.join(sorted(REGISTRY))}"
-            )
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(dict.fromkeys(names))
 
 
 def _load_table(stops_path: str, target: TargetKind):
@@ -248,6 +238,8 @@ def _cmd_save_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_load_model(args: argparse.Namespace) -> int:
+    if args.stops and not args.predictions_out:
+        raise UsageError("--predictions-out is required when --stops is given")
     model = load_model(args.model_path)
     print(f"loaded model kind={model.kind} from {args.model_path}")
     if args.stops:
@@ -261,8 +253,6 @@ def _cmd_load_model(args: argparse.Namespace) -> int:
             for trip_id, pred in zip(table.trip_ids, predictions):
                 writer.writerow((trip_id, repr(float(pred))))
 
-        if not args.predictions_out:
-            raise UsageError("--predictions-out is required when --stops is given")
         _atomic_write_text(Path(args.predictions_out), produce)
         print(f"wrote {len(table)} predictions to {args.predictions_out}")
     return 0

@@ -10,23 +10,29 @@ All four are built on the regression trees in :mod:`tripcast.trees`:
   by normalized absolute loss, and predicts with the weighted median of the
   members.
 
-Training rows are brought into canonical order before any bootstrap index
-is drawn, so fitted models are deterministic in (data, config, seed) and
-invariant to input row order. Members are flat :class:`~tripcast.trees.Tree`
-records; prediction descends them one at a time and combines their values
-in member order. A single decision tree is a one-member bagging ensemble
-without bootstrap.
+Training data is checked once per fit (:mod:`tripcast.checks`) and brought
+into canonical order before any bootstrap index is drawn, so fitted models
+are deterministic in (data, config, seed) and invariant to input row order.
+A sorted resample of a canonical table is itself canonical, so members grow
+from it directly without a second check or sort. Members are flat
+:class:`~tripcast.trees.Tree` records; prediction descends them one at a
+time and combines their values in member order. A single decision tree is a
+one-member bagging ensemble without bootstrap.
+
+:class:`EnsembleModel` owns its persisted form (``to_payload`` /
+``from_payload``), which checks a document before rebuilding from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Literal
 
 import numpy as np
 
-from .errors import DataError
+from .checks import is_finite, is_int, require, require_keys, training_data
+from .errors import DataError, PersistError
 from .rng import derive_seed, substream
 from .trees import (
     Tree,
@@ -37,9 +43,6 @@ from .trees import (
     canonical_rows,
     column_presort,
     descend,
-    fit_tree_exact,
-    predict_tree_batch,
-    require_finite,
     row_major,
 )
 
@@ -103,19 +106,53 @@ class EnsembleModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return predict_ensemble_batch(self, X)
 
+    def to_payload(self) -> dict:
+        return {
+            "config": asdict(self.config),
+            "n_features": self.n_features,
+            "base_prediction": self.base_prediction,
+            "members": [{"tree": tree.to_dict(), "weight": weight} for tree, weight in self.members],
+        }
+
+    @classmethod
+    def from_payload(cls, kind: EnsembleKind, payload: dict) -> "EnsembleModel":
+        """Rebuild a persisted ensemble; a malformed payload raises ``PersistError``."""
+        require_keys(payload, ("config", "n_features", "base_prediction", "members"))
+        n_features, members = payload["n_features"], payload["members"]
+        require(is_int(n_features) and n_features >= 1, "n_features is not a positive integer")
+        require(is_finite(payload["base_prediction"]), "base_prediction is not a finite number")
+        require(isinstance(members, list) and len(members) > 0, "members is not a non-empty list")
+        for member in members:
+            require_keys(member, ("tree", "weight"), "member")
+            require(is_finite(member["weight"]), "a member weight is not a finite number")
+        require(isinstance(payload["config"], dict), "config is not an object")
+        cfg_doc = dict(payload["config"])
+        tree_doc = cfg_doc.pop("tree", None)
+        try:
+            tree_cfg = TreeConfig(**tree_doc) if tree_doc is not None else None
+            config = EnsembleConfig(tree=tree_cfg, **cfg_doc)
+            config.validate()
+        except (TypeError, DataError) as exc:
+            raise PersistError(f"malformed model document: config: {exc}") from exc
+        return cls(
+            kind=kind,
+            n_features=n_features,
+            base_prediction=float(payload["base_prediction"]),
+            members=[(Tree.from_dict(m["tree"], n_features), float(m["weight"])) for m in members],
+            config=config,
+        )
+
 
 def _prepare(X, y, cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cfg.validate()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if X.ndim != 2:
-        raise DataError(f"expected a 2-D feature matrix, got shape {X.shape}")
-    if X.shape[0] == 0:
-        raise DataError("cannot fit an ensemble on empty data")
-    if X.shape[0] != y.shape[0]:
-        raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    require_finite(X, y)
+    X, y = training_data(X, y)
     return canonical_rows(X, y, np.ones(X.shape[0]))
+
+
+def _grow_member(Xc, yc, wc, rows: np.ndarray, cfg: TreeConfig) -> Tree:
+    """An exact tree on ``rows`` (sorted) of a canonical table."""
+    fit = _FitData.from_canonical(Xc[rows], yc[rows], wc[rows], cfg)
+    return _grow(fit, bins=None, binned=None, presort=None)[0]
 
 
 def _member_tree_config(cfg: EnsembleConfig, default_depth: int | None) -> TreeConfig:
@@ -146,7 +183,7 @@ def _fit_averaged(
     for m in range(cfg.n_estimators):
         if cfg.bootstrap:
             rng = substream(cfg.seed, "bootstrap", m)
-            idx = rng.integers(0, n, size=n)
+            idx = np.sort(rng.integers(0, n, size=n))
         else:
             idx = np.arange(n)
         tree_cfg = replace(
@@ -154,8 +191,7 @@ def _fit_averaged(
             feature_subsample=subsample,
             seed=derive_seed(cfg.seed, "member-tree", m),
         )
-        tree = fit_tree_exact(Xc[idx], yc[idx], cfg=tree_cfg)
-        members.append((tree, 1.0))
+        members.append((_grow_member(Xc, yc, wc, idx, tree_cfg), 1.0))
     return EnsembleModel(
         kind=kind,
         n_features=Xc.shape[1],
@@ -235,15 +271,16 @@ def fit_adaboost_r2(
     Xc, yc, wc = _prepare(X, y, cfg)
     tree_cfg = _member_tree_config(cfg, default_depth=3)
     n = Xc.shape[0]
+    flat, offsets = row_major(Xc, Xc.shape[1])
     sample_weight = np.full(n, 1.0 / n)
     members: list[tuple[Tree, float]] = []
     for m in range(cfg.n_estimators):
         rng = substream(cfg.seed, "resample", m)
-        idx = rng.choice(n, size=n, replace=True, p=sample_weight)
+        idx = np.sort(rng.choice(n, size=n, replace=True, p=sample_weight))
         stage_cfg = replace(tree_cfg, seed=derive_seed(cfg.seed, "member-tree", m))
-        tree = fit_tree_exact(Xc[idx], yc[idx], cfg=stage_cfg)
+        tree = _grow_member(Xc, yc, wc, idx, stage_cfg)
 
-        error = np.abs(predict_tree_batch(tree, Xc) - yc)
+        error = np.abs(descend(tree, flat, offsets) - yc)
         error_max = float(error.max())
         if error_max > 0:
             loss = error / error_max

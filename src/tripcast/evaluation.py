@@ -107,7 +107,7 @@ def make_folds(table: FeatureTable, spec: ScenarioSpec) -> list[Fold]:
         raise DataError("cannot fold an empty table")
     starts = table.start_times
     if len(starts) == 0:
-        raise DataError("table has no start times (loaded from csv?); fold on assembled trips")
+        raise DataError("table has no start times; fold on assembled trips")
     if np.any(starts[1:] < starts[:-1]):
         raise DataError("feature table must be chronologically sorted")
 

@@ -11,11 +11,8 @@ input: an opaque unique identifier would only act as a memorization key.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -116,62 +113,5 @@ def build_table(trips: TripTable, target: TargetKind) -> FeatureTable:
         start_times=start,
         X=np.column_stack([columns[name] for name in FEATURE_COLUMNS]).astype(np.float64),
         y=y[order].astype(np.float64),
-        target=target,
-    )
-
-
-CSV_HEADER = ("trip_id",) + FEATURE_COLUMNS + ("target",)
-
-
-def write_feature_csv(table: FeatureTable, handle: IO[str]) -> int:
-    """Serialize a feature table; first column trip_id, last column target."""
-    writer = csv.writer(handle)
-    writer.writerow(CSV_HEADER)
-    for i, trip_id in enumerate(table.trip_ids):
-        row: list[object] = [trip_id]
-        row.extend(repr(v) if isinstance(v, float) else v for v in _typed_row(table.X[i]))
-        row.append(repr(float(table.y[i])))
-        writer.writerow(row)
-    return len(table.trip_ids)
-
-
-def _typed_row(x: np.ndarray) -> list[object]:
-    out: list[object] = []
-    for name, value in zip(FEATURE_COLUMNS, x):
-        if name == "scheduled_duration":
-            out.append(float(value))
-        else:
-            out.append(int(value))
-    return out
-
-
-def read_feature_csv(path: str | Path, target: TargetKind) -> FeatureTable:
-    """Load a feature table written by :func:`write_feature_csv`.
-
-    Start times are not stored in the CSV; tables loaded this way support
-    model fitting and prediction but not fold construction.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature csv not found: {path}")
-    trip_ids: list[str] = []
-    xs: list[list[float]] = []
-    ys: list[float] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise DataError(f"unexpected feature csv header in {path}")
-        for row in reader:
-            trip_ids.append(row[0])
-            xs.append([float(v) for v in row[1:-1]])
-            ys.append(float(row[-1]))
-    if not trip_ids:
-        raise DataError(f"feature csv {path} has no rows")
-    return FeatureTable(
-        trip_ids=trip_ids,
-        start_times=np.zeros(0, "datetime64[s]"),
-        X=np.array(xs, dtype=np.float64),
-        y=np.array(ys, dtype=np.float64),
         target=target,
     )

@@ -12,6 +12,11 @@ Objectives (on standardized features, intercept b):
   lasso:        (1/2n) sum (y - Xb)^2 + lam * ||beta||_1
 so ``lasso_lambda_max`` = max_j |<x_j, y - mean(y)>| / n is the smallest
 penalty that zeroes every coefficient.
+
+Every fit entry and ``LinearModel.predict`` check their inputs with
+:mod:`tripcast.checks`, so NaN or infinite data is a ``DataError`` here as
+it is for the trees. :class:`LinearModel` owns its persisted form: its
+``from_dict`` checks a document before rebuilding from it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import is_finite, is_int, query_matrix, require, require_keys, training_data
 from .errors import DataError
 from .featurize import N_DAY_TYPES
 
@@ -41,16 +47,11 @@ class LinearModel:
     n_raw_features: int
     converged: bool = True
 
+    #: Model-document kind of every linear model.
+    kind = "linear"
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise DataError(f"expected a 2-D feature matrix, got shape {X.shape}")
-        if X.shape[1] != self.n_raw_features:
-            raise DataError(
-                f"model expects {self.n_raw_features} features, got {X.shape[1]}"
-            )
-        if not np.all(np.isfinite(X)):
-            raise DataError("feature matrix contains NaN or infinite values")
+        X = query_matrix(X, self.n_raw_features)
         Xe = expand_day_type(X, self.day_type_col)
         Xs = (Xe - self.feature_means) / self.feature_scales
         return Xs @ self.coefficients + self.intercept
@@ -68,8 +69,32 @@ class LinearModel:
             "converged": self.converged,
         }
 
+    def to_payload(self) -> dict:
+        return {"model": self.to_dict()}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "LinearModel":
+        require_keys(payload, ("model",))
+        return cls.from_dict(payload["model"])
+
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearModel":
+        """Rebuild a persisted model; a malformed document raises ``PersistError``."""
+        require_keys(doc, _FIELDS, "model")
+        n_raw, col = doc["n_raw_features"], doc["day_type_col"]
+        require(is_int(n_raw) and n_raw >= 1, "n_raw_features is not a positive integer")
+        require(col is None or (is_int(col) and 0 <= col < n_raw), "day_type_col is out of range")
+        width = n_raw if col is None else n_raw - 1 + N_DAY_TYPES
+        for key in ("coefficients", "feature_means", "feature_scales"):
+            values = doc[key]
+            require(
+                isinstance(values, list) and len(values) == width and all(map(is_finite, values)),
+                f"{key} is not a list of {width} finite numbers",
+            )
+        require(all(v != 0 for v in doc["feature_scales"]), "feature_scales holds a zero")
+        require(is_finite(doc["intercept"]) and is_finite(doc["lam"]), "intercept or lam is not a finite number")
+        require(doc["penalty"] in ("none", "l2", "l1"), f"unknown penalty {doc['penalty']!r}")
+        require(isinstance(doc["converged"], bool), "converged is not a boolean")
         return cls(
             coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
             intercept=float(doc["intercept"]),
@@ -81,6 +106,19 @@ class LinearModel:
             n_raw_features=int(doc["n_raw_features"]),
             converged=bool(doc["converged"]),
         )
+
+
+_FIELDS = (
+    "coefficients",
+    "intercept",
+    "feature_means",
+    "feature_scales",
+    "penalty",
+    "lam",
+    "day_type_col",
+    "n_raw_features",
+    "converged",
+)
 
 
 def expand_day_type(X: np.ndarray, day_type_col: int | None) -> np.ndarray:
@@ -107,18 +145,6 @@ def _standardize(Xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (Xe - means) / scales, means, scales
 
 
-def _check_input(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if X.ndim != 2:
-        raise DataError(f"expected a 2-D feature matrix, got shape {X.shape}")
-    if X.shape[0] == 0:
-        raise DataError("cannot fit a linear model on empty data")
-    if X.shape[0] != y.shape[0]:
-        raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    return X, y
-
-
 def fit_ols(X: np.ndarray, y: np.ndarray, *, day_type_col: int | None = None) -> LinearModel:
     """Least squares via the normal equations (with diagonal jitter)."""
     return fit_ridge(X, y, 0.0, day_type_col=day_type_col, _penalty="none")
@@ -139,7 +165,7 @@ def fit_ridge(
     """
     if lam < 0:
         raise DataError("ridge penalty must be >= 0")
-    X, y = _check_input(X, y)
+    X, y = training_data(X, y)
     Xe = expand_day_type(X, day_type_col)
     Xs, means, scales = _standardize(Xe)
     y_mean = float(np.mean(y))
@@ -176,7 +202,7 @@ def fit_lasso(
     """
     if lam < 0:
         raise DataError("lasso penalty must be >= 0")
-    X, y = _check_input(X, y)
+    X, y = training_data(X, y)
     Xe = expand_day_type(X, day_type_col)
     Xs, means, scales = _standardize(Xe)
     y_mean = float(np.mean(y))
@@ -231,7 +257,7 @@ def lasso_lambda_max(
     Computed with the same per-column dot products coordinate descent uses,
     so a fit at exactly this penalty really does keep every coefficient 0.
     """
-    X, y = _check_input(X, y)
+    X, y = training_data(X, y)
     Xe = expand_day_type(X, day_type_col)
     Xs, _, _ = _standardize(Xe)
     yc = y - np.mean(y)

@@ -15,11 +15,17 @@ once, one vectorized step per depth level (the flattened traversal of
 QuickScorer, Lucchese et al., SIGIR 2015), so its cost is O(depth) numpy
 calls rather than one Python step per node.
 
+Both fitters place a split between two neighbouring training values with
+:func:`split_threshold`, so no split can leave a child empty.
+
 Determinism: rows are brought into a canonical order before fitting, so the
-fitted tree is bit-identical under any permutation of the training rows, and
-when every feature has at most ``max_bins`` distinct values the histogram
-tree is bit-identical to the exact tree (bin edges then fall on the same
-value midpoints).
+fitted tree is bit-identical under any permutation of the training rows.
+When every feature has at most ``max_bins`` distinct values the histogram
+tree has the same candidate splits as the exact tree, and the two are
+bit-identical when the per-group sums are exact (integer targets, as in the
+tests). With float targets the exact scan's ``reduceat`` and the
+histogram's sequential ``bincount`` add in different orders, can round the
+sums of tied candidates differently, and the trees may then differ.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .checks import as_matrix, query_matrix, training_data
 from .errors import DataError, PersistError
 from .rng import substream
 
@@ -147,7 +154,7 @@ class BinMap:
         return len(self.edges[feature]) + 1
 
     def binize(self, X: np.ndarray) -> np.ndarray:
-        X = _as_matrix(X)
+        X = as_matrix(X)
         if X.shape[1] != self.n_features:
             raise DataError(
                 f"binize: expected {self.n_features} features, got {X.shape[1]}"
@@ -162,11 +169,11 @@ def build_bins(X: np.ndarray, max_bins: int = 255) -> BinMap:
     """Quantile bin map for ``X``.
 
     Features with at most ``max_bins`` distinct values get one bin per
-    value, with edges at the midpoints between consecutive distinct values
-    (histogram splits are then exact). Denser features get edges at the
-    ``i/max_bins`` quantiles, deduplicated.
+    value, with edges at the :func:`split_threshold` of consecutive distinct
+    values (histogram splits then have the exact candidates). Denser
+    features get edges at the ``i/max_bins`` quantiles, deduplicated.
     """
-    X = _as_matrix(X)
+    X = as_matrix(X)
     if X.shape[0] == 0:
         raise DataError("build_bins: empty feature table")
     if not 2 <= max_bins <= 255:
@@ -178,8 +185,7 @@ def build_bins(X: np.ndarray, max_bins: int = 255) -> BinMap:
         col = X[:, f]
         uniq = np.unique(col)
         if uniq.size <= max_bins:
-            e = (uniq[:-1] + uniq[1:]) / 2.0
-            edges.append(e)
+            edges.append(split_threshold(uniq[:-1], uniq[1:]))
             mins.append(uniq.copy())
             maxs.append(uniq.copy())
             continue
@@ -233,15 +239,10 @@ def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
 def row_major(X: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """``X`` as one flat row-major array plus the offset of each row in it.
 
-    Every tree and ensemble prediction enters here, so this is where a
-    query with NaN or infinite features is rejected: a NaN compares false
-    with every threshold and would quietly take the right branch.
+    Every tree and ensemble prediction enters here, so this is where the
+    query is checked (:func:`~tripcast.checks.query_matrix`).
     """
-    X = _as_matrix(X)
-    if X.shape[1] != n_features:
-        raise DataError(f"model was fit on {n_features} features, input has {X.shape[1]}")
-    if not np.all(np.isfinite(X)):
-        raise DataError("feature matrix contains NaN or infinite values")
+    X = query_matrix(X, n_features)
     return np.ascontiguousarray(X).ravel(), np.arange(X.shape[0]) * n_features
 
 
@@ -264,6 +265,18 @@ def descend(tree: Tree, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return tree.value.take(node)
 
 
+def split_threshold(lo, hi):
+    """Where to split between neighbouring values ``lo < hi`` (scalars or arrays).
+
+    The midpoint, or ``lo`` itself when the midpoint rounds onto ``hi`` (two
+    adjacent floats) or overflows; rows equal to ``lo`` go left and rows
+    equal to ``hi`` go right either way.
+    """
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
+
+
 def n_candidate_features(n_features: int, feature_subsample: float) -> int:
     """Size of the per-node candidate feature set under subsampling."""
     return min(n_features, max(1, int(np.ceil(feature_subsample * n_features))))
@@ -271,26 +284,6 @@ def n_candidate_features(n_features: int, feature_subsample: float) -> int:
 
 # ---------------------------------------------------------------------------
 # Fitting internals.
-
-
-def _as_matrix(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError(f"expected a 2-D feature matrix, got shape {X.shape}")
-    return X
-
-
-def require_finite(X: np.ndarray, y: np.ndarray) -> None:
-    """Reject NaN or infinite training data before it reaches a grower.
-
-    A NaN feature makes a split midpoint NaN, which sends every row right
-    and leaves the node to be split again forever; a NaN target turns every
-    boosted prediction into NaN.
-    """
-    if not np.all(np.isfinite(X)):
-        raise DataError("feature matrix contains NaN or infinite values")
-    if not np.all(np.isfinite(y)):
-        raise DataError("target contains NaN or infinite values")
 
 
 @dataclass(slots=True)
@@ -307,13 +300,7 @@ class _FitData:
     @classmethod
     def prepare(cls, X, y, w, cfg: TreeConfig) -> "_FitData":
         cfg.validate()
-        X = _as_matrix(X)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if X.shape[0] != y.shape[0]:
-            raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-        if X.shape[0] == 0:
-            raise DataError("cannot fit a tree on empty data")
-        require_finite(X, y)
+        X, y = training_data(X, y)
         if w is None:
             w = np.ones(X.shape[0], dtype=np.float64)
         else:
@@ -396,6 +383,8 @@ def _grow(
             continue
         f, t = best
         go_left = fit.X[idx, f] <= t
+        if not 0 < np.count_nonzero(go_left) < idx.shape[0]:
+            raise RuntimeError(f"split x[{f}] <= {t!r} leaves a child of node {node} empty")
         feature.append(f)
         threshold.append(t)
         left.append(node + 1)  # the left child is popped next
@@ -475,7 +464,7 @@ def _best_split_exact(
         orders = np.argsort(Xn[:, features], axis=0, kind="stable")
 
     best_score = -np.inf
-    best: tuple[int, float] | None = None
+    best: tuple[int, float, float] | None = None
     best_parent = 0.0
     for slot, f in enumerate(features):
         if presort is not None:
@@ -499,11 +488,11 @@ def _best_split_exact(
         if pos < 0 or score <= best_score:
             continue
         uniq = sv[starts]
-        threshold = (uniq[pos] + uniq[pos + 1]) / 2.0
-        best_score, best, best_parent = score, (int(f), float(threshold)), parent
+        best_score, best, best_parent = score, (int(f), uniq[pos], uniq[pos + 1]), parent
     if best is None or best_score - best_parent <= 0.0:
         return None
-    return best
+    f, lo, hi = best
+    return f, float(split_threshold(lo, hi))
 
 
 def _best_split_hist(
@@ -515,10 +504,11 @@ def _best_split_hist(
 ) -> tuple[int, float] | None:
     """Histogram-accumulation variant of :func:`_best_split_exact`.
 
-    Thresholds fall halfway between the observed value ranges of consecutive
-    nonempty bins, which reduces to the exact midpoint rule whenever bins
-    hold single distinct values. Accumulating buckets in canonical row order
-    keeps the group sums bit-identical to the exact scan's.
+    Thresholds split between the observed value ranges of consecutive
+    nonempty bins, which reduces to the exact rule whenever bins hold single
+    distinct values. Buckets accumulate in canonical row order, but
+    ``bincount`` adds sequentially and the exact scan's ``reduceat`` does
+    not, so the group sums match it bit for bit only when they are exact.
     """
     wn = fit.w[idx]
     wyn = fit.wy[idx]
@@ -526,7 +516,7 @@ def _best_split_hist(
     min_leaf = fit.cfg.min_samples_leaf
 
     best_score = -np.inf
-    best: tuple[int, float] | None = None
+    best: tuple[int, float, float] | None = None
     best_parent = 0.0
     for f in features:
         b = bn[:, f]
@@ -542,13 +532,12 @@ def _best_split_hist(
         )
         if pos < 0 or score <= best_score:
             continue
-        left_bin = nonempty[pos]
-        right_bin = nonempty[pos + 1]
-        threshold = (bins.bin_max[f][left_bin] + bins.bin_min[f][right_bin]) / 2.0
-        best_score, best, best_parent = score, (int(f), float(threshold)), parent
+        lo, hi = bins.bin_max[f][nonempty[pos]], bins.bin_min[f][nonempty[pos + 1]]
+        best_score, best, best_parent = score, (int(f), lo, hi), parent
     if best is None or best_score - best_parent <= 0.0:
         return None
-    return best
+    f, lo, hi = best
+    return f, float(split_threshold(lo, hi))
 
 
 def _score_groups(

@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import contextlib
+import signal
 from datetime import datetime
 
 import numpy as np
@@ -111,3 +113,23 @@ def reference_predict(tree, X):
 def training_mse(tree, X, y):
     """Mean squared error of a fitted tree on its training rows."""
     return float(np.mean((y - predict_tree_batch(tree, X)) ** 2))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``.
+
+    Uses SIGALRM, so a hang inside Python-level code (such as a tree grower
+    splitting the same node forever) ends the test instead of the suite.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

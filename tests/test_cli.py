@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from tripcast.cli import main
+from tripcast.errors import UsageError
 from tripcast.persist import _canonical_bytes
+from tripcast.registry import make_model
 
 SMALL_CONFIG = """
 months = 2019-03..2019-09
@@ -184,6 +186,28 @@ def test_save_and_load_model_round_trip(tmp_path, stops_csv):
     rows = _read_csv(preds_a)
     assert rows[0] == ["trip_id", "prediction_s"]
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize("model_exists", [True, False])
+def test_load_model_stops_without_predictions_out_is_usage_error(tmp_path, stops_csv, capsys, model_exists):
+    # The flag is checked before any work: neither the model nor the stops
+    # file (here missing, which would be a data error) is read.
+    model_path = tmp_path / "model.json"
+    if model_exists:
+        assert main(["save-model", str(stops_csv), "--model", "lr", "--target", "delay", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["load-model", str(model_path), "--stops", str(tmp_path / "missing.csv")]) == 1
+    assert "--predictions-out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["xgb", "nope"])
+def test_model_name_errors_match_library(tmp_path, stops_csv, capsys, name):
+    with pytest.raises(UsageError) as exc:
+        make_model(name, seed=0)
+    capsys.readouterr()
+    assert main(["run", str(stops_csv), "--scenario", "3", "--target", "delay",
+                 "--models", f"lr,{name.upper()}", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"usage error: {exc.value}\n"
 
 
 def test_load_model_corrupted(tmp_path, stops_csv, capsys):

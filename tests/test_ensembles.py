@@ -16,7 +16,7 @@ from tripcast.ensembles import (
 )
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
-from tripcast.registry import EnsembleEstimator, make_model
+from tripcast.registry import make_model
 from tripcast.trees import TreeConfig, fit_tree_exact, predict_tree_batch
 
 from tests.helpers import training_mse, tree_arrays
@@ -187,11 +187,7 @@ def test_seed_determinism_identical_serialized_models():
     ):
         cfg = EnsembleConfig(n_estimators=5, seed=12345)
         m1, m2 = fit(X, y, cfg), fit(X, y, cfg)
-        e1 = EnsembleEstimator(m1.kind, cfg)
-        e1.model = m1
-        e2 = EnsembleEstimator(m2.kind, cfg)
-        e2.model = m2
-        assert dumps_model(e1) == dumps_model(e2)
+        assert dumps_model(m1) == dumps_model(m2)
 
 
 def test_ensemble_permutation_invariance():
@@ -226,7 +222,7 @@ def test_weighted_median_simple_cases():
     assert weighted_median(preds, np.array([1.0, 1.0, 5.0]))[0] == 100.0
 
 
-@pytest.mark.parametrize("abbrev", ["dt", "br", "rf", "gb", "hgb", "ab"])
+@pytest.mark.parametrize("abbrev", ["lr", "ri", "la", "dt", "br", "rf", "gb", "hgb", "ab"])
 @pytest.mark.parametrize("where, bad", [("X", np.nan), ("X", np.inf), ("y", np.nan)])
 def test_non_finite_training_data_rejected(abbrev, where, bad):
     X, y = _regression_data(3, n=200, k=4)

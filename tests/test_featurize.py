@@ -10,8 +10,6 @@ from tripcast.featurize import (
     TargetKind,
     build_table,
     calendar_fields,
-    read_feature_csv,
-    write_feature_csv,
 )
 from tripcast.synthgen import GenConfig, generate
 from tripcast.trip_data import assemble_trips
@@ -134,20 +132,6 @@ def test_duration_minus_delay_equals_scheduled_on_generated_data():
     assert np.array_equal(t_dur.y - t_del.y, sched)
     # featurize is total on valid trips
     assert len(t_dur) == len(trips)
-
-
-def test_feature_csv_round_trip(tmp_path):
-    trips = [make_trip(f"T{i}", f"2019-03-0{i + 1}T09:15:00", 1800 * (i + 1), 2000 * (i + 1)) for i in range(4)]
-    table = build_table(trip_table(trips), TargetKind.DURATION)
-    path = tmp_path / "features.csv"
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        assert write_feature_csv(table, handle) == 4
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("trip_id,") and header.endswith(",target")
-    loaded = read_feature_csv(path, TargetKind.DURATION)
-    assert loaded.trip_ids == table.trip_ids
-    assert np.array_equal(loaded.X, table.X)
-    assert np.array_equal(loaded.y, table.y)
 
 
 def test_target_kind_parse():

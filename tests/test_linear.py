@@ -204,3 +204,19 @@ def test_empty_and_mismatched_inputs():
     m = fit_ols(np.zeros((3, 2)) + np.arange(6).reshape(3, 2), np.arange(3.0))
     with pytest.raises(DataError):
         m.predict(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("entry", ["ols", "ridge", "lasso", "lambda_max"])
+@pytest.mark.parametrize("where, bad", [("X", np.nan), ("X", np.inf), ("X", -np.inf), ("y", np.nan), ("y", np.inf)])
+def test_non_finite_training_data_rejected(entry, where, bad):
+    # Before the shared check, each of these returned a model predicting NaN.
+    X, y = _system(30)
+    (X[11] if where == "X" else y)[3] = bad
+    fits = {
+        "ols": lambda: fit_ols(X, y),
+        "ridge": lambda: fit_ridge(X, y, 1.0),
+        "lasso": lambda: fit_lasso(X, y, 0.1),
+        "lambda_max": lambda: lasso_lambda_max(X, y),
+    }
+    with pytest.raises(DataError, match="NaN or infinite"):
+        fits[entry]()

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tripcast.errors import PersistError
+from tripcast.errors import PersistError, UsageError
 from tripcast.persist import (
     FORMAT_VERSION,
     _canonical_bytes,
@@ -83,6 +83,18 @@ def test_not_a_model_document():
 def test_missing_file():
     with pytest.raises(PersistError, match="not found"):
         load_model("/nonexistent/model.json")
+
+
+@pytest.mark.parametrize("abbrev", ["lr", "gb"])
+def test_model_document_is_the_fitted_models_own(abbrev):
+    # The adapter adds nothing to the document: the fitted model writes it.
+    X, y = _data()
+    est = make_model(abbrev, seed=1, n_estimators=2).fit(X, y)
+    assert dumps_model(est.model) == dumps_model(est)
+    loaded = loads_model(dumps_model(est))
+    assert loaded.kind == est.kind
+    with pytest.raises(UsageError, match="refit"):
+        loaded.fit(X, y)
 
 
 def test_unfitted_model_not_persistable():

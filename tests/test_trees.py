@@ -1,23 +1,28 @@
 """Regression tree fitting: exact scan, histogram scan, and their equivalence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripcast.ensembles import EnsembleConfig, fit_adaboost_r2, fit_bagging, fit_gbm, fit_random_forest
+from tripcast import trees
 from tripcast.errors import DataError
+from tripcast.rng import derive_seed, substream
 from tripcast.trees import (
     Tree,
     TreeConfig,
     build_bins,
+    canonical_rows,
     fit_tree_exact,
     fit_tree_hist,
     n_candidate_features,
     predict_tree_batch,
 )
 
-from tests.helpers import reference_predict, training_mse, tree_arrays
+from tests.helpers import reference_predict, time_limit, training_mse, tree_arrays
 
 
 def test_two_point_split():
@@ -262,3 +267,97 @@ def test_property_hist_exact_equivalence_and_permutation(data, depth):
     rng = np.random.default_rng(0)
     p = rng.permutation(len(y))
     assert tree_arrays(fit_tree_exact(X[p], y[p], cfg=cfg)) == tree_arrays(exact)
+
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("max_depth", [None, 4])
+def test_split_between_adjacent_floats(max_depth):
+    # The midpoint of two adjacent floats rounds onto the upper one; a split
+    # there sent both rows left and an unlimited tree split that node forever.
+    X = np.array([[BELOW_ONE], [1.0]])
+    y = np.array([0.0, 1.0])
+    cfg = TreeConfig(max_depth=max_depth)
+    with time_limit(5):
+        exact = fit_tree_exact(X, y, cfg=cfg)
+        hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+    assert exact.feature.tolist() == [0, -1, -1]
+    assert exact.threshold[0] == BELOW_ONE
+    assert tree_arrays(hist) == tree_arrays(exact)
+    assert not np.any(np.isnan(exact.value))
+    assert np.array_equal(predict_tree_batch(exact, X), y)
+
+
+def test_hist_split_at_quantile_edge_below_adjacent_value():
+    # With 511 distinct values every quantile edge lands on a value; one edge
+    # is BELOW_ONE with 1.0 the smallest value of the next bin.
+    col = np.concatenate([np.arange(-254.0, 0.0), [BELOW_ONE, 1.0], np.arange(2.0, 257.0)])
+    X = col[:, None]
+    y = (col >= 1.0).astype(float)
+    bins = build_bins(X)
+    assert col.size == 511 and BELOW_ONE in bins.edges[0]
+    with time_limit(5):
+        tree = fit_tree_hist(X, y, None, TreeConfig(max_depth=3), bins)
+    assert not np.any(np.isnan(tree.value))
+    assert tree.feature.tolist() == [0, -1, -1] and tree.threshold[0] == BELOW_ONE
+    assert np.array_equal(predict_tree_batch(tree, X), y)
+
+
+def test_split_leaving_a_child_empty_raises(monkeypatch):
+    # The old rounding rule, forced back in: the grower must stop, not loop.
+    monkeypatch.setattr(trees, "split_threshold", lambda lo, hi: (lo + hi) / 2.0)
+    X = np.array([[BELOW_ONE], [1.0]])
+    with time_limit(5), pytest.raises(RuntimeError, match="empty"):
+        fit_tree_exact(X, np.array([0.0, 1.0]))
+
+
+EDGE_VALUES = [
+    -1.7e308,
+    np.nextafter(-1.7e308, 0.0),
+    -1.0,
+    0.0,
+    5e-324,
+    1e-323,
+    BELOW_ONE,
+    1.0,
+    np.nextafter(1.0, 2.0),
+    np.nextafter(1.7e308, 0.0),
+    1.7e308,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(st.sampled_from(EDGE_VALUES), st.integers(min_value=-20, max_value=20)),
+        min_size=2,
+        max_size=30,
+    ),
+)
+def test_property_splits_between_adjacent_and_extreme_values(data):
+    X = np.array([[v] for v, _ in data])
+    y = np.array([t for _, t in data], dtype=float)
+    cfg = TreeConfig(max_depth=None)
+    with time_limit(10):
+        exact = fit_tree_exact(X, y, cfg=cfg)
+        hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+    assert tree_arrays(hist) == tree_arrays(exact)
+    assert not np.any(np.isnan(exact.value))
+    # Grown to purity, every row predicts the mean target of its x value.
+    values, group = np.unique(X[:, 0], return_inverse=True)
+    means = np.bincount(group, weights=y) / np.bincount(group)
+    assert np.array_equal(predict_tree_batch(exact, X), means[group])
+
+
+def test_bagging_members_equal_exact_trees_on_their_resamples():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(120, 3))
+    y = rng.normal(size=120)
+    cfg = EnsembleConfig(n_estimators=3, seed=5, tree=TreeConfig(max_depth=6), feature_subsample=0.5)
+    model = fit_random_forest(X, y, cfg)
+    Xc, yc, _ = canonical_rows(X, y, np.ones(120))
+    for m, (tree, _) in enumerate(model.members):
+        idx = substream(5, "bootstrap", m).integers(0, 120, size=120)
+        member_cfg = replace(cfg.tree, feature_subsample=0.5, seed=derive_seed(5, "member-tree", m))
+        assert tree_arrays(tree) == tree_arrays(fit_tree_exact(Xc[idx], yc[idx], cfg=member_cfg))
