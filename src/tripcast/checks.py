@@ -5,7 +5,7 @@ Every fit entry calls :func:`training_data` and every predict entry
 reject the same inputs with the same :class:`~tripcast.errors.DataError`.
 Non-finite values are refused outright: a NaN feature compares false with
 every split threshold and poisons a least-squares solve, and a NaN target
-turns every prediction into NaN.
+turns every prediction into NaN. Targets are bounded too (:data:`TARGET_SUM_LIMIT`).
 
 The ``require*`` helpers check persisted model documents, which come from
 outside the program too; they raise :class:`~tripcast.errors.PersistError`
@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import DataError, PersistError
 
+#: ``len(y) * max|y|`` stays below this, so a split scan's squared sums of unit-weight targets stay finite.
+TARGET_SUM_LIMIT = 1e154
+
 
 def as_matrix(X) -> np.ndarray:
     """``X`` as a 2-D float64 array."""
@@ -30,7 +33,7 @@ def as_matrix(X) -> np.ndarray:
 
 
 def training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """A non-empty, finite training matrix and its target, one per row."""
+    """A non-empty, finite training matrix and its bounded target, one per row."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if X.shape[0] != y.shape[0]:
@@ -40,6 +43,8 @@ def training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     _require_finite(X)
     if not np.all(np.isfinite(y)):
         raise DataError("target contains NaN or infinite values")
+    if y.shape[0] * float(np.max(np.abs(y))) >= TARGET_SUM_LIMIT:
+        raise DataError(f"target too large: rows x max|y| must stay below {TARGET_SUM_LIMIT:g}")
     return X, y
 
 

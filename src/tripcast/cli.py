@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .featurize import TargetKind, build_table
 from .persist import dumps_model, load_model
-from .registry import make_model, model_name
+from .registry import REGISTRY, make_model, model_name
 from .report import scale_chart_svg
 from .rng import derive_seed
 from .synthgen import GenConfig, generate, load_gen_config
@@ -77,17 +77,18 @@ def _load_table(stops_path: str, target: TargetKind):
     return build_table(trips, target)
 
 
-def _model_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if getattr(args, "n_estimators", None) is not None:
-        overrides["n_estimators"] = args.n_estimators
-    if getattr(args, "learning_rate", None) is not None:
-        overrides["learning_rate"] = args.learning_rate
-    if getattr(args, "max_depth", None) is not None:
-        overrides["max_depth"] = args.max_depth
-    if getattr(args, "lam", None) is not None:
-        overrides["lam"] = args.lam
-    return overrides
+#: The model-setting flags, by registry setting name.
+MODEL_FLAGS = {"n_estimators": int, "learning_rate": float, "max_depth": int, "lam": float}
+
+
+def _model_settings(args: argparse.Namespace, models: list[str]) -> dict[str, dict]:
+    """The given flags each model declares; a flag that none of them declares is a usage error."""
+    given = {name: getattr(args, name) for name in MODEL_FLAGS if getattr(args, name) is not None}
+    for name in given:
+        if not any(name in REGISTRY[m].settings for m in models):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} is not a setting of {', '.join(models)}")
+    return {m: {k: v for k, v in given.items() if k in REGISTRY[m].settings} for m in models}
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +133,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     models = _parse_models(args.models)
     target = TargetKind.parse(args.target)
     spec = ScenarioSpec.for_id(args.scenario)
-    overrides = _model_overrides(args)
+    settings = _model_settings(args, models)
     table = _load_table(args.stops, target)
 
     runs = []
     for name in models:
 
         def factory(fold_index: int, _name=name):
-            return make_model(_name, derive_seed(args.seed, _name, fold_index), **overrides)
+            return make_model(_name, derive_seed(args.seed, _name, fold_index), **settings[_name])
 
         run = run_scenario(table, spec, name, factory)
         for diag in run.diagnostics:
@@ -181,7 +182,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     models = _parse_models(args.models)
-    overrides = _model_overrides(args)
+    settings = _model_settings(args, models)
     if args.sizes:
         try:
             sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
@@ -195,7 +196,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     for name in models:
 
         def factory(rep: int, _name=name):
-            return make_model(_name, derive_seed(args.seed, _name, "scale", rep), **overrides)
+            return make_model(_name, derive_seed(args.seed, _name, "scale", rep), **settings[_name])
 
         factories[name] = factory
 
@@ -227,9 +228,10 @@ def _cmd_save_model(args: argparse.Namespace) -> int:
     if len(models) != 1:
         raise UsageError("save-model takes exactly one model abbreviation")
     name = models[0]
+    settings = _model_settings(args, models)
     target = TargetKind.parse(args.target)
     table = _load_table(args.stops, target)
-    model = make_model(name, derive_seed(args.seed, name, "full-fit"), **_model_overrides(args))
+    model = make_model(name, derive_seed(args.seed, name, "full-fit"), **settings[name])
     model.fit(table.X, table.y)
     text = dumps_model(model)
     _atomic_write_text(Path(args.out), lambda handle: handle.write(text))
@@ -243,8 +245,8 @@ def _cmd_load_model(args: argparse.Namespace) -> int:
     model = load_model(args.model_path)
     print(f"loaded model kind={model.kind} from {args.model_path}")
     if args.stops:
-        target = TargetKind.parse(args.target)
-        table = _load_table(args.stops, target)
+        # Prediction reads only the feature columns, which no target changes.
+        table = _load_table(args.stops, TargetKind.DURATION)
         predictions = model.predict(table.X)
 
         def produce(handle):
@@ -266,6 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tripcast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    model_flags = argparse.ArgumentParser(add_help=False)
+    group = model_flags.add_argument_group("model settings", "a model gets only the settings it takes")
+    for name, kind in MODEL_FLAGS.items():
+        takers = ", ".join(m for m, entry in REGISTRY.items() if name in entry.settings)
+        group.add_argument("--" + name.replace("_", "-"), type=kind, help=f"taken by {takers}")
+
     p_synth = sub.add_parser("synth", help="generate a synthetic stops CSV")
     p_synth.add_argument("--config", help="key=value config file (defaults embedded)")
     p_synth.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -276,20 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("stops", help="stops CSV path")
     p_sum.set_defaults(func=_cmd_summarize)
 
-    p_run = sub.add_parser("run", help="run one retraining scenario")
+    p_run = sub.add_parser("run", help="run one retraining scenario", parents=[model_flags])
     p_run.add_argument("stops", help="stops CSV path")
     p_run.add_argument("--scenario", type=int, required=True, choices=range(5))
     p_run.add_argument("--target", required=True, help="duration | delay")
     p_run.add_argument("--models", required=True, help="comma-separated abbreviations (e.g. hgb,gb,dt)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--n-estimators", type=int, default=None)
-    p_run.add_argument("--learning-rate", type=float, default=None)
-    p_run.add_argument("--max-depth", type=int, default=None)
-    p_run.add_argument("--lam", type=float, default=None, help="penalty for ri/la")
     p_run.set_defaults(func=_cmd_run)
 
-    p_scale = sub.add_parser("scale", help="fit-time scaling benchmark")
+    p_scale = sub.add_parser("scale", help="fit-time scaling benchmark", parents=[model_flags])
     p_scale.add_argument("stops", help="stops CSV path")
     p_scale.add_argument("--sizes", default=None, help="comma-separated sample counts")
     p_scale.add_argument("--models", required=True)
@@ -297,27 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--seed", type=int, default=0)
     p_scale.add_argument("--repeats", type=int, default=3)
     p_scale.add_argument("--out", required=True, help="output directory")
-    p_scale.add_argument("--n-estimators", type=int, default=None)
-    p_scale.add_argument("--learning-rate", type=float, default=None)
-    p_scale.add_argument("--max-depth", type=int, default=None)
     p_scale.set_defaults(func=_cmd_scale)
 
-    p_save = sub.add_parser("save-model", help="fit a model on a stops CSV and persist it")
+    p_save = sub.add_parser("save-model", help="fit a model on a stops CSV and persist it", parents=[model_flags])
     p_save.add_argument("stops", help="stops CSV path")
     p_save.add_argument("--model", required=True, help="one abbreviation")
     p_save.add_argument("--target", required=True)
     p_save.add_argument("--seed", type=int, default=0)
     p_save.add_argument("--out", required=True, help="model document path")
-    p_save.add_argument("--n-estimators", type=int, default=None)
-    p_save.add_argument("--learning-rate", type=float, default=None)
-    p_save.add_argument("--max-depth", type=int, default=None)
-    p_save.add_argument("--lam", type=float, default=None)
     p_save.set_defaults(func=_cmd_save_model)
 
     p_load = sub.add_parser("load-model", help="load a persisted model (optionally predict)")
     p_load.add_argument("model_path", help="model document path")
     p_load.add_argument("--stops", default=None, help="stops CSV to predict on")
-    p_load.add_argument("--target", default="duration")
     p_load.add_argument("--predictions-out", default=None, help="predictions CSV path")
     p_load.set_defaults(func=_cmd_load_model)
 

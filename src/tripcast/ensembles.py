@@ -53,6 +53,14 @@ ADABOOST_LOSSES = ("linear", "square", "exponential")
 #: Average losses below this are treated as a perfect fit (see fit_adaboost_r2).
 PERFECT_LOSS_EPS = 1e-10
 
+#: EnsembleConfig fields that only some kinds read, and those kinds.
+READ_BY: dict[str, tuple[EnsembleKind, ...]] = {
+    "learning_rate": ("gbm_exact", "gbm_hist"),
+    "loss": ("adaboost_r2",),
+    "bootstrap": ("bagging", "random_forest"),
+    "feature_subsample": ("bagging", "random_forest"),
+}
+
 
 @dataclass(slots=True, frozen=True)
 class EnsembleConfig:
@@ -63,7 +71,8 @@ class EnsembleConfig:
     ``feature_subsample`` of None likewise defaults per kind (1/3 for random
     forest, 1.0 elsewhere). ``learning_rate`` must stay in (0, 2]; that is
     the range for which each boosting stage provably cannot increase the
-    training loss.
+    training loss. A field that a kind does not read (:data:`READ_BY`) must
+    keep its default for that kind.
     """
 
     n_estimators: int = 100
@@ -74,7 +83,7 @@ class EnsembleConfig:
     loss: str = "linear"
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, kind: EnsembleKind) -> None:
         if self.n_estimators < 1:
             raise DataError("n_estimators must be >= 1")
         if not 0.0 < self.learning_rate <= 2.0:
@@ -85,6 +94,10 @@ class EnsembleConfig:
             raise DataError("feature_subsample must be in (0, 1]")
         if self.tree is not None:
             self.tree.validate()
+        default = EnsembleConfig()
+        for name, readers in READ_BY.items():
+            if kind not in readers and getattr(self, name) != getattr(default, name):
+                raise DataError(f"{kind} does not read {name}; leave it at {getattr(default, name)!r}")
 
 
 @dataclass(slots=True)
@@ -131,7 +144,7 @@ class EnsembleModel:
         try:
             tree_cfg = TreeConfig(**tree_doc) if tree_doc is not None else None
             config = EnsembleConfig(tree=tree_cfg, **cfg_doc)
-            config.validate()
+            config.validate(kind)
         except (TypeError, DataError) as exc:
             raise PersistError(f"malformed model document: config: {exc}") from exc
         return cls(
@@ -143,21 +156,20 @@ class EnsembleModel:
         )
 
 
-def _prepare(X, y, cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cfg.validate()
+def _prepare(X, y, cfg: EnsembleConfig, kind: EnsembleKind):
+    """``cfg`` checked for ``kind``, with the kind's default tree filled in for fits to
+    record, and the checked data in canonical order."""
+    cfg.validate(kind)
+    if cfg.tree is None:
+        cfg = replace(cfg, tree=TreeConfig(max_depth=None if kind in ("bagging", "random_forest") else 3))
     X, y = training_data(X, y)
-    return canonical_rows(X, y, np.ones(X.shape[0]))
+    return (cfg, *canonical_rows(X, y, np.ones(X.shape[0])))
 
 
 def _grow_member(Xc, yc, wc, rows: np.ndarray, cfg: TreeConfig) -> Tree:
     """An exact tree on ``rows`` (sorted) of a canonical table."""
     fit = _FitData.from_canonical(Xc[rows], yc[rows], wc[rows], cfg)
     return _grow(fit, bins=None, binned=None, presort=None)[0]
-
-
-def _member_tree_config(cfg: EnsembleConfig, default_depth: int | None) -> TreeConfig:
-    tree = cfg.tree if cfg.tree is not None else TreeConfig(max_depth=default_depth)
-    return tree
 
 
 def fit_bagging(X: np.ndarray, y: np.ndarray, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleModel:
@@ -175,9 +187,8 @@ def fit_random_forest(
 def _fit_averaged(
     X, y, cfg: EnsembleConfig, kind: EnsembleKind, default_subsample: float
 ) -> EnsembleModel:
-    Xc, yc, wc = _prepare(X, y, cfg)
+    cfg, Xc, yc, wc = _prepare(X, y, cfg, kind)
     subsample = cfg.feature_subsample if cfg.feature_subsample is not None else default_subsample
-    base_tree = _member_tree_config(cfg, default_depth=None)
     members: list[tuple[Tree, float]] = []
     n = Xc.shape[0]
     for m in range(cfg.n_estimators):
@@ -187,7 +198,7 @@ def _fit_averaged(
         else:
             idx = np.arange(n)
         tree_cfg = replace(
-            base_tree,
+            cfg.tree,
             feature_subsample=subsample,
             seed=derive_seed(cfg.seed, "member-tree", m),
         )
@@ -217,14 +228,14 @@ def fit_gbm(
     """
     if mode not in ("exact", "hist"):
         raise DataError(f"unknown gbm mode {mode!r}")
-    Xc, yc, wc = _prepare(X, y, cfg)
-    tree_cfg = _member_tree_config(cfg, default_depth=3)
+    kind: EnsembleKind = "gbm_hist" if mode == "hist" else "gbm_exact"
+    cfg, Xc, yc, wc = _prepare(X, y, cfg, kind)
     n = Xc.shape[0]
 
     bins = binned = None
     presort = None
     if mode == "hist":
-        bins = build_bins(Xc, tree_cfg.max_bins)
+        bins = build_bins(Xc, cfg.tree.max_bins)
         binned = bins.binize(Xc)
     else:
         presort = column_presort(Xc)
@@ -236,7 +247,7 @@ def fit_gbm(
     nu = cfg.learning_rate
     for m in range(cfg.n_estimators):
         residual = yc - current
-        stage_cfg = replace(tree_cfg, seed=derive_seed(cfg.seed, "member-tree", m))
+        stage_cfg = replace(cfg.tree, seed=derive_seed(cfg.seed, "member-tree", m))
         fit = _FitData.from_canonical(Xc, residual, wc, stage_cfg)
         # Growth routed the training rows with the same `<=` test a
         # prediction would, so their leaves give the stage's predictions.
@@ -245,7 +256,7 @@ def fit_gbm(
         current = current + nu * tree.value[leaf_of]
         train_mse.append(float(np.mean((yc - current) ** 2)))
     return EnsembleModel(
-        kind="gbm_hist" if mode == "hist" else "gbm_exact",
+        kind=kind,
         n_features=Xc.shape[1],
         base_prediction=base,
         members=members,
@@ -268,8 +279,7 @@ def fit_adaboost_r2(
     a stage is essentially perfect (average loss below ``PERFECT_LOSS_EPS``,
     which gets a large finite weight instead of a division by zero).
     """
-    Xc, yc, wc = _prepare(X, y, cfg)
-    tree_cfg = _member_tree_config(cfg, default_depth=3)
+    cfg, Xc, yc, wc = _prepare(X, y, cfg, "adaboost_r2")
     n = Xc.shape[0]
     flat, offsets = row_major(Xc, Xc.shape[1])
     sample_weight = np.full(n, 1.0 / n)
@@ -277,7 +287,7 @@ def fit_adaboost_r2(
     for m in range(cfg.n_estimators):
         rng = substream(cfg.seed, "resample", m)
         idx = np.sort(rng.choice(n, size=n, replace=True, p=sample_weight))
-        stage_cfg = replace(tree_cfg, seed=derive_seed(cfg.seed, "member-tree", m))
+        stage_cfg = replace(cfg.tree, seed=derive_seed(cfg.seed, "member-tree", m))
         tree = _grow_member(Xc, yc, wc, idx, stage_cfg)
 
         error = np.abs(descend(tree, flat, offsets) - yc)

@@ -153,7 +153,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, day_type_col: int | None = None) ->
 def fit_ridge(
     X: np.ndarray,
     y: np.ndarray,
-    lam: float,
+    lam: float = 1.0,
     *,
     day_type_col: int | None = None,
     _penalty: str = "l2",
@@ -188,7 +188,7 @@ def fit_ridge(
 def fit_lasso(
     X: np.ndarray,
     y: np.ndarray,
-    lam: float,
+    lam: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 10_000,
     *,
@@ -196,10 +196,13 @@ def fit_lasso(
 ) -> LinearModel:
     """Lasso via cyclic coordinate descent with soft thresholding.
 
-    Converged when the largest coefficient change in a sweep drops below
-    ``tol``; if ``max_iter`` sweeps do not get there the model comes back
-    with ``converged=False`` rather than failing silently.
+    ``lam`` of None is a tenth of :func:`lasso_lambda_max`, the smallest
+    all-zero penalty. Converged when the largest coefficient change in a
+    sweep drops below ``tol``; if ``max_iter`` sweeps do not get there the
+    model comes back with ``converged=False`` rather than failing silently.
     """
+    if lam is None:
+        lam = 0.1 * lasso_lambda_max(X, y, day_type_col=day_type_col)
     if lam < 0:
         raise DataError("lasso penalty must be >= 0")
     X, y = training_data(X, y)

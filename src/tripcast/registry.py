@@ -4,9 +4,11 @@ Every entry builds an :class:`Estimator`: a fit function with its settings
 bound (an ensemble fitter with its config, or a linear fitter with its
 penalty), behind the common ``fit(X, y)`` / ``predict(X)`` contract. The
 fitted model, not the adapter, predicts and writes and checks its own
-persisted payload. ``xgb``, ``cb`` and ``lgb`` are reserved names that fail
-loudly: the histogram GBM here stands in for that family generically, and
-silently aliasing them would misattribute results to the vendor libraries.
+persisted payload. Each entry declares the settings its model takes, and
+:func:`make_model` refuses any other. ``xgb``, ``cb`` and ``lgb`` are
+reserved names that fail loudly: the histogram GBM here stands in for that
+family generically, and silently aliasing them would misattribute results
+to the vendor libraries.
 :func:`model_name` is the one check of a model name, for the library and
 the CLI alike.
 """
@@ -20,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import ensembles, linear, trees
+from .ensembles import fit_adaboost_r2, fit_bagging, fit_gbm, fit_random_forest
 from .errors import DataError, PersistError, UsageError
 from .featurize import DAY_TYPE_COLUMN
 
@@ -57,79 +60,52 @@ class Estimator:
 
 @dataclass(slots=True, frozen=True)
 class ModelRegistryEntry:
-    abbreviation: str
+    """A model's description, its builder ``build(seed, **settings)`` and the settings it takes."""
+
     description: str
-    build: Callable[..., object]
+    build: Callable[..., Estimator]
+    settings: tuple[str, ...] = ()
 
 
-def _build_tree(seed: int, max_depth: int | None = None, **_: object) -> Estimator:
-    # A single tree is bagging with one member and no bootstrap; it takes no
-    # n_estimators or learning_rate.
-    cfg = ensembles.EnsembleConfig(
-        n_estimators=1, bootstrap=False, tree=trees.TreeConfig(max_depth=max_depth), seed=seed
-    )
-    return Estimator("bagging", partial(ensembles.fit_bagging, cfg=cfg))
+def _ensemble(kind: str, fit: Callable, **fixed: object) -> Callable[..., Estimator]:
+    """A builder of ``fit`` with an EnsembleConfig of ``fixed`` and only the settings passed."""
 
-
-def _ensemble_builder(kind: str, default_depth: int | None, fit: Callable, **fit_options: object):
-    def build(
-        seed: int,
-        n_estimators: int | None = None,
-        learning_rate: float | None = None,
-        max_depth: int | None = None,
-        **_: object,
-    ) -> Estimator:
-        cfg = ensembles.EnsembleConfig(
-            n_estimators=100 if n_estimators is None else n_estimators,
-            learning_rate=0.1 if learning_rate is None else learning_rate,
-            tree=trees.TreeConfig(max_depth=default_depth if max_depth is None else max_depth),
-            seed=seed,
-        )
-        return Estimator(kind, partial(fit, cfg=cfg, **fit_options))
+    def build(seed: int, **settings: object) -> Estimator:
+        if "max_depth" in settings:
+            settings["tree"] = trees.TreeConfig(max_depth=settings.pop("max_depth"))
+        cfg = ensembles.EnsembleConfig(seed=seed, **fixed, **settings)
+        return Estimator(kind, partial(fit, cfg=cfg))
 
     return build
 
 
-def _build_ols(seed: int, **_: object) -> Estimator:
-    return Estimator("linear", partial(linear.fit_ols, day_type_col=DAY_TYPE_COLUMN))
+def _linear(fit: Callable) -> Callable[..., Estimator]:
+    """A builder of a linear ``fit`` given only the settings passed; ``fit`` declares their defaults."""
+
+    def build(seed: int, **settings: object) -> Estimator:
+        return Estimator("linear", partial(fit, day_type_col=DAY_TYPE_COLUMN, **settings))
+
+    return build
 
 
-def _build_ridge(seed: int, lam: float | None = None, **_: object) -> Estimator:
-    lam = 1.0 if lam is None else lam
-    return Estimator("linear", partial(linear.fit_ridge, lam=lam, day_type_col=DAY_TYPE_COLUMN))
+_TREES = ("n_estimators", "max_depth")
+_BOOSTING = (*_TREES, "learning_rate")
 
-
-def _build_lasso(seed: int, lam: float | None = None, **_: object) -> Estimator:
-    def fit(X: np.ndarray, y: np.ndarray) -> linear.LinearModel:
-        # Declared default: a tenth of the smallest all-zero penalty.
-        penalty = 0.1 * linear.lasso_lambda_max(X, y, day_type_col=DAY_TYPE_COLUMN) if lam is None else lam
-        return linear.fit_lasso(X, y, penalty, day_type_col=DAY_TYPE_COLUMN)
-
-    return Estimator("linear", fit)
-
+_EXACT, _HIST = partial(fit_gbm, mode="exact"), partial(fit_gbm, mode="hist")
 
 REGISTRY: dict[str, ModelRegistryEntry] = {
-    "lr": ModelRegistryEntry("lr", "linear regression (least squares)", _build_ols),
-    "ri": ModelRegistryEntry("ri", "ridge regression (L2, default lam=1.0)", _build_ridge),
-    "la": ModelRegistryEntry("la", "lasso (L1, default lam=0.1*lambda_max)", _build_lasso),
-    "dt": ModelRegistryEntry("dt", "decision tree (exact CART)", _build_tree),
-    "br": ModelRegistryEntry(
-        "br", "bagging of trees", _ensemble_builder("bagging", None, ensembles.fit_bagging)
+    "lr": ModelRegistryEntry("linear regression (least squares)", _linear(linear.fit_ols)),
+    "ri": ModelRegistryEntry("ridge regression (L2)", _linear(linear.fit_ridge), ("lam",)),
+    "la": ModelRegistryEntry("lasso (L1)", _linear(linear.fit_lasso), ("lam",)),
+    # A single tree is bagging with one member and no bootstrap.
+    "dt": ModelRegistryEntry(
+        "decision tree (exact CART)", _ensemble("bagging", fit_bagging, n_estimators=1, bootstrap=False), ("max_depth",)
     ),
-    "rf": ModelRegistryEntry(
-        "rf", "random forest", _ensemble_builder("random_forest", None, ensembles.fit_random_forest)
-    ),
-    "gb": ModelRegistryEntry(
-        "gb",
-        "gradient boosting (exact splits)",
-        _ensemble_builder("gbm_exact", 3, ensembles.fit_gbm, mode="exact"),
-    ),
-    "ab": ModelRegistryEntry("ab", "AdaBoost.R2", _ensemble_builder("adaboost_r2", 3, ensembles.fit_adaboost_r2)),
-    "hgb": ModelRegistryEntry(
-        "hgb",
-        "histogram gradient boosting",
-        _ensemble_builder("gbm_hist", 3, ensembles.fit_gbm, mode="hist"),
-    ),
+    "br": ModelRegistryEntry("bagging of trees", _ensemble("bagging", fit_bagging), _TREES),
+    "rf": ModelRegistryEntry("random forest", _ensemble("random_forest", fit_random_forest), _TREES),
+    "gb": ModelRegistryEntry("gradient boosting (exact splits)", _ensemble("gbm_exact", _EXACT), _BOOSTING),
+    "ab": ModelRegistryEntry("AdaBoost.R2", _ensemble("adaboost_r2", fit_adaboost_r2), _TREES),
+    "hgb": ModelRegistryEntry("histogram gradient boosting", _ensemble("gbm_hist", _HIST), _BOOSTING),
 }
 
 #: Reserved vendor-library names; requesting one is an explicit error.
@@ -153,9 +129,18 @@ def model_name(abbreviation: str) -> str:
     return abbr
 
 
-def make_model(abbreviation: str, seed: int, **overrides: object) -> Estimator:
-    """Instantiate a registered model, or raise a UsageError."""
-    return REGISTRY[model_name(abbreviation)].build(seed, **overrides)
+def make_model(abbreviation: str, seed: int, **settings: object) -> Estimator:
+    """Instantiate a registered model with some of its settings, or raise a UsageError.
+
+    A setting the model does not declare is refused, not ignored.
+    """
+    name = model_name(abbreviation)
+    entry = REGISTRY[name]
+    undeclared = sorted(set(settings) - set(entry.settings))
+    if undeclared:
+        takes = ", ".join(entry.settings) or "no settings"
+        raise UsageError(f"model {name!r} does not take {', '.join(undeclared)}; it takes {takes}")
+    return entry.build(seed, **settings)
 
 
 def model_from_payload(kind: str, payload: dict) -> Estimator:

@@ -62,7 +62,9 @@ class GenConfig:
 
     All duration/delay figures are hours; trip counts are per calendar day
     of the given day type. Standard deviations of zero give degenerate
-    (constant) draws.
+    (constant) draws. Cities per trip follow from a pool sized for
+    ``cities_mean``; ``cities_std`` is not drawn from, but the benchmark's
+    ingest check (``perfbench/workloads.py``) reads it as their spread.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
@@ -78,7 +80,6 @@ class GenConfig:
     stops_min: int = 2
     cities_mean: float = 5.0
     cities_std: float = 3.0
-    cities_min: int = 1
     duration_mean: float = 4.55
     duration_std: float = 4.19
     duration_min: float = 0.05
@@ -107,8 +108,6 @@ class GenConfig:
             raise DataError("standard deviations must be >= 0")
         if self.stops_min < 2:
             raise DataError("stops_min must be >= 2 (trip duration is undefined below)")
-        if self.cities_min < 1:
-            raise DataError("cities_min must be >= 1")
         if self.duration_min <= 0:
             raise DataError("duration_min must be > 0")
 
@@ -373,7 +372,6 @@ _SCALAR_KEYS = {
     "stops_min": int,
     "cities_mean": float,
     "cities_std": float,
-    "cities_min": int,
     "duration_mean": float,
     "duration_std": float,
     "duration_min": float,

@@ -6,6 +6,7 @@ from datetime import datetime
 
 import numpy as np
 
+from tripcast.registry import REGISTRY, make_model
 from tripcast.trees import predict_tree_batch
 from tripcast.trip_data import Coded, StopTable, TripTable
 
@@ -133,3 +134,9 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def small_model(abbrev, seed, n_estimators):
+    """``make_model``, with ``n_estimators`` for the models that declare it."""
+    settings = {"n_estimators": n_estimators} if "n_estimators" in REGISTRY[abbrev].settings else {}
+    return make_model(abbrev, seed, **settings)

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from tripcast.cli import main
+from tripcast.cli import MODEL_FLAGS, main
 from tripcast.errors import UsageError
 from tripcast.persist import _canonical_bytes
-from tripcast.registry import make_model
+from tripcast.registry import REGISTRY, make_model
 
 SMALL_CONFIG = """
 months = 2019-03..2019-09
@@ -131,6 +131,29 @@ def test_run_missing_stops_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "scale", "save-model"])
+def test_flag_no_requested_model_takes_is_usage_error(tmp_path, capsys, command):
+    # Refused before the (missing) stops file is read, which would be a data error.
+    models = ["--model", "lr"] if command == "save-model" else ["--models", "lr,gb"]
+    flag = ["--learning-rate", "0.5"] if command == "save-model" else ["--lam", "50"]
+    args = [command, str(tmp_path / "absent.csv"), *models, *flag, "--target", "delay", "--out", str(tmp_path / "x")]
+    if command == "run":
+        args += ["--scenario", "3"]
+    assert main(args) == 1
+    assert f"{flag[0]} is not a setting of" in capsys.readouterr().err
+
+
+def test_model_flags_are_the_registry_settings():
+    assert set(MODEL_FLAGS) == {name for entry in REGISTRY.values() for name in entry.settings}
+
+
+def test_scale_takes_lam(tmp_path, stops_csv):
+    out_dir = tmp_path / "scale"
+    args = ["scale", str(stops_csv), "--sizes", "300", "--models", "ri", "--lam", "5", "--repeats", "1"]
+    assert main(args + ["--out", str(out_dir)]) == 0
+    assert [row[:2] for row in _read_csv(out_dir / "scale.csv")[1:]] == [["ri", "300"]]
+
+
 def test_run_insufficient_span(tmp_path, capsys):
     conf = tmp_path / "short.conf"
     conf.write_text("months = 2019-03..2019-05\nweekday_trips_mean = 6\nweekday_trips_std = 1\n"
@@ -178,8 +201,7 @@ def test_save_and_load_model_round_trip(tmp_path, stops_csv):
     preds_b = tmp_path / "preds_b.csv"
     for out in (preds_a, preds_b):
         code = main(
-            ["load-model", str(model_path), "--stops", str(stops_csv),
-             "--target", "delay", "--predictions-out", str(out)]
+            ["load-model", str(model_path), "--stops", str(stops_csv), "--predictions-out", str(out)]
         )
         assert code == 0
     assert preds_a.read_bytes() == preds_b.read_bytes()

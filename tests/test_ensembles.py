@@ -16,10 +16,9 @@ from tripcast.ensembles import (
 )
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
-from tripcast.registry import make_model
 from tripcast.trees import TreeConfig, fit_tree_exact, predict_tree_batch
 
-from tests.helpers import training_mse, tree_arrays
+from tests.helpers import small_model, training_mse, tree_arrays
 
 
 def _regression_data(seed, n=300, k=5, noise=1.0):
@@ -230,7 +229,7 @@ def test_non_finite_training_data_rejected(abbrev, where, bad):
         X[17, 1] = bad
     else:
         y[17] = bad
-    model = make_model(abbrev, seed=0, n_estimators=3)
+    model = small_model(abbrev, 0, n_estimators=3)
     t0 = time.perf_counter()
     with pytest.raises(DataError, match="NaN or infinite"):
         model.fit(X, y)
@@ -242,9 +241,51 @@ def test_non_finite_training_data_rejected(abbrev, where, bad):
 def test_non_finite_query_rejected(abbrev, bad):
     X, y = _regression_data(4, n=200, k=9)
     X[:, 5] = np.arange(200) % 7  # the day-type column linear models one-hot expand
-    model = make_model(abbrev, seed=0, n_estimators=3).fit(X, y)
+    model = small_model(abbrev, 0, n_estimators=3).fit(X, y)
     query = X[:5].copy()
     query[2, 3] = bad
     with pytest.raises(DataError, match="NaN or infinite"):
         model.predict(query)
     assert np.all(np.isfinite(model.predict(X[:5])))
+
+
+@pytest.mark.parametrize("abbrev", ["lr", "ri", "la", "dt", "br", "rf", "gb", "ab", "hgb"])
+def test_target_too_large_rejected(abbrev):
+    # |y| reaches about 3e153: 200 rows of it would overflow a squared target sum.
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(200, 9))
+    X[:, 5] = np.arange(200) % 7
+    y = 1000.0 * rng.normal(size=200) * 1e150
+    with pytest.raises(DataError, match="target too large"):
+        small_model(abbrev, 0, n_estimators=3).fit(X, y)
+
+
+@pytest.mark.parametrize("abbrev", ["dt", "br", "rf", "gb", "ab", "hgb"])
+def test_tree_models_scale_exactly_with_a_power_of_two_target(abbrev):
+    X, y = _regression_data(7, n=200, k=4)
+    y = 1000.0 * y
+    scale = 2.0**400
+    plain = small_model(abbrev, 0, n_estimators=5).fit(X, y).predict(X)
+    scaled = small_model(abbrev, 0, n_estimators=5).fit(X, y * scale).predict(X)
+    assert np.array_equal(scaled, plain * scale)
+
+
+@pytest.mark.parametrize(
+    "fit, field, value",
+    [
+        (fit_bagging, "learning_rate", 0.5),
+        (fit_bagging, "loss", "square"),
+        (fit_random_forest, "learning_rate", 0.5),
+        (fit_random_forest, "loss", "square"),
+        (fit_gbm, "loss", "square"),
+        (fit_gbm, "bootstrap", False),
+        (fit_gbm, "feature_subsample", 0.5),
+        (fit_adaboost_r2, "learning_rate", 0.5),
+        (fit_adaboost_r2, "bootstrap", False),
+        (fit_adaboost_r2, "feature_subsample", 0.5),
+    ],
+)
+def test_config_field_a_kind_does_not_read_is_rejected(fit, field, value):
+    X, y = _regression_data(8, n=40)
+    with pytest.raises(DataError, match=f"does not read {field}"):
+        fit(X, y, EnsembleConfig(n_estimators=2, **{field: value}))

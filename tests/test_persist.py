@@ -17,6 +17,8 @@ from tripcast.persist import (
 )
 from tripcast.registry import make_model
 
+from tests.helpers import small_model
+
 
 def _data(seed=0, n=150, k=9):
     rng = np.random.default_rng(seed)
@@ -32,7 +34,7 @@ ALL_ABBREVS = ["lr", "ri", "la", "dt", "br", "rf", "gb", "ab", "hgb"]
 @pytest.mark.parametrize("abbrev", ALL_ABBREVS)
 def test_round_trip_preserves_predictions_exactly(tmp_path, abbrev):
     X, y = _data()
-    model = make_model(abbrev, seed=7, n_estimators=4)
+    model = small_model(abbrev, 7, n_estimators=4)
     model.fit(X, y)
     before = model.predict(X)
     path = tmp_path / f"{abbrev}.json"
@@ -89,7 +91,7 @@ def test_missing_file():
 def test_model_document_is_the_fitted_models_own(abbrev):
     # The adapter adds nothing to the document: the fitted model writes it.
     X, y = _data()
-    est = make_model(abbrev, seed=1, n_estimators=2).fit(X, y)
+    est = small_model(abbrev, 1, n_estimators=2).fit(X, y)
     assert dumps_model(est.model) == dumps_model(est)
     loaded = loads_model(dumps_model(est))
     assert loaded.kind == est.kind
@@ -167,7 +169,7 @@ def test_malformed_tree_arrays_rejected(edit):
 
 def _saved_doc(abbrev):
     X, y = _data()
-    return json.loads(dumps_model(make_model(abbrev, seed=1, n_estimators=3).fit(X, y)))
+    return json.loads(dumps_model(small_model(abbrev, 1, n_estimators=3).fit(X, y)))
 
 
 def _drop(key):
@@ -210,6 +212,10 @@ MALFORMED_PAYLOADS = {
     "gb_config_not_object": ("gb", _set("config", [1]), "config"),
     "gb_unknown_config_key": ("gb", lambda p: p["config"].__setitem__("bogus", 1), "config"),
     "gb_bad_config_value": ("gb", lambda p: p["config"].__setitem__("learning_rate", 5.0), "config"),
+    "gb_unread_feature_subsample": ("gb", lambda p: p["config"].__setitem__("feature_subsample", 0.5), "does not read"),
+    "ab_unread_bootstrap": ("ab", lambda p: p["config"].__setitem__("bootstrap", False), "does not read"),
+    "rf_unread_learning_rate": ("rf", lambda p: p["config"].__setitem__("learning_rate", 0.5), "does not read"),
+    "dt_unread_loss": ("dt", lambda p: p["config"].__setitem__("loss", "square"), "does not read"),
     "gb_member_no_tree": ("gb", _member("tree"), "member lacks tree"),
     "gb_member_no_weight": ("gb", _member("weight"), "member lacks weight"),
     "gb_member_text_weight": ("gb", _member("weight", "x"), "weight"),

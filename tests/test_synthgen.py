@@ -160,9 +160,10 @@ def test_load_gen_config_errors(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_gen_config(tmp_path / "absent.conf")
     bad_key = tmp_path / "bad_key.conf"
-    bad_key.write_text("trips = 5\n", encoding="utf-8")
-    with pytest.raises(DataError, match="unknown config key"):
-        load_gen_config(bad_key)
+    for line in ("trips = 5\n", "cities_min = 1\n"):  # cities_min was never drawn from
+        bad_key.write_text(line, encoding="utf-8")
+        with pytest.raises(DataError, match="unknown config key"):
+            load_gen_config(bad_key)
     bad_value = tmp_path / "bad_value.conf"
     bad_value.write_text("seed = oops\n", encoding="utf-8")
     with pytest.raises(DataError, match="bad value"):
