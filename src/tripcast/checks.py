@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, PersistError
 
-#: ``len(y) * max|y|`` stays below this, so a split scan's squared sums of unit-weight targets stay finite.
+#: ``len(y) * max|y|`` stays below this, so a split scan's squared target sums stay finite.
 TARGET_SUM_LIMIT = 1e154
 
 

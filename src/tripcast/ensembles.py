@@ -10,6 +10,11 @@ All four are built on the regression trees in :mod:`tripcast.trees`:
   by normalized absolute loss, and predicts with the weighted median of the
   members.
 
+Bagging, random forest and AdaBoost members are exact trees grown level by
+level (:func:`~tripcast.trees.grow_exact`); gradient-boosting stages are
+grown depth-first, over one presort (exact) or bin map (histogram) shared
+by all stages, and also give the leaf of every training row.
+
 Training data is checked once per fit (:mod:`tripcast.checks`) and brought
 into canonical order before any bootstrap index is drawn, so fitted models
 are deterministic in (data, config, seed) and invariant to input row order.
@@ -43,6 +48,7 @@ from .trees import (
     canonical_rows,
     column_presort,
     descend,
+    grow_exact,
     row_major,
 )
 
@@ -53,12 +59,16 @@ ADABOOST_LOSSES = ("linear", "square", "exponential")
 #: Average losses below this are treated as a perfect fit (see fit_adaboost_r2).
 PERFECT_LOSS_EPS = 1e-10
 
-#: EnsembleConfig fields that only some kinds read, and those kinds.
+#: EnsembleConfig fields, and fields of its tree, that only some kinds read, and those kinds.
+#: Every kind derives each member's tree seed, and bagging and random forest
+#: set each member's feature subsample from the ensemble's own field.
 READ_BY: dict[str, tuple[EnsembleKind, ...]] = {
     "learning_rate": ("gbm_exact", "gbm_hist"),
     "loss": ("adaboost_r2",),
     "bootstrap": ("bagging", "random_forest"),
     "feature_subsample": ("bagging", "random_forest"),
+    "tree.seed": (),
+    "tree.feature_subsample": ("gbm_exact", "gbm_hist", "adaboost_r2"),
 }
 
 
@@ -71,8 +81,8 @@ class EnsembleConfig:
     ``feature_subsample`` of None likewise defaults per kind (1/3 for random
     forest, 1.0 elsewhere). ``learning_rate`` must stay in (0, 2]; that is
     the range for which each boosting stage provably cannot increase the
-    training loss. A field that a kind does not read (:data:`READ_BY`) must
-    keep its default for that kind.
+    training loss. A field or tree field that a kind does not read
+    (:data:`READ_BY`) must keep its default for that kind.
     """
 
     n_estimators: int = 100
@@ -94,10 +104,13 @@ class EnsembleConfig:
             raise DataError("feature_subsample must be in (0, 1]")
         if self.tree is not None:
             self.tree.validate()
-        default = EnsembleConfig()
         for name, readers in READ_BY.items():
-            if kind not in readers and getattr(self, name) != getattr(default, name):
-                raise DataError(f"{kind} does not read {name}; leave it at {getattr(default, name)!r}")
+            if kind in readers:
+                continue
+            field_name = name.removeprefix("tree.")
+            owner, default = (self, EnsembleConfig()) if field_name == name else (self.tree, TreeConfig())
+            if owner is not None and getattr(owner, field_name) != getattr(default, field_name):
+                raise DataError(f"{kind} does not read {name}; leave it at {getattr(default, field_name)!r}")
 
 
 @dataclass(slots=True)
@@ -162,14 +175,7 @@ def _prepare(X, y, cfg: EnsembleConfig, kind: EnsembleKind):
     cfg.validate(kind)
     if cfg.tree is None:
         cfg = replace(cfg, tree=TreeConfig(max_depth=None if kind in ("bagging", "random_forest") else 3))
-    X, y = training_data(X, y)
-    return (cfg, *canonical_rows(X, y, np.ones(X.shape[0])))
-
-
-def _grow_member(Xc, yc, wc, rows: np.ndarray, cfg: TreeConfig) -> Tree:
-    """An exact tree on ``rows`` (sorted) of a canonical table."""
-    fit = _FitData.from_canonical(Xc[rows], yc[rows], wc[rows], cfg)
-    return _grow(fit, bins=None, binned=None, presort=None)[0]
+    return (cfg, *canonical_rows(*training_data(X, y)))
 
 
 def fit_bagging(X: np.ndarray, y: np.ndarray, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleModel:
@@ -187,7 +193,7 @@ def fit_random_forest(
 def _fit_averaged(
     X, y, cfg: EnsembleConfig, kind: EnsembleKind, default_subsample: float
 ) -> EnsembleModel:
-    cfg, Xc, yc, wc = _prepare(X, y, cfg, kind)
+    cfg, Xc, yc = _prepare(X, y, cfg, kind)
     subsample = cfg.feature_subsample if cfg.feature_subsample is not None else default_subsample
     members: list[tuple[Tree, float]] = []
     n = Xc.shape[0]
@@ -202,7 +208,7 @@ def _fit_averaged(
             feature_subsample=subsample,
             seed=derive_seed(cfg.seed, "member-tree", m),
         )
-        members.append((_grow_member(Xc, yc, wc, idx, tree_cfg), 1.0))
+        members.append((grow_exact(Xc[idx], yc[idx], tree_cfg), 1.0))
     return EnsembleModel(
         kind=kind,
         n_features=Xc.shape[1],
@@ -229,7 +235,7 @@ def fit_gbm(
     if mode not in ("exact", "hist"):
         raise DataError(f"unknown gbm mode {mode!r}")
     kind: EnsembleKind = "gbm_hist" if mode == "hist" else "gbm_exact"
-    cfg, Xc, yc, wc = _prepare(X, y, cfg, kind)
+    cfg, Xc, yc = _prepare(X, y, cfg, kind)
     n = Xc.shape[0]
 
     bins = binned = None
@@ -248,7 +254,7 @@ def fit_gbm(
     for m in range(cfg.n_estimators):
         residual = yc - current
         stage_cfg = replace(cfg.tree, seed=derive_seed(cfg.seed, "member-tree", m))
-        fit = _FitData.from_canonical(Xc, residual, wc, stage_cfg)
+        fit = _FitData.from_canonical(Xc, residual, stage_cfg)
         # Growth routed the training rows with the same `<=` test a
         # prediction would, so their leaves give the stage's predictions.
         tree, leaf_of = _grow(fit, bins=bins, binned=binned, presort=presort)
@@ -279,7 +285,7 @@ def fit_adaboost_r2(
     a stage is essentially perfect (average loss below ``PERFECT_LOSS_EPS``,
     which gets a large finite weight instead of a division by zero).
     """
-    cfg, Xc, yc, wc = _prepare(X, y, cfg, "adaboost_r2")
+    cfg, Xc, yc = _prepare(X, y, cfg, "adaboost_r2")
     n = Xc.shape[0]
     flat, offsets = row_major(Xc, Xc.shape[1])
     sample_weight = np.full(n, 1.0 / n)
@@ -288,7 +294,7 @@ def fit_adaboost_r2(
         rng = substream(cfg.seed, "resample", m)
         idx = np.sort(rng.choice(n, size=n, replace=True, p=sample_weight))
         stage_cfg = replace(cfg.tree, seed=derive_seed(cfg.seed, "member-tree", m))
-        tree = _grow_member(Xc, yc, wc, idx, stage_cfg)
+        tree = grow_exact(Xc[idx], yc[idx], stage_cfg)
 
         error = np.abs(descend(tree, flat, offsets) - yc)
         error_max = float(error.max())

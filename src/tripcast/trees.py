@@ -1,12 +1,19 @@
 """CART regression trees with exact and histogram-binned split finding.
 
-Both fitters grow the same greedy, depth-first, squared-loss tree: at each
-node every candidate (feature, threshold) split is scored by weighted
-variance reduction and the best is taken, with ties broken toward the lowest
-feature index and then the lowest threshold. The exact fitter scans
-midpoints between consecutive distinct sorted values; the histogram fitter
-scans boundaries between consecutive nonempty quantile bins, accumulating
-per-bin (count, weight, weighted target) statistics instead of sorting.
+Both fitters grow the same greedy, squared-loss tree: at each node every
+candidate (feature, threshold) split is scored by variance reduction and the
+best is taken, with ties broken toward the lowest feature index and then the
+lowest threshold. The exact fitter scans midpoints between consecutive
+distinct sorted values; the histogram fitter scans boundaries between
+consecutive nonempty quantile bins, accumulating per-bin (count, target sum)
+statistics instead of sorting.
+
+Exact trees are grown level by level (:func:`grow_exact`): each level scans
+all open nodes at once over per-feature row lists kept sorted by node and
+value. Histogram trees and the stages of gradient boosting are grown
+depth-first, one node at a time (:func:`_grow`). Both growers take the
+same split at every node; they differ only in the order they visit nodes,
+which is the order in which random-forest feature subsets are drawn.
 
 A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
 ``threshold``, ``left``, ``right``, ``value``) in depth-first preorder, as
@@ -30,7 +37,9 @@ sums of tied candidates differently, and the trees may then differ.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
 import numpy as np
 
 from .checks import as_matrix, query_matrix, training_data
@@ -43,8 +52,9 @@ class TreeConfig:
     """Growth limits and seeding for a single regression tree.
 
     ``max_depth=None`` means unlimited. ``feature_subsample`` < 1 draws a
-    fresh candidate-feature subset at every node (random forest behaviour);
-    the subset size is ``ceil(feature_subsample * n_features)``.
+    fresh candidate-feature subset at every splittable node (random forest
+    behaviour), in the order the grower visits them; the subset size is
+    ``ceil(feature_subsample * n_features)``.
     """
 
     max_depth: int | None = None
@@ -76,7 +86,7 @@ class Tree:
     rest to ``right``; both children lie past their parent. A leaf has
     ``feature == -1`` and ``threshold == 0.0`` and is its own left and right
     child, so a descent may keep stepping after a row has reached its leaf.
-    ``value`` holds the (weighted) mean training target of each node, and
+    ``value`` holds the mean training target of each node, and
     ``n_features`` the training arity that predictions must match.
     """
 
@@ -203,31 +213,20 @@ def build_bins(X: np.ndarray, max_bins: int = 255) -> BinMap:
     return BinMap(edges=edges, bin_min=mins, bin_max=maxs)
 
 
-def fit_tree_exact(
-    X: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray | None = None,
-    cfg: TreeConfig = TreeConfig(),
-) -> Tree:
+def fit_tree_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> Tree:
     """Grow a regression tree scanning every distinct-value midpoint split."""
-    fit = _FitData.prepare(X, y, w, cfg)
-    return _grow(fit, bins=None, binned=None, presort=None)[0]
+    cfg.validate()
+    return grow_exact(*canonical_rows(*training_data(X, y)), cfg)
 
 
-def fit_tree_hist(
-    X: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray | None,
-    cfg: TreeConfig,
-    bins: BinMap,
-) -> Tree:
+def fit_tree_hist(X: np.ndarray, y: np.ndarray, cfg: TreeConfig, bins: BinMap) -> Tree:
     """Grow a regression tree scanning histogram-bin boundaries.
 
     ``bins`` must have been built from a superset of ``X``'s values.
     """
-    fit = _FitData.prepare(X, y, w, cfg)
-    binned = bins.binize(fit.X)
-    return _grow(fit, bins=bins, binned=binned, presort=None)[0]
+    cfg.validate()
+    X, y = canonical_rows(*training_data(X, y))
+    return _grow(_FitData.from_canonical(X, y, cfg), bins=bins, binned=bins.binize(X), presort=None)[0]
 
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -292,60 +291,252 @@ class _FitData:
 
     X: np.ndarray
     y: np.ndarray
-    w: np.ndarray
-    wy: np.ndarray
     cfg: TreeConfig
     rng: np.random.Generator | None
 
     @classmethod
-    def prepare(cls, X, y, w, cfg: TreeConfig) -> "_FitData":
-        cfg.validate()
-        X, y = training_data(X, y)
-        if w is None:
-            w = np.ones(X.shape[0], dtype=np.float64)
-        else:
-            w = np.asarray(w, dtype=np.float64).reshape(-1)
-            if w.shape[0] != X.shape[0]:
-                raise DataError("sample weights must match the number of rows")
-            if not np.all(np.isfinite(w) & (w > 0)):
-                raise DataError("sample weights must be positive and finite")
-        X, y, w = canonical_rows(X, y, w)
-        return cls.from_canonical(X, y, w, cfg)
-
-    @classmethod
-    def from_canonical(cls, X, y, w, cfg: TreeConfig) -> "_FitData":
+    def from_canonical(cls, X, y, cfg: TreeConfig) -> "_FitData":
         """Wrap arrays already in canonical row order (no copy, no checks)."""
-        rng = None
-        if cfg.feature_subsample < 1.0:
-            rng = substream(cfg.seed, "tree-feature-subsample")
-        return cls(X=X, y=y, w=w, wy=w * y, cfg=cfg, rng=rng)
+        return cls(X=X, y=y, cfg=cfg, rng=_subsample_stream(cfg))
 
 
-def canonical_rows(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort rows into canonical order (by features, then target, then weight).
+def _subsample_stream(cfg: TreeConfig) -> np.random.Generator | None:
+    """The stream a tree draws its candidate-feature subsets from, if it subsamples."""
+    return substream(cfg.seed, "tree-feature-subsample") if cfg.feature_subsample < 1.0 else None
 
-    Any permutation of identical (x, y, w) rows sorts to the same sequence,
+
+def canonical_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort rows into canonical order (by features, then target).
+
+    Any permutation of identical (x, y) rows sorts to the same sequence,
     which makes every downstream floating-point sum bit-stable and fitted
     trees independent of input row order.
     """
-    keys = [w, y] + [X[:, f] for f in range(X.shape[1] - 1, -1, -1)]
-    order = np.lexsort(tuple(keys))
-    return X[order], y[order], w[order]
+    order = np.lexsort((y, *(X[:, f] for f in range(X.shape[1] - 1, -1, -1))))
+    return X[order], y[order]
 
 
 def column_presort(X: np.ndarray) -> np.ndarray:
     """Per-feature stable sort order of ``X`` (already canonical) rows.
 
-    Lets repeated fits on the same rows (boosting stages) skip per-node
-    sorting: a node's value-sorted order is recovered by filtering these
-    global orders with the node's membership mask.
+    Ties keep canonical row order. Exact growers start from it instead of
+    sorting each node: a node's value-sorted rows are the global order
+    restricted to the node.
     """
     presort = np.empty(X.shape, dtype=np.int64, order="F")
     for f in range(X.shape[1]):
         presort[:, f] = np.argsort(X[:, f], kind="stable")
     return presort
+
+
+def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
+    """An exact tree on rows already in canonical order, grown level by level.
+
+    All open nodes of a level are scanned together, over per-feature row
+    lists kept sorted by (node, value, row) and partitioned stably at each
+    split, as in SLIQ (Mehta et al., EDBT 1996) and SPRINT (Shafer et al.,
+    VLDB 1996). Node values, group sums and prefix sums are each taken over
+    the same numbers in the same order as a node-by-node scan would take
+    them, so the tree equals the depth-first one bit for bit. With
+    ``feature_subsample`` < 1 the splittable nodes draw their candidate
+    features in level order.
+    """
+    n, n_features = X.shape
+    min_rows = max(cfg.min_samples_split, 2 * cfg.min_samples_leaf)
+    rng = _subsample_stream(cfg)
+    n_draw = n_candidate_features(n_features, cfg.feature_subsample)
+    # Node arrays in level order; a tree with at most n leaves has at most 2n - 1 nodes.
+    feature = np.full(2 * n - 1, -1, dtype=np.intp)
+    threshold = np.zeros(2 * n - 1)
+    left = np.zeros(2 * n - 1, dtype=np.intp)  # the right child is left + 1
+    value = np.empty(2 * n - 1)
+    level_start = [0, 1]
+    # The open nodes of this level: their ids, their segments [bounds[i],
+    # bounds[i + 1]) of `rows` (by node, then row) and of each `order[f]`
+    # (by node, then x_f, then row).
+    ids = np.zeros(1, dtype=np.intp)
+    bounds = np.array([0, n])
+    rows = np.arange(n)
+    order = column_presort(X).T
+    goes_left = np.zeros(n, dtype=bool)
+    for depth in itertools.count():
+        sizes = np.diff(bounds)
+        ys = y[rows]
+        edges = bounds.tolist()
+        for i, node in enumerate(ids.tolist()):  # np.add.reduce is np.sum without its wrapper
+            value[node] = np.add.reduce(ys[edges[i] : edges[i + 1]]) / (edges[i + 1] - edges[i])
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
+            break
+        open_ = sizes >= min_rows
+        open_ &= np.minimum.reduceat(ys, bounds[:-1]) < np.maximum.reduceat(ys, bounds[:-1])
+        if not open_.any():
+            break
+        if rng is None:
+            pairs = np.broadcast_to(open_, (n_features, ids.size))
+        else:
+            pairs = np.zeros((n_features, ids.size), dtype=bool)
+            for i in np.flatnonzero(open_):
+                pairs[rng.choice(n_features, size=n_draw, replace=False), i] = True
+        best_f, best_t, split = _level_splits(X, y, order, bounds, pairs, cfg.min_samples_leaf)
+        if not split.any():
+            break
+        if not split.all():
+            keep = np.repeat(split, sizes)
+            ids, sizes, best_f, best_t = ids[split], sizes[split], best_f[split], best_t[split]
+            rows, order = rows[keep], order[:, keep]
+            bounds = np.concatenate(([0], np.cumsum(sizes)))
+
+        at = np.repeat(np.arange(ids.size), sizes)
+        go_left = X[rows, best_f[at]] <= best_t[at]
+        lefts = np.cumsum(go_left)[bounds[1:] - 1]
+        n_left = np.diff(lefts, prepend=0)
+        empty = (n_left == 0) | (n_left == sizes)
+        if empty.any():
+            i = int(np.argmax(empty))
+            f, t = best_f[i], float(best_t[i])
+            raise RuntimeError(f"split x[{f}] <= {t!r} leaves a child of node {ids[i]} empty")
+        feature[ids], threshold[ids] = best_f, best_t
+        left[ids] = level_start[-1] + 2 * np.arange(ids.size)
+        ids = np.arange(level_start[-1], level_start[-1] + 2 * ids.size)
+        level_start.append(ids[-1] + 1)
+
+        goes_left[rows] = go_left
+        rows = _partition(rows[None], go_left[None], bounds, n_left)[0]
+        if cfg.max_depth is None or depth + 1 < cfg.max_depth:  # else the children are leaves
+            order = _partition(order, goes_left[order], bounds, n_left)
+        bounds = np.append(np.stack((bounds[:-1], bounds[:-1] + n_left), axis=1).ravel(), bounds[-1])
+    return _preorder(feature, threshold, left, value, level_start, n_features)
+
+
+#: Entries of the per-feature row lists that one pass of a level scan reads
+#: at once; bounds its working set on large levels.
+_SCAN_BLOCK = 1 << 17
+
+
+def _level_splits(X, y, order, bounds, pairs, min_leaf):
+    """The best split of each open node of a level: (feature, threshold, gain > 0).
+
+    Only the (feature, node) pairs set in ``pairs`` are scanned. Candidate
+    splits lie between the value groups of a pair's rows, and ties go to the
+    lowest threshold, then the lowest feature. Each pair's prefix sums
+    restart at its first group: pairs are laid out as zero-padded rows of
+    blocks of equal power-of-two width, so no row is padded more than
+    twofold, and each block is summed along its rows.
+    """
+    n_features, k = pairs.shape
+    sizes = np.diff(bounds)
+    node_start = np.zeros(bounds[-1], dtype=bool)
+    node_start[bounds[:-1]] = True
+    step = max(1, _SCAN_BLOCK // bounds[-1])
+    parts = [
+        _value_groups(X, y, order, pairs, sizes, node_start, f, f + step) for f in range(0, n_features, step)
+    ]
+    group_y, group_n, group_x, n_groups = (np.concatenate(a) for a in zip(*parts))
+    pair_f, pair_node = np.nonzero(pairs)
+    pair_end = np.cumsum(n_groups)
+    pair_first = pair_end - n_groups
+    run = np.arange(group_y.size) - np.repeat(pair_first, n_groups)
+
+    width_exp = np.frexp(n_groups - 1)[1]  # 2**width_exp is the least power of two >= n_groups
+    by_width = np.argsort(width_exp, kind="stable")
+    width = np.left_shift(1, width_exp[by_width])
+    row_start = np.empty_like(width)
+    row_start[by_width] = np.cumsum(width) - width
+    dst = np.repeat(row_start, n_groups) + run
+    padded = np.zeros(int(width.sum()))
+    padded[dst] = group_y
+    exps, n_rows = np.unique(width_exp[by_width], return_counts=True)
+    start = 0
+    for e, rows in zip(exps.tolist(), n_rows.tolist()):
+        end = start + (rows << e)
+        padded[start:end] = np.cumsum(padded[start:end].reshape(rows, 1 << e), axis=1).ravel()
+        start = end
+    s_left = padded[dst]
+    n_tot = sizes[pair_node]
+    n_left = np.cumsum(group_n)
+    n_left -= np.repeat(n_left[pair_end - 1] - n_tot, n_groups)
+    s_tot = s_left[pair_end - 1]
+    score = _split_scores(s_left, n_left, np.repeat(s_tot, n_groups), np.repeat(n_tot, n_groups), min_leaf)
+    pair_score = np.maximum.reduceat(score, pair_first)
+    hit = np.flatnonzero(score == np.repeat(pair_score, n_groups))
+    pair_pos = hit[np.searchsorted(hit, pair_first)]  # first best group of each pair
+
+    by_node = np.full((n_features, k), -np.inf)
+    by_node[pair_f, pair_node] = pair_score
+    pair_at = np.zeros((n_features, k), dtype=np.intp)
+    pair_at[pair_f, pair_node] = np.arange(pair_f.size)
+    best_f = np.argmax(by_node, axis=0)
+    best = pair_at[best_f, np.arange(k)]
+    split = by_node[best_f, np.arange(k)] - s_tot[best] * s_tot[best] / n_tot[best] > 0.0
+    lo = pair_pos[best[split]]
+    best_t = np.zeros(k)
+    best_t[split] = split_threshold(group_x[lo], group_x[lo + 1])
+    return best_f, best_t, split
+
+
+def _value_groups(X, y, order, pairs, sizes, node_start, f0, f1):
+    """Target sum, row count and value of each value group of the pairs of features ``f0:f1``.
+
+    Also the number of groups of each pair, pairs in ``np.nonzero`` order.
+    """
+    keep = np.repeat(pairs[f0:f1], sizes, axis=1)
+    sorted_rows = order[f0:f1][keep]
+    sv = X[sorted_rows, np.repeat(np.arange(f0, f0 + keep.shape[0]), np.count_nonzero(keep, axis=1))]
+    new_group = np.broadcast_to(node_start, keep.shape)[keep]
+    pair_start = new_group.copy()
+    new_group[1:] |= sv[1:] != sv[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], sv.size)
+    pair_first = np.flatnonzero(pair_start[starts])
+    return (
+        np.add.reduceat(y[sorted_rows], starts),
+        ends - starts,
+        sv[starts],
+        np.append(pair_first[1:], starts.size) - pair_first,
+    )
+
+
+def _partition(a: np.ndarray, go_left: np.ndarray, bounds: np.ndarray, n_left: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` with the left-going entries of every segment moved, in order, ahead of the rest."""
+    sizes = np.diff(bounds)
+    lefts = np.cumsum(go_left, axis=1)  # then: left-going entries of the segment up to each entry
+    lefts -= np.repeat(np.cumsum(n_left) - n_left, sizes)
+    # A right-going entry moves ahead by the segment's left-going entries after it ...
+    dest = np.arange(bounds[-1]) + np.repeat(n_left, sizes) - lefts
+    # ... and a left-going one to the segment start plus its rank among them.
+    lefts += np.repeat(bounds[:-1] - 1, sizes)
+    np.copyto(dest, lefts, where=go_left)
+    del lefts
+    dest += np.arange(0, a.size, a.shape[1])[:, None]
+    out = np.empty(a.shape, dtype=a.dtype)
+    out.ravel()[dest] = a
+    return out
+
+
+def _preorder(feature, threshold, left, value, level_start, n_features) -> Tree:
+    """The level-ordered node arrays (right child at ``left + 1``) renumbered to depth-first preorder.
+
+    A left child directly follows its parent and a right child follows the
+    parent's whole left subtree, so sizes are summed bottom-up level by
+    level and positions handed down top-down.
+    """
+    n_nodes = level_start[-1]
+    internal = [np.flatnonzero(feature[a:b] >= 0) + a for a, b in zip(level_start, level_start[1:])]
+    size = np.ones(n_nodes, dtype=np.intp)
+    for p in reversed(internal):
+        size[p] += size[left[p]] + size[left[p] + 1]
+    pre = np.zeros(n_nodes, dtype=np.intp)
+    for p in internal:
+        pre[left[p]] = pre[p] + 1
+        pre[left[p] + 1] = pre[p] + 1 + size[left[p]]
+    p = np.concatenate(internal)
+    children = np.stack((pre, pre))  # a leaf is its own left and right child
+    children[:, p] = pre[left[p]], pre[left[p] + 1]
+    arrays = (feature[:n_nodes], threshold[:n_nodes], children[0], children[1], value[:n_nodes])
+    out = [np.empty_like(a) for a in arrays]
+    for o, a in zip(out, arrays):
+        o[pre] = a
+    return Tree(*out, n_features=n_features)
 
 
 def _grow(
@@ -354,7 +545,11 @@ def _grow(
     binned: np.ndarray | None,
     presort: np.ndarray | None,
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree; also return the leaf index of every training row."""
+    """Grow one tree depth-first; also return the leaf index of every training row.
+
+    Serves the boosting stages (exact over ``presort``, or histogram over
+    ``bins``) and :func:`fit_tree_hist`; other exact trees use :func:`grow_exact`.
+    """
     n_features = fit.X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
@@ -371,8 +566,7 @@ def _grow(
         node = len(value)
         if right_of >= 0:
             right[right_of] = node
-        w_sum = float(np.sum(fit.w[idx]))
-        value.append(float(np.sum(fit.wy[idx]) / w_sum))
+        value.append(float(np.sum(fit.y[idx]) / idx.shape[0]))
         best = _best_split(fit, idx, depth, n_features, bins, binned, presort)
         if best is None:
             feature.append(-1)
@@ -440,52 +634,31 @@ def _best_split_exact(
     fit: _FitData,
     idx: np.ndarray,
     features: np.ndarray,
-    presort: np.ndarray | None,
+    presort: np.ndarray,
 ) -> tuple[int, float] | None:
     """Best (feature, threshold) by variance reduction, or None.
 
-    Candidates are scored by the left+right term of the weighted SSE
-    decrease (the parent term is constant per node); scanning features in
-    ascending order with strict improvement implements the tie-break rule.
-    Sorting a node's rows via the global presort (membership filtering) and
-    via a stable per-node argsort yield the same sequence, so both paths
-    fit bit-identical trees.
+    Candidates are scored by the left+right term of the SSE decrease (the
+    parent term is constant per node); scanning features in ascending order
+    with strict improvement implements the tie-break rule. A node's rows are
+    sorted by filtering the global presort with the node's membership mask.
     """
-    min_leaf = fit.cfg.min_samples_leaf
-    n = idx.shape[0]
-    if presort is not None:
-        mask = np.zeros(fit.X.shape[0], dtype=bool)
-        mask[idx] = True
-    else:
-        Xn = fit.X[idx]
-        wn = fit.w[idx]
-        wyn = fit.wy[idx]
-        # one stable sort call for all candidate columns
-        orders = np.argsort(Xn[:, features], axis=0, kind="stable")
-
+    mask = np.zeros(fit.X.shape[0], dtype=bool)
+    mask[idx] = True
     best_score = -np.inf
     best: tuple[int, float, float] | None = None
     best_parent = 0.0
-    for slot, f in enumerate(features):
-        if presort is not None:
-            col_order = presort[:, f]
-            snode = col_order[mask[col_order]]
-            sv = fit.X[snode, f]
-            sw = fit.w[snode]
-            swy = fit.wy[snode]
-        else:
-            order = orders[:, slot]
-            sv = Xn[order, f]
-            sw = wn[order]
-            swy = wyn[order]
+    for f in features:
+        col_order = presort[:, f]
+        snode = col_order[mask[col_order]]
+        sv = fit.X[snode, f]
         if sv[0] == sv[-1]:
             continue
         starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-        g_w = np.add.reduceat(sw, starts)
-        g_wy = np.add.reduceat(swy, starts)
-        g_n = np.diff(np.append(starts, n))
-        score, pos, parent = _score_groups(g_w, g_wy, g_n, min_leaf)
-        if pos < 0 or score <= best_score:
+        g_y = np.add.reduceat(fit.y[snode], starts)
+        g_n = np.diff(np.append(starts, idx.shape[0]))
+        score, pos, parent = _score_groups(g_y, g_n, fit.cfg.min_samples_leaf)
+        if score <= best_score:
             continue
         uniq = sv[starts]
         best_score, best, best_parent = score, (int(f), uniq[pos], uniq[pos + 1]), parent
@@ -510,11 +683,8 @@ def _best_split_hist(
     ``bincount`` adds sequentially and the exact scan's ``reduceat`` does
     not, so the group sums match it bit for bit only when they are exact.
     """
-    wn = fit.w[idx]
-    wyn = fit.wy[idx]
+    yn = fit.y[idx]
     bn = binned[idx]
-    min_leaf = fit.cfg.min_samples_leaf
-
     best_score = -np.inf
     best: tuple[int, float, float] | None = None
     best_parent = 0.0
@@ -525,12 +695,9 @@ def _best_split_hist(
         nonempty = np.flatnonzero(counts)
         if nonempty.size < 2:
             continue
-        w_b = np.bincount(b, weights=wn, minlength=n_bins)
-        wy_b = np.bincount(b, weights=wyn, minlength=n_bins)
-        score, pos, parent = _score_groups(
-            w_b[nonempty], wy_b[nonempty], counts[nonempty], min_leaf
-        )
-        if pos < 0 or score <= best_score:
+        y_b = np.bincount(b, weights=yn, minlength=n_bins)
+        score, pos, parent = _score_groups(y_b[nonempty], counts[nonempty], fit.cfg.min_samples_leaf)
+        if score <= best_score:
             continue
         lo, hi = bins.bin_max[f][nonempty[pos]], bins.bin_min[f][nonempty[pos + 1]]
         best_score, best, best_parent = score, (int(f), lo, hi), parent
@@ -540,35 +707,31 @@ def _best_split_hist(
     return f, float(split_threshold(lo, hi))
 
 
-def _score_groups(
-    g_w: np.ndarray, g_wy: np.ndarray, g_n: np.ndarray, min_leaf: int
-) -> tuple[float, int, float]:
-    """Score splits between consecutive value groups.
+def _score_groups(g_y: np.ndarray, g_n: np.ndarray, min_leaf: int) -> tuple[float, int, float]:
+    """Best split between consecutive value groups of one node.
 
-    Returns (score, position, parent_term) where score = S_L^2/W_L +
-    S_R^2/W_R maximized over valid positions, position indexes the last
-    left-side group (-1 if no valid split), and parent_term = S^2/W of the
-    whole node. Weighted SSE decrease of a split is score - parent_term.
+    Returns (score, position, parent term): the highest :func:`_split_scores`
+    score (-inf if no split is valid), the index of the last left-side group
+    of the first split that reaches it, and S^2/N of the whole node.
     """
-    cw = np.cumsum(g_w)
-    cwy = np.cumsum(g_wy)
+    cy = np.cumsum(g_y)
     cn = np.cumsum(g_n)
-    w_tot = cw[-1]
-    s_tot = cwy[-1]
-    n_tot = cn[-1]
+    score = _split_scores(cy[:-1], cn[:-1], cy[-1], cn[-1], min_leaf)
+    pos = int(np.argmax(score))
+    return float(score[pos]), pos, float(cy[-1] * cy[-1] / cn[-1])
 
-    w_left = cw[:-1]
-    s_left = cwy[:-1]
-    n_left = cn[:-1]
-    w_right = w_tot - w_left
+
+def _split_scores(s_left, n_left, s_tot, n_tot, min_leaf: int) -> np.ndarray:
+    """S_L^2/N_L + S_R^2/N_R of splitting a node after each value group.
+
+    ``s_left`` and ``n_left`` are the target sum and row count of the groups
+    up to each one, ``s_tot`` and ``n_tot`` those of the whole node. A split
+    leaving fewer than ``min_leaf`` rows on a side scores -inf. The SSE
+    decrease of a split is its score minus the parent term S^2/N.
+    """
     s_right = s_tot - s_left
     n_right = n_tot - n_left
-
-    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not np.any(valid):
-        return -np.inf, -1, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = s_left * s_left / w_left + s_right * s_right / w_right
-    score[~valid] = -np.inf
-    pos = int(np.argmax(score))
-    return float(score[pos]), pos, float(s_tot * s_tot / w_tot)
+        score = s_left * s_left / n_left + s_right * s_right / n_right
+    score[(n_left < min_leaf) | (n_right < min_leaf)] = -np.inf
+    return score

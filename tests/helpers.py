@@ -7,7 +7,7 @@ from datetime import datetime
 import numpy as np
 
 from tripcast.registry import REGISTRY, make_model
-from tripcast.trees import predict_tree_batch
+from tripcast.trees import canonical_rows, predict_tree_batch, split_threshold
 from tripcast.trip_data import Coded, StopTable, TripTable
 
 
@@ -109,6 +109,48 @@ def reference_predict(tree, X):
             node = tree.left[node] if go_left else tree.right[node]
         out[i] = tree.value[node]
     return out
+
+
+def reference_tree(X, y, max_depth=None, min_samples_leaf=1):
+    """The exact tree grown node by node, depth-first, sorting each node's rows: node arrays as lists.
+
+    Each node's rows are stably argsorted per feature; candidate splits lie
+    between distinct values, scored by S_L^2/N_L + S_R^2/N_R with ties to the
+    lowest threshold, then the lowest feature, and taken only if they reduce
+    the SSE. Nodes are numbered in preorder, the left child first.
+    """
+    X, y = canonical_rows(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+    feature, threshold, left, right, value = [], [], [], [], []
+    stack = [(np.arange(len(y)), 0, None)]
+    while stack:
+        idx, depth, right_of = stack.pop()
+        node = len(value)
+        if right_of is not None:
+            right[right_of] = node
+        value.append(float(np.sum(y[idx]) / idx.size))
+        best, best_score, best_parent = None, -np.inf, 0.0
+        can_split = (max_depth is None or depth < max_depth) and idx.size >= max(2, 2 * min_samples_leaf)
+        for f in range(X.shape[1]) if can_split and np.any(y[idx] != y[idx[0]]) else ():
+            sorted_idx = idx[np.argsort(X[idx, f], kind="stable")]
+            sv = X[sorted_idx, f]
+            starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+            cy = np.cumsum(np.add.reduceat(y[sorted_idx], starts))
+            cn = np.cumsum(np.diff(np.r_[starts, idx.size]))
+            s_left, s_right, n_left, n_right = cy[:-1], cy[-1] - cy[:-1], cn[:-1], cn[-1] - cn[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = s_left * s_left / n_left + s_right * s_right / n_right
+            score[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
+            if score.size and score.max() > best_score:
+                pos = int(np.argmax(score))
+                best_score, best_parent = score[pos], cy[-1] * cy[-1] / cn[-1]
+                best = (f, float(split_threshold(sv[starts[pos]], sv[starts[pos + 1]])))
+        if best is None or best_score - best_parent <= 0.0:
+            feature.append(-1), threshold.append(0.0), left.append(node), right.append(node)
+            continue
+        go_left = X[idx, best[0]] <= best[1]
+        feature.append(best[0]), threshold.append(best[1]), left.append(node + 1), right.append(None)
+        stack += [(idx[~go_left], depth + 1, node), (idx[go_left], depth + 1, None)]
+    return [feature, threshold, left, right, value]
 
 
 def training_mse(tree, X, y):

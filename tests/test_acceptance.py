@@ -124,7 +124,7 @@ def test_acceptance_2_exact_histogram_equivalence():
             y = rng.integers(-1000, 1001, size=n).astype(float)
         cfg = TreeConfig(max_depth=None if case % 3 else 5)
         exact = fit_tree_exact(X, y, cfg=cfg)
-        hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+        hist = fit_tree_hist(X, y, cfg, build_bins(X))
         assert tree_arrays(exact) == tree_arrays(hist), f"case {case}: tree structures differ"
         queries = rng.normal(scale=float(distinct), size=(200, k))
         assert np.array_equal(

@@ -205,6 +205,18 @@ def test_ensemble_permutation_invariance():
         assert np.array_equal(fit(X, y, cfg).predict(Xq), fit(X[p], y[p], cfg).predict(Xq))
 
 
+def test_subsampled_forest_deterministic_and_row_order_invariant():
+    X, y = _regression_data(61, n=150, k=6)
+    X, y = np.vstack([X, X[:40]]), np.concatenate([y, y[:40]])  # duplicated rows
+    p = np.random.default_rng(1).permutation(len(y))
+    cfg = EnsembleConfig(n_estimators=3, seed=21, feature_subsample=0.5)
+    model = fit_random_forest(X, y, cfg)
+    assert dumps_model(model) == dumps_model(fit_random_forest(X, y, cfg))
+    assert dumps_model(model) == dumps_model(fit_random_forest(X[p], y[p], cfg))
+    other_seed = EnsembleConfig(n_estimators=3, seed=22, feature_subsample=0.5)
+    assert dumps_model(model) != dumps_model(fit_random_forest(X, y, other_seed))
+
+
 def test_predict_errors():
     X, y = _regression_data(2, n=50, k=3)
     model = fit_bagging(X, y, EnsembleConfig(n_estimators=2, seed=0))
@@ -283,9 +295,19 @@ def test_tree_models_scale_exactly_with_a_power_of_two_target(abbrev):
         (fit_adaboost_r2, "learning_rate", 0.5),
         (fit_adaboost_r2, "bootstrap", False),
         (fit_adaboost_r2, "feature_subsample", 0.5),
+        (fit_bagging, "tree.seed", 99),
+        (fit_random_forest, "tree.seed", 99),
+        (fit_gbm, "tree.seed", 99),
+        (fit_adaboost_r2, "tree.seed", 99),
+        (fit_bagging, "tree.feature_subsample", 0.25),
+        (fit_random_forest, "tree.feature_subsample", 0.25),
     ],
 )
 def test_config_field_a_kind_does_not_read_is_rejected(fit, field, value):
     X, y = _regression_data(8, n=40)
+    if field.startswith("tree."):
+        cfg = EnsembleConfig(n_estimators=2, tree=TreeConfig(**{field.removeprefix("tree."): value}))
+    else:
+        cfg = EnsembleConfig(n_estimators=2, **{field: value})
     with pytest.raises(DataError, match=f"does not read {field}"):
-        fit(X, y, EnsembleConfig(n_estimators=2, **{field: value}))
+        fit(X, y, cfg)

@@ -216,6 +216,12 @@ MALFORMED_PAYLOADS = {
     "ab_unread_bootstrap": ("ab", lambda p: p["config"].__setitem__("bootstrap", False), "does not read"),
     "rf_unread_learning_rate": ("rf", lambda p: p["config"].__setitem__("learning_rate", 0.5), "does not read"),
     "dt_unread_loss": ("dt", lambda p: p["config"].__setitem__("loss", "square"), "does not read"),
+    "ab_unread_tree_seed": ("ab", lambda p: p["config"]["tree"].__setitem__("seed", 99), "does not read tree.seed"),
+    "br_unread_tree_feature_subsample": (
+        "br",
+        lambda p: p["config"]["tree"].__setitem__("feature_subsample", 0.25),
+        "does not read tree.feature_subsample",
+    ),
     "gb_member_no_tree": ("gb", _member("tree"), "member lacks tree"),
     "gb_member_no_weight": ("gb", _member("weight"), "member lacks weight"),
     "gb_member_text_weight": ("gb", _member("weight", "x"), "weight"),

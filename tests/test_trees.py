@@ -22,7 +22,7 @@ from tripcast.trees import (
     predict_tree_batch,
 )
 
-from tests.helpers import reference_predict, time_limit, training_mse, tree_arrays
+from tests.helpers import reference_predict, reference_tree, time_limit, training_mse, tree_arrays
 
 
 def test_two_point_split():
@@ -106,7 +106,7 @@ def test_hist_equals_exact_when_bins_cover_distinct_values(seed):
     y = rng.integers(-30, 30, size=160).astype(float)
     cfg = TreeConfig(max_depth=None)
     exact = fit_tree_exact(X, y, cfg=cfg)
-    hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+    hist = fit_tree_hist(X, y, cfg, build_bins(X))
     assert tree_arrays(exact) == tree_arrays(hist)
     grid = rng.normal(scale=6.0, size=(300, 4))
     assert np.array_equal(predict_tree_batch(exact, grid), predict_tree_batch(hist, grid))
@@ -118,7 +118,7 @@ def test_hist_close_to_exact_on_large_continuous_data():
     y = X[:, 0] * 2.0 + np.sin(X[:, 1] * 3.0) + rng.normal(size=50_000) * 0.2
     cfg = TreeConfig(max_depth=6)
     exact = fit_tree_exact(X, y, cfg=cfg)
-    hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+    hist = fit_tree_hist(X, y, cfg, build_bins(X))
     mse_exact = training_mse(exact, X, y)
     mse_hist = training_mse(hist, X, y)
     assert mse_hist <= mse_exact * 1.05
@@ -136,19 +136,17 @@ def test_training_mse_monotone_in_depth():
         assert deeper <= shallower * (1 + 1e-12)
 
 
-def test_leaf_values_are_weighted_means():
+def test_leaf_values_are_node_means():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(300, 3))
     y = rng.normal(size=300)
-    w = rng.uniform(0.5, 2.0, size=300)
-    tree = fit_tree_exact(X, y, w, TreeConfig(max_depth=4))
+    tree = fit_tree_exact(X, y, TreeConfig(max_depth=4))
 
     stack = [(0, np.arange(300))]
     while stack:
         node, idx = stack.pop()
         assert idx.size > 0
-        expected = float(np.average(y[idx], weights=w[idx]))
-        assert tree.value[node] == pytest.approx(expected, rel=1e-12)
+        assert tree.value[node] == pytest.approx(float(np.mean(y[idx])), rel=1e-12)
         if tree.feature[node] >= 0:
             mask = X[idx, tree.feature[node]] <= tree.threshold[node]
             stack.append((tree.left[node], idx[mask]))
@@ -197,7 +195,7 @@ def test_fit_validation_errors():
         fit_tree_exact(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(DataError):
         fit_tree_exact(np.zeros((3, 2)), np.zeros(2))
-    with pytest.raises(DataError):
+    with pytest.raises(TypeError):  # trees take no sample weights
         fit_tree_exact(np.zeros((2, 2)), np.zeros(2), w=np.array([1.0, 0.0]))
     with pytest.raises(DataError):
         fit_tree_exact(np.zeros((2, 2)), np.zeros(2), cfg=TreeConfig(max_bins=1))
@@ -255,18 +253,40 @@ def test_vectorized_descent_matches_row_walk_for_every_tree_kind():
         min_size=2,
         max_size=40,
     ),
-    depth=st.integers(min_value=1, max_value=6),
+    depth=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
 )
 def test_property_hist_exact_equivalence_and_permutation(data, depth):
     X = np.array([[a, b] for a, b, _ in data], dtype=float)
     y = np.array([t for _, _, t in data], dtype=float)
     cfg = TreeConfig(max_depth=depth)
     exact = fit_tree_exact(X, y, cfg=cfg)
-    hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+    hist = fit_tree_hist(X, y, cfg, build_bins(X))
     assert tree_arrays(exact) == tree_arrays(hist)
     rng = np.random.default_rng(0)
     p = rng.permutation(len(y))
     assert tree_arrays(fit_tree_exact(X[p], y[p], cfg=cfg)) == tree_arrays(exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6), st.floats(-1e3, 1e3)
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    n_features=st.integers(min_value=1, max_value=6),
+    copies=st.integers(min_value=1, max_value=3),
+    min_samples_leaf=st.sampled_from([1, 3]),
+)
+def test_property_exact_tree_equals_per_node_reference(data, n_features, copies, min_samples_leaf):
+    # Float targets, unlimited depth and duplicated rows: the level-wise
+    # grower must add the same numbers in the same order as a node-by-node scan.
+    X = np.tile([x[:n_features] for x, _ in data], (copies, 1)) * 0.5
+    y = np.tile([t for _, t in data], copies)
+    cfg = TreeConfig(max_depth=None, min_samples_leaf=min_samples_leaf)
+    assert tree_arrays(fit_tree_exact(X, y, cfg=cfg)) == reference_tree(X, y, None, min_samples_leaf)
 
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -281,7 +301,7 @@ def test_split_between_adjacent_floats(max_depth):
     cfg = TreeConfig(max_depth=max_depth)
     with time_limit(5):
         exact = fit_tree_exact(X, y, cfg=cfg)
-        hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+        hist = fit_tree_hist(X, y, cfg, build_bins(X))
     assert exact.feature.tolist() == [0, -1, -1]
     assert exact.threshold[0] == BELOW_ONE
     assert tree_arrays(hist) == tree_arrays(exact)
@@ -298,7 +318,7 @@ def test_hist_split_at_quantile_edge_below_adjacent_value():
     bins = build_bins(X)
     assert col.size == 511 and BELOW_ONE in bins.edges[0]
     with time_limit(5):
-        tree = fit_tree_hist(X, y, None, TreeConfig(max_depth=3), bins)
+        tree = fit_tree_hist(X, y, TreeConfig(max_depth=3), bins)
     assert not np.any(np.isnan(tree.value))
     assert tree.feature.tolist() == [0, -1, -1] and tree.threshold[0] == BELOW_ONE
     assert np.array_equal(predict_tree_batch(tree, X), y)
@@ -341,7 +361,7 @@ def test_property_splits_between_adjacent_and_extreme_values(data):
     cfg = TreeConfig(max_depth=None)
     with time_limit(10):
         exact = fit_tree_exact(X, y, cfg=cfg)
-        hist = fit_tree_hist(X, y, None, cfg, build_bins(X))
+        hist = fit_tree_hist(X, y, cfg, build_bins(X))
     assert tree_arrays(hist) == tree_arrays(exact)
     assert not np.any(np.isnan(exact.value))
     # Grown to purity, every row predicts the mean target of its x value.
@@ -356,7 +376,7 @@ def test_bagging_members_equal_exact_trees_on_their_resamples():
     y = rng.normal(size=120)
     cfg = EnsembleConfig(n_estimators=3, seed=5, tree=TreeConfig(max_depth=6), feature_subsample=0.5)
     model = fit_random_forest(X, y, cfg)
-    Xc, yc, _ = canonical_rows(X, y, np.ones(120))
+    Xc, yc = canonical_rows(X, y)
     for m, (tree, _) in enumerate(model.members):
         idx = substream(5, "bootstrap", m).integers(0, 120, size=120)
         member_cfg = replace(cfg.tree, feature_subsample=0.5, seed=derive_seed(5, "member-tree", m))
