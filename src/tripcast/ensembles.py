@@ -7,13 +7,14 @@ All four are built on the regression trees in :mod:`tripcast.trees`:
 * gradient boosting fits each stage's tree to the current residuals and
   adds it scaled by the learning rate (exact or histogram split finding);
 * AdaBoost.R2 fits trees on weighted bootstrap resamples, reweights samples
-  by normalized absolute loss, and predicts with the weighted median of the
-  members.
+  by the linear loss (absolute error over the largest one), and predicts
+  with the weighted median of the members.
 
 Bagging, random forest and AdaBoost members are exact trees grown level by
 level (:func:`~tripcast.trees.grow_exact`); gradient-boosting stages are
-grown depth-first, over one presort (exact) or bin map (histogram) shared
-by all stages, and also give the leaf of every training row.
+grown depth-first over every feature, on one presort (exact) or bin map
+(histogram) shared by all stages, and also give the leaf of every training
+row.
 
 Training data is checked once per fit (:mod:`tripcast.checks`) and brought
 into canonical order before any bootstrap index is drawn, so fitted models
@@ -42,7 +43,6 @@ from .rng import derive_seed, substream
 from .trees import (
     Tree,
     TreeConfig,
-    _FitData,
     _grow,
     build_bins,
     canonical_rows,
@@ -54,21 +54,19 @@ from .trees import (
 
 EnsembleKind = Literal["bagging", "random_forest", "gbm_exact", "gbm_hist", "adaboost_r2"]
 
-ADABOOST_LOSSES = ("linear", "square", "exponential")
-
 #: Average losses below this are treated as a perfect fit (see fit_adaboost_r2).
 PERFECT_LOSS_EPS = 1e-10
 
 #: EnsembleConfig fields, and fields of its tree, that only some kinds read, and those kinds.
-#: Every kind derives each member's tree seed, and bagging and random forest
-#: set each member's feature subsample from the ensemble's own field.
+#: Bagging, random forest and AdaBoost derive each member's tree seed, and
+#: bagging and random forest set each member's feature subsample from the
+#: ensemble's own field. Gradient-boosting stages split over every feature.
 READ_BY: dict[str, tuple[EnsembleKind, ...]] = {
     "learning_rate": ("gbm_exact", "gbm_hist"),
-    "loss": ("adaboost_r2",),
     "bootstrap": ("bagging", "random_forest"),
     "feature_subsample": ("bagging", "random_forest"),
     "tree.seed": (),
-    "tree.feature_subsample": ("gbm_exact", "gbm_hist", "adaboost_r2"),
+    "tree.feature_subsample": ("adaboost_r2",),
 }
 
 
@@ -90,7 +88,6 @@ class EnsembleConfig:
     tree: TreeConfig | None = None
     bootstrap: bool = True
     feature_subsample: float | None = None
-    loss: str = "linear"
     seed: int = 0
 
     def validate(self, kind: EnsembleKind) -> None:
@@ -98,8 +95,6 @@ class EnsembleConfig:
             raise DataError("n_estimators must be >= 1")
         if not 0.0 < self.learning_rate <= 2.0:
             raise DataError("learning_rate must be in (0, 2]")
-        if self.loss not in ADABOOST_LOSSES:
-            raise DataError(f"loss must be one of {ADABOOST_LOSSES}")
         if self.feature_subsample is not None and not 0.0 < self.feature_subsample <= 1.0:
             raise DataError("feature_subsample must be in (0, 1]")
         if self.tree is not None:
@@ -241,7 +236,7 @@ def fit_gbm(
     bins = binned = None
     presort = None
     if mode == "hist":
-        bins = build_bins(Xc, cfg.tree.max_bins)
+        bins = build_bins(Xc)
         binned = bins.binize(Xc)
     else:
         presort = column_presort(Xc)
@@ -251,13 +246,10 @@ def fit_gbm(
     members: list[tuple[Tree, float]] = []
     train_mse: list[float] = []
     nu = cfg.learning_rate
-    for m in range(cfg.n_estimators):
-        residual = yc - current
-        stage_cfg = replace(cfg.tree, seed=derive_seed(cfg.seed, "member-tree", m))
-        fit = _FitData.from_canonical(Xc, residual, stage_cfg)
+    for _ in range(cfg.n_estimators):
         # Growth routed the training rows with the same `<=` test a
         # prediction would, so their leaves give the stage's predictions.
-        tree, leaf_of = _grow(fit, bins=bins, binned=binned, presort=presort)
+        tree, leaf_of = _grow(Xc, yc - current, cfg.tree, bins=bins, binned=binned, presort=presort)
         members.append((tree, nu))
         current = current + nu * tree.value[leaf_of]
         train_mse.append(float(np.mean((yc - current) ** 2)))
@@ -277,10 +269,10 @@ def fit_adaboost_r2(
     """AdaBoost for regression with weighted-median combination.
 
     Each stage resamples the training set in proportion to the sample
-    weights, fits a tree, and normalizes per-sample absolute errors by the
-    largest one. The stage survives with weight ln(1/beta) where beta =
-    avg_loss / (1 - avg_loss); sample weights are multiplied by
-    beta^(1 - loss). Boosting stops early when a stage's average loss
+    weights, fits a tree, and takes the linear loss: per-sample absolute
+    errors over the largest one. The stage survives with weight ln(1/beta)
+    where beta = avg_loss / (1 - avg_loss); sample weights are multiplied
+    by beta^(1 - loss). Boosting stops early when a stage's average loss
     reaches 0.5 (the stage is discarded unless it is the only one) or when
     a stage is essentially perfect (average loss below ``PERFECT_LOSS_EPS``,
     which gets a large finite weight instead of a division by zero).
@@ -302,10 +294,6 @@ def fit_adaboost_r2(
             loss = error / error_max
         else:
             loss = np.zeros(n)
-        if cfg.loss == "square":
-            loss = loss**2
-        elif cfg.loss == "exponential":
-            loss = 1.0 - np.exp(-loss)
 
         avg_loss = float(np.sum(sample_weight * loss))
         if avg_loss < PERFECT_LOSS_EPS:

@@ -267,18 +267,3 @@ def lasso_lambda_max(
     n = X.shape[0]
     return max(abs(float(Xs[:, j] @ yc)) / n for j in range(Xs.shape[1]))
 
-
-def linear_objective(
-    model: LinearModel, X: np.ndarray, y: np.ndarray, beta: np.ndarray | None = None
-) -> float:
-    """Penalized objective of ``model`` (or of an alternative ``beta``)."""
-    b = model.coefficients if beta is None else np.asarray(beta, dtype=np.float64)
-    Xe = expand_day_type(np.asarray(X, dtype=np.float64), model.day_type_col)
-    Xs = (Xe - model.feature_means) / model.feature_scales
-    res = y - (Xs @ b + model.intercept)
-    sse = float(res @ res)
-    if model.penalty == "l2":
-        return sse + model.lam * float(b @ b)
-    if model.penalty == "l1":
-        return sse / (2 * X.shape[0]) + model.lam * float(np.sum(np.abs(b)))
-    return sse

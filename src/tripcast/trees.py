@@ -11,9 +11,9 @@ statistics instead of sorting.
 Exact trees are grown level by level (:func:`grow_exact`): each level scans
 all open nodes at once over per-feature row lists kept sorted by node and
 value. Histogram trees and the stages of gradient boosting are grown
-depth-first, one node at a time (:func:`_grow`). Both growers take the
-same split at every node; they differ only in the order they visit nodes,
-which is the order in which random-forest feature subsets are drawn.
+depth-first, one node at a time (:func:`_grow`), over every feature. Both
+growers take the same split at every node; only :func:`grow_exact` draws
+random-forest feature subsets, in level order.
 
 A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
 ``threshold``, ``left``, ``right``, ``value``) in depth-first preorder, as
@@ -27,12 +27,14 @@ Both fitters place a split between two neighbouring training values with
 
 Determinism: rows are brought into a canonical order before fitting, so the
 fitted tree is bit-identical under any permutation of the training rows.
-When every feature has at most ``max_bins`` distinct values the histogram
-tree has the same candidate splits as the exact tree, and the two are
-bit-identical when the per-group sums are exact (integer targets, as in the
-tests). With float targets the exact scan's ``reduceat`` and the
-histogram's sequential ``bincount`` add in different orders, can round the
-sums of tied candidates differently, and the trees may then differ.
+Histograms have at most :data:`MAX_BINS` bins per feature, LightGBM's
+default (Ke et al., NeurIPS 2017). When every feature has at most that many
+distinct values the histogram tree has the same candidate splits as the
+exact tree, and the two are bit-identical when the per-group sums are exact
+(integer targets, as in the tests). With float targets the exact scan's
+``reduceat`` and the histogram's sequential ``bincount`` add in different
+orders, can round the sums of tied candidates differently, and the trees
+may then differ.
 """
 
 from __future__ import annotations
@@ -49,30 +51,22 @@ from .rng import substream
 
 @dataclass(slots=True, frozen=True)
 class TreeConfig:
-    """Growth limits and seeding for a single regression tree.
+    """Growth limit and seeding for a single regression tree.
 
-    ``max_depth=None`` means unlimited. ``feature_subsample`` < 1 draws a
-    fresh candidate-feature subset at every splittable node (random forest
-    behaviour), in the order the grower visits them; the subset size is
+    ``max_depth=None`` means unlimited; any node with two distinct targets
+    may split. ``feature_subsample`` < 1 draws a fresh candidate-feature
+    subset at every splittable node of an exact tree (random forest
+    behaviour), in level order; the subset size is
     ``ceil(feature_subsample * n_features)``.
     """
 
     max_depth: int | None = None
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
-    max_bins: int = 255
     feature_subsample: float = 1.0
     seed: int = 0
 
     def validate(self) -> None:
         if self.max_depth is not None and self.max_depth < 1:
             raise DataError("max_depth must be >= 1 or None")
-        if self.min_samples_leaf < 1:
-            raise DataError("min_samples_leaf must be >= 1")
-        if self.min_samples_split < 2:
-            raise DataError("min_samples_split must be >= 2")
-        if not 2 <= self.max_bins <= 255:
-            raise DataError("max_bins must be in [2, 255]")
         if not 0.0 < self.feature_subsample <= 1.0:
             raise DataError("feature_subsample must be in (0, 1]")
 
@@ -141,6 +135,9 @@ class Tree:
 
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
+#: Most bins a histogram gives one feature (LightGBM's default, Ke et al., 2017).
+MAX_BINS = 255
+
 
 @dataclass(slots=True)
 class BinMap:
@@ -175,31 +172,29 @@ class BinMap:
         return out
 
 
-def build_bins(X: np.ndarray, max_bins: int = 255) -> BinMap:
+def build_bins(X: np.ndarray) -> BinMap:
     """Quantile bin map for ``X``.
 
-    Features with at most ``max_bins`` distinct values get one bin per
+    Features with at most :data:`MAX_BINS` distinct values get one bin per
     value, with edges at the :func:`split_threshold` of consecutive distinct
     values (histogram splits then have the exact candidates). Denser
-    features get edges at the ``i/max_bins`` quantiles, deduplicated.
+    features get edges at the ``i/MAX_BINS`` quantiles, deduplicated.
     """
     X = as_matrix(X)
     if X.shape[0] == 0:
         raise DataError("build_bins: empty feature table")
-    if not 2 <= max_bins <= 255:
-        raise DataError("max_bins must be in [2, 255]")
     edges: list[np.ndarray] = []
     mins: list[np.ndarray] = []
     maxs: list[np.ndarray] = []
     for f in range(X.shape[1]):
         col = X[:, f]
         uniq = np.unique(col)
-        if uniq.size <= max_bins:
+        if uniq.size <= MAX_BINS:
             edges.append(split_threshold(uniq[:-1], uniq[1:]))
             mins.append(uniq.copy())
             maxs.append(uniq.copy())
             continue
-        qs = np.quantile(col, np.arange(1, max_bins) / max_bins)
+        qs = np.quantile(col, np.arange(1, MAX_BINS) / MAX_BINS)
         e = np.unique(qs)
         n_bins = e.size + 1
         idx = np.searchsorted(e, col, side="left")
@@ -222,11 +217,14 @@ def fit_tree_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig())
 def fit_tree_hist(X: np.ndarray, y: np.ndarray, cfg: TreeConfig, bins: BinMap) -> Tree:
     """Grow a regression tree scanning histogram-bin boundaries.
 
-    ``bins`` must have been built from a superset of ``X``'s values.
+    ``bins`` must have been built from a superset of ``X``'s values. Every
+    feature is a candidate at every node: ``feature_subsample`` must be 1.
     """
     cfg.validate()
+    if cfg.feature_subsample != 1.0:
+        raise DataError("histogram trees do not subsample features; leave feature_subsample at 1.0")
     X, y = canonical_rows(*training_data(X, y))
-    return _grow(_FitData.from_canonical(X, y, cfg), bins=bins, binned=bins.binize(X), presort=None)[0]
+    return _grow(X, y, cfg, bins=bins, binned=bins.binize(X), presort=None)[0]
 
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -285,26 +283,6 @@ def n_candidate_features(n_features: int, feature_subsample: float) -> int:
 # Fitting internals.
 
 
-@dataclass(slots=True)
-class _FitData:
-    """Training arrays in canonical row order plus per-fit scratch."""
-
-    X: np.ndarray
-    y: np.ndarray
-    cfg: TreeConfig
-    rng: np.random.Generator | None
-
-    @classmethod
-    def from_canonical(cls, X, y, cfg: TreeConfig) -> "_FitData":
-        """Wrap arrays already in canonical row order (no copy, no checks)."""
-        return cls(X=X, y=y, cfg=cfg, rng=_subsample_stream(cfg))
-
-
-def _subsample_stream(cfg: TreeConfig) -> np.random.Generator | None:
-    """The stream a tree draws its candidate-feature subsets from, if it subsamples."""
-    return substream(cfg.seed, "tree-feature-subsample") if cfg.feature_subsample < 1.0 else None
-
-
 def canonical_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort rows into canonical order (by features, then target).
 
@@ -342,14 +320,15 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
     features in level order.
     """
     n, n_features = X.shape
-    min_rows = max(cfg.min_samples_split, 2 * cfg.min_samples_leaf)
-    rng = _subsample_stream(cfg)
+    rng = substream(cfg.seed, "tree-feature-subsample") if cfg.feature_subsample < 1.0 else None
     n_draw = n_candidate_features(n_features, cfg.feature_subsample)
-    # Node arrays in level order; a tree with at most n leaves has at most 2n - 1 nodes.
-    feature = np.full(2 * n - 1, -1, dtype=np.intp)
-    threshold = np.zeros(2 * n - 1)
-    left = np.zeros(2 * n - 1, dtype=np.intp)  # the right child is left + 1
-    value = np.empty(2 * n - 1)
+    # Node arrays in level order. A tree has at most n leaves, so at most
+    # 2n - 1 nodes, and one of depth d at most 2**(d + 1) - 1.
+    n_nodes = 2 * n - 1 if cfg.max_depth is None else min(2 * n - 1, 2 ** (cfg.max_depth + 1) - 1)
+    feature = np.full(n_nodes, -1, dtype=np.intp)
+    threshold = np.zeros(n_nodes)
+    left = np.zeros(n_nodes, dtype=np.intp)  # the right child is left + 1
+    value = np.empty(n_nodes)
     level_start = [0, 1]
     # The open nodes of this level: their ids, their segments [bounds[i],
     # bounds[i + 1]) of `rows` (by node, then row) and of each `order[f]`
@@ -367,8 +346,8 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
             value[node] = np.add.reduce(ys[edges[i] : edges[i + 1]]) / (edges[i + 1] - edges[i])
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             break
-        open_ = sizes >= min_rows
-        open_ &= np.minimum.reduceat(ys, bounds[:-1]) < np.maximum.reduceat(ys, bounds[:-1])
+        # A node splits only if its targets differ, so a single row is a leaf.
+        open_ = np.minimum.reduceat(ys, bounds[:-1]) < np.maximum.reduceat(ys, bounds[:-1])
         if not open_.any():
             break
         if rng is None:
@@ -377,7 +356,7 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
             pairs = np.zeros((n_features, ids.size), dtype=bool)
             for i in np.flatnonzero(open_):
                 pairs[rng.choice(n_features, size=n_draw, replace=False), i] = True
-        best_f, best_t, split = _level_splits(X, y, order, bounds, pairs, cfg.min_samples_leaf)
+        best_f, best_t, split = _level_splits(X, y, order, bounds, pairs)
         if not split.any():
             break
         if not split.all():
@@ -413,7 +392,7 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
 _SCAN_BLOCK = 1 << 17
 
 
-def _level_splits(X, y, order, bounds, pairs, min_leaf):
+def _level_splits(X, y, order, bounds, pairs):
     """The best split of each open node of a level: (feature, threshold, gain > 0).
 
     Only the (feature, node) pairs set in ``pairs`` are scanned. Candidate
@@ -456,7 +435,7 @@ def _level_splits(X, y, order, bounds, pairs, min_leaf):
     n_left = np.cumsum(group_n)
     n_left -= np.repeat(n_left[pair_end - 1] - n_tot, n_groups)
     s_tot = s_left[pair_end - 1]
-    score = _split_scores(s_left, n_left, np.repeat(s_tot, n_groups), np.repeat(n_tot, n_groups), min_leaf)
+    score = _split_scores(s_left, n_left, np.repeat(s_tot, n_groups), np.repeat(n_tot, n_groups))
     pair_score = np.maximum.reduceat(score, pair_first)
     hit = np.flatnonzero(score == np.repeat(pair_score, n_groups))
     pair_pos = hit[np.searchsorted(hit, pair_first)]  # first best group of each pair
@@ -540,7 +519,9 @@ def _preorder(feature, threshold, left, value, level_start, n_features) -> Tree:
 
 
 def _grow(
-    fit: _FitData,
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: TreeConfig,
     bins: BinMap | None,
     binned: np.ndarray | None,
     presort: np.ndarray | None,
@@ -549,25 +530,25 @@ def _grow(
 
     Serves the boosting stages (exact over ``presort``, or histogram over
     ``bins``) and :func:`fit_tree_hist`; other exact trees use :func:`grow_exact`.
+    Every feature is a candidate at every node.
     """
-    n_features = fit.X.shape[1]
+    n_features = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
-    leaf_of = np.empty(fit.X.shape[0], dtype=np.intp)
-    # Depth-first, preorder; the explicit stack both avoids recursion limits
-    # on deep trees and pins the node-visit order the subsample rng sees.
-    # Entries are (rows, depth, parent of a right child or -1).
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(fit.X.shape[0], dtype=np.int64), 0, -1)]
+    leaf_of = np.empty(X.shape[0], dtype=np.intp)
+    # Depth-first, preorder; the explicit stack avoids recursion limits on
+    # deep trees. Entries are (rows, depth, parent of a right child or -1).
+    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(X.shape[0], dtype=np.int64), 0, -1)]
     while stack:
         idx, depth, right_of = stack.pop()
         node = len(value)
         if right_of >= 0:
             right[right_of] = node
-        value.append(float(np.sum(fit.y[idx]) / idx.shape[0]))
-        best = _best_split(fit, idx, depth, n_features, bins, binned, presort)
+        value.append(float(np.sum(y[idx]) / idx.shape[0]))
+        best = _best_split(X, y, cfg, idx, depth, bins, binned, presort)
         if best is None:
             feature.append(-1)
             threshold.append(0.0)
@@ -576,7 +557,7 @@ def _grow(
             leaf_of[idx] = node
             continue
         f, t = best
-        go_left = fit.X[idx, f] <= t
+        go_left = X[idx, f] <= t
         if not 0 < np.count_nonzero(go_left) < idx.shape[0]:
             raise RuntimeError(f"split x[{f}] <= {t!r} leaves a child of node {node} empty")
         feature.append(f)
@@ -597,45 +578,27 @@ def _grow(
 
 
 def _best_split(
-    fit: _FitData,
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: TreeConfig,
     idx: np.ndarray,
     depth: int,
-    n_features: int,
     bins: BinMap | None,
     binned: np.ndarray | None,
     presort: np.ndarray | None,
 ) -> tuple[int, float] | None:
     """The split of a node at ``depth`` holding rows ``idx``, or None for a leaf."""
-    cfg = fit.cfg
     if cfg.max_depth is not None and depth >= cfg.max_depth:
         return None
-    n = idx.shape[0]
-    if n < cfg.min_samples_split or n < 2 * cfg.min_samples_leaf:
-        return None
-    y_node = fit.y[idx]
+    y_node = y[idx]
     if y_node[0] == y_node[-1] and np.all(y_node == y_node[0]):
-        return None  # constant target: no split can reduce variance
-    features = _candidate_features(fit, n_features)
+        return None  # constant target (a single row included): no split can reduce variance
     if bins is None:
-        return _best_split_exact(fit, idx, features, presort)
-    return _best_split_hist(fit, idx, features, bins, binned)
+        return _best_split_exact(X, y, idx, presort)
+    return _best_split_hist(y_node, binned[idx], bins)
 
 
-def _candidate_features(fit: _FitData, n_features: int) -> np.ndarray:
-    if fit.rng is None:
-        return np.arange(n_features)
-    k = n_candidate_features(n_features, fit.cfg.feature_subsample)
-    chosen = fit.rng.choice(n_features, size=k, replace=False)
-    chosen.sort()
-    return chosen
-
-
-def _best_split_exact(
-    fit: _FitData,
-    idx: np.ndarray,
-    features: np.ndarray,
-    presort: np.ndarray,
-) -> tuple[int, float] | None:
+def _best_split_exact(X: np.ndarray, y: np.ndarray, idx: np.ndarray, presort: np.ndarray) -> tuple[int, float] | None:
     """Best (feature, threshold) by variance reduction, or None.
 
     Candidates are scored by the left+right term of the SSE decrease (the
@@ -643,39 +606,33 @@ def _best_split_exact(
     with strict improvement implements the tie-break rule. A node's rows are
     sorted by filtering the global presort with the node's membership mask.
     """
-    mask = np.zeros(fit.X.shape[0], dtype=bool)
+    mask = np.zeros(X.shape[0], dtype=bool)
     mask[idx] = True
     best_score = -np.inf
     best: tuple[int, float, float] | None = None
     best_parent = 0.0
-    for f in features:
+    for f in range(X.shape[1]):
         col_order = presort[:, f]
         snode = col_order[mask[col_order]]
-        sv = fit.X[snode, f]
+        sv = X[snode, f]
         if sv[0] == sv[-1]:
             continue
         starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-        g_y = np.add.reduceat(fit.y[snode], starts)
+        g_y = np.add.reduceat(y[snode], starts)
         g_n = np.diff(np.append(starts, idx.shape[0]))
-        score, pos, parent = _score_groups(g_y, g_n, fit.cfg.min_samples_leaf)
+        score, pos, parent = _score_groups(g_y, g_n)
         if score <= best_score:
             continue
         uniq = sv[starts]
-        best_score, best, best_parent = score, (int(f), uniq[pos], uniq[pos + 1]), parent
+        best_score, best, best_parent = score, (f, uniq[pos], uniq[pos + 1]), parent
     if best is None or best_score - best_parent <= 0.0:
         return None
     f, lo, hi = best
     return f, float(split_threshold(lo, hi))
 
 
-def _best_split_hist(
-    fit: _FitData,
-    idx: np.ndarray,
-    features: np.ndarray,
-    bins: BinMap,
-    binned: np.ndarray,
-) -> tuple[int, float] | None:
-    """Histogram-accumulation variant of :func:`_best_split_exact`.
+def _best_split_hist(yn: np.ndarray, bn: np.ndarray, bins: BinMap) -> tuple[int, float] | None:
+    """Histogram-accumulation variant of :func:`_best_split_exact`, over a node's targets and bin codes.
 
     Thresholds split between the observed value ranges of consecutive
     nonempty bins, which reduces to the exact rule whenever bins hold single
@@ -683,12 +640,10 @@ def _best_split_hist(
     ``bincount`` adds sequentially and the exact scan's ``reduceat`` does
     not, so the group sums match it bit for bit only when they are exact.
     """
-    yn = fit.y[idx]
-    bn = binned[idx]
     best_score = -np.inf
     best: tuple[int, float, float] | None = None
     best_parent = 0.0
-    for f in features:
+    for f in range(bins.n_features):
         b = bn[:, f]
         n_bins = bins.n_bins(f)
         counts = np.bincount(b, minlength=n_bins)
@@ -696,42 +651,42 @@ def _best_split_hist(
         if nonempty.size < 2:
             continue
         y_b = np.bincount(b, weights=yn, minlength=n_bins)
-        score, pos, parent = _score_groups(y_b[nonempty], counts[nonempty], fit.cfg.min_samples_leaf)
+        score, pos, parent = _score_groups(y_b[nonempty], counts[nonempty])
         if score <= best_score:
             continue
         lo, hi = bins.bin_max[f][nonempty[pos]], bins.bin_min[f][nonempty[pos + 1]]
-        best_score, best, best_parent = score, (int(f), lo, hi), parent
+        best_score, best, best_parent = score, (f, lo, hi), parent
     if best is None or best_score - best_parent <= 0.0:
         return None
     f, lo, hi = best
     return f, float(split_threshold(lo, hi))
 
 
-def _score_groups(g_y: np.ndarray, g_n: np.ndarray, min_leaf: int) -> tuple[float, int, float]:
+def _score_groups(g_y: np.ndarray, g_n: np.ndarray) -> tuple[float, int, float]:
     """Best split between consecutive value groups of one node.
 
     Returns (score, position, parent term): the highest :func:`_split_scores`
-    score (-inf if no split is valid), the index of the last left-side group
-    of the first split that reaches it, and S^2/N of the whole node.
+    score, the index of the last left-side group of the first split that
+    reaches it, and S^2/N of the whole node.
     """
     cy = np.cumsum(g_y)
     cn = np.cumsum(g_n)
-    score = _split_scores(cy[:-1], cn[:-1], cy[-1], cn[-1], min_leaf)
+    score = _split_scores(cy[:-1], cn[:-1], cy[-1], cn[-1])
     pos = int(np.argmax(score))
     return float(score[pos]), pos, float(cy[-1] * cy[-1] / cn[-1])
 
 
-def _split_scores(s_left, n_left, s_tot, n_tot, min_leaf: int) -> np.ndarray:
+def _split_scores(s_left, n_left, s_tot, n_tot) -> np.ndarray:
     """S_L^2/N_L + S_R^2/N_R of splitting a node after each value group.
 
     ``s_left`` and ``n_left`` are the target sum and row count of the groups
     up to each one, ``s_tot`` and ``n_tot`` those of the whole node. A split
-    leaving fewer than ``min_leaf`` rows on a side scores -inf. The SSE
-    decrease of a split is its score minus the parent term S^2/N.
+    leaving a side empty scores -inf. The SSE decrease of a split is its
+    score minus the parent term S^2/N.
     """
     s_right = s_tot - s_left
     n_right = n_tot - n_left
     with np.errstate(divide="ignore", invalid="ignore"):
         score = s_left * s_left / n_left + s_right * s_right / n_right
-    score[(n_left < min_leaf) | (n_right < min_leaf)] = -np.inf
+    score[(n_left == 0) | (n_right == 0)] = -np.inf
     return score

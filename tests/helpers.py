@@ -6,6 +6,7 @@ from datetime import datetime
 
 import numpy as np
 
+from tripcast.linear import LinearModel, expand_day_type
 from tripcast.registry import REGISTRY, make_model
 from tripcast.trees import canonical_rows, predict_tree_batch, split_threshold
 from tripcast.trip_data import Coded, StopTable, TripTable
@@ -111,15 +112,25 @@ def reference_predict(tree, X):
     return out
 
 
-def reference_tree(X, y, max_depth=None, min_samples_leaf=1):
-    """The exact tree grown node by node, depth-first, sorting each node's rows: node arrays as lists.
+def reference_tree(X, y, max_depth=None, bins=None):
+    """A tree grown node by node, depth-first, from each node's own rows: node arrays as lists.
 
-    Each node's rows are stably argsorted per feature; candidate splits lie
-    between distinct values, scored by S_L^2/N_L + S_R^2/N_R with ties to the
-    lowest threshold, then the lowest feature, and taken only if they reduce
-    the SSE. Nodes are numbered in preorder, the left child first.
+    Exact mode (``bins`` None): each node's rows are stably argsorted per
+    feature and candidate splits lie between distinct values, whose target
+    sums ``reduceat`` adds. Histogram mode (a ``BinMap``): one ``bincount``
+    over (feature, bin) keys of the node's rows in canonical order gives
+    each bin's row count and target sum, and candidate splits lie between
+    consecutive nonempty bins, at ``split_threshold`` of the left bin's
+    largest and the right bin's smallest training value. Either way splits
+    are scored by S_L^2/N_L + S_R^2/N_R with ties to the lowest threshold,
+    then the lowest feature, and taken only if they reduce the SSE. Nodes
+    are numbered in preorder, the left child first.
     """
     X, y = canonical_rows(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+    k = X.shape[1]
+    if bins is not None:
+        codes = bins.binize(X)
+        offsets = np.cumsum([0] + [bins.n_bins(f) for f in range(k)])
     feature, threshold, left, right, value = [], [], [], [], []
     stack = [(np.arange(len(y)), 0, None)]
     while stack:
@@ -129,21 +140,29 @@ def reference_tree(X, y, max_depth=None, min_samples_leaf=1):
             right[right_of] = node
         value.append(float(np.sum(y[idx]) / idx.size))
         best, best_score, best_parent = None, -np.inf, 0.0
-        can_split = (max_depth is None or depth < max_depth) and idx.size >= max(2, 2 * min_samples_leaf)
-        for f in range(X.shape[1]) if can_split and np.any(y[idx] != y[idx[0]]) else ():
-            sorted_idx = idx[np.argsort(X[idx, f], kind="stable")]
-            sv = X[sorted_idx, f]
-            starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
-            cy = np.cumsum(np.add.reduceat(y[sorted_idx], starts))
-            cn = np.cumsum(np.diff(np.r_[starts, idx.size]))
+        can_split = (max_depth is None or depth < max_depth) and np.any(y[idx] != y[idx[0]])
+        if can_split and bins is not None:
+            keys = (codes[idx] + offsets[:-1]).ravel()
+            counts = np.bincount(keys, minlength=offsets[-1])
+            sums = np.bincount(keys, weights=np.repeat(y[idx], k), minlength=offsets[-1])
+        for f in range(k) if can_split else ():
+            if bins is None:
+                sorted_idx = idx[np.argsort(X[idx, f], kind="stable")]
+                sv = X[sorted_idx, f]
+                starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+                g_y, g_n = np.add.reduceat(y[sorted_idx], starts), np.diff(np.r_[starts, idx.size])
+                lo, hi = sv[starts[:-1]], sv[starts[1:]]
+            else:
+                nonempty = np.flatnonzero(counts[offsets[f] : offsets[f + 1]])
+                g_y, g_n = sums[offsets[f] + nonempty], counts[offsets[f] + nonempty]
+                lo, hi = bins.bin_max[f][nonempty[:-1]], bins.bin_min[f][nonempty[1:]]
+            cy, cn = np.cumsum(g_y), np.cumsum(g_n)
             s_left, s_right, n_left, n_right = cy[:-1], cy[-1] - cy[:-1], cn[:-1], cn[-1] - cn[:-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = s_left * s_left / n_left + s_right * s_right / n_right
-            score[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
+            score = s_left * s_left / n_left + s_right * s_right / n_right
             if score.size and score.max() > best_score:
                 pos = int(np.argmax(score))
                 best_score, best_parent = score[pos], cy[-1] * cy[-1] / cn[-1]
-                best = (f, float(split_threshold(sv[starts[pos]], sv[starts[pos + 1]])))
+                best = (f, float(split_threshold(lo[pos], hi[pos])))
         if best is None or best_score - best_parent <= 0.0:
             feature.append(-1), threshold.append(0.0), left.append(node), right.append(node)
             continue
@@ -156,6 +175,22 @@ def reference_tree(X, y, max_depth=None, min_samples_leaf=1):
 def training_mse(tree, X, y):
     """Mean squared error of a fitted tree on its training rows."""
     return float(np.mean((y - predict_tree_batch(tree, X)) ** 2))
+
+
+def linear_objective(
+    model: LinearModel, X: np.ndarray, y: np.ndarray, beta: np.ndarray | None = None
+) -> float:
+    """Penalized objective of ``model`` (or of an alternative ``beta``)."""
+    b = model.coefficients if beta is None else np.asarray(beta, dtype=np.float64)
+    Xe = expand_day_type(np.asarray(X, dtype=np.float64), model.day_type_col)
+    Xs = (Xe - model.feature_means) / model.feature_scales
+    res = y - (Xs @ b + model.intercept)
+    sse = float(res @ res)
+    if model.penalty == "l2":
+        return sse + model.lam * float(b @ b)
+    if model.penalty == "l1":
+        return sse / (2 * X.shape[0]) + model.lam * float(np.sum(np.abs(b)))
+    return sse
 
 
 @contextlib.contextmanager

@@ -1,5 +1,6 @@
 """Ensembles: identity degeneracies, boosting recursion, AdaBoost.R2 behaviour."""
 
+import math
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from tripcast.ensembles import (
 )
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
-from tripcast.trees import TreeConfig, fit_tree_exact, predict_tree_batch
+from tripcast.trees import TreeConfig, canonical_rows, fit_tree_exact, predict_tree_batch
 
 from tests.helpers import small_model, training_mse, tree_arrays
 
@@ -153,18 +154,28 @@ def test_adaboost_weighted_median_matches_bruteforce():
         assert got[i] == member_preds[i][order[j]]
 
 
-@pytest.mark.parametrize("loss", ["linear", "square", "exponential"])
-def test_adaboost_loss_variants_fit(loss):
+def test_adaboost_member_weights_follow_the_linear_loss():
+    # Each stage's loss is its absolute error over the largest one on the
+    # training rows; the stage weighs ln(1/beta) and reweights rows by beta^(1 - loss).
     X, y = _regression_data(5, n=120, k=3)
-    model = fit_adaboost_r2(X, y, EnsembleConfig(n_estimators=6, seed=2, loss=loss))
-    assert len(model.members) >= 1
-    assert all(w > 0 for _, w in model.members)
+    model = fit_adaboost_r2(X, y, EnsembleConfig(n_estimators=6, seed=2))
+    assert len(model.members) == 6
+    Xc, yc = canonical_rows(X, y)
+    sample_weight = np.full(yc.size, 1.0 / yc.size)
+    for tree, weight in model.members:
+        error = np.abs(predict_tree_batch(tree, Xc) - yc)
+        loss = error / error.max()
+        avg_loss = float(np.sum(sample_weight * loss))
+        beta = avg_loss / (1.0 - avg_loss)
+        assert weight == math.log(1.0 / beta) > 0
+        sample_weight = sample_weight * np.power(beta, 1.0 - loss)
+        sample_weight = sample_weight / np.sum(sample_weight)
 
 
 def test_adaboost_unknown_loss():
-    X, y = _regression_data(5, n=20, k=3)
-    with pytest.raises(DataError):
-        fit_adaboost_r2(X, y, EnsembleConfig(loss="huber"))
+    # AdaBoost.R2 has the linear loss only, so the config has no loss to set.
+    with pytest.raises(TypeError, match="loss"):
+        EnsembleConfig(loss="huber")
 
 
 def test_prediction_range_bounded_for_averaging_ensembles():
@@ -286,10 +297,7 @@ def test_tree_models_scale_exactly_with_a_power_of_two_target(abbrev):
     "fit, field, value",
     [
         (fit_bagging, "learning_rate", 0.5),
-        (fit_bagging, "loss", "square"),
         (fit_random_forest, "learning_rate", 0.5),
-        (fit_random_forest, "loss", "square"),
-        (fit_gbm, "loss", "square"),
         (fit_gbm, "bootstrap", False),
         (fit_gbm, "feature_subsample", 0.5),
         (fit_adaboost_r2, "learning_rate", 0.5),
@@ -301,6 +309,7 @@ def test_tree_models_scale_exactly_with_a_power_of_two_target(abbrev):
         (fit_adaboost_r2, "tree.seed", 99),
         (fit_bagging, "tree.feature_subsample", 0.25),
         (fit_random_forest, "tree.feature_subsample", 0.25),
+        (fit_gbm, "tree.feature_subsample", 0.25),
     ],
 )
 def test_config_field_a_kind_does_not_read_is_rejected(fit, field, value):

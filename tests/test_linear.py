@@ -11,8 +11,9 @@ from tripcast.linear import (
     fit_ols,
     fit_ridge,
     lasso_lambda_max,
-    linear_objective,
 )
+
+from tests.helpers import linear_objective
 
 
 def _system(seed, n=200, k=5):

@@ -125,6 +125,18 @@ def test_version_1_document_rejected():
         loads_model(_rechecksummed(doc))
 
 
+def test_version_2_document_rejected():
+    # Format 2 is format 3 plus four config keys the code no longer has.
+    doc = _saved_doc("ab")
+    doc["payload"]["config"]["loss"] = "linear"
+    doc["payload"]["config"]["tree"].update(min_samples_leaf=1, min_samples_split=2, max_bins=255)
+    doc["format_version"] = 2
+    with pytest.raises(PersistError, match="version 2"):
+        loads_model(_rechecksummed(doc))
+    doc["format_version"] = FORMAT_VERSION
+    with pytest.raises(PersistError, match="config"):  # nor do they load under this version
+        loads_model(_rechecksummed(doc))
+
 def _saved_tree_doc():
     X, y = _data()
     doc = json.loads(dumps_model(make_model("dt", seed=1, max_depth=4).fit(X, y)))
@@ -215,8 +227,13 @@ MALFORMED_PAYLOADS = {
     "gb_unread_feature_subsample": ("gb", lambda p: p["config"].__setitem__("feature_subsample", 0.5), "does not read"),
     "ab_unread_bootstrap": ("ab", lambda p: p["config"].__setitem__("bootstrap", False), "does not read"),
     "rf_unread_learning_rate": ("rf", lambda p: p["config"].__setitem__("learning_rate", 0.5), "does not read"),
-    "dt_unread_loss": ("dt", lambda p: p["config"].__setitem__("loss", "square"), "does not read"),
+    "dt_unread_loss": ("dt", lambda p: p["config"].__setitem__("loss", "square"), "config: .*loss"),
     "ab_unread_tree_seed": ("ab", lambda p: p["config"]["tree"].__setitem__("seed", 99), "does not read tree.seed"),
+    "gb_unread_tree_feature_subsample": (
+        "gb",
+        lambda p: p["config"]["tree"].__setitem__("feature_subsample", 0.25),
+        "does not read tree.feature_subsample",
+    ),
     "br_unread_tree_feature_subsample": (
         "br",
         lambda p: p["config"]["tree"].__setitem__("feature_subsample", 0.25),

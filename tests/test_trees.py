@@ -12,6 +12,7 @@ from tripcast import trees
 from tripcast.errors import DataError
 from tripcast.rng import derive_seed, substream
 from tripcast.trees import (
+    MAX_BINS,
     Tree,
     TreeConfig,
     build_bins,
@@ -49,15 +50,15 @@ def test_constant_target_single_leaf():
 def test_perfect_fit_three_rows():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 3.0])
-    tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=None, min_samples_leaf=1))
+    tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=None))
     assert training_mse(tree, X, y) == 0.0
+    assert tree.feature.tolist() == [0, -1, 0, -1, -1]  # single rows are leaves
 
 
-def test_min_samples_constraints_block_splits():
-    X = np.array([[1.0], [2.0], [3.0]])
-    y = np.array([1.0, 2.0, 3.0])
-    assert fit_tree_exact(X, y, cfg=TreeConfig(min_samples_leaf=2)).feature.tolist() == [-1]
-    assert fit_tree_exact(X, y, cfg=TreeConfig(min_samples_split=4)).feature.tolist() == [-1]
+@pytest.mark.parametrize("field", ["min_samples_leaf", "min_samples_split", "max_bins"])
+def test_deleted_tree_settings_are_type_errors(field):
+    with pytest.raises(TypeError, match=field):
+        TreeConfig(**{field: 2})
 
 
 def test_tie_break_lowest_feature_then_threshold():
@@ -85,12 +86,14 @@ def test_build_bins_constant_feature():
 
 def test_build_bins_quantiles():
     rng = np.random.default_rng(0)
-    col = rng.random((10_000, 1))
-    bm = build_bins(col, max_bins=4)
-    assert bm.edges[0].size == 3
-    assert np.allclose(bm.edges[0], [0.25, 0.5, 0.75], atol=0.02)
-    counts = np.bincount(bm.binize(col)[:, 0], minlength=4)
-    assert np.all(np.abs(counts - 2500) <= 150)
+    col = rng.random((25_500, 1))
+    bm = build_bins(col)
+    assert bm.edges[0].size == MAX_BINS - 1
+    assert np.allclose(bm.edges[0], np.arange(1, MAX_BINS) / MAX_BINS, atol=0.01)
+    counts = np.bincount(bm.binize(col)[:, 0], minlength=MAX_BINS)
+    assert np.all(np.abs(counts - 100) <= 40)
+    # each bin's observed range lies between its edges
+    assert np.all(bm.bin_max[0][:-1] <= bm.edges[0]) and np.all(bm.edges[0] < bm.bin_min[0][1:])
 
 
 def test_binize_maps_every_value_and_clamps_top():
@@ -198,7 +201,12 @@ def test_fit_validation_errors():
     with pytest.raises(TypeError):  # trees take no sample weights
         fit_tree_exact(np.zeros((2, 2)), np.zeros(2), w=np.array([1.0, 0.0]))
     with pytest.raises(DataError):
-        fit_tree_exact(np.zeros((2, 2)), np.zeros(2), cfg=TreeConfig(max_bins=1))
+        fit_tree_exact(np.zeros((2, 2)), np.zeros(2), cfg=TreeConfig(max_depth=0))
+    with pytest.raises(DataError):
+        fit_tree_exact(np.zeros((2, 2)), np.zeros(2), cfg=TreeConfig(feature_subsample=0.0))
+    X = np.zeros((2, 2))
+    with pytest.raises(DataError, match="feature_subsample"):  # histogram trees scan every feature
+        fit_tree_hist(X, np.zeros(2), TreeConfig(feature_subsample=0.5), build_bins(X))
 
 
 def test_tree_serialization_round_trip():
@@ -278,15 +286,36 @@ def test_property_hist_exact_equivalence_and_permutation(data, depth):
     ),
     n_features=st.integers(min_value=1, max_value=6),
     copies=st.integers(min_value=1, max_value=3),
-    min_samples_leaf=st.sampled_from([1, 3]),
+    depth=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
 )
-def test_property_exact_tree_equals_per_node_reference(data, n_features, copies, min_samples_leaf):
-    # Float targets, unlimited depth and duplicated rows: the level-wise
-    # grower must add the same numbers in the same order as a node-by-node scan.
+def test_property_exact_tree_equals_per_node_reference(data, n_features, copies, depth):
+    # Float targets, duplicated rows and any depth: the level-wise grower
+    # must add the same numbers in the same order as a node-by-node scan.
     X = np.tile([x[:n_features] for x, _ in data], (copies, 1)) * 0.5
     y = np.tile([t for _, t in data], copies)
-    cfg = TreeConfig(max_depth=None, min_samples_leaf=min_samples_leaf)
-    assert tree_arrays(fit_tree_exact(X, y, cfg=cfg)) == reference_tree(X, y, None, min_samples_leaf)
+    assert tree_arrays(fit_tree_exact(X, y, cfg=TreeConfig(max_depth=depth))) == reference_tree(X, y, depth)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=MAX_BINS + 1, max_value=800),
+    n_features=st.integers(min_value=1, max_value=3),
+    distinct=st.integers(min_value=2, max_value=2000),
+    depth=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+)
+def test_property_hist_tree_equals_per_node_reference_when_bins_merge_values(seed, n, n_features, distinct, depth):
+    # Features with more distinct values than MAX_BINS share bins, so split
+    # thresholds fall between the value ranges of neighbouring bins.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, distinct, size=(n, n_features)) * 0.25
+    X[:, 0] = rng.normal(size=n)  # at least one feature has n > MAX_BINS distinct values
+    y = X[:, 0] + rng.normal(size=n)
+    bins = build_bins(X)
+    assert bins.n_bins(0) <= MAX_BINS < np.unique(X[:, 0]).size
+    with time_limit(30):
+        hist = fit_tree_hist(X, y, TreeConfig(max_depth=depth), bins)
+        assert tree_arrays(hist) == reference_tree(X, y, depth, bins)
 
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
