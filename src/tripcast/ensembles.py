@@ -41,12 +41,13 @@ from .checks import is_finite, is_int, require, require_keys, training_data
 from .errors import DataError, PersistError
 from .rng import derive_seed, substream
 from .trees import (
+    BinnedColumns,
+    ExactColumns,
     Tree,
     TreeConfig,
     _grow,
     build_bins,
     canonical_rows,
-    column_presort,
     descend,
     grow_exact,
     row_major,
@@ -233,14 +234,7 @@ def fit_gbm(
     cfg, Xc, yc = _prepare(X, y, cfg, kind)
     n = Xc.shape[0]
 
-    bins = binned = None
-    presort = None
-    if mode == "hist":
-        bins = build_bins(Xc)
-        binned = bins.binize(Xc)
-    else:
-        presort = column_presort(Xc)
-
+    columns = BinnedColumns(Xc, build_bins(Xc)) if mode == "hist" else ExactColumns(Xc)
     base = float(np.sum(yc) / n)
     current = np.full(n, base)
     members: list[tuple[Tree, float]] = []
@@ -249,7 +243,7 @@ def fit_gbm(
     for _ in range(cfg.n_estimators):
         # Growth routed the training rows with the same `<=` test a
         # prediction would, so their leaves give the stage's predictions.
-        tree, leaf_of = _grow(Xc, yc - current, cfg.tree, bins=bins, binned=binned, presort=presort)
+        tree, leaf_of = _grow(Xc, yc - current, cfg.tree, columns)
         members.append((tree, nu))
         current = current + nu * tree.value[leaf_of]
         train_mse.append(float(np.mean((yc - current) ** 2)))

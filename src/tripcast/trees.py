@@ -11,15 +11,18 @@ statistics instead of sorting.
 Exact trees are grown level by level (:func:`grow_exact`): each level scans
 all open nodes at once over per-feature row lists kept sorted by node and
 value. Histogram trees and the stages of gradient boosting are grown
-depth-first, one node at a time (:func:`_grow`), over every feature. Both
-growers take the same split at every node; only :func:`grow_exact` draws
-random-forest feature subsets, in level order.
+depth-first, one node at a time (:func:`_grow`), over every feature. Each
+such node is scanned in one pass (:func:`_best_split`): the value groups of
+all features are gathered block by block, from the shared presort filtered
+to the node (:class:`ExactColumns`) or from ``bincount`` over a
+feature-major uint8 bin-code table (:class:`BinnedColumns`), and scored
+together. Both growers take the same split at every node; only
+:func:`grow_exact` draws random-forest feature subsets, in level order.
 
 A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
 ``threshold``, ``left``, ``right``, ``value``) in depth-first preorder, as
 in sklearn's ``Tree`` struct. Prediction descends all rows of a matrix at
-once, one vectorized step per depth level (the flattened traversal of
-QuickScorer, Lucchese et al., SIGIR 2015), so its cost is O(depth) numpy
+once, one vectorized step per depth level, so its cost is O(depth) numpy
 calls rather than one Python step per node.
 
 Both fitters place a split between two neighbouring training values with
@@ -28,10 +31,11 @@ Both fitters place a split between two neighbouring training values with
 Determinism: rows are brought into a canonical order before fitting, so the
 fitted tree is bit-identical under any permutation of the training rows.
 Histograms have at most :data:`MAX_BINS` bins per feature, LightGBM's
-default (Ke et al., NeurIPS 2017). When every feature has at most that many
-distinct values the histogram tree has the same candidate splits as the
-exact tree, and the two are bit-identical when the per-group sums are exact
-(integer targets, as in the tests). With float targets the exact scan's
+default (Ke et al., NeurIPS 2017), so a bin code fits in a uint8. When
+every feature has at most that many distinct values the histogram tree has
+the same candidate splits as the exact tree, and the two are bit-identical
+when the per-group sums are exact (integer targets, as in the tests). With
+float targets the exact scan's
 ``reduceat`` and the histogram's sequential ``bincount`` add in different
 orders, can round the sums of tied candidates differently, and the trees
 may then differ.
@@ -135,7 +139,8 @@ class Tree:
 
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
-#: Most bins a histogram gives one feature (LightGBM's default, Ke et al., 2017).
+#: Most bins a histogram gives one feature (LightGBM's default, Ke et al., 2017);
+#: bin codes 0..MAX_BINS - 1 are stored as uint8.
 MAX_BINS = 255
 
 
@@ -161,14 +166,18 @@ class BinMap:
         return len(self.edges[feature]) + 1
 
     def binize(self, X: np.ndarray) -> np.ndarray:
+        """The bin code of every value of ``X``, feature-major: ``out[f, i]`` is the bin of ``X[i, f]``.
+
+        Codes are uint8, which holds every bin number below :data:`MAX_BINS`.
+        """
         X = as_matrix(X)
         if X.shape[1] != self.n_features:
             raise DataError(
                 f"binize: expected {self.n_features} features, got {X.shape[1]}"
             )
-        out = np.empty(X.shape, dtype=np.int32)
+        out = np.empty(X.shape[::-1], dtype=np.uint8)
         for f in range(self.n_features):
-            out[:, f] = np.searchsorted(self.edges[f], X[:, f], side="left")
+            out[f] = np.searchsorted(self.edges[f], X[:, f], side="left")
         return out
 
 
@@ -224,7 +233,7 @@ def fit_tree_hist(X: np.ndarray, y: np.ndarray, cfg: TreeConfig, bins: BinMap) -
     if cfg.feature_subsample != 1.0:
         raise DataError("histogram trees do not subsample features; leave feature_subsample at 1.0")
     X, y = canonical_rows(*training_data(X, y))
-    return _grow(X, y, cfg, bins=bins, binned=bins.binize(X), presort=None)[0]
+    return _grow(X, y, cfg, BinnedColumns(X, bins))[0]
 
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -387,8 +396,8 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
     return _preorder(feature, threshold, left, value, level_start, n_features)
 
 
-#: Entries of the per-feature row lists that one pass of a level scan reads
-#: at once; bounds its working set on large levels.
+#: Entries of the per-feature row lists (or bin codes) that one block of a
+#: level or node scan reads at once; bounds its working set on large tables.
 _SCAN_BLOCK = 1 << 17
 
 
@@ -518,18 +527,97 @@ def _preorder(feature, threshold, left, value, level_start, n_features) -> Tree:
     return Tree(*out, n_features=n_features)
 
 
+class ExactColumns:
+    """Each feature's rows in ascending value order, with the values: what an exact node scan reads.
+
+    Built once per fit from rows in canonical order (ties keep that order)
+    and shared by every boosting stage: a node's value-sorted rows are these
+    lists filtered to the node.
+    """
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, X: np.ndarray):
+        self.rows = column_presort(X).T  # (n_features, n), C-contiguous
+        self.values = np.take_along_axis(X.T, self.rows, axis=1)
+
+    def groups(self, y: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The value groups of the node holding rows ``idx``, feature by feature (see :func:`_best_split`)."""
+        n_features, n = self.rows.shape
+        m = idx.size
+        member = np.zeros(n, dtype=bool)
+        member[idx] = True
+        step = max(1, _SCAN_BLOCK // n)  # a feature's filter reads all n entries of its list
+        parts = []
+        for f in range(0, n_features, step):
+            rows, sv = self.rows[f : f + step].ravel(), self.values[f : f + step].ravel()
+            if m < n:  # keep the node's entries, still sorted by (feature, value)
+                at = np.flatnonzero(member.take(rows))
+                rows, sv = rows.take(at), sv.take(at)
+            new_group = np.empty(sv.size, dtype=bool)
+            np.not_equal(sv[1:], sv[:-1], out=new_group[1:])
+            new_group[::m] = True  # each feature's first entry
+            starts = np.flatnonzero(new_group)
+            parts.append(
+                (
+                    np.add.reduceat(y.take(rows), starts),
+                    np.append(starts[1:], sv.size) - starts,
+                    sv.take(starts),
+                    np.count_nonzero(new_group.reshape(-1, m), axis=1),
+                )
+            )
+        g_y, g_n, g_x, n_groups = (np.concatenate(a) for a in zip(*parts))
+        return g_y, g_n, g_x, g_x, n_groups
+
+
+class BinnedColumns:
+    """Each feature's bin codes (:meth:`BinMap.binize`) and bin value ranges: what a histogram node scan reads.
+
+    The bins of all features are numbered in one sequence, feature by
+    feature; ``bin_start[f]`` is the number of feature ``f``'s first bin.
+    """
+
+    __slots__ = ("codes", "bin_start", "bin_min", "bin_max")
+
+    def __init__(self, X: np.ndarray, bins: BinMap):
+        self.codes = bins.binize(X)
+        self.bin_start = np.cumsum([0] + [bins.n_bins(f) for f in range(bins.n_features)])
+        self.bin_min = np.concatenate(bins.bin_min)
+        self.bin_max = np.concatenate(bins.bin_max)
+
+    def groups(self, y: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The nonempty bins of the node holding rows ``idx``, feature by feature (see :func:`_best_split`).
+
+        Bins accumulate in canonical row order, but ``bincount`` adds
+        sequentially and the exact scan's ``reduceat`` does not, so the sums
+        match exact groups bit for bit only when they are exact.
+        """
+        n_features = self.codes.shape[0]
+        yn = y.take(idx)
+        step = max(1, _SCAN_BLOCK // idx.size)
+        parts = []
+        for f in range(0, n_features, step):
+            codes = self.codes[f : f + step]
+            start = self.bin_start[f : f + codes.shape[0] + 1] - self.bin_start[f]  # in-block bin numbers
+            keys = codes.take(idx, axis=1).astype(np.intp)  # bincount would cast uint8 codes on every call
+            keys += start[:-1, None]
+            keys = keys.ravel()
+            counts = np.bincount(keys, minlength=start[-1])
+            sums = np.bincount(keys, weights=np.tile(yn, codes.shape[0]), minlength=start[-1])
+            nonempty = np.flatnonzero(counts)
+            n_groups = np.diff(np.searchsorted(nonempty, start))
+            parts.append((sums.take(nonempty), counts.take(nonempty), nonempty + self.bin_start[f], n_groups))
+        g_y, g_n, g_bin, n_groups = (np.concatenate(a) for a in zip(*parts))
+        return g_y, g_n, self.bin_min.take(g_bin), self.bin_max.take(g_bin), n_groups
+
+
 def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: TreeConfig,
-    bins: BinMap | None,
-    binned: np.ndarray | None,
-    presort: np.ndarray | None,
+    X: np.ndarray, y: np.ndarray, cfg: TreeConfig, columns: ExactColumns | BinnedColumns
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree depth-first; also return the leaf index of every training row.
 
-    Serves the boosting stages (exact over ``presort``, or histogram over
-    ``bins``) and :func:`fit_tree_hist`; other exact trees use :func:`grow_exact`.
+    Serves the boosting stages and :func:`fit_tree_hist`, scanning
+    ``columns`` built from ``X``; other exact trees use :func:`grow_exact`.
     Every feature is a candidate at every node.
     """
     n_features = X.shape[1]
@@ -548,7 +636,7 @@ def _grow(
         if right_of >= 0:
             right[right_of] = node
         value.append(float(np.sum(y[idx]) / idx.shape[0]))
-        best = _best_split(X, y, cfg, idx, depth, bins, binned, presort)
+        best = None if cfg.max_depth is not None and depth >= cfg.max_depth else _best_split(columns, y, idx)
         if best is None:
             feature.append(-1)
             threshold.append(0.0)
@@ -577,103 +665,39 @@ def _grow(
     return tree, leaf_of
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: TreeConfig,
-    idx: np.ndarray,
-    depth: int,
-    bins: BinMap | None,
-    binned: np.ndarray | None,
-    presort: np.ndarray | None,
-) -> tuple[int, float] | None:
-    """The split of a node at ``depth`` holding rows ``idx``, or None for a leaf."""
-    if cfg.max_depth is not None and depth >= cfg.max_depth:
-        return None
+def _best_split(columns: ExactColumns | BinnedColumns, y: np.ndarray, idx: np.ndarray) -> tuple[int, float] | None:
+    """Best (feature, threshold) by variance reduction of the node holding rows ``idx``, or None for a leaf.
+
+    ``columns.groups`` gives, feature after feature, each value group's
+    target sum, row count and smallest and largest training value, plus the
+    number of groups of each feature. All features are scored in one pass:
+    each feature's prefix sums restart at its first group (each feature is
+    one row of a zero-padded table accumulated along its rows, which adds
+    the same numbers in the same order as a per-feature ``cumsum``), and the
+    first maximum of the scores is the split with the lowest feature, then
+    the lowest threshold, among the best. Candidates are scored by the
+    left+right term of the SSE decrease; the split is taken if it beats the
+    node's S^2/N.
+    """
     y_node = y[idx]
     if y_node[0] == y_node[-1] and np.all(y_node == y_node[0]):
         return None  # constant target (a single row included): no split can reduce variance
-    if bins is None:
-        return _best_split_exact(X, y, idx, presort)
-    return _best_split_hist(y_node, binned[idx], bins)
-
-
-def _best_split_exact(X: np.ndarray, y: np.ndarray, idx: np.ndarray, presort: np.ndarray) -> tuple[int, float] | None:
-    """Best (feature, threshold) by variance reduction, or None.
-
-    Candidates are scored by the left+right term of the SSE decrease (the
-    parent term is constant per node); scanning features in ascending order
-    with strict improvement implements the tie-break rule. A node's rows are
-    sorted by filtering the global presort with the node's membership mask.
-    """
-    mask = np.zeros(X.shape[0], dtype=bool)
-    mask[idx] = True
-    best_score = -np.inf
-    best: tuple[int, float, float] | None = None
-    best_parent = 0.0
-    for f in range(X.shape[1]):
-        col_order = presort[:, f]
-        snode = col_order[mask[col_order]]
-        sv = X[snode, f]
-        if sv[0] == sv[-1]:
-            continue
-        starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-        g_y = np.add.reduceat(y[snode], starts)
-        g_n = np.diff(np.append(starts, idx.shape[0]))
-        score, pos, parent = _score_groups(g_y, g_n)
-        if score <= best_score:
-            continue
-        uniq = sv[starts]
-        best_score, best, best_parent = score, (f, uniq[pos], uniq[pos + 1]), parent
-    if best is None or best_score - best_parent <= 0.0:
-        return None
-    f, lo, hi = best
-    return f, float(split_threshold(lo, hi))
-
-
-def _best_split_hist(yn: np.ndarray, bn: np.ndarray, bins: BinMap) -> tuple[int, float] | None:
-    """Histogram-accumulation variant of :func:`_best_split_exact`, over a node's targets and bin codes.
-
-    Thresholds split between the observed value ranges of consecutive
-    nonempty bins, which reduces to the exact rule whenever bins hold single
-    distinct values. Buckets accumulate in canonical row order, but
-    ``bincount`` adds sequentially and the exact scan's ``reduceat`` does
-    not, so the group sums match it bit for bit only when they are exact.
-    """
-    best_score = -np.inf
-    best: tuple[int, float, float] | None = None
-    best_parent = 0.0
-    for f in range(bins.n_features):
-        b = bn[:, f]
-        n_bins = bins.n_bins(f)
-        counts = np.bincount(b, minlength=n_bins)
-        nonempty = np.flatnonzero(counts)
-        if nonempty.size < 2:
-            continue
-        y_b = np.bincount(b, weights=yn, minlength=n_bins)
-        score, pos, parent = _score_groups(y_b[nonempty], counts[nonempty])
-        if score <= best_score:
-            continue
-        lo, hi = bins.bin_max[f][nonempty[pos]], bins.bin_min[f][nonempty[pos + 1]]
-        best_score, best, best_parent = score, (f, lo, hi), parent
-    if best is None or best_score - best_parent <= 0.0:
-        return None
-    f, lo, hi = best
-    return f, float(split_threshold(lo, hi))
-
-
-def _score_groups(g_y: np.ndarray, g_n: np.ndarray) -> tuple[float, int, float]:
-    """Best split between consecutive value groups of one node.
-
-    Returns (score, position, parent term): the highest :func:`_split_scores`
-    score, the index of the last left-side group of the first split that
-    reaches it, and S^2/N of the whole node.
-    """
-    cy = np.cumsum(g_y)
-    cn = np.cumsum(g_n)
-    score = _split_scores(cy[:-1], cn[:-1], cy[-1], cn[-1])
+    g_y, g_n, g_min, g_max, n_groups = columns.groups(y, idx)
+    m = idx.size
+    n_features, width = n_groups.size, int(n_groups.max())
+    last = np.cumsum(n_groups) - 1
+    at = np.arange(g_y.size) + np.repeat(np.arange(n_features) * width - (last + 1 - n_groups), n_groups)
+    padded = np.zeros(n_features * width)
+    padded[at] = g_y
+    s_left = np.cumsum(padded.reshape(n_features, width), axis=1).ravel().take(at)
+    n_left = np.cumsum(g_n) - np.repeat(np.arange(n_features) * m, n_groups)  # each feature counts all m rows
+    s_tot = s_left.take(last)
+    score = _split_scores(s_left, n_left, np.repeat(s_tot, n_groups), m)
     pos = int(np.argmax(score))
-    return float(score[pos]), pos, float(cy[-1] * cy[-1] / cn[-1])
+    f = int(np.searchsorted(last, pos))
+    if score[pos] - s_tot[f] * s_tot[f] / m <= 0.0:  # also when every feature is constant (-inf)
+        return None
+    return f, float(split_threshold(g_max[pos], g_min[pos + 1]))
 
 
 def _split_scores(s_left, n_left, s_tot, n_tot) -> np.ndarray:

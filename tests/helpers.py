@@ -129,7 +129,7 @@ def reference_tree(X, y, max_depth=None, bins=None):
     X, y = canonical_rows(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
     k = X.shape[1]
     if bins is not None:
-        codes = bins.binize(X)
+        codes = bins.binize(X).T
         offsets = np.cumsum([0] + [bins.n_bins(f) for f in range(k)])
     feature, threshold, left, right, value = [], [], [], [], []
     stack = [(np.arange(len(y)), 0, None)]

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripcast.ensembles import (
     EnsembleConfig,
@@ -17,9 +19,9 @@ from tripcast.ensembles import (
 )
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
-from tripcast.trees import TreeConfig, canonical_rows, fit_tree_exact, predict_tree_batch
+from tripcast.trees import TreeConfig, build_bins, canonical_rows, fit_tree_exact, predict_tree_batch
 
-from tests.helpers import small_model, training_mse, tree_arrays
+from tests.helpers import reference_tree, small_model, training_mse, tree_arrays
 
 
 def _regression_data(seed, n=300, k=5, noise=1.0):
@@ -110,6 +112,32 @@ def test_gbm_training_mse_monotone(nu, mode):
     model = fit_gbm(X, y, EnsembleConfig(n_estimators=30, learning_rate=nu, seed=2), mode=mode)
     mse = np.array(model.train_mse)
     assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6), st.floats(-1e3, 1e3)
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    n_features=st.integers(min_value=1, max_value=6),
+    copies=st.integers(min_value=1, max_value=3),
+    depth=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    mode=st.sampled_from(["exact", "hist"]),
+)
+def test_property_gbm_first_stage_equals_per_node_reference(data, n_features, copies, depth, mode):
+    # Float targets, duplicated rows and any depth: a boosting stage's node
+    # scan must add the same numbers in the same order as a node-by-node
+    # scan of the stage's residuals.
+    X = np.tile([x[:n_features] for x, _ in data], (copies, 1)) * 0.5
+    y = np.tile([t for _, t in data], copies)
+    cfg = EnsembleConfig(n_estimators=1, learning_rate=1.0, tree=TreeConfig(max_depth=depth))
+    model = fit_gbm(X, y, cfg, mode=mode)
+    bins = build_bins(X) if mode == "hist" else None
+    assert tree_arrays(model.members[0][0]) == reference_tree(X, y - model.base_prediction, depth, bins)
 
 
 def test_gbm_hist_equals_exact_on_integer_grid():

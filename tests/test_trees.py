@@ -90,7 +90,9 @@ def test_build_bins_quantiles():
     bm = build_bins(col)
     assert bm.edges[0].size == MAX_BINS - 1
     assert np.allclose(bm.edges[0], np.arange(1, MAX_BINS) / MAX_BINS, atol=0.01)
-    counts = np.bincount(bm.binize(col)[:, 0], minlength=MAX_BINS)
+    codes = bm.binize(col)
+    assert codes.dtype == np.uint8 and codes.shape == (1, 25_500) and codes.max() == MAX_BINS - 1
+    counts = np.bincount(codes[0], minlength=MAX_BINS)
     assert np.all(np.abs(counts - 100) <= 40)
     # each bin's observed range lies between its edges
     assert np.all(bm.bin_max[0][:-1] <= bm.edges[0]) and np.all(bm.edges[0] < bm.bin_min[0][1:])
@@ -99,7 +101,7 @@ def test_build_bins_quantiles():
 def test_binize_maps_every_value_and_clamps_top():
     bm = build_bins(np.array([[1.0], [2.0], [3.0]]))
     got = bm.binize(np.array([[0.5], [1.0], [1.5], [2.0], [99.0]]))
-    assert got[:, 0].tolist() == [0, 0, 0, 1, 2]
+    assert got[0].tolist() == [0, 0, 0, 1, 2]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -397,6 +399,27 @@ def test_property_splits_between_adjacent_and_extreme_values(data):
     values, group = np.unique(X[:, 0], return_inverse=True)
     means = np.bincount(group, weights=y) / np.bincount(group)
     assert np.array_equal(predict_tree_batch(exact, X), means[group])
+
+
+@pytest.mark.parametrize("block", [1, 500, 750])
+def test_scans_over_several_feature_blocks_grow_the_default_trees(monkeypatch, block):
+    # Tables of the other tests fit one block; a small _SCAN_BLOCK splits
+    # every scan into blocks of one or a few features.
+    rng = np.random.default_rng(11)
+    X = np.round(rng.normal(size=(250, 5)), 1)
+    y = X[:, 0] * 3.0 + np.sin(X[:, 1]) + rng.normal(size=250)
+
+    def fits():
+        boosted = [
+            fit_gbm(X, y, EnsembleConfig(n_estimators=3, tree=TreeConfig(max_depth=4)), mode=mode)
+            for mode in ("exact", "hist")
+        ]
+        single = [fit_tree_exact(X, y, TreeConfig(feature_subsample=s, seed=2)) for s in (1.0, 0.5)]
+        return [tree_arrays(t) for model in boosted for t, _ in model.members] + [tree_arrays(t) for t in single]
+
+    default = fits()
+    monkeypatch.setattr(trees, "_SCAN_BLOCK", block)
+    assert fits() == default
 
 
 def test_bagging_members_equal_exact_trees_on_their_resamples():
