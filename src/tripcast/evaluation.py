@@ -209,7 +209,9 @@ def run_scenario(
     Per fold: fit on the train rows (timed: fitting only), predict the test
     rows, compute MAE/RMSE in target units (seconds). Folds without test
     rows are skipped with a diagnostic; a fold whose training window is
-    empty is reported and the run continues. Aggregates are unweighted
+    empty is reported and the run continues. A fold whose fitted model
+    reports ``converged=False`` (a lasso out of sweeps) is kept and gets a
+    diagnostic too. Aggregates are unweighted
     means over the executed folds. Metric values are deterministic for a
     fixed seed; fit times are not.
     """
@@ -237,6 +239,8 @@ def run_scenario(
         t0 = time.perf_counter()
         model.fit(X_train, y_train)
         fit_time = time.perf_counter() - t0
+        converged = getattr(getattr(model, "model", model), "converged", True)
+        note = None if converged else f"fold {fold.index}: fit did not converge; its last iterate is used"
         pred = model.predict(X_test)
         fold_mae = mae(y_test, pred)
         fold_rmse = rmse(y_test, pred)
@@ -254,7 +258,7 @@ def run_scenario(
                 rmse=fold_rmse,
                 fit_time=fit_time,
             ),
-            None,
+            note,
         )
 
     outcomes = [run_fold(fold) for fold in folds]

@@ -346,6 +346,7 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
     bounds = np.array([0, n])
     rows = np.arange(n)
     order = column_presort(X).T
+    flat = np.ravel(X)  # x[r, f] is flat[r * n_features + f]
     goes_left = np.zeros(n, dtype=bool)
     for depth in itertools.count():
         sizes = np.diff(bounds)
@@ -365,7 +366,7 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
             pairs = np.zeros((n_features, ids.size), dtype=bool)
             for i in np.flatnonzero(open_):
                 pairs[rng.choice(n_features, size=n_draw, replace=False), i] = True
-        best_f, best_t, split = _level_splits(X, y, order, bounds, pairs)
+        best_f, best_t, split = _level_splits(flat, y, order, bounds, pairs)
         if not split.any():
             break
         if not split.all():
@@ -375,7 +376,7 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
             bounds = np.concatenate(([0], np.cumsum(sizes)))
 
         at = np.repeat(np.arange(ids.size), sizes)
-        go_left = X[rows, best_f[at]] <= best_t[at]
+        go_left = flat.take(rows * n_features + best_f[at]) <= best_t[at]
         lefts = np.cumsum(go_left)[bounds[1:] - 1]
         n_left = np.diff(lefts, prepend=0)
         empty = (n_left == 0) | (n_left == sizes)
@@ -389,9 +390,9 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
         level_start.append(ids[-1] + 1)
 
         goes_left[rows] = go_left
-        rows = _partition(rows[None], go_left[None], bounds, n_left)[0]
+        _partition(rows[None], goes_left, bounds, n_left)
         if cfg.max_depth is None or depth + 1 < cfg.max_depth:  # else the children are leaves
-            order = _partition(order, goes_left[order], bounds, n_left)
+            _partition(order, goes_left, bounds, n_left)
         bounds = np.append(np.stack((bounds[:-1], bounds[:-1] + n_left), axis=1).ravel(), bounds[-1])
     return _preorder(feature, threshold, left, value, level_start, n_features)
 
@@ -401,15 +402,16 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
 _SCAN_BLOCK = 1 << 17
 
 
-def _level_splits(X, y, order, bounds, pairs):
+def _level_splits(flat, y, order, bounds, pairs):
     """The best split of each open node of a level: (feature, threshold, gain > 0).
 
-    Only the (feature, node) pairs set in ``pairs`` are scanned. Candidate
-    splits lie between the value groups of a pair's rows, and ties go to the
-    lowest threshold, then the lowest feature. Each pair's prefix sums
-    restart at its first group: pairs are laid out as zero-padded rows of
-    blocks of equal power-of-two width, so no row is padded more than
-    twofold, and each block is summed along its rows.
+    ``flat`` is ``X`` raveled row by row. Only the (feature, node) pairs
+    set in ``pairs`` are scanned. Candidate splits lie between the value
+    groups of a pair's rows, and ties go to the lowest threshold, then the
+    lowest feature. Each pair's prefix sums restart at its first group:
+    pairs are laid out as zero-padded rows of blocks of equal power-of-two
+    width, so no row is padded more than twofold, and each block is summed
+    along its rows.
     """
     n_features, k = pairs.shape
     sizes = np.diff(bounds)
@@ -417,22 +419,26 @@ def _level_splits(X, y, order, bounds, pairs):
     node_start[bounds[:-1]] = True
     step = max(1, _SCAN_BLOCK // bounds[-1])
     parts = [
-        _value_groups(X, y, order, pairs, sizes, node_start, f, f + step) for f in range(0, n_features, step)
+        _value_groups(flat, y, order, pairs, sizes, node_start, f, f + step) for f in range(0, n_features, step)
     ]
     group_y, group_n, group_x, n_groups = (np.concatenate(a) for a in zip(*parts))
+    del parts
     pair_f, pair_node = np.nonzero(pairs)
     pair_end = np.cumsum(n_groups)
     pair_first = pair_end - n_groups
-    run = np.arange(group_y.size) - np.repeat(pair_first, n_groups)
 
+    # A group's place in the table is its pair's row start plus its rank in the pair.
+    # Each per-group temporary is deleted once used, to bound the level's peak memory.
     width_exp = np.frexp(n_groups - 1)[1]  # 2**width_exp is the least power of two >= n_groups
     by_width = np.argsort(width_exp, kind="stable")
     width = np.left_shift(1, width_exp[by_width])
     row_start = np.empty_like(width)
     row_start[by_width] = np.cumsum(width) - width
-    dst = np.repeat(row_start, n_groups) + run
+    dst = np.repeat(row_start - pair_first, n_groups)
+    dst += np.arange(dst.size)
     padded = np.zeros(int(width.sum()))
     padded[dst] = group_y
+    del group_y
     exps, n_rows = np.unique(width_exp[by_width], return_counts=True)
     start = 0
     for e, rows in zip(exps.tolist(), n_rows.tolist()):
@@ -440,11 +446,14 @@ def _level_splits(X, y, order, bounds, pairs):
         padded[start:end] = np.cumsum(padded[start:end].reshape(rows, 1 << e), axis=1).ravel()
         start = end
     s_left = padded[dst]
+    del padded, dst
     n_tot = sizes[pair_node]
     n_left = np.cumsum(group_n)
+    del group_n
     n_left -= np.repeat(n_left[pair_end - 1] - n_tot, n_groups)
     s_tot = s_left[pair_end - 1]
     score = _split_scores(s_left, n_left, np.repeat(s_tot, n_groups), np.repeat(n_tot, n_groups))
+    del s_left, n_left
     pair_score = np.maximum.reduceat(score, pair_first)
     hit = np.flatnonzero(score == np.repeat(pair_score, n_groups))
     pair_pos = hit[np.searchsorted(hit, pair_first)]  # first best group of each pair
@@ -462,15 +471,25 @@ def _level_splits(X, y, order, bounds, pairs):
     return best_f, best_t, split
 
 
-def _value_groups(X, y, order, pairs, sizes, node_start, f0, f1):
+def _value_groups(flat, y, order, pairs, sizes, node_start, f0, f1):
     """Target sum, row count and value of each value group of the pairs of features ``f0:f1``.
 
     Also the number of groups of each pair, pairs in ``np.nonzero`` order.
     """
-    keep = np.repeat(pairs[f0:f1], sizes, axis=1)
-    sorted_rows = order[f0:f1][keep]
-    sv = X[sorted_rows, np.repeat(np.arange(f0, f0 + keep.shape[0]), np.count_nonzero(keep, axis=1))]
-    new_group = np.broadcast_to(node_start, keep.shape)[keep]
+    block = pairs[f0:f1]
+    if block.all():
+        sorted_rows = order[f0:f1].ravel()
+        new_group = np.tile(node_start, block.shape[0])
+        per_feature = np.full(block.shape[0], order.shape[1])
+    else:
+        keep = np.repeat(block, sizes, axis=1)
+        sorted_rows = order[f0:f1][keep]
+        new_group = np.broadcast_to(node_start, keep.shape)[keep]
+        per_feature = np.count_nonzero(keep, axis=1)
+    at = sorted_rows * order.shape[0]  # x[r, f] is flat[r * n_features + f]
+    at += np.repeat(np.arange(f0, f0 + block.shape[0]), per_feature)
+    sv = flat.take(at)
+    del at
     pair_start = new_group.copy()
     new_group[1:] |= sv[1:] != sv[:-1]
     starts = np.flatnonzero(new_group)
@@ -484,21 +503,24 @@ def _value_groups(X, y, order, pairs, sizes, node_start, f0, f1):
     )
 
 
-def _partition(a: np.ndarray, go_left: np.ndarray, bounds: np.ndarray, n_left: np.ndarray) -> np.ndarray:
-    """Each row of ``a`` with the left-going entries of every segment moved, in order, ahead of the rest."""
+def _partition(a: np.ndarray, goes_left: np.ndarray, bounds: np.ndarray, n_left: np.ndarray) -> None:
+    """Move, in place, the left-going entries of every segment of each row of ``a`` ahead of the rest, in order.
+
+    ``goes_left`` is indexed by the entries of ``a``. Rows move one at a
+    time, so that no temporary is larger than a row.
+    """
     sizes = np.diff(bounds)
-    lefts = np.cumsum(go_left, axis=1)  # then: left-going entries of the segment up to each entry
-    lefts -= np.repeat(np.cumsum(n_left) - n_left, sizes)
-    # A right-going entry moves ahead by the segment's left-going entries after it ...
-    dest = np.arange(bounds[-1]) + np.repeat(n_left, sizes) - lefts
-    # ... and a left-going one to the segment start plus its rank among them.
-    lefts += np.repeat(bounds[:-1] - 1, sizes)
-    np.copyto(dest, lefts, where=go_left)
-    del lefts
-    dest += np.arange(0, a.size, a.shape[1])[:, None]
-    out = np.empty(a.shape, dtype=a.dtype)
-    out.ravel()[dest] = a
-    return out
+    n_through = np.cumsum(n_left)  # left-going entries of the segments up to each one
+    # With L the left-going entries of the row up to an entry, a left-going
+    # entry moves to its segment's start plus its rank among them ...
+    left_base = np.repeat(bounds[:-1] - 1 - (n_through - n_left), sizes)
+    # ... and a right-going one ahead by the segment's left-going entries after it.
+    right_base = np.arange(bounds[-1]) + np.repeat(n_through, sizes)
+    for row in a:
+        go_left = goes_left[row]
+        lefts = go_left.astype(np.intp)
+        np.cumsum(lefts, out=lefts)
+        row[np.where(go_left, lefts + left_base, right_base - lefts)] = row.copy()
 
 
 def _preorder(feature, threshold, left, value, level_start, n_features) -> Tree:

@@ -8,11 +8,21 @@ one per trip. Trip numbers and cities are integer codes into arrays of
 their distinct labels, stop numbers are int64 and timestamps
 ``datetime64[s]``. Rows that fail validation are rejected with diagnostics,
 never silently coerced.
+
+Neither end of the CSV does per-cell work in the ``csv`` module.
+:func:`write_stops_csv` has ``csv.writer`` quote each distinct label once
+and joins the rows itself. :func:`parse_stops_csv` splits a file in that
+dialect on its bytes, by quote parity, and codes labels once per distinct
+byte string. A file outside that dialect (a quote that does not wrap a
+whole field, a lone ``\\r``, a NUL byte, bytes that are not UTF-8, a field
+over ``csv.field_size_limit()`` or a trip or city cell over 256 bytes) is
+parsed from its start by ``csv.reader`` instead, with the same results.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -20,7 +30,8 @@ import statistics
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -166,6 +177,19 @@ def parse_timestamp(raw: str) -> datetime:
 # ---------------------------------------------------------------------------
 # Parsing
 
+#: Bytes the byte parse reads at a time; bounds its index arrays.
+BLOCK_BYTES = 1 << 22
+
+#: Longest trip or city cell the byte parse codes; a longer one sends the
+#: file to ``csv.reader``, so that a label matrix stays within 8 MB.
+_MAX_LABEL_BYTES = 256
+
+_COMMA, _QUOTE, _LF, _CR = b',"\n\r'
+
+
+class _OutsideDialect(Exception):
+    """The file holds something the byte parse leaves to ``csv.reader``."""
+
 
 class _Labeller:
     """Codes strings by first appearance, across every batch of one parse."""
@@ -178,10 +202,72 @@ class _Labeller:
         """Per value, the tick at which it was first seen (increasing, not dense)."""
         return np.fromiter(map(self._first.setdefault, values, self._ticks), np.int64, n)
 
+    def indexed_codes(self, labels: list[str], index: np.ndarray) -> np.ndarray:
+        """Raw codes of the values ``labels[index]``, each distinct index coded once."""
+        present, first = np.unique(index, return_index=True)
+        present = present[np.argsort(first)]
+        ticks = np.zeros(len(labels), np.int64)
+        ticks[present] = self.raw_codes(map(labels.__getitem__, present.tolist()), present.size)
+        return ticks[index]
+
     def column(self, raw: np.ndarray) -> Coded:
         """Dense codes for raw codes, with the labels in order of first appearance."""
         ticks = np.fromiter(self._first.values(), np.int64, len(self._first))
         return Coded(np.searchsorted(ticks, raw), np.array(list(self._first), dtype=object))
+
+
+class _Columns:
+    """The parsed columns of one file, batch by batch, and its rejects in line order."""
+
+    def __init__(self) -> None:
+        self.trips, self.cities = _Labeller(), _Labeller()
+        self.batches: list[tuple[np.ndarray, ...]] = []  # (trip, city, stop, scheduled, actual)
+        self.rejects: list[RowDiagnostic] = []
+        self.line = 2  # line number of the next non-blank row
+
+    def checked(
+        self,
+        trip_ok: np.ndarray,
+        stop_points: tuple[np.ndarray, np.ndarray],
+        scheduled_points: tuple[np.ndarray, np.ndarray],
+        actual_points: tuple[np.ndarray, np.ndarray],
+        cells: Callable[[int], tuple[str, str, str, str]],
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Convert one batch's stop numbers and timestamps: which rows are kept, and their values.
+
+        The points are :func:`_code_points` pairs. Rows that are not
+        canonical go through :func:`_parse_row` with the strings
+        ``cells(i)`` returns; rejects are recorded and the line count moves
+        on by the batch.
+        """
+        stop_number, fast = _canonical_counts(*stop_points)
+        scheduled, ok = _canonical_timestamps(*scheduled_points)
+        fast &= ok
+        actual, ok = _canonical_timestamps(*actual_points)
+        fast &= ok & trip_ok
+        keep = fast.copy()
+        for i in np.flatnonzero(~fast):
+            parsed, reason = _parse_row(*cells(i))
+            if parsed is None:
+                self.rejects.append(RowDiagnostic(self.line + int(i), reason))
+            else:
+                stop_number[i], scheduled[i], actual[i] = parsed
+                keep[i] = True
+        self.line += len(keep)
+        return keep, (stop_number[keep], scheduled[keep], actual[keep])
+
+    def table(self, path: Path) -> tuple[StopTable, list[RowDiagnostic]]:
+        if sum(len(batch[0]) for batch in self.batches) == 0:
+            raise DataError(f"stops file {path} contains no valid rows")
+        trip, city, stop_number, scheduled, actual = (np.concatenate(c) for c in zip(*self.batches))
+        stops = StopTable(
+            trip=self.trips.column(trip),
+            stop_number=stop_number,
+            city=self.cities.column(city),
+            scheduled_time=scheduled,
+            actual_time=actual,
+        )
+        return stops, self.rejects
 
 
 def parse_stops_csv(
@@ -203,85 +289,228 @@ def parse_stops_csv(
     timestamps) convert a batch at a time; every other row goes through
     :func:`_parse_row`, which accepts what ``int`` and ``strptime`` accept
     after stripping whitespace and says why it rejects a row.
+
+    A file in the dialect ``write_stops_csv`` writes is split into records
+    and fields on its bytes (:func:`_parse_bytes`). Any other file is read
+    from the start by ``csv.reader`` (:func:`_parse_text`); the two give
+    the same rows, labels and rejects.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"stops file not found: {path}")
     names = {logical: (schema or {}).get(logical, logical) for logical in CANONICAL_COLUMNS}
+    try:
+        parsed = _parse_bytes(path, names)
+    except _OutsideDialect:
+        parsed = _parse_text(path, names)
+    return parsed.table(path)
 
-    trips, cities = _Labeller(), _Labeller()
-    batches: list[tuple[np.ndarray, ...]] = []
-    rejects: list[RowDiagnostic] = []
+
+def _column_positions(header: list[str] | None, names: Mapping[str, str], path: Path) -> list[int]:
+    """Where each of ``PARSED_COLUMNS`` is in the header; a missing column is a ``DataError``."""
+    if header is None:
+        raise DataError(f"stops file has no header row: {path}")
+    missing = [c for c in names.values() if c not in header]
+    if missing:
+        raise DataError(f"stops file {path} is missing mandatory column(s): {', '.join(missing)}")
+    last = {name: i for i, name in enumerate(header)}
+    return [last[names[c]] for c in PARSED_COLUMNS]
+
+
+def _parse_text(path: Path, names: Mapping[str, str]) -> _Columns:
+    """Parse any CSV with ``csv.reader``, a batch of ``CHUNK_ROWS`` rows at a time."""
+    out = _Columns()
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"stops file has no header row: {path}")
-        missing = [c for c in names.values() if c not in header]
-        if missing:
-            raise DataError(
-                f"stops file {path} is missing mandatory column(s): {', '.join(missing)}"
-            )
-        last = {name: i for i, name in enumerate(header)}
-        columns = [last[names[c]] for c in PARSED_COLUMNS]
+        columns = _column_positions(next(reader, None), names, path)
         rows = filter(None, reader)
-        line_number = 2
         while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-            batches.append(_parse_chunk(chunk, columns, line_number, rejects, trips, cities))
-            line_number += len(chunk)
-
-    if sum(len(batch[0]) for batch in batches) == 0:
-        raise DataError(f"stops file {path} contains no valid rows")
-    trip, stop_number, city, scheduled, actual = (np.concatenate(c) for c in zip(*batches))
-    stops = StopTable(
-        trip=trips.column(trip),
-        stop_number=stop_number,
-        city=cities.column(city),
-        scheduled_time=scheduled,
-        actual_time=actual,
-    )
-    return stops, rejects
+            _text_batch(chunk, columns, out)
+    return out
 
 
-def _parse_chunk(
-    chunk: list[list[str]],
-    columns: Sequence[int],
-    first_line: int,
-    rejects: list[RowDiagnostic],
-    trips: _Labeller,
-    cities: _Labeller,
-) -> tuple[np.ndarray, ...]:
-    """Convert one batch of CSV rows; appends its rejects in line order."""
+def _text_batch(chunk: list[list[str]], columns: Sequence[int], out: _Columns) -> None:
     n = len(chunk)
     width = max(columns) + 1
     for i in np.flatnonzero(np.fromiter(map(len, chunk), np.int64, n) < width):
         chunk[i] = chunk[i] + [""] * (width - len(chunk[i]))
     trip_raw, stop_raw, city_raw, sched_raw, actual_raw = zip(*map(operator.itemgetter(*columns), chunk))
     trip = list(map(str.strip, trip_raw))
-
-    stop_number, fast = _canonical_counts(stop_raw)
-    scheduled, ok = _canonical_timestamps(sched_raw)
-    fast &= ok
-    actual, ok = _canonical_timestamps(actual_raw)
-    fast &= ok
-    fast &= np.fromiter(map(bool, trip), bool, n)
-
-    keep = fast.copy()
-    for i in np.flatnonzero(~fast):
-        parsed, reason = _parse_row(trip[i], stop_raw[i], sched_raw[i], actual_raw[i])
-        if parsed is None:
-            rejects.append(RowDiagnostic(first_line + int(i), reason))
-        else:
-            stop_number[i], scheduled[i], actual[i] = parsed
-            keep[i] = True
-    n_kept, selected = int(np.count_nonzero(keep)), keep.tolist()
-    return (
-        trips.raw_codes(itertools.compress(trip, selected), n_kept),
-        stop_number[keep],
-        cities.raw_codes(itertools.compress(map(str.strip, city_raw), selected), n_kept),
-        scheduled[keep],
-        actual[keep],
+    keep, values = out.checked(
+        np.fromiter(map(bool, trip), bool, n),
+        _code_points(stop_raw, _MAX_DIGITS),
+        _code_points(sched_raw, _STAMP_WIDTH),
+        _code_points(actual_raw, _STAMP_WIDTH),
+        lambda i: (trip[i], stop_raw[i], sched_raw[i], actual_raw[i]),
     )
+    n_kept, selected = int(np.count_nonzero(keep)), keep.tolist()
+    trip_codes = out.trips.raw_codes(itertools.compress(trip, selected), n_kept)
+    city_codes = out.cities.raw_codes(itertools.compress(map(str.strip, city_raw), selected), n_kept)
+    out.batches.append((trip_codes, city_codes, *values))
+
+
+def _parse_bytes(path: Path, names: Mapping[str, str]) -> _Columns:
+    """Parse a CSV in ``write_stops_csv``'s dialect from its bytes, ``BLOCK_BYTES`` at a time.
+
+    Each block is cut after its last record; the rest is carried into the
+    next. Raises ``_OutsideDialect`` for a file ``csv.reader`` might read
+    differently (see :func:`_split`) and for a trip or city cell longer
+    than ``_MAX_LABEL_BYTES``.
+    """
+    out = _Columns()
+    columns = None
+    with path.open("rb") as handle:
+        rest = b""
+        while True:
+            block = handle.read(BLOCK_BYTES)
+            data = rest + block
+            split = _split(data, at_end=not block)
+            if split is None:
+                rest = data
+                continue
+            rest = data[split.used :]
+            first = 0
+            if columns is None:  # the first record is the header, even if blank
+                header_end = split.terms[split.record_end[0]] + 1 if len(split.record_end) else 0
+                header = next(csv.reader(io.StringIO(data[:header_end].decode("utf-8"), newline="")), None)
+                columns = _column_positions(header, names, path)
+                first = 1
+            body = np.flatnonzero(~split.blank[first:]) + first
+            for lo in range(0, body.size, CHUNK_ROWS):
+                _byte_batch(split, body[lo : lo + CHUNK_ROWS], columns, out)
+            if not block:
+                return out
+
+
+@dataclass(slots=True, frozen=True)
+class _Split:
+    """Records and fields of the leading whole records of a byte buffer.
+
+    ``terms`` holds the position of every field's terminator (a ``,`` or
+    ``\\n`` outside quotes, or the end of the file); field ``t`` spans
+    ``starts[t]:ends[t]``, quotes included and a ``\\r`` before its
+    ``\\n`` excluded. Record ``r`` is fields ``record_end[r] - n_fields[r] + 1``
+    to ``record_end[r]``.
+    """
+
+    data: bytes
+    windows: np.ndarray  # row i: the _MAX_LABEL_BYTES bytes from data[i], zero past the end
+    used: int
+    terms: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    record_end: np.ndarray
+    n_fields: np.ndarray
+    blank: np.ndarray
+
+
+def _split(data: bytes, at_end: bool) -> _Split | None:
+    """Split the whole records of ``data`` by quote parity; None if it holds none yet.
+
+    A ``,``, ``\\n`` or ``\\r`` separates only outside quotes, that is after
+    an even number of ``"``. Raises ``_OutsideDialect`` unless every quote
+    wraps a whole field with no quote inside, every ``\\r`` outside quotes
+    ends a ``\\r\\n``, the file holds no NUL byte, its non-ASCII bytes are
+    UTF-8 and no field is longer than ``csv.field_size_limit()``: then
+    ``csv.reader`` splits the records and fields at the same bytes.
+    """
+    b = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero((b == _COMMA) | (b == _QUOTE) | (b == _LF) | (b == _CR))
+    kind = b[at]
+    quote = kind == _QUOTE
+    outside = (np.cumsum(quote) & 1) == 0  # for a separator; a quote counts itself
+    lf = (kind == _LF) & outside
+    if at_end:
+        used = len(b)
+    elif lf.any():
+        used = int(at[np.flatnonzero(lf)[-1]]) + 1
+    else:
+        return None
+    cut = np.searchsorted(at, used)
+    at, kind, quote, outside = at[:cut], kind[:cut], quote[:cut], outside[:cut]
+    if not b[:used].all():
+        raise _OutsideDialect("NUL byte")
+    if used and b[:used].max() >= 0x80:
+        try:
+            data[:used].decode("utf-8")
+        except UnicodeDecodeError:
+            raise _OutsideDialect("not UTF-8") from None
+
+    quotes = at[quote]
+    if quotes.size % 2:
+        raise _OutsideDialect("unclosed quote")
+    opens, closes = quotes[0::2], quotes[1::2]
+    before = np.where(opens > 0, b[opens - 1], _LF)
+    after = np.where(closes + 1 < used, b[np.minimum(closes + 1, used - 1)], _LF)
+    if not (np.isin(before, (_COMMA, _LF)).all() and np.isin(after, (_COMMA, _LF, _CR)).all()):
+        raise _OutsideDialect("quote inside a field")
+    cr = at[(kind == _CR) & outside]
+    if not (b[np.minimum(cr + 1, used - 1)] == _LF).all():  # a \r at the very end reads itself
+        raise _OutsideDialect("lone \\r")
+
+    is_term = ((kind == _COMMA) | (kind == _LF)) & outside
+    terms, is_end = at[is_term], kind[is_term] == _LF
+    if used > (terms[is_end][-1] + 1 if is_end.any() else 0):  # a last record with no \n
+        terms, is_end = np.append(terms, used), np.append(is_end, True)
+    starts = np.concatenate(([0], terms + 1))[:-1]
+    if (terms - starts).max(initial=0) > csv.field_size_limit():
+        raise _OutsideDialect("field over the csv size limit")
+    ends = terms.copy()
+    ends[np.searchsorted(terms, cr + 1)] -= 1
+    record_end = np.flatnonzero(is_end)
+    n_fields = np.diff(record_end, prepend=-1)
+    blank = (n_fields == 1) & (ends[record_end] == starts[record_end])
+    padded = np.concatenate((b, np.zeros(_MAX_LABEL_BYTES, np.uint8)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, _MAX_LABEL_BYTES)
+    return _Split(data, windows, used, terms, starts, ends, record_end, n_fields, blank)
+
+
+def _byte_batch(split: _Split, records: np.ndarray, columns: Sequence[int], out: _Columns) -> None:
+    """Convert the non-blank ``records`` of ``split``, in order, as one batch."""
+    data = split.data
+    first_field = split.record_end[records] - split.n_fields[records] + 1
+    cells = []
+    for j in columns:
+        has = j < split.n_fields[records]
+        t = np.where(has, first_field + j, 0)
+        start, end = np.where(has, split.starts[t], 0), np.where(has, split.ends[t], 0)
+        quoted = (end > start) & (split.windows[start, 0] == _QUOTE)
+        cells.append((start + quoted, end - start - 2 * quoted))
+    (trip_at, trip_len), stop, (city_at, city_len), scheduled, actual = cells
+
+    def text(cell, i):
+        return data[cell[0][i] : cell[0][i] + cell[1][i]].decode("utf-8")
+
+    trip_labels, trip = _byte_labels(split, trip_at, trip_len)
+    keep, values = out.checked(
+        np.array([bool(label) for label in trip_labels], dtype=bool)[trip],
+        _byte_points(split, *stop, _MAX_DIGITS),
+        _byte_points(split, *scheduled, _STAMP_WIDTH),
+        _byte_points(split, *actual, _STAMP_WIDTH),
+        lambda i: (trip_labels[trip[i]], text(stop, i), text(scheduled, i), text(actual, i)),
+    )
+    city_labels, city = _byte_labels(split, city_at[keep], city_len[keep])
+    trip_codes = out.trips.indexed_codes(trip_labels, trip[keep])
+    out.batches.append((trip_codes, out.cities.indexed_codes(city_labels, city), *values))
+
+
+def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct cells ``data[start:start + length]``, decoded and stripped, and each cell's index into them."""
+    width = int(length.max(initial=1))
+    if width > _MAX_LABEL_BYTES:
+        raise _OutsideDialect("label over _MAX_LABEL_BYTES")
+    cells = np.where(np.arange(width) < length[:, None], split.windows[start, :width], 0)
+    cells = cells.view(f"S{width}").ravel()
+    # A label mostly repeats on the next row: sort only the first cell of each run.
+    run = np.ones(cells.size, dtype=bool)
+    run[1:] = cells[1:] != cells[:-1]
+    distinct, index = np.unique(cells[run], return_inverse=True)
+    return [cell.decode("utf-8").strip() for cell in distinct.tolist()], index[np.cumsum(run) - 1]
+
+
+def _byte_points(split: _Split, start: np.ndarray, length: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Like :func:`_code_points`, for the cells ``data[start:start + length]`` of a split buffer."""
+    return split.windows[start, :width].astype(np.int32) - ord("0"), length
 
 
 def _parse_row(
@@ -315,7 +544,7 @@ _MAX_DIGITS = 18
 
 
 def _code_points(cells: Sequence[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, width) int64 code points minus ord('0'), zero-padded, and each cell's length.
+    """(n, width) int32 code points minus ord('0'), zero-padded, and each cell's length.
 
     Longer cells are cut to ``width``; callers compare the lengths to tell.
     A cell whose last characters are NULs reads shorter here than its
@@ -324,15 +553,17 @@ def _code_points(cells: Sequence[str], width: int) -> tuple[np.ndarray, np.ndarr
     n = len(cells)
     lengths = np.fromiter(map(len, cells), np.int64, n)
     points = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(n, width)
-    return points.astype(np.int64) - ord("0"), lengths
+    return points.astype(np.int32) - ord("0"), lengths
 
 
-def _canonical_counts(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Values of cells of 1 to 18 ASCII digits with a value >= 1, and which cells those are."""
-    digits, lengths = _code_points(cells, _MAX_DIGITS)
+def _canonical_counts(digits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of cells of 1 to 18 ASCII digits with a value >= 1, and which cells those are.
+
+    Takes a :func:`_code_points` pair, cut to ``_MAX_DIGITS``.
+    """
     inside = np.arange(_MAX_DIGITS) < lengths[:, None]
     is_digit = (digits >= 0) & (digits <= 9)
-    value = np.zeros(len(cells), np.int64)
+    value = np.zeros(len(lengths), np.int64)
     for j in range(_MAX_DIGITS):
         value = np.where(inside[:, j], value * 10 + digits[:, j], value)
     ok = (lengths <= _MAX_DIGITS) & np.all(is_digit | ~inside, axis=1) & (value >= 1)
@@ -345,21 +576,21 @@ _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _STAMP_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 
 
-def _canonical_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_timestamps(d: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Times of cells shaped exactly ``YYYY-MM-DDTHH:MM:SS`` naming a real second.
 
-    Returns ``datetime64[s]`` values (meaningless where not accepted) and
-    the acceptance mask. Everything accepted here ``strptime`` accepts with
+    Takes a :func:`_code_points` pair, cut to ``_STAMP_WIDTH``. Returns
+    ``datetime64[s]`` values (meaningless where not accepted) and the
+    acceptance mask. Everything accepted here ``strptime`` accepts with
     the same value; the rest is left to it.
     """
-    d, lengths = _code_points(cells, _STAMP_WIDTH)
     ok = (lengths == _STAMP_WIDTH) & np.all((d[:, _STAMP_DIGITS] >= 0) & (d[:, _STAMP_DIGITS] <= 9), axis=1)
     for pos, sep in _STAMP_SEPARATORS.items():
         ok &= d[:, pos] == ord(sep) - ord("0")
     d = np.where(ok[:, None], d, 0)
 
     def number(first: int, last: int) -> np.ndarray:
-        value = np.zeros(len(cells), np.int64)
+        value = np.zeros(len(lengths), np.int64)
         for j in range(first, last):
             value = value * 10 + d[:, j]
         return value
@@ -382,26 +613,39 @@ def _canonical_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]
 def write_stops_csv(stops: StopTable, handle: IO[str]) -> int:
     """Write stop rows to an open text handle in canonical CSV form; row count.
 
-    Free-text columns that ``stops.text`` does not hold are written empty.
+    Writes the bytes ``csv.writer`` would: each distinct label of a coded
+    column is quoted once, by ``csv.writer`` itself, and each row joined
+    from those strings, ``str`` stop numbers and ``datetime_as_string``
+    stamps. Free-text columns that ``stops.text`` does not hold are
+    written empty.
     """
-    writer = csv.writer(handle)
-    writer.writerow(CANONICAL_COLUMNS)
+    csv.writer(handle).writerow(CANONICAL_COLUMNS)
     coded = {"trip_number": stops.trip, "city": stops.city, **stops.text}
+    quoted = {name: _quoted(column.labels) for name, column in coded.items()}
     n = len(stops)
     for lo in range(0, n, CHUNK_ROWS):
         part = slice(lo, lo + CHUNK_ROWS)
         cells = []
         for name in CANONICAL_COLUMNS:
             if name in coded:
-                cells.append(coded[name].labels[coded[name].codes[part]].tolist())
+                cells.append(quoted[name][coded[name].codes[part]].tolist())
             elif name == "stop_number":
-                cells.append(stops.stop_number[part].tolist())
+                cells.append(map(str, stops.stop_number[part].tolist()))
             elif name in ("scheduled_time", "actual_time"):
                 cells.append(np.datetime_as_string(getattr(stops, name)[part], unit="s").tolist())
             else:
                 cells.append(itertools.repeat(""))
-        writer.writerows(zip(*cells))
+        handle.write("\r\n".join(map(",".join, zip(*cells))))
+        handle.write("\r\n")
     return n
+
+
+def _quoted(labels: np.ndarray) -> np.ndarray:
+    """Each label as ``csv.writer`` writes it inside a row of several cells."""
+    rows: list[str] = []
+    # One write per row; a second, empty cell keeps an empty label from being written as "".
+    csv.writer(SimpleNamespace(write=rows.append)).writerows(zip(labels.tolist(), itertools.repeat("")))
+    return np.array([row[: -len(",\r\n")] for row in rows], dtype=object)
 
 
 # ---------------------------------------------------------------------------

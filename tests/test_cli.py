@@ -4,14 +4,17 @@ import csv
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from tripcast.cli import MODEL_FLAGS, main
 from tripcast.errors import UsageError
 from tripcast.persist import _canonical_bytes
-from tripcast.registry import REGISTRY, make_model
+from tripcast import linear, registry
+from tripcast.registry import REGISTRY, ModelRegistryEntry, make_model
 
 SMALL_CONFIG = """
 months = 2019-03..2019-09
@@ -101,6 +104,18 @@ def test_run_metric_columns_deterministic(tmp_path, stops_csv):
         return [row[:8] for row in rows]  # all but fit_time
 
     assert metrics(tmp_path / "a") == metrics(tmp_path / "b")
+
+
+def test_run_notes_a_lasso_that_did_not_converge(tmp_path, stops_csv, capsys):
+    one_sweep = registry._linear(partial(linear.fit_lasso, max_iter=1))
+    with mock.patch.dict(REGISTRY, {"la": ModelRegistryEntry("lasso (L1)", one_sweep, ("lam",))}):
+        code = main(
+            ["run", str(stops_csv), "--scenario", "1", "--target", "duration",
+             "--models", "la", "--out", str(tmp_path / "run")]
+        )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "note [la]: fold 0: fit did not converge; its last iterate is used" in err
 
 
 def test_run_unknown_model_exit_code(tmp_path, stops_csv, capsys):

@@ -2,6 +2,7 @@
 
 import math
 from datetime import datetime, timedelta
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from tripcast.evaluation import (
     run_scale_bench,
     run_scenario,
 )
-from tripcast.featurize import TargetKind, build_table
+from tripcast.featurize import DAY_TYPE_COLUMN, TargetKind, build_table
+from tripcast.linear import fit_lasso
+from tripcast.registry import Estimator
 from tests.helpers import MeanModel, make_trip, trip_table
 
 
@@ -176,6 +179,22 @@ def test_run_scenario_aggregate_is_mean_of_folds():
         assert r.mae <= r.rmse
         assert r.fit_time >= 0.0
         assert r.n_train > 0 and r.n_test > 0
+
+
+def test_run_scenario_notes_folds_whose_fit_did_not_converge():
+    table = _seven_month_table()
+    table.y[:] += np.arange(table.y.size) % 7 * 60.0
+
+    def lasso(max_iter):
+        return lambda fold: Estimator("linear", partial(fit_lasso, max_iter=max_iter, day_type_col=DAY_TYPE_COLUMN))
+
+    capped = run_scenario(table, ScenarioSpec.for_id(1), "la", lasso(1))
+    assert len(capped.results) == 3
+    assert capped.diagnostics == [f"fold {r.fold}: fit did not converge; its last iterate is used" for r in capped.results]
+    full = run_scenario(table, ScenarioSpec.for_id(1), "la", lasso(10_000))
+    assert full.diagnostics == []
+    # The note changes nothing else: the capped fits are scored as they are.
+    assert [r.mae for r in capped.results] != [r.mae for r in full.results]
 
 
 def test_run_scenario_metrics_deterministic():

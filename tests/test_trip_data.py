@@ -1,6 +1,8 @@
 """Ingestion, trip assembly, and summary statistics."""
 
+import contextlib
 import csv
+import io
 import math
 import tempfile
 from datetime import datetime
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripcast import trip_data
+from tripcast import cli, trip_data
 from tripcast.errors import DataError
 from tripcast.trip_data import (
     assemble_trips,
@@ -21,7 +23,7 @@ from tripcast.trip_data import (
     write_stops_csv,
 )
 
-from tests.helpers import make_stops, stop_rows, trip_table, trip_tables_equal
+from tests.helpers import coded, make_stops, stop_rows, trip_table, trip_tables_equal
 
 HEADER = "trip_number,trip_description,stop_number,client_name,address,city,scheduled_time,actual_time"
 
@@ -368,6 +370,124 @@ def test_parse_duplicate_header_reads_last_column(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Byte parse: files inside and outside the writer's dialect, read from their bytes.
+
+# Cell text with every byte that matters to the split, and some that do not.
+odd_text = st.text(alphabet=',"\n\r \tT1-:ü \x00', max_size=4)
+
+
+def _quote(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def raw_cell(draw, values, in_dialect):
+    """One cell as it stands in the file: a value, quoted as csv.writer would or not."""
+    value = draw(padding) + draw(st.one_of(values, values, odd_text)) + draw(padding)
+    if in_dialect:
+        value = value.replace('"', "").replace("\x00", "")
+        needs_quotes = any(c in value for c in ',\n\r')
+        return _quote(value) if needs_quotes or draw(st.booleans()) else value
+    form = draw(st.sampled_from(["plain", "quoted", "padded quoted", "quote inside"]))
+    if form == "plain":
+        return value
+    if form == "quoted":
+        return _quote(value)
+    if form == "padded quoted":
+        return " " + _quote(value)
+    return value + '"' + value
+
+
+@st.composite
+def stops_file(draw):
+    """The text of a stops CSV and whether it keeps to the writer's dialect."""
+    in_dialect = draw(st.booleans())
+    terminators = ["\n", "\r\n"] if in_dialect else ["\n", "\r\n", "\r"]
+    columns = [trip_numbers, st.just("desc"), stop_numbers, st.just("c"), st.just("addr, 1"), cities]
+    columns += [timestamps, timestamps, st.just("extra")]
+    parts = [HEADER, draw(st.sampled_from(terminators))]
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 5)) == 0:
+            parts.append(draw(st.sampled_from(terminators)))  # a blank line
+            continue
+        width = draw(st.sampled_from([8, 8, 8, 1, 3, 7, 9]))
+        parts.append(",".join(draw(raw_cell(values, in_dialect)) for values in columns[:width]))
+        parts.append(draw(st.sampled_from(terminators)))
+    if draw(st.booleans()):
+        parts.pop()  # no line end after the last row
+    return "".join(parts), in_dialect
+
+
+def _no_fallback(path, names):
+    raise AssertionError("a file in the writer's dialect was left to csv.reader")
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=stops_file(), block=st.sampled_from([1, 7, 64, 1 << 22]), chunk=st.sampled_from([1, 2, 1 << 15]))
+def test_byte_parse_matches_row_reference(doc, block, chunk):
+    text, in_dialect = doc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stops.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with (
+            mock.patch.object(trip_data, "BLOCK_BYTES", block),
+            mock.patch.object(trip_data, "CHUNK_ROWS", chunk),
+            mock.patch.object(trip_data, "_parse_text", _no_fallback) if in_dialect else contextlib.nullcontext(),
+        ):
+            assert_parse_matches_reference(path)
+
+
+GOOD_ROW = "T1,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        'T2,d,1,a,"p""q",Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n',  # a doubled quote
+        'T2,d,1,a,x"y,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n',  # a quote inside a field
+        'T2,d,1,a, "addr",Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n',  # a padded quoted field
+        "T2,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\rT3,d,1\n",  # a lone \r
+        "T2,d,1,a,ad\x00dr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n",  # a NUL byte
+        "T" + "2" * 300 + ",d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n",  # a long label
+        "T2,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\r",  # a \r at the end
+        'T2,d,1,a,addr,"Linz',  # an unclosed quote
+    ],
+)
+def test_files_outside_the_dialect_take_csv_reader(tmp_path, body):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(f"{HEADER}\n{GOOD_ROW}\n{body}".encode("utf-8"))
+    with mock.patch.object(trip_data, "_parse_text", wraps=trip_data._parse_text) as text_parse:
+        assert_parse_matches_reference(path)
+    assert text_parse.call_count == 1
+
+
+def test_invalid_utf8_fails_as_csv_reader_does(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{HEADER}\n{GOOD_ROW}\n".encode("utf-8") + "T2,d,1,a,Straße,Linz,x,y\n".encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError):
+        parse_stops_csv(path)
+
+
+def test_synth_output_parses_without_csv_reader(tmp_path):
+    conf = tmp_path / "gen.conf"
+    conf.write_text("months = 2019-03\nweekday_trips_mean = 20\nweekday_trips_std = 3\nseed = 3\n", encoding="utf-8")
+    path = tmp_path / "stops.csv"
+    assert cli.main(["synth", "--config", str(conf), "--out", str(path)]) == 0
+    real_reader = csv.reader
+
+    def header_only(lines, *args, **kwargs):
+        # The header is handed over as one string; a file handle means the body fell back.
+        if not isinstance(lines, io.StringIO):
+            raise AssertionError("csv.reader was asked to read the stops file")
+        return real_reader(lines, *args, **kwargs)
+
+    with mock.patch.object(trip_data.csv, "reader", header_only):
+        stops, rejects = parse_stops_csv(path)
+    assert len(stops) > 100 and rejects == []
+    assert_parse_matches_reference(path)
+
+
+# ---------------------------------------------------------------------------
 # Assembly
 
 
@@ -482,6 +602,30 @@ def test_write_then_parse_round_trip(tmp_path):
     assert stop_rows(parsed) == stop_rows(stops) and rejects == []
     # Free text the table does not hold is written empty.
     assert path.read_text().splitlines()[1] == "T1,,1,,,Linz,2019-03-04T08:00:00,2019-03-04T08:10:00"
+
+
+ODD_LABELS = ["", "a,b", 'say "hi"', "cr\rx", "lf\nx", "crlf\r\n", " pad ", "Straße", '"', ","]
+
+
+def test_write_matches_csv_writer_bytes():
+    n = 3 * len(ODD_LABELS)
+    labels = ODD_LABELS * 3
+    stops = make_stops(
+        [(labels[i], i + 1, labels[-1 - i], f"2019-03-04T08:{i:02d}:00", f"2019-03-04T09:{i:02d}:00") for i in range(n)]
+    )
+    stops = trip_data.StopTable(
+        stops.trip, stops.stop_number, stops.city, stops.scheduled_time, stops.actual_time,
+        text={"address": coded(labels[::-1]), "client_name": coded(labels)},
+    )
+    got = io.StringIO(newline="")
+    assert write_stops_csv(stops, got) == n
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(trip_data.CANONICAL_COLUMNS)
+    for i in range(n):
+        sched, actual = (str(t)[:19].replace(" ", "T") for t in (stops.scheduled_time[i], stops.actual_time[i]))
+        writer.writerow([labels[i], "", i + 1, labels[i], labels[-1 - i], labels[-1 - i], sched, actual])
+    assert got.getvalue() == want.getvalue()
 
 
 def _trips(*specs):
