@@ -21,8 +21,9 @@ into canonical order before any bootstrap index is drawn, so fitted models
 are deterministic in (data, config, seed) and invariant to input row order.
 A sorted resample of a canonical table is itself canonical, so members grow
 from it directly without a second check or sort. Members are flat
-:class:`~tripcast.trees.Tree` records; prediction descends them one at a
-time and combines their values in member order. A single decision tree is a
+:class:`~tripcast.trees.Tree` records, descended one at a time over a
+feature-major copy of the query and combined in member order; AdaBoost.R2
+holds its canonical rows only feature-major. A single decision tree is a
 one-member bagging ensemble without bootstrap.
 
 :class:`EnsembleModel` owns its persisted form (``to_payload`` /
@@ -49,8 +50,8 @@ from .trees import (
     build_bins,
     canonical_rows,
     descend,
+    feature_major,
     grow_exact,
-    row_major,
 )
 
 EnsembleKind = Literal["bagging", "random_forest", "gbm_exact", "gbm_hist", "adaboost_r2"]
@@ -272,22 +273,20 @@ def fit_adaboost_r2(
     which gets a large finite weight instead of a division by zero).
     """
     cfg, Xc, yc = _prepare(X, y, cfg, "adaboost_r2")
-    n = Xc.shape[0]
-    flat, offsets = row_major(Xc, Xc.shape[1])
+    cols = np.ascontiguousarray(Xc.T)
+    del Xc  # stages grow on rows of cols.T: one copy of the table, not two
+    n = yc.shape[0]
     sample_weight = np.full(n, 1.0 / n)
     members: list[tuple[Tree, float]] = []
     for m in range(cfg.n_estimators):
         rng = substream(cfg.seed, "resample", m)
         idx = np.sort(rng.choice(n, size=n, replace=True, p=sample_weight))
         stage_cfg = replace(cfg.tree, seed=derive_seed(cfg.seed, "member-tree", m))
-        tree = grow_exact(Xc[idx], yc[idx], stage_cfg)
+        tree = grow_exact(cols.T[idx], yc[idx], stage_cfg)
 
-        error = np.abs(descend(tree, flat, offsets) - yc)
+        error = np.abs(descend(tree, cols) - yc)
         error_max = float(error.max())
-        if error_max > 0:
-            loss = error / error_max
-        else:
-            loss = np.zeros(n)
+        loss = error / error_max if error_max > 0 else np.zeros(n)
 
         avg_loss = float(np.sum(sample_weight * loss))
         if avg_loss < PERFECT_LOSS_EPS:
@@ -304,7 +303,7 @@ def fit_adaboost_r2(
         sample_weight = sample_weight / np.sum(sample_weight)
     return EnsembleModel(
         kind="adaboost_r2",
-        n_features=Xc.shape[1],
+        n_features=cols.shape[0],
         base_prediction=0.0,
         members=members,
         config=cfg,
@@ -314,30 +313,30 @@ def fit_adaboost_r2(
 def predict_ensemble_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """Row-matrix prediction: mean, boosted sum, or weighted median by kind.
 
-    Members are descended one at a time, so apart from AdaBoost's member
-    prediction matrix the working set stays a few arrays of one entry per
-    row; sums run in member order.
+    Members are descended one at a time over a feature-major copy of ``X``;
+    besides it and AdaBoost's member predictions the working set is a few
+    arrays of one entry per row. Sums run in member order.
     """
-    flat, offsets = row_major(X, model.n_features)
+    cols = feature_major(X, model.n_features)
     if not model.members:
         raise DataError("ensemble has no members")
 
     if model.kind in ("bagging", "random_forest"):
-        total = np.zeros(offsets.shape[0])
+        total = np.zeros(cols.shape[1])
         for tree, _ in model.members:
-            total += descend(tree, flat, offsets)
+            total += descend(tree, cols)
         return total / len(model.members)
 
     if model.kind in ("gbm_exact", "gbm_hist"):
-        out = np.full(offsets.shape[0], model.base_prediction)
+        out = np.full(cols.shape[1], model.base_prediction)
         for tree, weight in model.members:
-            out += weight * descend(tree, flat, offsets)
+            out += weight * descend(tree, cols)
         return out
 
     if model.kind == "adaboost_r2":
-        preds = np.empty((offsets.shape[0], len(model.members)))
+        preds = np.empty((cols.shape[1], len(model.members)))
         for j, (tree, _) in enumerate(model.members):
-            preds[:, j] = descend(tree, flat, offsets)
+            preds[:, j] = descend(tree, cols)
         weights = np.array([w for _, w in model.members])
         return weighted_median(preds, weights)
 

@@ -120,19 +120,14 @@ def make_folds(table: FeatureTable, spec: ScenarioSpec) -> list[Fold]:
         )
 
     slices: list[tuple[datetime, datetime]] = []
-    if spec.test_months is not None:
-        cursor = test_start
-        while cursor < end_exclusive:
+    cursor = test_start
+    while cursor < end_exclusive:
+        if spec.test_months is not None:
             nxt = add_months(cursor, spec.test_months)
-            slices.append((cursor, min(nxt, end_exclusive)))
-            cursor = nxt
-    else:
-        step = timedelta(days=spec.test_days)
-        cursor = test_start
-        while cursor < end_exclusive:
-            nxt = cursor + step
-            slices.append((cursor, min(nxt, end_exclusive)))
-            cursor = nxt
+        else:
+            nxt = cursor + timedelta(days=spec.test_days)
+        slices.append((cursor, min(nxt, end_exclusive)))
+        cursor = nxt
 
     folds = []
     for index, (ts, te) in enumerate(slices):
@@ -210,10 +205,10 @@ def run_scenario(
     rows, compute MAE/RMSE in target units (seconds). Folds without test
     rows are skipped with a diagnostic; a fold whose training window is
     empty is reported and the run continues. A fold whose fitted model
-    reports ``converged=False`` (a lasso out of sweeps) is kept and gets a
-    diagnostic too. Aggregates are unweighted
-    means over the executed folds. Metric values are deterministic for a
-    fixed seed; fit times are not.
+    reports ``converged=False`` (a lasso out of sweeps), or an AdaBoost.R2
+    model that stopped before ``n_estimators`` stages, is kept and gets a
+    diagnostic too. Aggregates are unweighted means over the executed
+    folds. Metric values are deterministic for a fixed seed; fit times are not.
     """
     folds = make_folds(table, spec)
     times_s = table.start_times
@@ -239,8 +234,12 @@ def run_scenario(
         t0 = time.perf_counter()
         model.fit(X_train, y_train)
         fit_time = time.perf_counter() - t0
-        converged = getattr(getattr(model, "model", model), "converged", True)
-        note = None if converged else f"fold {fold.index}: fit did not converge; its last iterate is used"
+        fitted = getattr(model, "model", model)
+        note = None
+        if not getattr(fitted, "converged", True):
+            note = f"fold {fold.index}: fit did not converge; its last iterate is used"
+        elif getattr(fitted, "kind", None) == "adaboost_r2" and len(fitted.members) < fitted.config.n_estimators:
+            note = f"fold {fold.index}: stopped after {len(fitted.members)} of {fitted.config.n_estimators} stages"
         pred = model.predict(X_test)
         fold_mae = mae(y_test, pred)
         fold_rmse = rmse(y_test, pred)

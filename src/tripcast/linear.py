@@ -53,7 +53,8 @@ class LinearModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = query_matrix(X, self.n_raw_features)
         Xe = expand_day_type(X, self.day_type_col)
-        Xs = (Xe - self.feature_means) / self.feature_scales
+        Xs = Xe - self.feature_means  # a new array even when Xe is the caller's X
+        Xs /= self.feature_scales
         return Xs @ self.coefficients + self.intercept
 
     def to_dict(self) -> dict:

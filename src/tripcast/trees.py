@@ -21,9 +21,9 @@ together. Both growers take the same split at every node; only
 
 A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
 ``threshold``, ``left``, ``right``, ``value``) in depth-first preorder, as
-in sklearn's ``Tree`` struct. Prediction descends all rows of a matrix at
-once, one vectorized step per depth level, so its cost is O(depth) numpy
-calls rather than one Python step per node.
+in sklearn's ``Tree`` struct. :func:`descend` routes all rows of a
+feature-major query at once, one step per depth level, each row reading the
+column its node tests: O(depth) numpy calls, not one Python step per node.
 
 Both fitters place a split between two neighbouring training values with
 :func:`split_threshold`, so no split can leave a child empty.
@@ -238,37 +238,38 @@ def fit_tree_hist(X: np.ndarray, y: np.ndarray, cfg: TreeConfig, bins: BinMap) -
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Leaf value of every row of ``X`` (ties at a threshold go left)."""
-    flat, offsets = row_major(X, tree.n_features)
-    return descend(tree, flat, offsets)
+    return descend(tree, feature_major(X, tree.n_features))
 
 
-def row_major(X: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` as one flat row-major array plus the offset of each row in it.
+def feature_major(X: np.ndarray, n_features: int) -> np.ndarray:
+    """``X`` copied feature by feature: ``cols[f, i]`` is ``X[i, f]``, each column contiguous.
 
     Every tree and ensemble prediction enters here, so this is where the
     query is checked (:func:`~tripcast.checks.query_matrix`).
     """
-    X = query_matrix(X, n_features)
-    return np.ascontiguousarray(X).ravel(), np.arange(X.shape[0]) * n_features
+    return np.ascontiguousarray(query_matrix(X, n_features).T)
 
 
-def descend(tree: Tree, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Route all rows down ``tree`` together, one step per depth level.
+def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
+    """Route all rows of feature-major ``cols`` down ``tree`` together, one step per depth level.
 
-    Each row's feature value is read with a 1-D ``take`` at
-    ``offset + feature``; leaves point to themselves, so rows that reach one
-    early stay put. The next node is looked up at ``2 * node + go_left`` in
-    an interleaved (right, left) child table, which is cheaper than
-    ``np.where`` on a data-dependent mask. Working memory is a few arrays of
-    one entry per row.
+    The root's test reads one whole column. Below it a row's state is
+    ``k = 2 * node``; tables indexed by ``k`` hold the node's column start in
+    ``cols.ravel()`` and its threshold, and at ``k + go_left`` the next ``k``.
+    Rows at nodes that test one feature thus gather from one column (Asadi,
+    Lin & de Vries, IEEE TKDE 2014). Leaves point to themselves, so rows that
+    reach one early stay put.
     """
-    feature = np.maximum(tree.feature, 0)  # a leaf's comparison is moot
-    child = np.stack((tree.right, tree.left), axis=1).ravel()
-    node = np.zeros(offsets.shape[0], dtype=np.intp)
-    for _ in range(tree.depth):
-        go_left = flat.take(offsets + feature.take(node)) <= tree.threshold.take(node)
-        node = child.take(2 * node + go_left)
-    return tree.value.take(node)
+    flat, rows = cols.ravel(), np.arange(cols.shape[1])
+    if tree.feature[0] < 0:
+        return np.full(rows.size, tree.value[0])
+    child2 = 2 * np.stack((tree.right, tree.left), axis=1).ravel()
+    base = np.repeat(rows.size * np.maximum(tree.feature, 0), 2)  # a leaf's comparison is moot
+    threshold2 = np.repeat(tree.threshold, 2)
+    k = child2.take(cols[tree.feature[0]] <= tree.threshold[0])
+    for _ in range(tree.depth - 1):
+        k = child2.take(k + (flat.take(base.take(k) + rows) <= threshold2.take(k)))
+    return tree.value.take(k >> 1)
 
 
 def split_threshold(lo, hi):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
@@ -116,6 +117,17 @@ def test_run_notes_a_lasso_that_did_not_converge(tmp_path, stops_csv, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "note [la]: fold 0: fit did not converge; its last iterate is used" in err
+
+
+def test_run_notes_adaboost_folds_that_stopped_early(tmp_path, stops_csv, capsys):
+    code = main(
+        ["run", str(stops_csv), "--scenario", "1", "--target", "duration",
+         "--models", "ab", "--n-estimators", "50", "--out", str(tmp_path / "run")]
+    )
+    assert code == 0
+    notes = re.findall(r"^note \[ab\]: fold (\d+): stopped after (\d+) of 50 stages$", capsys.readouterr().err, re.M)
+    assert [fold for fold, _ in notes] == ["0", "1", "2"]
+    assert all(1 <= int(stages) < 50 for _, stages in notes)
 
 
 def test_run_unknown_model_exit_code(tmp_path, stops_csv, capsys):

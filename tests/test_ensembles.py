@@ -206,6 +206,20 @@ def test_adaboost_unknown_loss():
         EnsembleConfig(loss="huber")
 
 
+@pytest.mark.parametrize("abbrev", ["dt", "br", "rf", "gb", "hgb", "ab"])
+def test_prediction_does_not_depend_on_query_memory_layout(abbrev):
+    X, y = _regression_data(8, n=200, k=4)
+    model = small_model(abbrev, 3, 6).fit(X, y)
+    wide = np.random.default_rng(2).normal(size=(151, 6))
+    Q = np.ascontiguousarray(wide[:, 1:5])
+    want = model.predict(Q).tobytes()
+    assert model.predict(np.asfortranarray(Q)).tobytes() == want
+    assert model.predict(wide[:, 1:5]).tobytes() == want  # a column slice: rows strided by 6
+    half = model.predict(np.ascontiguousarray(Q[::2])).tobytes()
+    assert model.predict(Q[::2]).tobytes() == half
+    assert model.predict(wide[::2, 1:5]).tobytes() == half
+
+
 def test_prediction_range_bounded_for_averaging_ensembles():
     X, y = _regression_data(41, n=250, k=4)
     Xq = np.random.default_rng(6).normal(scale=4.0, size=(200, 4))

@@ -21,7 +21,7 @@ from tripcast.evaluation import (
 )
 from tripcast.featurize import DAY_TYPE_COLUMN, TargetKind, build_table
 from tripcast.linear import fit_lasso
-from tripcast.registry import Estimator
+from tripcast.registry import Estimator, make_model
 from tests.helpers import MeanModel, make_trip, trip_table
 
 
@@ -195,6 +195,25 @@ def test_run_scenario_notes_folds_whose_fit_did_not_converge():
     assert full.diagnostics == []
     # The note changes nothing else: the capped fits are scored as they are.
     assert [r.mae for r in capped.results] != [r.mae for r in full.results]
+
+
+def test_run_scenario_notes_adaboost_folds_that_stopped_early():
+    # Duration is a step in the start hour, so AdaBoost.R2's first stage
+    # fits every training row and boosting stops there.
+    table = _seven_month_table()
+    fitted = []
+
+    def adaboost(fold):
+        fitted.append(make_model("ab", fold, n_estimators=5))
+        return fitted[-1]
+
+    stopped = run_scenario(table, ScenarioSpec.for_id(1), "ab", adaboost)
+    assert [len(m.model.members) for m in fitted] == [1, 1, 1]
+    assert stopped.diagnostics == [f"fold {r.fold}: stopped after 1 of 5 stages" for r in stopped.results]
+    table.y[:] += np.arange(table.y.size) % 7 * 60.0
+    full = run_scenario(table, ScenarioSpec.for_id(1), "ab", lambda fold: make_model("ab", fold, n_estimators=5))
+    assert len(full.results) == 3
+    assert full.diagnostics == []
 
 
 def test_run_scenario_metrics_deterministic():

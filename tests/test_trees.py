@@ -252,6 +252,34 @@ def test_vectorized_descent_matches_row_walk_for_every_tree_kind():
         assert got.tobytes() == reference_predict(tree, queries).tobytes(), kind
 
 
+@settings(max_examples=80, deadline=5000)
+@given(
+    data=st.lists(
+        st.tuples(st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6), st.integers(-20, 20)),
+        min_size=1,
+        max_size=40,
+    ),
+    n_features=st.integers(min_value=1, max_value=6),
+    depth=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    hist=st.booleans(),
+    queries=st.lists(st.lists(st.integers(min_value=-1, max_value=9), min_size=6, max_size=6), min_size=1, max_size=30),
+)
+def test_property_descent_equals_row_walk(data, n_features, depth, hist, queries):
+    # One-row data or equal targets give single-leaf trees. Queries lie on a
+    # 0.25 grid, as do the midpoints of the 0.5-spaced training values, and
+    # one query per split sits on that split's threshold.
+    X = np.array([x[:n_features] for x, _ in data]) * 0.5
+    y = np.array([t for _, t in data], dtype=float)
+    cfg = TreeConfig(max_depth=depth)
+    tree = fit_tree_hist(X, y, cfg, build_bins(X)) if hist else fit_tree_exact(X, y, cfg=cfg)
+    split = np.flatnonzero(tree.feature >= 0)
+    on_split = np.repeat(X[:1], split.size, axis=0)
+    on_split[np.arange(split.size), tree.feature[split]] = tree.threshold[split]
+    Q = np.vstack([np.array(queries)[:, :n_features] * 0.25, on_split, X])
+    assert predict_tree_batch(tree, Q).tobytes() == reference_predict(tree, Q).tobytes()
+    assert predict_tree_batch(tree, Q[-1:]).tobytes() == reference_predict(tree, Q[-1:]).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.lists(
