@@ -12,9 +12,11 @@ All four are built on the regression trees in :mod:`tripcast.trees`:
 
 Bagging, random forest and AdaBoost members are exact trees grown level by
 level (:func:`~tripcast.trees.grow_exact`); gradient-boosting stages are
-grown depth-first over every feature, on one presort (exact) or bin map
-(histogram) shared by all stages, and also give the leaf of every training
-row.
+grown depth-first over every feature and also give the leaf of every
+training row. The columns a stage scans are built once per fit and shared
+by all stages: the presort and a row-membership mask (exact), or the
+(feature, bin) key of every value (histogram, a dense feature x bin table
+per node).
 
 Training data is checked once per fit (:mod:`tripcast.checks`) and brought
 into canonical order before any bootstrap index is drawn, so fitted models

@@ -11,12 +11,14 @@ statistics instead of sorting.
 Exact trees are grown level by level (:func:`grow_exact`): each level scans
 all open nodes at once over per-feature row lists kept sorted by node and
 value. Histogram trees and the stages of gradient boosting are grown
-depth-first, one node at a time (:func:`_grow`), over every feature. Each
-such node is scanned in one pass (:func:`_best_split`): the value groups of
-all features are gathered block by block, from the shared presort filtered
-to the node (:class:`ExactColumns`) or from ``bincount`` over a
-feature-major uint8 bin-code table (:class:`BinnedColumns`), and scored
-together. Both growers take the same split at every node; only
+depth-first, one node at a time (:func:`_grow`), over every feature, and
+each such node scores all features in one pass. The exact scan
+(:class:`ExactColumns`) filters the shared presort to the node, adds each
+value group's targets with ``reduceat`` and scores every group at once. The
+histogram scan (:class:`BinnedColumns`) counts the node's (feature, bin)
+keys into one dense (feature x bin) table with two ``bincount`` calls and
+scores every cell at once, an empty bin repeating the score of the bin
+before it. Both growers take the same split at every node; only
 :func:`grow_exact` draws random-forest feature subsets, in level order.
 
 A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
@@ -273,12 +275,15 @@ def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
 
 
 def split_threshold(lo, hi):
-    """Where to split between neighbouring values ``lo < hi`` (scalars or arrays).
+    """Where to split between neighbouring values ``lo < hi`` (Python floats or arrays).
 
     The midpoint, or ``lo`` itself when the midpoint rounds onto ``hi`` (two
     adjacent floats) or overflows; rows equal to ``lo`` go left and rows
     equal to ``hi`` go right either way.
     """
+    if type(lo) is float:  # one split: Python arithmetic rounds as numpy's does, without its call overhead
+        mid = (lo + hi) / 2.0
+        return mid if lo <= mid < hi else lo
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
     return np.where((lo <= mid) & (mid < hi), mid, lo)
@@ -398,8 +403,8 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
     return _preorder(feature, threshold, left, value, level_start, n_features)
 
 
-#: Entries of the per-feature row lists (or bin codes) that one block of a
-#: level or node scan reads at once; bounds its working set on large tables.
+#: Entries of the per-feature row lists that one block of an exact level or
+#: node scan reads at once; bounds its working set on large tables.
 _SCAN_BLOCK = 1 << 17
 
 
@@ -555,83 +560,101 @@ class ExactColumns:
 
     Built once per fit from rows in canonical order (ties keep that order)
     and shared by every boosting stage: a node's value-sorted rows are these
-    lists filtered to the node.
+    lists filtered to the node, through a row mask each node sets and clears.
     """
 
-    __slots__ = ("rows", "values")
+    __slots__ = ("rows", "values", "member")
 
     def __init__(self, X: np.ndarray):
         self.rows = column_presort(X).T  # (n_features, n), C-contiguous
         self.values = np.take_along_axis(X.T, self.rows, axis=1)
+        self.member = np.zeros(X.shape[0], dtype=bool)
 
-    def groups(self, y: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The value groups of the node holding rows ``idx``, feature by feature (see :func:`_best_split`)."""
+    def best_split(self, y: np.ndarray, yn: np.ndarray, idx: np.ndarray) -> tuple[int, float] | None:
+        """The node's best split between two value groups (see :func:`_grow`).
+
+        Groups of equal values, all features in one list, have their target
+        sums added by ``reduceat``, and each feature's prefix sums by one
+        ``accumulate``: the same numbers in the same order as a per-feature
+        ``cumsum``.
+        """
         n_features, n = self.rows.shape
         m = idx.size
-        member = np.zeros(n, dtype=bool)
-        member[idx] = True
+        self.member[idx] = True
         step = max(1, _SCAN_BLOCK // n)  # a feature's filter reads all n entries of its list
         parts = []
         for f in range(0, n_features, step):
             rows, sv = self.rows[f : f + step].ravel(), self.values[f : f + step].ravel()
             if m < n:  # keep the node's entries, still sorted by (feature, value)
-                at = np.flatnonzero(member.take(rows))
+                at = np.flatnonzero(self.member.take(rows))
                 rows, sv = rows.take(at), sv.take(at)
             new_group = np.empty(sv.size, dtype=bool)
             np.not_equal(sv[1:], sv[:-1], out=new_group[1:])
             new_group[::m] = True  # each feature's first entry
             starts = np.flatnonzero(new_group)
-            parts.append(
-                (
-                    np.add.reduceat(y.take(rows), starts),
-                    np.append(starts[1:], sv.size) - starts,
-                    sv.take(starts),
-                    np.count_nonzero(new_group.reshape(-1, m), axis=1),
-                )
-            )
-        g_y, g_n, g_x, n_groups = (np.concatenate(a) for a in zip(*parts))
-        return g_y, g_n, g_x, g_x, n_groups
+            parts.append((np.add.reduceat(y.take(rows), starts), sv.take(starts), starts + f * m))
+        self.member[idx] = False
+        g_y, g_x, starts = (np.concatenate(a) for a in zip(*parts))
+        group_f = starts // m  # every feature keeps all m entries
+        ends = np.searchsorted(starts, np.arange(m, (n_features + 1) * m, m))  # past each feature's last group
+        bounds = [0, *ends.tolist()]
+        s_left = np.concatenate([np.add.accumulate(g_y[a:b]) for a, b in zip(bounds, bounds[1:])])
+        last = ends - 1
+        s_tot = s_left.take(last)
+        s_right = s_tot.take(group_f) - s_left
+        n_left = np.append(starts[1:], n_features * m) - group_f * m
+        n_right = m - n_left
+        n_right[last] = 1  # groups are nonempty: only a feature's last one leaves a side empty
+        score = s_left * s_left / n_left + s_right * s_right / n_right
+        score[last] = -np.inf
+        pos = int(score.argmax())
+        f = int(group_f[pos])
+        s = s_tot.item(f)
+        if score.item(pos) - s * s / m <= 0.0:  # see _split_scores
+            return None
+        return f, split_threshold(g_x.item(pos), g_x.item(pos + 1))
 
 
 class BinnedColumns:
-    """Each feature's bin codes (:meth:`BinMap.binize`) and bin value ranges: what a histogram node scan reads.
+    """The histogram key of every value, and the bins' value ranges: what a histogram node scan reads.
 
-    The bins of all features are numbered in one sequence, feature by
-    feature; ``bin_start[f]`` is the number of feature ``f``'s first bin.
+    ``keys[r, f]`` is ``f * W + code``, with ``code`` the bin of ``X[r, f]``
+    (:meth:`BinMap.binize`) and W the widest feature's bin count: a node's
+    keys count into a dense (feature, bin) table of ``n_features * W``
+    cells. ``bin_min``/``bin_max`` are padded to that table.
     """
 
-    __slots__ = ("codes", "bin_start", "bin_min", "bin_max")
+    __slots__ = ("keys", "bin_min", "bin_max")
 
     def __init__(self, X: np.ndarray, bins: BinMap):
-        self.codes = bins.binize(X)
-        self.bin_start = np.cumsum([0] + [bins.n_bins(f) for f in range(bins.n_features)])
-        self.bin_min = np.concatenate(bins.bin_min)
-        self.bin_max = np.concatenate(bins.bin_max)
+        width = max(bins.n_bins(f) for f in range(bins.n_features))
+        self.keys = bins.binize(X).T.astype(np.intp, order="C")  # bincount would cast narrower keys on every call
+        self.keys += np.arange(0, bins.n_features * width, width)
+        self.bin_min, self.bin_max = (
+            np.stack([np.pad(v, (0, width - v.size)) for v in a]) for a in (bins.bin_min, bins.bin_max)
+        )
 
-    def groups(self, y: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The nonempty bins of the node holding rows ``idx``, feature by feature (see :func:`_best_split`).
+    def best_split(self, y: np.ndarray, yn: np.ndarray, idx: np.ndarray) -> tuple[int, float] | None:
+        """The node's best split between two nonempty bins (see :func:`_grow`).
 
-        Bins accumulate in canonical row order, but ``bincount`` adds
+        Bins count and sum their rows in canonical order. ``bincount`` adds
         sequentially and the exact scan's ``reduceat`` does not, so the sums
-        match exact groups bit for bit only when they are exact.
+        match exact groups bit for bit only when they are exact. An empty bin
+        adds zeros, so it repeats the score of the bin before it.
         """
-        n_features = self.codes.shape[0]
-        yn = y.take(idx)
-        step = max(1, _SCAN_BLOCK // idx.size)
-        parts = []
-        for f in range(0, n_features, step):
-            codes = self.codes[f : f + step]
-            start = self.bin_start[f : f + codes.shape[0] + 1] - self.bin_start[f]  # in-block bin numbers
-            keys = codes.take(idx, axis=1).astype(np.intp)  # bincount would cast uint8 codes on every call
-            keys += start[:-1, None]
-            keys = keys.ravel()
-            counts = np.bincount(keys, minlength=start[-1])
-            sums = np.bincount(keys, weights=np.tile(yn, codes.shape[0]), minlength=start[-1])
-            nonempty = np.flatnonzero(counts)
-            n_groups = np.diff(np.searchsorted(nonempty, start))
-            parts.append((sums.take(nonempty), counts.take(nonempty), nonempty + self.bin_start[f], n_groups))
-        g_y, g_n, g_bin, n_groups = (np.concatenate(a) for a in zip(*parts))
-        return g_y, g_n, self.bin_min.take(g_bin), self.bin_max.take(g_bin), n_groups
+        n_features, width = self.bin_min.shape
+        keys = self.keys.take(idx, axis=0).ravel()
+        n_left = np.cumsum(np.bincount(keys, minlength=n_features * width).reshape(n_features, width), axis=1)
+        sums = np.bincount(keys, weights=np.repeat(yn, n_features), minlength=n_features * width)
+        s_left = np.cumsum(sums.reshape(n_features, width), axis=1)
+        s_tot = s_left[:, -1:]
+        score = _split_scores(s_left, n_left, s_tot, idx.size)
+        f, j = divmod(int(score.argmax()), width)
+        s = s_tot.item(f)
+        if score.item(f, j) - s * s / idx.size <= 0.0:  # see _split_scores
+            return None
+        nxt = int(np.searchsorted(n_left[f], n_left[f, j], side="right"))  # the next nonempty bin
+        return f, split_threshold(self.bin_max.item(f, j), self.bin_min.item(f, nxt))
 
 
 def _grow(
@@ -641,7 +664,8 @@ def _grow(
 
     Serves the boosting stages and :func:`fit_tree_hist`, scanning
     ``columns`` built from ``X``; other exact trees use :func:`grow_exact`.
-    Every feature is a candidate at every node.
+    Every feature is a candidate at every node, and ``columns.best_split``
+    gives a node's best split or None for a leaf.
     """
     n_features = X.shape[1]
     feature: list[int] = []
@@ -658,8 +682,11 @@ def _grow(
         node = len(value)
         if right_of >= 0:
             right[right_of] = node
-        value.append(float(np.sum(y[idx]) / idx.shape[0]))
-        best = None if cfg.max_depth is not None and depth >= cfg.max_depth else _best_split(columns, y, idx)
+        yn = y.take(idx)
+        value.append(float(np.add.reduce(yn) / idx.size))  # np.add.reduce is np.sum without its wrapper
+        # A constant target (a single row included) cannot split: no split can reduce variance.
+        stop = (cfg.max_depth is not None and depth >= cfg.max_depth) or (yn[0] == yn[-1] and (yn == yn[0]).all())
+        best = None if stop else columns.best_split(y, yn, idx)
         if best is None:
             feature.append(-1)
             threshold.append(0.0)
@@ -688,48 +715,15 @@ def _grow(
     return tree, leaf_of
 
 
-def _best_split(columns: ExactColumns | BinnedColumns, y: np.ndarray, idx: np.ndarray) -> tuple[int, float] | None:
-    """Best (feature, threshold) by variance reduction of the node holding rows ``idx``, or None for a leaf.
-
-    ``columns.groups`` gives, feature after feature, each value group's
-    target sum, row count and smallest and largest training value, plus the
-    number of groups of each feature. All features are scored in one pass:
-    each feature's prefix sums restart at its first group (each feature is
-    one row of a zero-padded table accumulated along its rows, which adds
-    the same numbers in the same order as a per-feature ``cumsum``), and the
-    first maximum of the scores is the split with the lowest feature, then
-    the lowest threshold, among the best. Candidates are scored by the
-    left+right term of the SSE decrease; the split is taken if it beats the
-    node's S^2/N.
-    """
-    y_node = y[idx]
-    if y_node[0] == y_node[-1] and np.all(y_node == y_node[0]):
-        return None  # constant target (a single row included): no split can reduce variance
-    g_y, g_n, g_min, g_max, n_groups = columns.groups(y, idx)
-    m = idx.size
-    n_features, width = n_groups.size, int(n_groups.max())
-    last = np.cumsum(n_groups) - 1
-    at = np.arange(g_y.size) + np.repeat(np.arange(n_features) * width - (last + 1 - n_groups), n_groups)
-    padded = np.zeros(n_features * width)
-    padded[at] = g_y
-    s_left = np.cumsum(padded.reshape(n_features, width), axis=1).ravel().take(at)
-    n_left = np.cumsum(g_n) - np.repeat(np.arange(n_features) * m, n_groups)  # each feature counts all m rows
-    s_tot = s_left.take(last)
-    score = _split_scores(s_left, n_left, np.repeat(s_tot, n_groups), m)
-    pos = int(np.argmax(score))
-    f = int(np.searchsorted(last, pos))
-    if score[pos] - s_tot[f] * s_tot[f] / m <= 0.0:  # also when every feature is constant (-inf)
-        return None
-    return f, float(split_threshold(g_max[pos], g_min[pos + 1]))
-
-
 def _split_scores(s_left, n_left, s_tot, n_tot) -> np.ndarray:
     """S_L^2/N_L + S_R^2/N_R of splitting a node after each value group.
 
     ``s_left`` and ``n_left`` are the target sum and row count of the groups
     up to each one, ``s_tot`` and ``n_tot`` those of the whole node. A split
     leaving a side empty scores -inf. The SSE decrease of a split is its
-    score minus the parent term S^2/N.
+    score minus the parent term S^2/N; a node splits at its first best
+    candidate (the lowest feature, then the lowest threshold) if that is
+    positive, and not when every feature is constant (all -inf).
     """
     s_right = s_tot - s_left
     n_right = n_tot - n_left

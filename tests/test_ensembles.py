@@ -114,8 +114,7 @@ def test_gbm_training_mse_monotone(nu, mode):
     assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+_DUPLICATED_ROWS = dict(
     data=st.lists(
         st.tuples(
             st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6), st.floats(-1e3, 1e3)
@@ -125,19 +124,54 @@ def test_gbm_training_mse_monotone(nu, mode):
     ),
     n_features=st.integers(min_value=1, max_value=6),
     copies=st.integers(min_value=1, max_value=3),
+)
+
+
+def _duplicated_rows(data, n_features, copies):
+    X = np.tile([x[:n_features] for x, _ in data], (copies, 1)) * 0.5
+    return X, np.tile([t for _, t in data], copies)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    **_DUPLICATED_ROWS,
     depth=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
     mode=st.sampled_from(["exact", "hist"]),
+    n_stages=st.integers(min_value=2, max_value=4),
+    nu=st.sampled_from([0.5, 1.0]),
 )
-def test_property_gbm_first_stage_equals_per_node_reference(data, n_features, copies, depth, mode):
-    # Float targets, duplicated rows and any depth: a boosting stage's node
-    # scan must add the same numbers in the same order as a node-by-node
-    # scan of the stage's residuals.
-    X = np.tile([x[:n_features] for x, _ in data], (copies, 1)) * 0.5
-    y = np.tile([t for _, t in data], copies)
-    cfg = EnsembleConfig(n_estimators=1, learning_rate=1.0, tree=TreeConfig(max_depth=depth))
+def test_property_gbm_every_stage_equals_per_node_reference(data, n_features, copies, depth, mode, n_stages, nu):
+    # Float targets, duplicated rows and any depth: each boosting stage's node
+    # scan must add the same numbers in the same order as a node-by-node scan
+    # of that stage's residuals, so state a fit keeps across stages (the
+    # exact scan's row mask) must be as it was before stage 1.
+    X, y = _duplicated_rows(data, n_features, copies)
+    cfg = EnsembleConfig(n_estimators=n_stages, learning_rate=nu, tree=TreeConfig(max_depth=depth))
     model = fit_gbm(X, y, cfg, mode=mode)
     bins = build_bins(X) if mode == "hist" else None
-    assert tree_arrays(model.members[0][0]) == reference_tree(X, y - model.base_prediction, depth, bins)
+    current = np.full(y.size, model.base_prediction)
+    for tree, weight in model.members:
+        assert tree_arrays(tree) == reference_tree(X, y - current, depth, bins)
+        current = current + weight * predict_tree_batch(tree, X)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(
+    **_DUPLICATED_ROWS,
+    depth=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    mode=st.sampled_from(["exact", "hist"]),
+    nu=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+)
+def test_property_gbm_training_mse_never_rises(data, n_features, copies, depth, mode, nu):
+    # Each stage adds leaf means of the residuals scaled by nu in (0, 2], which
+    # cannot raise the training MSE in exact arithmetic. Rounding moves each
+    # residual by a few ulps of the largest target, and the MSE by the
+    # matching first- and second-order terms.
+    X, y = _duplicated_rows(data, n_features, copies)
+    cfg = EnsembleConfig(n_estimators=6, learning_rate=nu, tree=TreeConfig(max_depth=depth))
+    mse = np.array(fit_gbm(X, y, cfg, mode=mode).train_mse)
+    slack = 8 * np.finfo(float).eps * np.abs(y).max()
+    assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12) + 2 * np.sqrt(mse[:-1]) * slack + slack**2)
 
 
 def test_gbm_hist_equals_exact_on_integer_grid():
