@@ -28,8 +28,9 @@ feature-major copy of the query and combined in member order; AdaBoost.R2
 holds its canonical rows only feature-major. A single decision tree is a
 one-member bagging ensemble without bootstrap.
 
-:class:`EnsembleModel` owns its persisted form (``to_payload`` /
-``from_payload``), which checks a document before rebuilding from it.
+Settings are one flat :class:`EnsembleConfig`. :class:`EnsembleModel` owns
+its persisted form (``to_payload`` / ``from_payload``), which checks a
+document before rebuilding from it.
 """
 
 from __future__ import annotations
@@ -61,16 +62,13 @@ EnsembleKind = Literal["bagging", "random_forest", "gbm_exact", "gbm_hist", "ada
 #: Average losses below this are treated as a perfect fit (see fit_adaboost_r2).
 PERFECT_LOSS_EPS = 1e-10
 
-#: EnsembleConfig fields, and fields of its tree, that only some kinds read, and those kinds.
-#: Bagging, random forest and AdaBoost derive each member's tree seed, and
-#: bagging and random forest set each member's feature subsample from the
-#: ensemble's own field. Gradient-boosting stages split over every feature.
+#: EnsembleConfig fields that only some kinds read, and those kinds. Only
+#: bagging and random forest members subsample features; AdaBoost members and
+#: gradient-boosting stages split over every feature.
 READ_BY: dict[str, tuple[EnsembleKind, ...]] = {
     "learning_rate": ("gbm_exact", "gbm_hist"),
     "bootstrap": ("bagging", "random_forest"),
     "feature_subsample": ("bagging", "random_forest"),
-    "tree.seed": (),
-    "tree.feature_subsample": ("adaboost_r2",),
 }
 
 
@@ -78,18 +76,18 @@ READ_BY: dict[str, tuple[EnsembleKind, ...]] = {
 class EnsembleConfig:
     """Shared ensemble settings.
 
-    ``tree`` of None picks the kind's default: unlimited depth for bagging
-    and random forest, depth 3 for the boosting variants.
-    ``feature_subsample`` of None likewise defaults per kind (1/3 for random
-    forest, 1.0 elsewhere). ``learning_rate`` must stay in (0, 2]; that is
-    the range for which each boosting stage provably cannot increase the
-    training loss. A field or tree field that a kind does not read
+    ``max_depth`` of None is unlimited; ``"auto"``, resolved at fit time,
+    is unlimited for bagging and random forest and 3 for the boosting
+    variants. ``feature_subsample`` of None likewise defaults per kind (1/3
+    for random forest, 1.0 for bagging). ``learning_rate`` must stay in
+    (0, 2]; that is the range for which each boosting stage provably cannot
+    increase the training loss. A field that a kind does not read
     (:data:`READ_BY`) must keep its default for that kind.
     """
 
     n_estimators: int = 100
     learning_rate: float = 0.1
-    tree: TreeConfig | None = None
+    max_depth: int | None | Literal["auto"] = "auto"
     bootstrap: bool = True
     feature_subsample: float | None = None
     seed: int = 0
@@ -99,17 +97,14 @@ class EnsembleConfig:
             raise DataError("n_estimators must be >= 1")
         if not 0.0 < self.learning_rate <= 2.0:
             raise DataError("learning_rate must be in (0, 2]")
+        if self.max_depth not in ("auto", None) and self.max_depth < 1:
+            raise DataError("max_depth must be >= 1, None or 'auto'")
         if self.feature_subsample is not None and not 0.0 < self.feature_subsample <= 1.0:
             raise DataError("feature_subsample must be in (0, 1]")
-        if self.tree is not None:
-            self.tree.validate()
         for name, readers in READ_BY.items():
-            if kind in readers:
-                continue
-            field_name = name.removeprefix("tree.")
-            owner, default = (self, EnsembleConfig()) if field_name == name else (self.tree, TreeConfig())
-            if owner is not None and getattr(owner, field_name) != getattr(default, field_name):
-                raise DataError(f"{kind} does not read {name}; leave it at {getattr(default, field_name)!r}")
+            default = getattr(EnsembleConfig(), name)
+            if kind not in readers and getattr(self, name) != default:
+                raise DataError(f"{kind} does not read {name}; leave it at {default!r}")
 
 
 @dataclass(slots=True)
@@ -151,11 +146,8 @@ class EnsembleModel:
             require_keys(member, ("tree", "weight"), "member")
             require(is_finite(member["weight"]), "a member weight is not a finite number")
         require(isinstance(payload["config"], dict), "config is not an object")
-        cfg_doc = dict(payload["config"])
-        tree_doc = cfg_doc.pop("tree", None)
         try:
-            tree_cfg = TreeConfig(**tree_doc) if tree_doc is not None else None
-            config = EnsembleConfig(tree=tree_cfg, **cfg_doc)
+            config = EnsembleConfig(**payload["config"])
             config.validate(kind)
         except (TypeError, DataError) as exc:
             raise PersistError(f"malformed model document: config: {exc}") from exc
@@ -169,11 +161,11 @@ class EnsembleModel:
 
 
 def _prepare(X, y, cfg: EnsembleConfig, kind: EnsembleKind):
-    """``cfg`` checked for ``kind``, with the kind's default tree filled in for fits to
+    """``cfg`` checked for ``kind``, with the kind's default depth filled in for fits to
     record, and the checked data in canonical order."""
     cfg.validate(kind)
-    if cfg.tree is None:
-        cfg = replace(cfg, tree=TreeConfig(max_depth=None if kind in ("bagging", "random_forest") else 3))
+    if cfg.max_depth == "auto":
+        cfg = replace(cfg, max_depth=None if kind in ("bagging", "random_forest") else 3)
     return (cfg, *canonical_rows(*training_data(X, y)))
 
 
@@ -202,11 +194,7 @@ def _fit_averaged(
             idx = np.sort(rng.integers(0, n, size=n))
         else:
             idx = np.arange(n)
-        tree_cfg = replace(
-            cfg.tree,
-            feature_subsample=subsample,
-            seed=derive_seed(cfg.seed, "member-tree", m),
-        )
+        tree_cfg = TreeConfig(cfg.max_depth, subsample, derive_seed(cfg.seed, "member-tree", m))
         members.append((grow_exact(Xc[idx], yc[idx], tree_cfg), 1.0))
     return EnsembleModel(
         kind=kind,
@@ -246,7 +234,7 @@ def fit_gbm(
     for _ in range(cfg.n_estimators):
         # Growth routed the training rows with the same `<=` test a
         # prediction would, so their leaves give the stage's predictions.
-        tree, leaf_of = _grow(Xc, yc - current, cfg.tree, columns)
+        tree, leaf_of = _grow(Xc, yc - current, cfg.max_depth, columns)
         members.append((tree, nu))
         current = current + nu * tree.value[leaf_of]
         train_mse.append(float(np.mean((yc - current) ** 2)))
@@ -278,12 +266,12 @@ def fit_adaboost_r2(
     cols = np.ascontiguousarray(Xc.T)
     del Xc  # stages grow on rows of cols.T: one copy of the table, not two
     n = yc.shape[0]
+    stage_cfg = TreeConfig(max_depth=cfg.max_depth)  # every feature is a candidate: no draw to seed
     sample_weight = np.full(n, 1.0 / n)
     members: list[tuple[Tree, float]] = []
     for m in range(cfg.n_estimators):
         rng = substream(cfg.seed, "resample", m)
         idx = np.sort(rng.choice(n, size=n, replace=True, p=sample_weight))
-        stage_cfg = replace(cfg.tree, seed=derive_seed(cfg.seed, "member-tree", m))
         tree = grow_exact(cols.T[idx], yc[idx], stage_cfg)
 
         error = np.abs(descend(tree, cols) - yc)

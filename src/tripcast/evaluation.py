@@ -301,6 +301,8 @@ def run_scale_bench(
         raise DataError("sizes must be positive")
     if max(sizes) > len(table):
         raise DataError(f"size {max(sizes)} exceeds table rows ({len(table)})")
+    if repeats < 1:
+        raise DataError(f"repeats must be >= 1, got {repeats}")
     results = []
     for name, factory in factories.items():
         for n in sizes:

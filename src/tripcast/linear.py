@@ -126,16 +126,19 @@ def expand_day_type(X: np.ndarray, day_type_col: int | None) -> np.ndarray:
     """Replace the day-type ordinal column with 7 one-hot indicator columns.
 
     The indicator columns are appended after the remaining features, in
-    day order Monday..Sunday. ``None`` returns ``X`` unchanged.
+    day order Monday..Sunday. ``None`` returns ``X`` unchanged. A value
+    other than an integer 0..6 is a ``DataError``, not a day.
     """
     if day_type_col is None:
         return X
     if not 0 <= day_type_col < X.shape[1]:
         raise DataError(f"day_type_col {day_type_col} out of range")
+    day = X[:, day_type_col]
+    if not np.isin(day, np.arange(N_DAY_TYPES)).all():
+        raise DataError(f"day-type column {day_type_col} holds a value that is not an integer 0..{N_DAY_TYPES - 1}")
     rest = np.delete(X, day_type_col, axis=1)
-    day = X[:, day_type_col].astype(np.int64)
     onehot = np.zeros((X.shape[0], N_DAY_TYPES))
-    onehot[np.arange(X.shape[0]), np.clip(day, 0, N_DAY_TYPES - 1)] = 1.0
+    onehot[np.arange(X.shape[0]), day.astype(np.int64)] = 1.0
     return np.hstack([rest, onehot])
 
 

@@ -6,15 +6,16 @@ payload is guarded by a SHA-256 checksum and a format version; truncation,
 corruption, or an unknown version all fail loudly instead of returning a
 half-usable model.
 
-Format version 3 stores each tree as flat per-node lists (``feature``,
-``threshold``, ``left``, ``right``, ``value``) and each ensemble config
-with only the fields the code has (a tree config holds ``max_depth``,
-``feature_subsample`` and ``seed``). Earlier documents are rejected, naming
-their version: version 2 also carried the tree settings ``min_samples_leaf``,
-``min_samples_split`` and ``max_bins`` and the AdaBoost ``loss``, and
-version 1 nested one object per node. Because a document comes from
-outside the program, the loader also checks that each tree's arrays form a
-tree before it is used (see :meth:`tripcast.trees.Tree.from_dict`).
+Format version 4 stores each tree as flat per-node lists (``feature``,
+``threshold``, ``right``, ``value``; a left child is always the next node,
+so it is derived) and each ensemble config as one flat object. Earlier
+documents are rejected, naming their version: version 3 also stored
+``left`` lists and nested a tree config in the ensemble config, version 2
+also carried ``min_samples_leaf``, ``min_samples_split``, ``max_bins`` and
+the AdaBoost ``loss``, and version 1 nested one object per node. Because a
+document comes from outside the program, the loader also checks that each
+tree's arrays form a tree before it is used (see
+:meth:`tripcast.trees.Tree.from_dict`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import PersistError
 from .registry import model_from_payload
 
 FORMAT_NAME = "tripcast-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _canonical_bytes(doc: dict) -> bytes:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import ensembles, linear, trees
+from . import ensembles, linear
 from .ensembles import fit_adaboost_r2, fit_bagging, fit_gbm, fit_random_forest
 from .errors import DataError, PersistError, UsageError
 from .featurize import DAY_TYPE_COLUMN
@@ -71,8 +71,6 @@ def _ensemble(kind: str, fit: Callable, **fixed: object) -> Callable[..., Estima
     """A builder of ``fit`` with an EnsembleConfig of ``fixed`` and only the settings passed."""
 
     def build(seed: int, **settings: object) -> Estimator:
-        if "max_depth" in settings:
-            settings["tree"] = trees.TreeConfig(max_depth=settings.pop("max_depth"))
         cfg = ensembles.EnsembleConfig(seed=seed, **fixed, **settings)
         return Estimator(kind, partial(fit, cfg=cfg))
 

@@ -22,8 +22,9 @@ before it. Both growers take the same split at every node; only
 :func:`grow_exact` draws random-forest feature subsets, in level order.
 
 A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
-``threshold``, ``left``, ``right``, ``value``) in depth-first preorder, as
-in sklearn's ``Tree`` struct. :func:`descend` routes all rows of a
+``threshold``, ``right``, ``value``) in depth-first preorder, as in
+sklearn's ``Tree`` struct; a left child is always the next node, so it is
+derived, not stored. :func:`descend` routes all rows of a
 feature-major query at once, one step per depth level, each row reading the
 column its node tests: O(depth) numpy calls, not one Python step per node.
 
@@ -57,7 +58,7 @@ from .rng import substream
 
 @dataclass(slots=True, frozen=True)
 class TreeConfig:
-    """Growth limit and seeding for a single regression tree.
+    """Growth limit and seeding for a single regression tree (a grower's settings, not persisted).
 
     ``max_depth=None`` means unlimited; any node with two distinct targets
     may split. ``feature_subsample`` < 1 draws a fresh candidate-feature
@@ -82,8 +83,8 @@ class Tree:
     """A fitted regression tree as parallel node arrays in depth-first preorder.
 
     Node 0 is the root. An internal node routes rows with
-    ``x[feature] <= threshold`` to ``left`` (always the next node) and the
-    rest to ``right``; both children lie past their parent. A leaf has
+    ``x[feature] <= threshold`` to the next node (its left child) and the
+    rest to ``right``, which lies past the whole left subtree. A leaf has
     ``feature == -1`` and ``threshold == 0.0`` and is its own left and right
     child, so a descent may keep stepping after a row has reached its leaf.
     ``value`` holds the mean training target of each node, and
@@ -92,10 +93,14 @@ class Tree:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
     n_features: int
+
+    @property
+    def left(self) -> np.ndarray:
+        """Each node's left child: the next node, or the node itself for a leaf."""
+        return np.arange(self.feature.size) + (self.feature >= 0)
 
     @property
     def depth(self) -> int:
@@ -106,7 +111,7 @@ class Tree:
             level = level[self.feature[level] >= 0]
             if level.size == 0:
                 return depth
-            level = np.concatenate((self.left[level], self.right[level]))
+            level = np.concatenate((level + 1, self.right[level]))
             depth += 1
 
     def to_dict(self) -> dict:
@@ -115,31 +120,35 @@ class Tree:
     @classmethod
     def from_dict(cls, doc: dict, n_features: int) -> "Tree":
         """Rebuild a persisted tree, rejecting arrays that do not form one."""
+        if not isinstance(doc, dict) or sorted(doc) != sorted(_NODE_ARRAYS):
+            raise PersistError(f"tree node arrays are not exactly {', '.join(_NODE_ARRAYS)}")
         try:
-            feature, left, right = (np.asarray(doc[k], dtype=np.intp) for k in ("feature", "left", "right"))
+            feature, right = (np.asarray(doc[k], dtype=np.intp) for k in ("feature", "right"))
             threshold, value = (np.asarray(doc[k], dtype=np.float64) for k in ("threshold", "value"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistError(f"tree node arrays are missing or not numeric: {exc!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise PersistError(f"tree node arrays are not numeric: {exc!r}") from exc
         n = feature.size
-        if feature.ndim != 1 or n == 0 or any(a.shape != (n,) for a in (threshold, left, right, value)):
+        if feature.ndim != 1 or n == 0 or any(a.shape != (n,) for a in (threshold, right, value)):
             raise PersistError("tree node arrays are empty or of unequal lengths")
         node = np.arange(n)
         leaf = feature == -1
+        left = node + ~leaf
         if np.any(feature < -1) or np.any(feature >= n_features):
             raise PersistError(f"tree splits on a feature outside 0..{n_features - 1}")
-        if not np.all(np.isfinite(threshold)):
-            raise PersistError("tree has a non-finite split threshold")
-        if np.any(leaf & ((left != node) | (right != node))):
+        if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
+            raise PersistError("tree has a non-finite split threshold or node value")
+        if np.any(leaf & (right != node)):
             raise PersistError("tree leaf does not point to itself")
-        if np.any(~leaf & ((left <= node) | (right <= node) | (left >= n) | (right >= n))):
-            raise PersistError("tree child index out of range or not past its parent")
+        if np.any(~leaf & ((right <= left) | (right >= n))):
+            raise PersistError("tree right child out of range or not past its parent's left child")
         children = np.sort(np.concatenate((left[~leaf], right[~leaf])))
         if not np.array_equal(children, node[1:]):
             raise PersistError("tree nodes other than the root must have exactly one parent")
-        return cls(feature, threshold, left, right, value, n_features)
+        return cls(feature, threshold, right, value, n_features)
 
 
-_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+#: What a persisted tree stores; each left child is derived (:attr:`Tree.left`).
+_NODE_ARRAYS = ("feature", "threshold", "right", "value")
 
 #: Most bins a histogram gives one feature (LightGBM's default, Ke et al., 2017);
 #: bin codes 0..MAX_BINS - 1 are stored as uint8.
@@ -235,7 +244,7 @@ def fit_tree_hist(X: np.ndarray, y: np.ndarray, cfg: TreeConfig, bins: BinMap) -
     if cfg.feature_subsample != 1.0:
         raise DataError("histogram trees do not subsample features; leave feature_subsample at 1.0")
     X, y = canonical_rows(*training_data(X, y))
-    return _grow(X, y, cfg, BinnedColumns(X, bins))[0]
+    return _grow(X, y, cfg.max_depth, BinnedColumns(X, bins))[0]
 
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -546,9 +555,9 @@ def _preorder(feature, threshold, left, value, level_start, n_features) -> Tree:
         pre[left[p]] = pre[p] + 1
         pre[left[p] + 1] = pre[p] + 1 + size[left[p]]
     p = np.concatenate(internal)
-    children = np.stack((pre, pre))  # a leaf is its own left and right child
-    children[:, p] = pre[left[p]], pre[left[p] + 1]
-    arrays = (feature[:n_nodes], threshold[:n_nodes], children[0], children[1], value[:n_nodes])
+    right = pre.copy()  # a leaf is its own right child
+    right[p] = pre[left[p] + 1]
+    arrays = (feature[:n_nodes], threshold[:n_nodes], right, value[:n_nodes])
     out = [np.empty_like(a) for a in arrays]
     for o, a in zip(out, arrays):
         o[pre] = a
@@ -658,7 +667,7 @@ class BinnedColumns:
 
 
 def _grow(
-    X: np.ndarray, y: np.ndarray, cfg: TreeConfig, columns: ExactColumns | BinnedColumns
+    X: np.ndarray, y: np.ndarray, max_depth: int | None, columns: ExactColumns | BinnedColumns
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree depth-first; also return the leaf index of every training row.
 
@@ -670,7 +679,6 @@ def _grow(
     n_features = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
     right: list[int] = []
     value: list[float] = []
     leaf_of = np.empty(X.shape[0], dtype=np.intp)
@@ -685,12 +693,11 @@ def _grow(
         yn = y.take(idx)
         value.append(float(np.add.reduce(yn) / idx.size))  # np.add.reduce is np.sum without its wrapper
         # A constant target (a single row included) cannot split: no split can reduce variance.
-        stop = (cfg.max_depth is not None and depth >= cfg.max_depth) or (yn[0] == yn[-1] and (yn == yn[0]).all())
+        stop = (max_depth is not None and depth >= max_depth) or (yn[0] == yn[-1] and (yn == yn[0]).all())
         best = None if stop else columns.best_split(y, yn, idx)
         if best is None:
             feature.append(-1)
             threshold.append(0.0)
-            left.append(node)
             right.append(node)
             leaf_of[idx] = node
             continue
@@ -700,14 +707,12 @@ def _grow(
             raise RuntimeError(f"split x[{f}] <= {t!r} leaves a child of node {node} empty")
         feature.append(f)
         threshold.append(t)
-        left.append(node + 1)  # the left child is popped next
-        right.append(-1)  # set when the right child is visited
+        right.append(-1)  # set when the right child is visited; the left one is popped next
         stack.append((idx[~go_left], depth + 1, node))
         stack.append((idx[go_left], depth + 1, -1))
     tree = Tree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.intp),
         right=np.array(right, dtype=np.intp),
         value=np.array(value, dtype=np.float64),
         n_features=n_features,

@@ -165,14 +165,14 @@ def test_acceptance_4_baseline_degeneracies():
     queries = rng.normal(size=(100, 6))
 
     # bagging(1 tree, no bootstrap) behaves exactly like a decision tree
-    bag = fit_bagging(X, y, EnsembleConfig(n_estimators=1, bootstrap=False, tree=TreeConfig(max_depth=5)))
+    bag = fit_bagging(X, y, EnsembleConfig(n_estimators=1, bootstrap=False, max_depth=5))
     tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=5))
     assert np.array_equal(bag.predict(queries), predict_tree_batch(tree, queries))
 
     # random forest(feature_subsample=1.0) behaves exactly like bagging
-    cfg = EnsembleConfig(n_estimators=8, seed=5, tree=TreeConfig(max_depth=5))
+    cfg = EnsembleConfig(n_estimators=8, seed=5, max_depth=5)
     forest = fit_random_forest(
-        X, y, EnsembleConfig(n_estimators=8, seed=5, tree=TreeConfig(max_depth=5), feature_subsample=1.0)
+        X, y, EnsembleConfig(n_estimators=8, seed=5, max_depth=5, feature_subsample=1.0)
     )
     assert np.array_equal(fit_bagging(X, y, cfg).predict(queries), forest.predict(queries))
 

@@ -217,6 +217,16 @@ def test_scale_size_exceeding_table(tmp_path, stops_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_scale_repeats_below_one_is_data_error_and_writes_nothing(tmp_path, stops_csv, capsys, repeats):
+    out_dir = tmp_path / "scale"
+    code = main(["scale", str(stops_csv), "--sizes", "200", "--models", "lr",
+                 "--repeats", repeats, "--out", str(out_dir)])
+    assert code == 2
+    assert "repeats must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_save_and_load_model_round_trip(tmp_path, stops_csv):
     model_path = tmp_path / "model.json"
     code = main(

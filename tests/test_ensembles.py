@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripcast.checks import TARGET_SUM_LIMIT
 from tripcast.ensembles import (
     EnsembleConfig,
     fit_adaboost_r2,
@@ -33,7 +34,7 @@ def _regression_data(seed, n=300, k=5, noise=1.0):
 
 def test_bagging_single_tree_identity():
     X, y = _regression_data(0)
-    cfg = EnsembleConfig(n_estimators=1, bootstrap=False, tree=TreeConfig(max_depth=4), seed=3)
+    cfg = EnsembleConfig(n_estimators=1, bootstrap=False, max_depth=4, seed=3)
     bag = fit_bagging(X, y, cfg)
     tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=4))
     Xq = np.random.default_rng(1).normal(size=(60, 5))
@@ -64,23 +65,22 @@ def test_gbm_constant_target_zero_stage_trees():
 
 def test_random_forest_full_subsample_equals_bagging():
     X, y = _regression_data(7)
-    b = fit_bagging(X, y, EnsembleConfig(n_estimators=6, seed=11, tree=TreeConfig(max_depth=5)))
+    b = fit_bagging(X, y, EnsembleConfig(n_estimators=6, seed=11, max_depth=5))
     f = fit_random_forest(
-        X, y, EnsembleConfig(n_estimators=6, seed=11, tree=TreeConfig(max_depth=5), feature_subsample=1.0)
+        X, y, EnsembleConfig(n_estimators=6, seed=11, max_depth=5, feature_subsample=1.0)
     )
     Xq = np.random.default_rng(2).normal(size=(50, 5))
     assert np.array_equal(b.predict(Xq), f.predict(Xq))
 
 
 def test_bagging_beats_single_tree_in_paired_runs():
-    # 500 rows, 50 trees, same depth-limited TreeConfig: the ensemble's
+    # 500 rows, 50 trees, the same depth limit: the ensemble's
     # training MSE should win in at least 19 of 20 seeded repetitions.
     wins = 0
     for seed in range(20):
         X, y = _regression_data(1000 + seed, n=500, k=6)
-        tc = TreeConfig(max_depth=5)
-        bag = fit_bagging(X, y, EnsembleConfig(n_estimators=50, tree=tc, seed=seed))
-        tree = fit_tree_exact(X, y, cfg=tc)
+        bag = fit_bagging(X, y, EnsembleConfig(n_estimators=50, max_depth=5, seed=seed))
+        tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=5))
         wins += float(np.mean((y - bag.predict(X)) ** 2)) <= training_mse(tree, X, y)
     assert wins >= 19
 
@@ -88,7 +88,7 @@ def test_bagging_beats_single_tree_in_paired_runs():
 def test_gbm_two_stage_hand_recursion():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 10.0])
-    model = fit_gbm(X, y, EnsembleConfig(n_estimators=2, learning_rate=0.5, tree=TreeConfig(max_depth=1)))
+    model = fit_gbm(X, y, EnsembleConfig(n_estimators=2, learning_rate=0.5, max_depth=1))
     assert model.base_prediction == 5.0
     # stage 1 leaves -5/+5 -> F1 = [2.5, 7.5]; stage 2 residuals -+2.5 -> F2 = [1.25, 8.75]
     assert np.allclose(model.predict(X), [1.25, 8.75])
@@ -100,7 +100,7 @@ def test_gbm_one_stage_perfect_fit():
     X = rng.normal(size=(50, 2))  # continuous features: all rows distinct
     y = rng.normal(size=50)
     model = fit_gbm(
-        X, y, EnsembleConfig(n_estimators=1, learning_rate=1.0, tree=TreeConfig(max_depth=None))
+        X, y, EnsembleConfig(n_estimators=1, learning_rate=1.0, max_depth=None)
     )
     assert model.train_mse[0] == pytest.approx(0.0, abs=1e-18)
 
@@ -146,7 +146,7 @@ def test_property_gbm_every_stage_equals_per_node_reference(data, n_features, co
     # of that stage's residuals, so state a fit keeps across stages (the
     # exact scan's row mask) must be as it was before stage 1.
     X, y = _duplicated_rows(data, n_features, copies)
-    cfg = EnsembleConfig(n_estimators=n_stages, learning_rate=nu, tree=TreeConfig(max_depth=depth))
+    cfg = EnsembleConfig(n_estimators=n_stages, learning_rate=nu, max_depth=depth)
     model = fit_gbm(X, y, cfg, mode=mode)
     bins = build_bins(X) if mode == "hist" else None
     current = np.full(y.size, model.base_prediction)
@@ -168,7 +168,7 @@ def test_property_gbm_training_mse_never_rises(data, n_features, copies, depth, 
     # residual by a few ulps of the largest target, and the MSE by the
     # matching first- and second-order terms.
     X, y = _duplicated_rows(data, n_features, copies)
-    cfg = EnsembleConfig(n_estimators=6, learning_rate=nu, tree=TreeConfig(max_depth=depth))
+    cfg = EnsembleConfig(n_estimators=6, learning_rate=nu, max_depth=depth)
     mse = np.array(fit_gbm(X, y, cfg, mode=mode).train_mse)
     slack = 8 * np.finfo(float).eps * np.abs(y).max()
     assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12) + 2 * np.sqrt(mse[:-1]) * slack + slack**2)
@@ -349,13 +349,26 @@ def test_non_finite_query_rejected(abbrev, bad):
 
 
 @pytest.mark.parametrize("abbrev", ["lr", "ri", "la", "dt", "br", "rf", "gb", "ab", "hgb"])
-def test_target_too_large_rejected(abbrev):
-    # |y| reaches about 3e153: 200 rows of it would overflow a squared target sum.
+@settings(max_examples=30, deadline=2000)
+@given(
+    n=st.integers(2, 60),
+    at=st.floats(0.0, 1.0, exclude_max=True),
+    bad=st.sampled_from(["nan", "inf", "-inf", "over limit"]),
+    excess=st.floats(1.0, 1e100),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_target_too_large_rejected(abbrev, n, at, bad, excess, sign):
+    # One bad target among ordinary ones: NaN, an infinity, or a finite value
+    # whose rows x max|y| reaches TARGET_SUM_LIMIT, so squared sums could overflow.
     rng = np.random.default_rng(6)
-    X = rng.normal(size=(200, 9))
-    X[:, 5] = np.arange(200) % 7
-    y = 1000.0 * rng.normal(size=200) * 1e150
-    with pytest.raises(DataError, match="target too large"):
+    X = rng.normal(size=(n, 9))
+    X[:, 5] = np.arange(n) % 7
+    y = rng.normal(size=n)
+    big = sign * excess * (TARGET_SUM_LIMIT / n)
+    if bad == "over limit" and n * abs(big) < TARGET_SUM_LIMIT:  # the division rounded down
+        big = np.nextafter(big, sign * np.inf)
+    y[int(at * n)] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "over limit": big}[bad]
+    with pytest.raises(DataError, match="NaN or infinite" if bad != "over limit" else "target too large"):
         small_model(abbrev, 0, n_estimators=3).fit(X, y)
 
 
@@ -391,8 +404,23 @@ def test_tree_models_scale_exactly_with_a_power_of_two_target(abbrev):
 def test_config_field_a_kind_does_not_read_is_rejected(fit, field, value):
     X, y = _regression_data(8, n=40)
     if field.startswith("tree."):
-        cfg = EnsembleConfig(n_estimators=2, tree=TreeConfig(**{field.removeprefix("tree."): value}))
+        # The flat config has no nested tree, so its seed and feature subsample are refused for every kind.
+        with pytest.raises(TypeError, match="tree"):
+            fit(X, y, EnsembleConfig(n_estimators=2, tree=TreeConfig(**{field.removeprefix("tree."): value})))
     else:
-        cfg = EnsembleConfig(n_estimators=2, **{field: value})
-    with pytest.raises(DataError, match=f"does not read {field}"):
-        fit(X, y, cfg)
+        with pytest.raises(DataError, match=f"does not read {field}"):
+            fit(X, y, EnsembleConfig(n_estimators=2, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "fit, depth",
+    [(fit_bagging, None), (fit_random_forest, None), (fit_gbm, 3), (fit_adaboost_r2, 3)],
+)
+def test_fitted_config_records_the_kinds_default_depth(fit, depth):
+    X, y = _regression_data(9, n=60)
+    model = fit(X, y, EnsembleConfig(n_estimators=2))
+    assert model.config.max_depth == depth
+    assert EnsembleConfig().max_depth == "auto"
+    assert fit(X, y, EnsembleConfig(n_estimators=2, max_depth=2)).config.max_depth == 2
+    with pytest.raises(DataError, match="max_depth"):
+        fit(X, y, EnsembleConfig(n_estimators=2, max_depth=0))

@@ -280,3 +280,13 @@ def test_run_scale_bench_size_errors():
         run_scale_bench(table, [10**7], {"mean": lambda rep: MeanModel()})
     with pytest.raises(DataError):
         run_scale_bench(table, [], {"mean": lambda rep: MeanModel()})
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_run_scale_bench_refuses_repeats_below_one_before_any_fit(repeats):
+    # Zero repeats would give NaN medians, which the chart cannot draw.
+    table = _seven_month_table(trips_per_day=3)
+    built = []
+    with pytest.raises(DataError, match="repeats"):
+        run_scale_bench(table, [50], {"mean": lambda rep: built.append(rep) or MeanModel()}, repeats=repeats)
+    assert built == []

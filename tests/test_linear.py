@@ -13,6 +13,8 @@ from tripcast.linear import (
     lasso_lambda_max,
 )
 
+from tripcast.registry import make_model
+
 from tests.helpers import linear_objective
 
 
@@ -187,6 +189,25 @@ def test_day_type_one_hot_expansion():
     expanded = expand_day_type(X, 1)
     assert expanded.shape == (120, 8)
     assert np.array_equal(expanded[:, 1:].sum(axis=1), np.ones(120))
+
+
+@pytest.mark.parametrize("bad", [9.0, -2.0, 3.7, 7.0])
+@pytest.mark.parametrize("entry", ["lr", "ri", "la"])
+def test_day_type_value_outside_the_week_rejected(entry, bad):
+    # Cast and clipped, these would read as days: 9.0 as Sunday, -2.0 as Monday, 3.7 as Thursday.
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(60, 9))
+    X[:, 5] = np.arange(60) % 7
+    y = X[:, 0] + rng.normal(size=60)
+    Xbad = X.copy()
+    Xbad[17, 5] = bad
+    with pytest.raises(DataError, match="day-type column 5"):
+        make_model(entry, 0).fit(Xbad, y)
+    model = make_model(entry, 0).fit(X, y)
+    with pytest.raises(DataError, match="day-type column 5"):
+        model.predict(Xbad)
+    with pytest.raises(DataError, match="day-type column 1"):
+        expand_day_type(Xbad[:, 4:6], 1)
 
 
 def test_model_dict_round_trip():

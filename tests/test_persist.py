@@ -125,9 +125,20 @@ def test_version_1_document_rejected():
         loads_model(_rechecksummed(doc))
 
 
+def _as_version_3(doc: dict) -> dict:
+    """A saved document rewritten in format 3: a nested tree config and stored left children."""
+    config = doc["payload"]["config"]
+    config["tree"] = {"max_depth": config.pop("max_depth"), "feature_subsample": 1.0, "seed": 0}
+    for member in doc["payload"]["members"]:
+        tree = member["tree"]
+        tree["left"] = [i + (f >= 0) for i, f in enumerate(tree["feature"])]
+    doc["format_version"] = 3
+    return doc
+
+
 def test_version_2_document_rejected():
     # Format 2 is format 3 plus four config keys the code no longer has.
-    doc = _saved_doc("ab")
+    doc = _as_version_3(_saved_doc("ab"))
     doc["payload"]["config"]["loss"] = "linear"
     doc["payload"]["config"]["tree"].update(min_samples_leaf=1, min_samples_split=2, max_bins=255)
     doc["format_version"] = 2
@@ -135,6 +146,21 @@ def test_version_2_document_rejected():
         loads_model(_rechecksummed(doc))
     doc["format_version"] = FORMAT_VERSION
     with pytest.raises(PersistError, match="config"):  # nor do they load under this version
+        loads_model(_rechecksummed(doc))
+
+
+@pytest.mark.parametrize("abbrev", ["dt", "gb"])
+def test_version_3_document_rejected(abbrev):
+    # Format 3 nested a tree config in the ensemble config and stored each tree's left children.
+    doc = _as_version_3(_saved_doc(abbrev))
+    with pytest.raises(PersistError, match="version 3"):
+        loads_model(_rechecksummed(doc))
+    doc["format_version"] = FORMAT_VERSION
+    with pytest.raises(PersistError, match="config: .*tree"):  # nor does it load under this version
+        loads_model(_rechecksummed(doc))
+    del doc["payload"]["config"]["tree"]
+    doc["payload"]["config"]["max_depth"] = 3
+    with pytest.raises(PersistError, match="tree node arrays are not exactly"):  # a stored left list is refused too
         loads_model(_rechecksummed(doc))
 
 def _saved_tree_doc():
@@ -147,11 +173,11 @@ def _saved_tree_doc():
 
 def test_backward_child_index_rejected():
     doc, tree = _saved_tree_doc()
-    last = len(tree["left"]) - 1
+    last = len(tree["feature"]) - 1
     assert tree["feature"][last] == -1
     tree["feature"][last], tree["threshold"][last] = 0, 0.5
-    tree["left"][last] = tree["right"][last] = 0  # points back at the root: a cycle
-    with pytest.raises(PersistError, match="past its parent"):
+    tree["right"][last] = 0  # points back at the root: a cycle
+    with pytest.raises(PersistError, match="past its parent's left child"):
         loads_model(_rechecksummed(doc))
 
 
@@ -162,7 +188,9 @@ def test_feature_out_of_range_rejected():
         loads_model(_rechecksummed(doc))
 
 
-@pytest.mark.parametrize("edit", ["short_value", "no_value", "text_feature", "infinite_threshold", "shared_child"])
+@pytest.mark.parametrize(
+    "edit", ["short_value", "no_value", "text_feature", "infinite_threshold", "nan_value", "shared_child"]
+)
 def test_malformed_tree_arrays_rejected(edit):
     doc, tree = _saved_tree_doc()
     if edit == "short_value":
@@ -173,8 +201,11 @@ def test_malformed_tree_arrays_rejected(edit):
         tree["feature"][0] = "x"
     elif edit == "infinite_threshold":
         tree["threshold"][0] = float("inf")
+    elif edit == "nan_value":
+        leaf = tree["feature"].index(-1)
+        tree["value"][leaf] = float("nan")  # loaded, it would predict NaN for every row reaching this leaf
     else:
-        tree["right"][0] = tree["left"][0]
+        tree["right"][0] = 1  # the root's left child
     with pytest.raises(PersistError, match="tree"):
         loads_model(_rechecksummed(doc))
 
@@ -190,6 +221,10 @@ def _drop(key):
 
 def _set(key, value):
     return lambda payload: payload.__setitem__(key, value)
+
+
+def _set_config(key, value):
+    return lambda payload: payload["config"].__setitem__(key, value)
 
 
 def _member(key, value=None):
@@ -228,17 +263,12 @@ MALFORMED_PAYLOADS = {
     "ab_unread_bootstrap": ("ab", lambda p: p["config"].__setitem__("bootstrap", False), "does not read"),
     "rf_unread_learning_rate": ("rf", lambda p: p["config"].__setitem__("learning_rate", 0.5), "does not read"),
     "dt_unread_loss": ("dt", lambda p: p["config"].__setitem__("loss", "square"), "config: .*loss"),
-    "ab_unread_tree_seed": ("ab", lambda p: p["config"]["tree"].__setitem__("seed", 99), "does not read tree.seed"),
-    "gb_unread_tree_feature_subsample": (
-        "gb",
-        lambda p: p["config"]["tree"].__setitem__("feature_subsample", 0.25),
-        "does not read tree.feature_subsample",
-    ),
-    "br_unread_tree_feature_subsample": (
-        "br",
-        lambda p: p["config"]["tree"].__setitem__("feature_subsample", 0.25),
-        "does not read tree.feature_subsample",
-    ),
+    # Format 4 has no nested tree config, so neither of its knobs loads.
+    "ab_unread_tree_seed": ("ab", _set_config("tree", {"seed": 99}), "config: .*tree"),
+    "gb_unread_tree_feature_subsample": ("gb", _set_config("tree", {"feature_subsample": 0.25}), "config: .*tree"),
+    "br_unread_tree_feature_subsample": ("br", _set_config("tree", {"feature_subsample": 0.25}), "config: .*tree"),
+    "gb_text_max_depth": ("gb", _set_config("max_depth", "deep"), "config"),
+    "dt_zero_max_depth": ("dt", _set_config("max_depth", 0), "config: max_depth"),
     "gb_member_no_tree": ("gb", _member("tree"), "member lacks tree"),
     "gb_member_no_weight": ("gb", _member("weight"), "member lacks weight"),
     "gb_member_text_weight": ("gb", _member("weight", "x"), "weight"),

@@ -1,6 +1,5 @@
 """Regression tree fitting: exact scan, histogram scan, and their equivalence."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -439,7 +438,7 @@ def test_scans_over_several_feature_blocks_grow_the_default_trees(monkeypatch, b
 
     def fits():
         boosted = [
-            fit_gbm(X, y, EnsembleConfig(n_estimators=3, tree=TreeConfig(max_depth=4)), mode=mode)
+            fit_gbm(X, y, EnsembleConfig(n_estimators=3, max_depth=4), mode=mode)
             for mode in ("exact", "hist")
         ]
         single = [fit_tree_exact(X, y, TreeConfig(feature_subsample=s, seed=2)) for s in (1.0, 0.5)]
@@ -454,10 +453,10 @@ def test_bagging_members_equal_exact_trees_on_their_resamples():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(120, 3))
     y = rng.normal(size=120)
-    cfg = EnsembleConfig(n_estimators=3, seed=5, tree=TreeConfig(max_depth=6), feature_subsample=0.5)
+    cfg = EnsembleConfig(n_estimators=3, seed=5, max_depth=6, feature_subsample=0.5)
     model = fit_random_forest(X, y, cfg)
     Xc, yc = canonical_rows(X, y)
     for m, (tree, _) in enumerate(model.members):
         idx = substream(5, "bootstrap", m).integers(0, 120, size=120)
-        member_cfg = replace(cfg.tree, feature_subsample=0.5, seed=derive_seed(5, "member-tree", m))
+        member_cfg = TreeConfig(max_depth=6, feature_subsample=0.5, seed=derive_seed(5, "member-tree", m))
         assert tree_arrays(tree) == tree_arrays(fit_tree_exact(Xc[idx], yc[idx], cfg=member_cfg))
