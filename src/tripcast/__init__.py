@@ -37,7 +37,7 @@ from .linear import LinearModel, fit_lasso, fit_ols, fit_ridge, lasso_lambda_max
 from .persist import load_model, save_model
 from .registry import REGISTRY, make_model
 from .synthgen import GenConfig, generate, load_gen_config
-from .trees import Tree, TreeConfig
+from .trees import Tree
 from .trip_data import (
     DatasetSummary,
     StopTable,

@@ -240,8 +240,8 @@ def _cmd_save_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_load_model(args: argparse.Namespace) -> int:
-    if args.stops and not args.predictions_out:
-        raise UsageError("--predictions-out is required when --stops is given")
+    if bool(args.stops) != bool(args.predictions_out):
+        raise UsageError("--stops and --predictions-out are given together or not at all")
     model = load_model(args.model_path)
     print(f"loaded model kind={model.kind} from {args.model_path}")
     if args.stops:

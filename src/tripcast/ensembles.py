@@ -15,8 +15,8 @@ level (:func:`~tripcast.trees.grow_exact`); gradient-boosting stages are
 grown depth-first over every feature and also give the leaf of every
 training row. The columns a stage scans are built once per fit and shared
 by all stages: the presort and a row-membership mask (exact), or the
-(feature, bin) key of every value (histogram, a dense feature x bin table
-per node).
+(feature, bin) key of every value, binned from the training rows
+(histogram, a dense feature x bin table per node).
 
 Training data is checked once per fit (:mod:`tripcast.checks`) and brought
 into canonical order before any bootstrap index is drawn, so fitted models
@@ -48,9 +48,7 @@ from .trees import (
     BinnedColumns,
     ExactColumns,
     Tree,
-    TreeConfig,
     _grow,
-    build_bins,
     canonical_rows,
     descend,
     feature_major,
@@ -194,8 +192,8 @@ def _fit_averaged(
             idx = np.sort(rng.integers(0, n, size=n))
         else:
             idx = np.arange(n)
-        tree_cfg = TreeConfig(cfg.max_depth, subsample, derive_seed(cfg.seed, "member-tree", m))
-        members.append((grow_exact(Xc[idx], yc[idx], tree_cfg), 1.0))
+        seed = derive_seed(cfg.seed, "member-tree", m)
+        members.append((grow_exact(Xc[idx], yc[idx], cfg.max_depth, subsample, seed), 1.0))
     return EnsembleModel(
         kind=kind,
         n_features=Xc.shape[1],
@@ -225,7 +223,7 @@ def fit_gbm(
     cfg, Xc, yc = _prepare(X, y, cfg, kind)
     n = Xc.shape[0]
 
-    columns = BinnedColumns(Xc, build_bins(Xc)) if mode == "hist" else ExactColumns(Xc)
+    columns = BinnedColumns(Xc) if mode == "hist" else ExactColumns(Xc)
     base = float(np.sum(yc) / n)
     current = np.full(n, base)
     members: list[tuple[Tree, float]] = []
@@ -266,13 +264,12 @@ def fit_adaboost_r2(
     cols = np.ascontiguousarray(Xc.T)
     del Xc  # stages grow on rows of cols.T: one copy of the table, not two
     n = yc.shape[0]
-    stage_cfg = TreeConfig(max_depth=cfg.max_depth)  # every feature is a candidate: no draw to seed
     sample_weight = np.full(n, 1.0 / n)
     members: list[tuple[Tree, float]] = []
     for m in range(cfg.n_estimators):
         rng = substream(cfg.seed, "resample", m)
         idx = np.sort(rng.choice(n, size=n, replace=True, p=sample_weight))
-        tree = grow_exact(cols.T[idx], yc[idx], stage_cfg)
+        tree = grow_exact(cols.T[idx], yc[idx], cfg.max_depth)  # every feature is a candidate
 
         error = np.abs(descend(tree, cols) - yc)
         error_max = float(error.max())

@@ -4,7 +4,9 @@ Floats survive the round trip exactly (shortest-repr JSON encoding), so a
 loaded model reproduces the original's predictions bit for bit. The
 payload is guarded by a SHA-256 checksum and a format version; truncation,
 corruption, or an unknown version all fail loudly instead of returning a
-half-usable model.
+half-usable model. A document is written as compact JSON with sorted keys,
+the form its checksum is taken over after parsing, so an indented document
+(as earlier builds wrote) loads too.
 
 Format version 4 stores each tree as flat per-node lists (``feature``,
 ``threshold``, ``right``, ``value``; a left child is always the next node,
@@ -31,8 +33,9 @@ FORMAT_NAME = "tripcast-model"
 FORMAT_VERSION = 4
 
 
-def _canonical_bytes(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _canonical(doc: dict) -> str:
+    """Compact JSON with sorted keys: the bytes the checksum covers, and the written form."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def model_document(model) -> dict:
@@ -42,11 +45,11 @@ def model_document(model) -> dict:
     if kind is None or to_payload is None:
         raise PersistError(f"object of type {type(model).__name__} is not persistable")
     body = {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "kind": kind, "payload": to_payload()}
-    return {**body, "checksum": hashlib.sha256(_canonical_bytes(body)).hexdigest()}
+    return {**body, "checksum": hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()}
 
 
 def dumps_model(model) -> str:
-    return json.dumps(model_document(model), sort_keys=True, indent=1)
+    return _canonical(model_document(model))
 
 
 def save_model(model, path: str | Path) -> None:
@@ -67,7 +70,7 @@ def loads_model(text: str):
         )
     stored = doc.get("checksum")
     body = {k: v for k, v in doc.items() if k != "checksum"}
-    actual = hashlib.sha256(_canonical_bytes(body)).hexdigest()
+    actual = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
     if stored != actual:
         raise PersistError("model document checksum mismatch (corrupted file)")
     return model_from_payload(doc.get("kind"), doc.get("payload"))

@@ -33,8 +33,9 @@ Both fitters place a split between two neighbouring training values with
 
 Determinism: rows are brought into a canonical order before fitting, so the
 fitted tree is bit-identical under any permutation of the training rows.
-Histograms have at most :data:`MAX_BINS` bins per feature, LightGBM's
-default (Ke et al., NeurIPS 2017), so a bin code fits in a uint8. When
+A histogram fit bins its own training rows (:class:`BinnedColumns`), as
+LightGBM does (Ke et al., NeurIPS 2017), into at most :data:`MAX_BINS` bins
+per feature, LightGBM's default, so a bin code fits in a uint8. When
 every feature has at most that many distinct values the histogram tree has
 the same candidate splits as the exact tree, and the two are bit-identical
 when the per-group sums are exact (integer targets, as in the tests). With
@@ -51,31 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import as_matrix, query_matrix, training_data
+from .checks import query_matrix, training_data
 from .errors import DataError, PersistError
 from .rng import substream
-
-
-@dataclass(slots=True, frozen=True)
-class TreeConfig:
-    """Growth limit and seeding for a single regression tree (a grower's settings, not persisted).
-
-    ``max_depth=None`` means unlimited; any node with two distinct targets
-    may split. ``feature_subsample`` < 1 draws a fresh candidate-feature
-    subset at every splittable node of an exact tree (random forest
-    behaviour), in level order; the subset size is
-    ``ceil(feature_subsample * n_features)``.
-    """
-
-    max_depth: int | None = None
-    feature_subsample: float = 1.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DataError("max_depth must be >= 1 or None")
-        if not 0.0 < self.feature_subsample <= 1.0:
-            raise DataError("feature_subsample must be in (0, 1]")
 
 
 @dataclass(slots=True, frozen=True, eq=False)
@@ -155,96 +134,33 @@ _NODE_ARRAYS = ("feature", "threshold", "right", "value")
 MAX_BINS = 255
 
 
-@dataclass(slots=True)
-class BinMap:
-    """Per-feature bin edges plus the observed value range of each bin.
+def fit_tree_exact(
+    X: np.ndarray, y: np.ndarray, max_depth: int | None = None, feature_subsample: float = 1.0, seed: int = 0
+) -> Tree:
+    """Grow a regression tree scanning every distinct-value midpoint split.
 
-    ``edges[f]`` is strictly ascending; a value v maps to the number of
-    edges strictly below it (values above the last edge land in the final
-    bin). ``bin_min``/``bin_max`` hold the smallest/largest training value
-    seen in each bin and provide split thresholds that fall between bins.
+    ``max_depth=None`` means unlimited: any node with two distinct targets
+    may split. ``feature_subsample`` < 1 draws a fresh candidate-feature
+    subset at every splittable node (random forest behaviour), in level
+    order and seeded by ``seed``; the subset size is
+    ``ceil(feature_subsample * n_features)``.
     """
-
-    edges: list[np.ndarray]
-    bin_min: list[np.ndarray]
-    bin_max: list[np.ndarray]
-
-    @property
-    def n_features(self) -> int:
-        return len(self.edges)
-
-    def n_bins(self, feature: int) -> int:
-        return len(self.edges[feature]) + 1
-
-    def binize(self, X: np.ndarray) -> np.ndarray:
-        """The bin code of every value of ``X``, feature-major: ``out[f, i]`` is the bin of ``X[i, f]``.
-
-        Codes are uint8, which holds every bin number below :data:`MAX_BINS`.
-        """
-        X = as_matrix(X)
-        if X.shape[1] != self.n_features:
-            raise DataError(
-                f"binize: expected {self.n_features} features, got {X.shape[1]}"
-            )
-        out = np.empty(X.shape[::-1], dtype=np.uint8)
-        for f in range(self.n_features):
-            out[f] = np.searchsorted(self.edges[f], X[:, f], side="left")
-        return out
+    _check_depth(max_depth)
+    if not 0.0 < feature_subsample <= 1.0:
+        raise DataError("feature_subsample must be in (0, 1]")
+    return grow_exact(*canonical_rows(*training_data(X, y)), max_depth, feature_subsample, seed)
 
 
-def build_bins(X: np.ndarray) -> BinMap:
-    """Quantile bin map for ``X``.
-
-    Features with at most :data:`MAX_BINS` distinct values get one bin per
-    value, with edges at the :func:`split_threshold` of consecutive distinct
-    values (histogram splits then have the exact candidates). Denser
-    features get edges at the ``i/MAX_BINS`` quantiles, deduplicated.
-    """
-    X = as_matrix(X)
-    if X.shape[0] == 0:
-        raise DataError("build_bins: empty feature table")
-    edges: list[np.ndarray] = []
-    mins: list[np.ndarray] = []
-    maxs: list[np.ndarray] = []
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        uniq = np.unique(col)
-        if uniq.size <= MAX_BINS:
-            edges.append(split_threshold(uniq[:-1], uniq[1:]))
-            mins.append(uniq.copy())
-            maxs.append(uniq.copy())
-            continue
-        qs = np.quantile(col, np.arange(1, MAX_BINS) / MAX_BINS)
-        e = np.unique(qs)
-        n_bins = e.size + 1
-        idx = np.searchsorted(e, col, side="left")
-        lo = np.full(n_bins, np.inf)
-        hi = np.full(n_bins, -np.inf)
-        np.minimum.at(lo, idx, col)
-        np.maximum.at(hi, idx, col)
-        edges.append(e)
-        mins.append(lo)
-        maxs.append(hi)
-    return BinMap(edges=edges, bin_min=mins, bin_max=maxs)
-
-
-def fit_tree_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> Tree:
-    """Grow a regression tree scanning every distinct-value midpoint split."""
-    cfg.validate()
-    return grow_exact(*canonical_rows(*training_data(X, y)), cfg)
-
-
-def fit_tree_hist(X: np.ndarray, y: np.ndarray, cfg: TreeConfig, bins: BinMap) -> Tree:
-    """Grow a regression tree scanning histogram-bin boundaries.
-
-    ``bins`` must have been built from a superset of ``X``'s values. Every
-    feature is a candidate at every node: ``feature_subsample`` must be 1.
-    """
-    cfg.validate()
-    if cfg.feature_subsample != 1.0:
-        raise DataError("histogram trees do not subsample features; leave feature_subsample at 1.0")
+def fit_tree_hist(X: np.ndarray, y: np.ndarray, max_depth: int | None = None) -> Tree:
+    """Grow a regression tree over every feature, scanning the boundaries of bins of ``X``'s own values."""
+    _check_depth(max_depth)
     X, y = canonical_rows(*training_data(X, y))
-    return _grow(X, y, cfg.max_depth, BinnedColumns(X, bins))[0]
+    return _grow(X, y, max_depth, BinnedColumns(X))[0]
+
+
+def _check_depth(max_depth: int | None) -> None:
+    if max_depth is not None and max_depth < 1:
+        raise DataError("max_depth must be >= 1 or None")
 
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -331,7 +247,9 @@ def column_presort(X: np.ndarray) -> np.ndarray:
     return presort
 
 
-def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
+def grow_exact(
+    X: np.ndarray, y: np.ndarray, max_depth: int | None, feature_subsample: float = 1.0, seed: int = 0
+) -> Tree:
     """An exact tree on rows already in canonical order, grown level by level.
 
     All open nodes of a level are scanned together, over per-feature row
@@ -344,11 +262,11 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
     features in level order.
     """
     n, n_features = X.shape
-    rng = substream(cfg.seed, "tree-feature-subsample") if cfg.feature_subsample < 1.0 else None
-    n_draw = n_candidate_features(n_features, cfg.feature_subsample)
+    rng = substream(seed, "tree-feature-subsample") if feature_subsample < 1.0 else None
+    n_draw = n_candidate_features(n_features, feature_subsample)
     # Node arrays in level order. A tree has at most n leaves, so at most
     # 2n - 1 nodes, and one of depth d at most 2**(d + 1) - 1.
-    n_nodes = 2 * n - 1 if cfg.max_depth is None else min(2 * n - 1, 2 ** (cfg.max_depth + 1) - 1)
+    n_nodes = 2 * n - 1 if max_depth is None else min(2 * n - 1, 2 ** (max_depth + 1) - 1)
     feature = np.full(n_nodes, -1, dtype=np.intp)
     threshold = np.zeros(n_nodes)
     left = np.zeros(n_nodes, dtype=np.intp)  # the right child is left + 1
@@ -369,7 +287,7 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
         edges = bounds.tolist()
         for i, node in enumerate(ids.tolist()):  # np.add.reduce is np.sum without its wrapper
             value[node] = np.add.reduce(ys[edges[i] : edges[i + 1]]) / (edges[i + 1] - edges[i])
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
+        if max_depth is not None and depth >= max_depth:
             break
         # A node splits only if its targets differ, so a single row is a leaf.
         open_ = np.minimum.reduceat(ys, bounds[:-1]) < np.maximum.reduceat(ys, bounds[:-1])
@@ -406,7 +324,7 @@ def grow_exact(X: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Tree:
 
         goes_left[rows] = go_left
         _partition(rows[None], goes_left, bounds, n_left)
-        if cfg.max_depth is None or depth + 1 < cfg.max_depth:  # else the children are leaves
+        if max_depth is None or depth + 1 < max_depth:  # else the children are leaves
             _partition(order, goes_left, bounds, n_left)
         bounds = np.append(np.stack((bounds[:-1], bounds[:-1] + n_left), axis=1).ravel(), bounds[-1])
     return _preorder(feature, threshold, left, value, level_start, n_features)
@@ -627,20 +545,40 @@ class ExactColumns:
 class BinnedColumns:
     """The histogram key of every value, and the bins' value ranges: what a histogram node scan reads.
 
+    Built once per fit from the training rows, which it bins itself: a
+    feature with at most :data:`MAX_BINS` distinct values gets one bin per
+    value, so histogram splits have the exact candidates; a denser feature
+    gets bins between its deduplicated ``i/MAX_BINS`` quantiles.
     ``keys[r, f]`` is ``f * W + code``, with ``code`` the bin of ``X[r, f]``
-    (:meth:`BinMap.binize`) and W the widest feature's bin count: a node's
-    keys count into a dense (feature, bin) table of ``n_features * W``
-    cells. ``bin_min``/``bin_max`` are padded to that table.
+    and W the widest feature's bin count: a node's keys count into a dense
+    (feature, bin) table of ``n_features * W`` cells. ``bin_min[f, b]`` and
+    ``bin_max[f, b]`` are the smallest and largest value in bin b of feature
+    f, padded to that table; split thresholds fall between them.
     """
 
     __slots__ = ("keys", "bin_min", "bin_max")
 
-    def __init__(self, X: np.ndarray, bins: BinMap):
-        width = max(bins.n_bins(f) for f in range(bins.n_features))
-        self.keys = bins.binize(X).T.astype(np.intp, order="C")  # bincount would cast narrower keys on every call
-        self.keys += np.arange(0, bins.n_features * width, width)
+    def __init__(self, X: np.ndarray):
+        codes = np.empty(X.shape[::-1], dtype=np.uint8)  # codes[f, r] is the bin of X[r, f]
+        ranges = []
+        for f, col in enumerate(X.T):
+            uniq = np.unique(col)
+            if uniq.size <= MAX_BINS:  # a value's code is its rank
+                codes[f] = np.searchsorted(uniq, col)
+                ranges.append((uniq, uniq))
+                continue
+            edges = np.unique(np.quantile(col, np.arange(1, MAX_BINS) / MAX_BINS))
+            code = np.searchsorted(edges, col)  # the number of edges below the value
+            lo, hi = np.full(edges.size + 1, np.inf), np.full(edges.size + 1, -np.inf)
+            np.minimum.at(lo, code, col)
+            np.maximum.at(hi, code, col)
+            codes[f] = code
+            ranges.append((lo, hi))
+        width = max(lo.size for lo, _ in ranges)
+        self.keys = codes.T.astype(np.intp, order="C")  # bincount would cast narrower keys on every call
+        self.keys += np.arange(0, X.shape[1] * width, width)
         self.bin_min, self.bin_max = (
-            np.stack([np.pad(v, (0, width - v.size)) for v in a]) for a in (bins.bin_min, bins.bin_max)
+            np.stack([np.pad(v, (0, width - v.size)) for v in a]) for a in zip(*ranges)
         )
 
     def best_split(self, y: np.ndarray, yn: np.ndarray, idx: np.ndarray) -> tuple[int, float] | None:

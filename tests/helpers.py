@@ -117,8 +117,9 @@ def reference_tree(X, y, max_depth=None, bins=None):
 
     Exact mode (``bins`` None): each node's rows are stably argsorted per
     feature and candidate splits lie between distinct values, whose target
-    sums ``reduceat`` adds. Histogram mode (a ``BinMap``): one ``bincount``
-    over (feature, bin) keys of the node's rows in canonical order gives
+    sums ``reduceat`` adds. Histogram mode (a ``BinnedColumns`` built from
+    the canonical rows of ``X``): one ``bincount`` over the (feature, bin)
+    keys of the node's rows in canonical order gives
     each bin's row count and target sum, and candidate splits lie between
     consecutive nonempty bins, at ``split_threshold`` of the left bin's
     largest and the right bin's smallest training value. Either way splits
@@ -129,8 +130,8 @@ def reference_tree(X, y, max_depth=None, bins=None):
     X, y = canonical_rows(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
     k = X.shape[1]
     if bins is not None:
-        codes = bins.binize(X).T
-        offsets = np.cumsum([0] + [bins.n_bins(f) for f in range(k)])
+        assert bins.keys.shape == X.shape
+        width = bins.bin_min.shape[1]  # keys[r, f] is f * width + the bin of X[r, f]
     feature, threshold, left, right, value = [], [], [], [], []
     stack = [(np.arange(len(y)), 0, None)]
     while stack:
@@ -142,9 +143,9 @@ def reference_tree(X, y, max_depth=None, bins=None):
         best, best_score, best_parent = None, -np.inf, 0.0
         can_split = (max_depth is None or depth < max_depth) and np.any(y[idx] != y[idx[0]])
         if can_split and bins is not None:
-            keys = (codes[idx] + offsets[:-1]).ravel()
-            counts = np.bincount(keys, minlength=offsets[-1])
-            sums = np.bincount(keys, weights=np.repeat(y[idx], k), minlength=offsets[-1])
+            keys = bins.keys[idx].ravel()
+            counts = np.bincount(keys, minlength=k * width).reshape(k, width)
+            sums = np.bincount(keys, weights=np.repeat(y[idx], k), minlength=k * width).reshape(k, width)
         for f in range(k) if can_split else ():
             if bins is None:
                 sorted_idx = idx[np.argsort(X[idx, f], kind="stable")]
@@ -153,8 +154,8 @@ def reference_tree(X, y, max_depth=None, bins=None):
                 g_y, g_n = np.add.reduceat(y[sorted_idx], starts), np.diff(np.r_[starts, idx.size])
                 lo, hi = sv[starts[:-1]], sv[starts[1:]]
             else:
-                nonempty = np.flatnonzero(counts[offsets[f] : offsets[f + 1]])
-                g_y, g_n = sums[offsets[f] + nonempty], counts[offsets[f] + nonempty]
+                nonempty = np.flatnonzero(counts[f])
+                g_y, g_n = sums[f, nonempty], counts[f, nonempty]
                 lo, hi = bins.bin_max[f][nonempty[:-1]], bins.bin_min[f][nonempty[1:]]
             cy, cn = np.cumsum(g_y), np.cumsum(g_n)
             s_left, s_right, n_left, n_right = cy[:-1], cy[-1] - cy[:-1], cn[:-1], cn[-1] - cn[:-1]

@@ -32,8 +32,6 @@ from tripcast.persist import load_model, save_model
 from tripcast.registry import make_model
 from tripcast.synthgen import GenConfig, generate
 from tripcast.trees import (
-    TreeConfig,
-    build_bins,
     fit_tree_exact,
     fit_tree_hist,
     predict_tree_batch,
@@ -122,9 +120,9 @@ def test_acceptance_2_exact_histogram_equivalence():
             y = rng.normal(size=n)  # continuous targets
         else:
             y = rng.integers(-1000, 1001, size=n).astype(float)
-        cfg = TreeConfig(max_depth=None if case % 3 else 5)
-        exact = fit_tree_exact(X, y, cfg=cfg)
-        hist = fit_tree_hist(X, y, cfg, build_bins(X))
+        depth = None if case % 3 else 5
+        exact = fit_tree_exact(X, y, max_depth=depth)
+        hist = fit_tree_hist(X, y, max_depth=depth)
         assert tree_arrays(exact) == tree_arrays(hist), f"case {case}: tree structures differ"
         queries = rng.normal(scale=float(distinct), size=(200, k))
         assert np.array_equal(
@@ -166,7 +164,7 @@ def test_acceptance_4_baseline_degeneracies():
 
     # bagging(1 tree, no bootstrap) behaves exactly like a decision tree
     bag = fit_bagging(X, y, EnsembleConfig(n_estimators=1, bootstrap=False, max_depth=5))
-    tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=5))
+    tree = fit_tree_exact(X, y, max_depth=5)
     assert np.array_equal(bag.predict(queries), predict_tree_batch(tree, queries))
 
     # random forest(feature_subsample=1.0) behaves exactly like bagging

@@ -13,7 +13,7 @@ import pytest
 
 from tripcast.cli import MODEL_FLAGS, main
 from tripcast.errors import UsageError
-from tripcast.persist import _canonical_bytes
+from tripcast.persist import _canonical
 from tripcast import linear, registry
 from tripcast.registry import REGISTRY, ModelRegistryEntry, make_model
 
@@ -249,14 +249,19 @@ def test_save_and_load_model_round_trip(tmp_path, stops_csv):
 
 @pytest.mark.parametrize("model_exists", [True, False])
 def test_load_model_stops_without_predictions_out_is_usage_error(tmp_path, stops_csv, capsys, model_exists):
-    # The flag is checked before any work: neither the model nor the stops
-    # file (here missing, which would be a data error) is read.
+    # Each of the two flags needs the other, and they are checked before any
+    # work: neither the model nor the stops file (here missing, which would
+    # be a data error) is read, and no predictions file is written.
     model_path = tmp_path / "model.json"
     if model_exists:
         assert main(["save-model", str(stops_csv), "--model", "lr", "--target", "delay", "--out", str(model_path)]) == 0
     capsys.readouterr()
     assert main(["load-model", str(model_path), "--stops", str(tmp_path / "missing.csv")]) == 1
     assert "--predictions-out" in capsys.readouterr().err
+    preds = tmp_path / "preds.csv"
+    assert main(["load-model", str(model_path), "--predictions-out", str(preds)]) == 1
+    assert "--stops" in capsys.readouterr().err
+    assert not preds.exists()
 
 
 @pytest.mark.parametrize("name", ["xgb", "nope"])
@@ -295,7 +300,7 @@ def test_load_model_malformed_payload_is_data_error(tmp_path, stops_csv, capsys,
     else:
         del doc["payload"]["config"]
     body = {k: v for k, v in doc.items() if k != "checksum"}
-    doc["checksum"] = hashlib.sha256(_canonical_bytes(body)).hexdigest()
+    doc["checksum"] = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
     model_path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["load-model", str(model_path)]) == 2

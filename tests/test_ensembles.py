@@ -20,7 +20,7 @@ from tripcast.ensembles import (
 )
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
-from tripcast.trees import TreeConfig, build_bins, canonical_rows, fit_tree_exact, predict_tree_batch
+from tripcast.trees import BinnedColumns, canonical_rows, fit_tree_exact, predict_tree_batch
 
 from tests.helpers import reference_tree, small_model, training_mse, tree_arrays
 
@@ -36,7 +36,7 @@ def test_bagging_single_tree_identity():
     X, y = _regression_data(0)
     cfg = EnsembleConfig(n_estimators=1, bootstrap=False, max_depth=4, seed=3)
     bag = fit_bagging(X, y, cfg)
-    tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=4))
+    tree = fit_tree_exact(X, y, max_depth=4)
     Xq = np.random.default_rng(1).normal(size=(60, 5))
     assert np.array_equal(bag.predict(Xq), predict_tree_batch(tree, Xq))
 
@@ -80,7 +80,7 @@ def test_bagging_beats_single_tree_in_paired_runs():
     for seed in range(20):
         X, y = _regression_data(1000 + seed, n=500, k=6)
         bag = fit_bagging(X, y, EnsembleConfig(n_estimators=50, max_depth=5, seed=seed))
-        tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=5))
+        tree = fit_tree_exact(X, y, max_depth=5)
         wins += float(np.mean((y - bag.predict(X)) ** 2)) <= training_mse(tree, X, y)
     assert wins >= 19
 
@@ -148,7 +148,7 @@ def test_property_gbm_every_stage_equals_per_node_reference(data, n_features, co
     X, y = _duplicated_rows(data, n_features, copies)
     cfg = EnsembleConfig(n_estimators=n_stages, learning_rate=nu, max_depth=depth)
     model = fit_gbm(X, y, cfg, mode=mode)
-    bins = build_bins(X) if mode == "hist" else None
+    bins = BinnedColumns(canonical_rows(X, y)[0]) if mode == "hist" else None
     current = np.full(y.size, model.base_prediction)
     for tree, weight in model.members:
         assert tree_arrays(tree) == reference_tree(X, y - current, depth, bins)
@@ -406,7 +406,7 @@ def test_config_field_a_kind_does_not_read_is_rejected(fit, field, value):
     if field.startswith("tree."):
         # The flat config has no nested tree, so its seed and feature subsample are refused for every kind.
         with pytest.raises(TypeError, match="tree"):
-            fit(X, y, EnsembleConfig(n_estimators=2, tree=TreeConfig(**{field.removeprefix("tree."): value})))
+            fit(X, y, EnsembleConfig(n_estimators=2, tree={field.removeprefix("tree."): value}))
     else:
         with pytest.raises(DataError, match=f"does not read {field}"):
             fit(X, y, EnsembleConfig(n_estimators=2, **{field: value}))

@@ -13,13 +13,15 @@ from tripcast.errors import DataError, InsufficientSpanError
 from tripcast.evaluation import (
     SCENARIOS,
     ScenarioSpec,
+    add_months,
     mae,
     make_folds,
+    month_floor,
     rmse,
     run_scale_bench,
     run_scenario,
 )
-from tripcast.featurize import DAY_TYPE_COLUMN, TargetKind, build_table
+from tripcast.featurize import DAY_TYPE_COLUMN, FeatureTable, TargetKind, build_table
 from tripcast.linear import fit_lasso
 from tripcast.registry import Estimator, make_model
 from tests.helpers import MeanModel, make_trip, trip_table
@@ -123,19 +125,55 @@ def test_scenario_4_one_fold_per_day():
         assert fold.train_range[1] - fold.train_range[0] == timedelta(days=3)
 
 
+def _start_time_table(first, span_days, points):
+    """A table whose only content is its sorted trip start times.
+
+    They run from ``first`` to ``span_days`` later, with one more row at
+    each of ``points`` thousandths of the span, rounded down to the second:
+    repeated or close points give same-second ties.
+    """
+    at = np.sort([0, *points, 1000]) * (span_days * 86_400) // 1000
+    starts = np.datetime64(first.replace(microsecond=0), "s") + at.astype("timedelta64[s]")
+    n = starts.size
+    return FeatureTable([f"T{i}" for i in range(n)], starts, np.zeros((n, 1)), np.zeros(n), TargetKind.DURATION)
+
+
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_fold_partition_and_no_leakage(scenario_id):
-    table = _seven_month_table()
-    folds = make_folds(table, ScenarioSpec.for_id(scenario_id))
-    # adjacency and exact coverage of the final three months
-    assert folds[0].test_range[0] == datetime(2019, 7, 1)
-    assert folds[-1].test_range[1] == table.start_times[-1] + timedelta(seconds=1)
+@settings(max_examples=60, deadline=2000)
+@given(
+    first=st.datetimes(datetime(2018, 1, 1), datetime(2020, 12, 31)),
+    span_days=st.integers(0, 400),
+    points=st.lists(st.integers(0, 1000), max_size=60),
+)
+def test_fold_partition_and_no_leakage(scenario_id, first, span_days, points):
+    # Either the span is too short, or the test windows tile the last three
+    # calendar months, each train window ends where its test window starts,
+    # and every train row precedes every test row.
+    table = _start_time_table(first, span_days, points)
+    spec = ScenarioSpec.for_id(scenario_id)
+    t_min, t_max = table.start_times[0].item(), table.start_times[-1].item()
+    last_three = add_months(month_floor(t_max), -2)
+    try:
+        folds = make_folds(table, spec)
+    except InsufficientSpanError:
+        # Only when the test months start at or before the first row, or fold 0's
+        # training window would start before the first row's month.
+        if spec.train_months is not None:
+            train_start = add_months(last_three, -spec.train_months)
+        else:
+            train_start = last_three - timedelta(days=spec.train_days)
+        assert last_three <= t_min or train_start < month_floor(t_min)
+        return
+    assert folds[0].test_range[0] == last_three > t_min
+    assert folds[-1].test_range[1] == t_max + timedelta(seconds=1)
     for a, b in zip(folds, folds[1:]):
         assert a.test_range[1] == b.test_range[0]
+    assert folds[0].train_range[0] >= month_floor(t_min)
+    times = table.start_times.tolist()
     for fold in folds:
-        assert fold.train_range[1] == fold.test_range[0]
-        train_times = [t for t in table.start_times if fold.train_range[0] <= t < fold.train_range[1]]
-        test_times = [t for t in table.start_times if fold.test_range[0] <= t < fold.test_range[1]]
+        assert fold.train_range[0] < fold.train_range[1] == fold.test_range[0] < fold.test_range[1]
+        train_times = [t for t in times if fold.train_range[0] <= t < fold.train_range[1]]
+        test_times = [t for t in times if fold.test_range[0] <= t < fold.test_range[1]]
         if train_times and test_times:
             assert max(train_times) < min(test_times)
 

@@ -9,7 +9,7 @@ import pytest
 from tripcast.errors import PersistError, UsageError
 from tripcast.persist import (
     FORMAT_VERSION,
-    _canonical_bytes,
+    _canonical,
     dumps_model,
     load_model,
     loads_model,
@@ -49,6 +49,21 @@ def test_save_is_deterministic(tmp_path):
     a = make_model("hgb", seed=3, n_estimators=3).fit(X, y)
     b = make_model("hgb", seed=3, n_estimators=3).fit(X, y)
     assert dumps_model(a) == dumps_model(b)
+
+
+@pytest.mark.parametrize("abbrev", ["dt", "gb"])
+def test_document_is_compact_and_an_indented_one_still_loads(abbrev):
+    # Earlier builds wrote the same document with indent=1. The checksum
+    # covers the compact canonical form of the parsed document, so such a
+    # file loads and predicts as the model it was saved from.
+    X, y = _data()
+    model = small_model(abbrev, 2, n_estimators=3).fit(X, y)
+    text = dumps_model(model)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    indented = json.dumps(doc, sort_keys=True, indent=1)
+    assert len(indented) > len(text) and indented.count("\n") > 100
+    assert np.array_equal(loads_model(indented).predict(X), model.predict(X))
 
 
 def test_truncated_document_rejected(tmp_path):
@@ -108,7 +123,7 @@ def test_unfitted_model_not_persistable():
 def _rechecksummed(doc: dict) -> str:
     """A document edited after saving, with a checksum that matches the edit."""
     body = {k: v for k, v in doc.items() if k != "checksum"}
-    return json.dumps({**body, "checksum": hashlib.sha256(_canonical_bytes(body)).hexdigest()})
+    return json.dumps({**body, "checksum": hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()})
 
 
 def test_version_1_document_rejected():

@@ -12,9 +12,8 @@ from tripcast.errors import DataError
 from tripcast.rng import derive_seed, substream
 from tripcast.trees import (
     MAX_BINS,
+    BinnedColumns,
     Tree,
-    TreeConfig,
-    build_bins,
     canonical_rows,
     fit_tree_exact,
     fit_tree_hist,
@@ -26,14 +25,14 @@ from tests.helpers import reference_predict, reference_tree, time_limit, trainin
 
 
 def test_two_point_split():
-    tree = fit_tree_exact(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]), cfg=TreeConfig(max_depth=1))
+    tree = fit_tree_exact(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]), max_depth=1)
     assert tree_arrays(tree) == [[0, -1, -1], [0.5, 0.0, 0.0], [1, 1, 2], [2, 1, 2], [5.0, 0.0, 10.0]]
     assert tree.depth == 1
     assert training_mse(tree, np.array([[0.0], [1.0]]), np.array([0.0, 10.0])) == 0.0
 
 
 def test_predict_tie_goes_left():
-    tree = fit_tree_exact(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]), cfg=TreeConfig(max_depth=1))
+    tree = fit_tree_exact(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]), max_depth=1)
     got = predict_tree_batch(tree, np.array([[0.2], [0.5], [0.51]]))  # 0.5 is the threshold
     assert got.tolist() == [0.0, 0.0, 10.0]
 
@@ -49,58 +48,60 @@ def test_constant_target_single_leaf():
 def test_perfect_fit_three_rows():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 3.0])
-    tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=None))
+    tree = fit_tree_exact(X, y, max_depth=None)
     assert training_mse(tree, X, y) == 0.0
     assert tree.feature.tolist() == [0, -1, 0, -1, -1]  # single rows are leaves
 
 
 @pytest.mark.parametrize("field", ["min_samples_leaf", "min_samples_split", "max_bins"])
 def test_deleted_tree_settings_are_type_errors(field):
-    with pytest.raises(TypeError, match=field):
-        TreeConfig(**{field: 2})
+    X, y = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+    for fit in (fit_tree_exact, fit_tree_hist):
+        with pytest.raises(TypeError, match=field):
+            fit(X, y, **{field: 2})
 
 
 def test_tie_break_lowest_feature_then_threshold():
     # identical columns: equal gain -> feature 0 must win
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    tree = fit_tree_exact(X, np.array([0.0, 10.0]), cfg=TreeConfig(max_depth=1))
+    tree = fit_tree_exact(X, np.array([0.0, 10.0]), max_depth=1)
     assert tree.feature[0] == 0
     # two equal-gain thresholds within one feature -> the lower one wins
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([0.0, 10.0, 0.0])
-    tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=1))
+    tree = fit_tree_exact(X, y, max_depth=1)
     assert tree.threshold[0] == 1.5
 
 
 def test_build_bins_midpoints_small_cardinality():
-    bm = build_bins(np.array([[1.0], [2.0], [3.0], [2.0]]))
-    assert np.array_equal(bm.edges[0], [1.5, 2.5])
-    assert np.array_equal(bm.bin_min[0], [1.0, 2.0, 3.0])
+    # One bin per distinct value, coded by the value's rank; a second feature
+    # of two values gives the key table width 3 and pads its value ranges.
+    cols = BinnedColumns(np.array([[1.0, 7.0], [2.0, 5.0], [3.0, 7.0], [2.0, 7.0]]))
+    assert cols.keys.tolist() == [[0, 4], [1, 3], [2, 4], [1, 4]]
+    assert cols.bin_min.tolist() == cols.bin_max.tolist() == [[1.0, 2.0, 3.0], [5.0, 7.0, 0.0]]
 
 
 def test_build_bins_constant_feature():
-    bm = build_bins(np.full((10, 1), 4.0))
-    assert bm.edges[0].size == 0 and bm.n_bins(0) == 1
+    cols = BinnedColumns(np.full((10, 1), 4.0))
+    assert cols.keys.tolist() == [[0]] * 10
+    assert cols.bin_min.tolist() == cols.bin_max.tolist() == [[4.0]]
 
 
 def test_build_bins_quantiles():
     rng = np.random.default_rng(0)
     col = rng.random((25_500, 1))
-    bm = build_bins(col)
-    assert bm.edges[0].size == MAX_BINS - 1
-    assert np.allclose(bm.edges[0], np.arange(1, MAX_BINS) / MAX_BINS, atol=0.01)
-    codes = bm.binize(col)
-    assert codes.dtype == np.uint8 and codes.shape == (1, 25_500) and codes.max() == MAX_BINS - 1
-    counts = np.bincount(codes[0], minlength=MAX_BINS)
+    cols = BinnedColumns(col)
+    codes = cols.keys[:, 0]
+    assert cols.keys.dtype == np.intp and cols.bin_min.shape == (1, MAX_BINS) and codes.max() == MAX_BINS - 1
+    counts = np.bincount(codes, minlength=MAX_BINS)
     assert np.all(np.abs(counts - 100) <= 40)
-    # each bin's observed range lies between its edges
-    assert np.all(bm.bin_max[0][:-1] <= bm.edges[0]) and np.all(bm.edges[0] < bm.bin_min[0][1:])
-
-
-def test_binize_maps_every_value_and_clamps_top():
-    bm = build_bins(np.array([[1.0], [2.0], [3.0]]))
-    got = bm.binize(np.array([[0.5], [1.0], [1.5], [2.0], [99.0]]))
-    assert got[0].tolist() == [0, 0, 0, 1, 2]
+    # Each bin's value range is that of its own values; the ranges ascend
+    # without overlap, with a boundary near each i/255 quantile.
+    lo, hi = cols.bin_min[0], cols.bin_max[0]
+    assert np.array_equal(lo, [col[codes == b, 0].min() for b in range(MAX_BINS)])
+    assert np.array_equal(hi, [col[codes == b, 0].max() for b in range(MAX_BINS)])
+    assert np.all(hi[:-1] < lo[1:])
+    assert np.allclose(hi[:-1], np.arange(1, MAX_BINS) / MAX_BINS, atol=0.01)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -108,9 +109,8 @@ def test_hist_equals_exact_when_bins_cover_distinct_values(seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 12, size=(160, 4)).astype(float)
     y = rng.integers(-30, 30, size=160).astype(float)
-    cfg = TreeConfig(max_depth=None)
-    exact = fit_tree_exact(X, y, cfg=cfg)
-    hist = fit_tree_hist(X, y, cfg, build_bins(X))
+    exact = fit_tree_exact(X, y)
+    hist = fit_tree_hist(X, y)
     assert tree_arrays(exact) == tree_arrays(hist)
     grid = rng.normal(scale=6.0, size=(300, 4))
     assert np.array_equal(predict_tree_batch(exact, grid), predict_tree_batch(hist, grid))
@@ -120,9 +120,8 @@ def test_hist_close_to_exact_on_large_continuous_data():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(50_000, 5))
     y = X[:, 0] * 2.0 + np.sin(X[:, 1] * 3.0) + rng.normal(size=50_000) * 0.2
-    cfg = TreeConfig(max_depth=6)
-    exact = fit_tree_exact(X, y, cfg=cfg)
-    hist = fit_tree_hist(X, y, cfg, build_bins(X))
+    exact = fit_tree_exact(X, y, max_depth=6)
+    hist = fit_tree_hist(X, y, max_depth=6)
     mse_exact = training_mse(exact, X, y)
     mse_hist = training_mse(hist, X, y)
     assert mse_hist <= mse_exact * 1.05
@@ -133,7 +132,7 @@ def test_training_mse_monotone_in_depth():
     X = rng.normal(size=(400, 5))
     y = X[:, 0] + rng.normal(size=400)
     mses = [
-        training_mse(fit_tree_exact(X, y, cfg=TreeConfig(max_depth=d)), X, y)
+        training_mse(fit_tree_exact(X, y, max_depth=d), X, y)
         for d in range(1, 9)
     ]
     for shallower, deeper in zip(mses, mses[1:]):
@@ -144,7 +143,7 @@ def test_leaf_values_are_node_means():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(300, 3))
     y = rng.normal(size=300)
-    tree = fit_tree_exact(X, y, TreeConfig(max_depth=4))
+    tree = fit_tree_exact(X, y, max_depth=4)
 
     stack = [(0, np.arange(300))]
     while stack:
@@ -161,10 +160,10 @@ def test_permutation_invariance_bitwise():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(250, 4))
     y = rng.normal(size=250)
-    base = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=5))
+    base = fit_tree_exact(X, y, max_depth=5)
     for _ in range(3):
         p = rng.permutation(250)
-        again = fit_tree_exact(X[p], y[p], cfg=TreeConfig(max_depth=5))
+        again = fit_tree_exact(X[p], y[p], max_depth=5)
         assert tree_arrays(base) == tree_arrays(again)
 
 
@@ -178,16 +177,15 @@ def test_feature_subsample_deterministic_given_seed():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(200, 10))
     y = rng.normal(size=200)
-    cfg = TreeConfig(max_depth=4, feature_subsample=1.0 / 3.0, seed=77)
-    a = fit_tree_exact(X, y, cfg=cfg)
-    b = fit_tree_exact(X, y, cfg=cfg)
+    a = fit_tree_exact(X, y, max_depth=4, feature_subsample=1.0 / 3.0, seed=77)
+    b = fit_tree_exact(X, y, max_depth=4, feature_subsample=1.0 / 3.0, seed=77)
     assert tree_arrays(a) == tree_arrays(b)
-    c = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=4, feature_subsample=1.0 / 3.0, seed=78))
+    c = fit_tree_exact(X, y, max_depth=4, feature_subsample=1.0 / 3.0, seed=78)
     assert tree_arrays(a) != tree_arrays(c)  # overwhelmingly likely
 
 
 def test_predict_arity_mismatch():
-    tree = fit_tree_exact(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]), cfg=TreeConfig(max_depth=1))
+    tree = fit_tree_exact(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]), max_depth=1)
     with pytest.raises(DataError, match="feature"):
         predict_tree_batch(tree, np.zeros((3, 1)))
     with pytest.raises(DataError, match="feature"):
@@ -201,20 +199,23 @@ def test_fit_validation_errors():
         fit_tree_exact(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(TypeError):  # trees take no sample weights
         fit_tree_exact(np.zeros((2, 2)), np.zeros(2), w=np.array([1.0, 0.0]))
+    with pytest.raises(DataError, match="max_depth"):
+        fit_tree_exact(np.zeros((2, 2)), np.zeros(2), max_depth=0)
+    with pytest.raises(DataError, match="feature_subsample"):
+        fit_tree_exact(np.zeros((2, 2)), np.zeros(2), feature_subsample=0.0)
+    with pytest.raises(DataError, match="max_depth"):
+        fit_tree_hist(np.zeros((2, 2)), np.zeros(2), max_depth=0)
     with pytest.raises(DataError):
-        fit_tree_exact(np.zeros((2, 2)), np.zeros(2), cfg=TreeConfig(max_depth=0))
-    with pytest.raises(DataError):
-        fit_tree_exact(np.zeros((2, 2)), np.zeros(2), cfg=TreeConfig(feature_subsample=0.0))
-    X = np.zeros((2, 2))
-    with pytest.raises(DataError, match="feature_subsample"):  # histogram trees scan every feature
-        fit_tree_hist(X, np.zeros(2), TreeConfig(feature_subsample=0.5), build_bins(X))
+        fit_tree_hist(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(TypeError):  # histogram trees scan every feature and draw nothing
+        fit_tree_hist(np.zeros((2, 2)), np.zeros(2), feature_subsample=0.5)
 
 
 def test_tree_serialization_round_trip():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(100, 3))
     y = rng.normal(size=100)
-    tree = fit_tree_exact(X, y, cfg=TreeConfig(max_depth=5))
+    tree = fit_tree_exact(X, y, max_depth=5)
     clone = Tree.from_dict(tree.to_dict(), tree.n_features)
     assert tree_arrays(clone) == tree_arrays(tree)
     assert np.array_equal(predict_tree_batch(clone, X), predict_tree_batch(tree, X))
@@ -241,7 +242,7 @@ def test_vectorized_descent_matches_row_walk_for_every_tree_kind():
     # An unlimited-depth tree on exponentially growing targets peels off one
     # row per level, so it is far deeper than 30 levels.
     X = np.arange(60.0).reshape(-1, 1)
-    deep = fit_tree_exact(X, 2.0 ** np.arange(60), cfg=TreeConfig(max_depth=None))
+    deep = fit_tree_exact(X, 2.0 ** np.arange(60), max_depth=None)
     assert deep.depth > 30
     cases = [("decision_tree", deep, X), *_ensemble_trees()]
     rng = np.random.default_rng(6)
@@ -269,8 +270,7 @@ def test_property_descent_equals_row_walk(data, n_features, depth, hist, queries
     # one query per split sits on that split's threshold.
     X = np.array([x[:n_features] for x, _ in data]) * 0.5
     y = np.array([t for _, t in data], dtype=float)
-    cfg = TreeConfig(max_depth=depth)
-    tree = fit_tree_hist(X, y, cfg, build_bins(X)) if hist else fit_tree_exact(X, y, cfg=cfg)
+    tree = (fit_tree_hist if hist else fit_tree_exact)(X, y, max_depth=depth)
     split = np.flatnonzero(tree.feature >= 0)
     on_split = np.repeat(X[:1], split.size, axis=0)
     on_split[np.arange(split.size), tree.feature[split]] = tree.threshold[split]
@@ -295,13 +295,12 @@ def test_property_descent_equals_row_walk(data, n_features, depth, hist, queries
 def test_property_hist_exact_equivalence_and_permutation(data, depth):
     X = np.array([[a, b] for a, b, _ in data], dtype=float)
     y = np.array([t for _, _, t in data], dtype=float)
-    cfg = TreeConfig(max_depth=depth)
-    exact = fit_tree_exact(X, y, cfg=cfg)
-    hist = fit_tree_hist(X, y, cfg, build_bins(X))
+    exact = fit_tree_exact(X, y, max_depth=depth)
+    hist = fit_tree_hist(X, y, max_depth=depth)
     assert tree_arrays(exact) == tree_arrays(hist)
     rng = np.random.default_rng(0)
     p = rng.permutation(len(y))
-    assert tree_arrays(fit_tree_exact(X[p], y[p], cfg=cfg)) == tree_arrays(exact)
+    assert tree_arrays(fit_tree_exact(X[p], y[p], max_depth=depth)) == tree_arrays(exact)
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,7 +321,7 @@ def test_property_exact_tree_equals_per_node_reference(data, n_features, copies,
     # must add the same numbers in the same order as a node-by-node scan.
     X = np.tile([x[:n_features] for x, _ in data], (copies, 1)) * 0.5
     y = np.tile([t for _, t in data], copies)
-    assert tree_arrays(fit_tree_exact(X, y, cfg=TreeConfig(max_depth=depth))) == reference_tree(X, y, depth)
+    assert tree_arrays(fit_tree_exact(X, y, max_depth=depth)) == reference_tree(X, y, depth)
 
 
 @settings(max_examples=25, deadline=None)
@@ -340,10 +339,10 @@ def test_property_hist_tree_equals_per_node_reference_when_bins_merge_values(see
     X = rng.integers(0, distinct, size=(n, n_features)) * 0.25
     X[:, 0] = rng.normal(size=n)  # at least one feature has n > MAX_BINS distinct values
     y = X[:, 0] + rng.normal(size=n)
-    bins = build_bins(X)
-    assert bins.n_bins(0) <= MAX_BINS < np.unique(X[:, 0]).size
+    bins = BinnedColumns(canonical_rows(X, y)[0])
+    assert bins.bin_min.shape[1] <= MAX_BINS < np.unique(X[:, 0]).size
     with time_limit(30):
-        hist = fit_tree_hist(X, y, TreeConfig(max_depth=depth), bins)
+        hist = fit_tree_hist(X, y, max_depth=depth)
         assert tree_arrays(hist) == reference_tree(X, y, depth, bins)
 
 
@@ -356,10 +355,9 @@ def test_split_between_adjacent_floats(max_depth):
     # there sent both rows left and an unlimited tree split that node forever.
     X = np.array([[BELOW_ONE], [1.0]])
     y = np.array([0.0, 1.0])
-    cfg = TreeConfig(max_depth=max_depth)
     with time_limit(5):
-        exact = fit_tree_exact(X, y, cfg=cfg)
-        hist = fit_tree_hist(X, y, cfg, build_bins(X))
+        exact = fit_tree_exact(X, y, max_depth=max_depth)
+        hist = fit_tree_hist(X, y, max_depth=max_depth)
     assert exact.feature.tolist() == [0, -1, -1]
     assert exact.threshold[0] == BELOW_ONE
     assert tree_arrays(hist) == tree_arrays(exact)
@@ -373,10 +371,11 @@ def test_hist_split_at_quantile_edge_below_adjacent_value():
     col = np.concatenate([np.arange(-254.0, 0.0), [BELOW_ONE, 1.0], np.arange(2.0, 257.0)])
     X = col[:, None]
     y = (col >= 1.0).astype(float)
-    bins = build_bins(X)
-    assert col.size == 511 and BELOW_ONE in bins.edges[0]
+    bins = BinnedColumns(X)
+    below = np.flatnonzero(bins.bin_max[0] == BELOW_ONE)  # the bin ending at BELOW_ONE
+    assert col.size == 511 and bins.bin_min[0, below + 1].tolist() == [1.0]
     with time_limit(5):
-        tree = fit_tree_hist(X, y, TreeConfig(max_depth=3), bins)
+        tree = fit_tree_hist(X, y, max_depth=3)
     assert not np.any(np.isnan(tree.value))
     assert tree.feature.tolist() == [0, -1, -1] and tree.threshold[0] == BELOW_ONE
     assert np.array_equal(predict_tree_batch(tree, X), y)
@@ -416,10 +415,9 @@ EDGE_VALUES = [
 def test_property_splits_between_adjacent_and_extreme_values(data):
     X = np.array([[v] for v, _ in data])
     y = np.array([t for _, t in data], dtype=float)
-    cfg = TreeConfig(max_depth=None)
     with time_limit(10):
-        exact = fit_tree_exact(X, y, cfg=cfg)
-        hist = fit_tree_hist(X, y, cfg, build_bins(X))
+        exact = fit_tree_exact(X, y)
+        hist = fit_tree_hist(X, y)
     assert tree_arrays(hist) == tree_arrays(exact)
     assert not np.any(np.isnan(exact.value))
     # Grown to purity, every row predicts the mean target of its x value.
@@ -441,7 +439,7 @@ def test_scans_over_several_feature_blocks_grow_the_default_trees(monkeypatch, b
             fit_gbm(X, y, EnsembleConfig(n_estimators=3, max_depth=4), mode=mode)
             for mode in ("exact", "hist")
         ]
-        single = [fit_tree_exact(X, y, TreeConfig(feature_subsample=s, seed=2)) for s in (1.0, 0.5)]
+        single = [fit_tree_exact(X, y, feature_subsample=s, seed=2) for s in (1.0, 0.5)]
         return [tree_arrays(t) for model in boosted for t, _ in model.members] + [tree_arrays(t) for t in single]
 
     default = fits()
@@ -458,5 +456,6 @@ def test_bagging_members_equal_exact_trees_on_their_resamples():
     Xc, yc = canonical_rows(X, y)
     for m, (tree, _) in enumerate(model.members):
         idx = substream(5, "bootstrap", m).integers(0, 120, size=120)
-        member_cfg = TreeConfig(max_depth=6, feature_subsample=0.5, seed=derive_seed(5, "member-tree", m))
-        assert tree_arrays(tree) == tree_arrays(fit_tree_exact(Xc[idx], yc[idx], cfg=member_cfg))
+        seed = derive_seed(5, "member-tree", m)
+        member = fit_tree_exact(Xc[idx], yc[idx], max_depth=6, feature_subsample=0.5, seed=seed)
+        assert tree_arrays(tree) == tree_arrays(member)
