@@ -91,12 +91,12 @@ class EnsembleConfig:
     seed: int = 0
 
     def validate(self, kind: EnsembleKind) -> None:
-        if self.n_estimators < 1:
-            raise DataError("n_estimators must be >= 1")
+        if not (is_int(self.n_estimators) and self.n_estimators >= 1):
+            raise DataError(f"n_estimators must be an integer >= 1, got {self.n_estimators!r}")
         if not 0.0 < self.learning_rate <= 2.0:
             raise DataError("learning_rate must be in (0, 2]")
-        if self.max_depth not in ("auto", None) and self.max_depth < 1:
-            raise DataError("max_depth must be >= 1, None or 'auto'")
+        if self.max_depth not in ("auto", None) and not (is_int(self.max_depth) and self.max_depth >= 1):
+            raise DataError(f"max_depth must be an integer >= 1, None or 'auto', got {self.max_depth!r}")
         if self.feature_subsample is not None and not 0.0 < self.feature_subsample <= 1.0:
             raise DataError("feature_subsample must be in (0, 1]")
         for name, readers in READ_BY.items():

@@ -3,9 +3,14 @@
 All three standardize features to zero mean and unit variance, leave the
 intercept unpenalized, and can one-hot expand a day-of-week column (trees
 split the ordinal directly; a linear model needs the indicator encoding).
-OLS and ridge solve the normal equations with a tiny diagonal jitter for
-rank deficiency; lasso runs cyclic coordinate descent with soft
-thresholding.
+Each fit reads its training rows once (:func:`_moments`): the Gram matrix
+``Xs^T Xs`` of the standardized features ``Xs`` and their products
+``Xs^T (y - mean(y))`` with the centred target. OLS and ridge solve the
+normal equations from these with a tiny diagonal jitter for rank
+deficiency; lasso runs cyclic coordinate descent with soft thresholding on
+covariance updates (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010,
+section 2.2), so a sweep costs O(k^2) for k expanded features whatever the
+number of rows.
 
 Objectives (on standardized features, intercept b):
   OLS / ridge:  sum (y - Xb)^2  [+ lam * ||beta||^2]
@@ -15,13 +20,15 @@ penalty that zeroes every coefficient.
 
 Every fit entry and ``LinearModel.predict`` check their inputs with
 :mod:`tripcast.checks`, so NaN or infinite data is a ``DataError`` here as
-it is for the trees. :class:`LinearModel` owns its persisted form: its
-``from_dict`` checks a document before rebuilding from it.
+it is for the trees, and so is a penalty or stopping rule that is not a
+finite number in range. :class:`LinearModel` owns its persisted form: its
+``from_payload`` checks a document before rebuilding from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,36 +64,32 @@ class LinearModel:
         Xs /= self.feature_scales
         return Xs @ self.coefficients + self.intercept
 
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": self.coefficients.tolist(),
-            "intercept": self.intercept,
-            "feature_means": self.feature_means.tolist(),
-            "feature_scales": self.feature_scales.tolist(),
-            "penalty": self.penalty,
-            "lam": self.lam,
-            "day_type_col": self.day_type_col,
-            "n_raw_features": self.n_raw_features,
-            "converged": self.converged,
-        }
-
     def to_payload(self) -> dict:
-        return {"model": self.to_dict()}
+        return {
+            "model": {
+                "coefficients": self.coefficients.tolist(),
+                "intercept": self.intercept,
+                "feature_means": self.feature_means.tolist(),
+                "feature_scales": self.feature_scales.tolist(),
+                "penalty": self.penalty,
+                "lam": self.lam,
+                "day_type_col": self.day_type_col,
+                "n_raw_features": self.n_raw_features,
+                "converged": self.converged,
+            }
+        }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "LinearModel":
-        require_keys(payload, ("model",))
-        return cls.from_dict(payload["model"])
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LinearModel":
         """Rebuild a persisted model; a malformed document raises ``PersistError``."""
+        require_keys(payload, ("model",))
+        doc = payload["model"]
         require_keys(doc, _FIELDS, "model")
         n_raw, col = doc["n_raw_features"], doc["day_type_col"]
         require(is_int(n_raw) and n_raw >= 1, "n_raw_features is not a positive integer")
         require(col is None or (is_int(col) and 0 <= col < n_raw), "day_type_col is out of range")
         width = n_raw if col is None else n_raw - 1 + N_DAY_TYPES
-        for key in ("coefficients", "feature_means", "feature_scales"):
+        for key in _ARRAYS:
             values = doc[key]
             require(
                 isinstance(values, list) and len(values) == width and all(map(is_finite, values)),
@@ -97,29 +100,19 @@ class LinearModel:
         require(doc["penalty"] in ("none", "l2", "l1"), f"unknown penalty {doc['penalty']!r}")
         require(isinstance(doc["converged"], bool), "converged is not a boolean")
         return cls(
-            coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
+            **{key: np.asarray(doc[key], dtype=np.float64) for key in _ARRAYS},
             intercept=float(doc["intercept"]),
-            feature_means=np.asarray(doc["feature_means"], dtype=np.float64),
-            feature_scales=np.asarray(doc["feature_scales"], dtype=np.float64),
-            penalty=str(doc["penalty"]),
+            penalty=doc["penalty"],
             lam=float(doc["lam"]),
-            day_type_col=doc["day_type_col"],
-            n_raw_features=int(doc["n_raw_features"]),
-            converged=bool(doc["converged"]),
+            day_type_col=col,
+            n_raw_features=n_raw,
+            converged=doc["converged"],
         )
 
 
-_FIELDS = (
-    "coefficients",
-    "intercept",
-    "feature_means",
-    "feature_scales",
-    "penalty",
-    "lam",
-    "day_type_col",
-    "n_raw_features",
-    "converged",
-)
+#: The persisted fields of a model, and those of them that are arrays.
+_FIELDS = tuple(f.name for f in fields(LinearModel))
+_ARRAYS = ("coefficients", "feature_means", "feature_scales")
 
 
 def expand_day_type(X: np.ndarray, day_type_col: int | None) -> np.ndarray:
@@ -142,51 +135,61 @@ def expand_day_type(X: np.ndarray, day_type_col: int | None) -> np.ndarray:
     return np.hstack([rest, onehot])
 
 
-def _standardize(Xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Moments(NamedTuple):
+    """All that a linear fit reads of its training rows."""
+
+    gram: np.ndarray  # Xs^T Xs, Xs the standardized, one-hot-expanded features
+    xty: np.ndarray  # Xs^T (y - y_mean)
+    y_mean: float
+    means: np.ndarray
+    scales: np.ndarray
+    shape: tuple[int, int]  # rows and raw features of X
+    day_type_col: int | None
+
+    def model(self, beta: np.ndarray, penalty: str, lam: float, converged: bool = True) -> LinearModel:
+        n_raw = self.shape[1]
+        return LinearModel(beta, self.y_mean, self.means, self.scales, penalty, lam, self.day_type_col, n_raw, converged)
+
+
+def _moments(X: np.ndarray, y: np.ndarray, day_type_col: int | None) -> _Moments:
+    """Check the training data, standardize it and take its one pass over the rows."""
+    X, y = training_data(X, y)
+    Xe = expand_day_type(X, day_type_col)
     means = Xe.mean(axis=0)
     scales = Xe.std(axis=0)
     scales = np.where(scales == 0.0, 1.0, scales)
-    return (Xe - means) / scales, means, scales
+    Xs = (Xe - means) / scales
+    y_mean = float(np.mean(y))
+    return _Moments(Xs.T @ Xs, Xs.T @ (y - y_mean), y_mean, means, scales, X.shape, day_type_col)
+
+
+def _check_settings(lam: float | None, tol: float = 1.0, max_iter: int = 1) -> None:
+    """Refuse a penalty that is not a finite number >= 0 (None: the lasso default), and a
+    stopping rule that could not stop: ``tol`` finite and > 0, ``max_iter`` an integer >= 1."""
+    if lam is not None and not (is_finite(lam) and lam >= 0):
+        raise DataError(f"penalty lam must be a finite number >= 0, got {lam!r}")
+    if not (is_finite(tol) and tol > 0):
+        raise DataError(f"tol must be a finite number > 0, got {tol!r}")
+    if not (is_int(max_iter) and max_iter >= 1):
+        raise DataError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray, *, day_type_col: int | None = None) -> LinearModel:
     """Least squares via the normal equations (with diagonal jitter)."""
-    return fit_ridge(X, y, 0.0, day_type_col=day_type_col, _penalty="none")
+    return replace(fit_ridge(X, y, 0.0, day_type_col=day_type_col), penalty="none")
 
 
-def fit_ridge(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float = 1.0,
-    *,
-    day_type_col: int | None = None,
-    _penalty: str = "l2",
-) -> LinearModel:
+def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float = 1.0, *, day_type_col: int | None = None) -> LinearModel:
     """Ridge regression: closed form on standardized features.
 
     ``lam`` is the coefficient of ||beta||^2 against the plain (unscaled)
     sum of squared residuals; the intercept is unpenalized.
     """
-    if lam < 0:
-        raise DataError("ridge penalty must be >= 0")
-    X, y = training_data(X, y)
-    Xe = expand_day_type(X, day_type_col)
-    Xs, means, scales = _standardize(Xe)
-    y_mean = float(np.mean(y))
-    yc = y - y_mean
-    k = Xs.shape[1]
-    gram = Xs.T @ Xs + (lam + SOLVE_JITTER) * np.eye(k)
-    beta = np.linalg.solve(gram, Xs.T @ yc)
-    return LinearModel(
-        coefficients=beta,
-        intercept=y_mean,
-        feature_means=means,
-        feature_scales=scales,
-        penalty=_penalty,
-        lam=lam,
-        day_type_col=day_type_col,
-        n_raw_features=X.shape[1],
-    )
+    _check_settings(lam)
+    m = _moments(X, y, day_type_col)
+    k = m.xty.shape[0]
+    beta = np.linalg.solve(m.gram + (lam + SOLVE_JITTER) * np.eye(k), m.xty)
+    return m.model(beta, "l2", lam)
 
 
 def fit_lasso(
@@ -198,54 +201,41 @@ def fit_lasso(
     *,
     day_type_col: int | None = None,
 ) -> LinearModel:
-    """Lasso via cyclic coordinate descent with soft thresholding.
+    """Lasso via cyclic coordinate descent with soft thresholding, on covariance updates.
 
-    ``lam`` of None is a tenth of :func:`lasso_lambda_max`, the smallest
-    all-zero penalty. Converged when the largest coefficient change in a
-    sweep drops below ``tol``; if ``max_iter`` sweeps do not get there the
-    model comes back with ``converged=False`` rather than failing silently.
+    With ``G = Xs^T Xs / n`` and ``c = Xs^T (y - mean(y)) / n``, coordinate
+    j moves to ``S(c_j - G_j . beta + G_jj beta_j, lam) / G_jj`` (S soft
+    thresholding), so no sweep reads the rows. ``lam`` of None is a tenth
+    of :func:`lasso_lambda_max`, the smallest all-zero penalty. Converged
+    when the largest coefficient change in a sweep drops below ``tol``; if
+    ``max_iter`` sweeps do not get there the model comes back with
+    ``converged=False`` rather than failing silently.
     """
+    _check_settings(lam, tol, max_iter)
+    m = _moments(X, y, day_type_col)
+    n = m.shape[0]
+    G, c = m.gram / n, m.xty / n
     if lam is None:
-        lam = 0.1 * lasso_lambda_max(X, y, day_type_col=day_type_col)
-    if lam < 0:
-        raise DataError("lasso penalty must be >= 0")
-    X, y = training_data(X, y)
-    Xe = expand_day_type(X, day_type_col)
-    Xs, means, scales = _standardize(Xe)
-    y_mean = float(np.mean(y))
-    yc = y - y_mean
-
-    n, k = Xs.shape
-    col_sq = np.einsum("ij,ij->j", Xs, Xs) / n
+        lam = 0.1 * float(np.abs(c).max())
+    k = c.shape[0]
+    diag, c_list = np.diag(G).tolist(), c.tolist()
     beta = np.zeros(k)
-    residual = yc.copy()
     converged = False
     for _ in range(max_iter):
         max_delta = 0.0
         for j in range(k):
-            if col_sq[j] == 0.0:
+            if diag[j] == 0.0:
                 continue
-            old = beta[j]
-            rho = (Xs[:, j] @ residual) / n + col_sq[j] * old
-            new = _soft_threshold(rho, lam) / col_sq[j]
+            old = float(beta[j])
+            rho = c_list[j] - float(G[j] @ beta) + diag[j] * old
+            new = _soft_threshold(rho, lam) / diag[j]
             if new != old:
-                residual -= (new - old) * Xs[:, j]
                 beta[j] = new
                 max_delta = max(max_delta, abs(new - old))
         if max_delta < tol:
             converged = True
             break
-    return LinearModel(
-        coefficients=beta,
-        intercept=y_mean,
-        feature_means=means,
-        feature_scales=scales,
-        penalty="l1",
-        lam=lam,
-        day_type_col=day_type_col,
-        n_raw_features=X.shape[1],
-        converged=converged,
-    )
+    return m.model(beta, "l1", lam, converged)
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -256,18 +246,12 @@ def _soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-def lasso_lambda_max(
-    X: np.ndarray, y: np.ndarray, *, day_type_col: int | None = None
-) -> float:
+def lasso_lambda_max(X: np.ndarray, y: np.ndarray, *, day_type_col: int | None = None) -> float:
     """Smallest lasso penalty for which every coefficient is exactly zero.
 
-    Computed with the same per-column dot products coordinate descent uses,
-    so a fit at exactly this penalty really does keep every coefficient 0.
+    Computed from the same ``c = Xs^T (y - mean(y)) / n`` that coordinate
+    descent starts from, so a fit at exactly this penalty really does keep
+    every coefficient 0.
     """
-    X, y = training_data(X, y)
-    Xe = expand_day_type(X, day_type_col)
-    Xs, _, _ = _standardize(Xe)
-    yc = y - np.mean(y)
-    n = X.shape[0]
-    return max(abs(float(Xs[:, j] @ yc)) / n for j in range(Xs.shape[1]))
-
+    m = _moments(X, y, day_type_col)
+    return float(np.abs(m.xty / m.shape[0]).max())

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import query_matrix, training_data
+from .checks import is_int, query_matrix, training_data
 from .errors import DataError, PersistError
 from .rng import substream
 
@@ -159,8 +159,8 @@ def fit_tree_hist(X: np.ndarray, y: np.ndarray, max_depth: int | None = None) ->
 
 
 def _check_depth(max_depth: int | None) -> None:
-    if max_depth is not None and max_depth < 1:
-        raise DataError("max_depth must be >= 1 or None")
+    if max_depth is not None and not (is_int(max_depth) and max_depth >= 1):
+        raise DataError(f"max_depth must be an integer >= 1 or None, got {max_depth!r}")
 
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:

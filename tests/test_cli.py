@@ -158,6 +158,16 @@ def test_run_missing_stops_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_non_finite_penalty_is_data_error_and_writes_nothing(tmp_path, stops_csv, capsys):
+    # Unchecked, a NaN penalty reached the metrics and ended in an internal error (exit 3).
+    out_dir = tmp_path / "run"
+    code = main(["run", str(stops_csv), "--scenario", "1", "--target", "duration",
+                 "--models", "ri", "--lam", "nan", "--out", str(out_dir)])
+    assert code == 2
+    assert "penalty lam must be a finite number" in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "scale", "save-model"])
 def test_flag_no_requested_model_takes_is_usage_error(tmp_path, capsys, command):
     # Refused before the (missing) stops file is read, which would be a data error.

@@ -20,6 +20,7 @@ from tripcast.ensembles import (
 )
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
+from tripcast.registry import make_model
 from tripcast.trees import BinnedColumns, canonical_rows, fit_tree_exact, predict_tree_batch
 
 from tests.helpers import reference_tree, small_model, training_mse, tree_arrays
@@ -172,6 +173,30 @@ def test_property_gbm_training_mse_never_rises(data, n_features, copies, depth, 
     mse = np.array(fit_gbm(X, y, cfg, mode=mode).train_mse)
     slack = 8 * np.finfo(float).eps * np.abs(y).max()
     assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12) + 2 * np.sqrt(mse[:-1]) * slack + slack**2)
+
+
+def _nodes_reached(tree, X):
+    """Which nodes of ``tree`` some row of ``X`` passes through, walking one row at a time."""
+    reached = np.zeros(tree.feature.size, dtype=bool)
+    for x in X:
+        node = 0
+        reached[node] = True
+        while tree.feature[node] >= 0:
+            node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+            reached[node] = True
+    return reached
+
+
+@pytest.mark.parametrize("abbrev", ["br", "rf", "ab", "gb", "hgb"])
+@settings(max_examples=25, deadline=5000)
+@given(**_DUPLICATED_ROWS, n_estimators=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**32 - 1))
+def test_property_no_split_leaves_a_child_empty(abbrev, data, n_features, copies, n_estimators, seed):
+    # A member's rows (a bootstrap resample holds only training rows) reach
+    # every node of it, so the whole training set does too.
+    X, y = _duplicated_rows(data, n_features, copies)
+    model = make_model(abbrev, seed, n_estimators=n_estimators).fit(X, y).model
+    for tree, _ in model.members:
+        assert _nodes_reached(tree, X).all()
 
 
 def test_gbm_hist_equals_exact_on_integer_grid():
@@ -424,3 +449,9 @@ def test_fitted_config_records_the_kinds_default_depth(fit, depth):
     assert fit(X, y, EnsembleConfig(n_estimators=2, max_depth=2)).config.max_depth == 2
     with pytest.raises(DataError, match="max_depth"):
         fit(X, y, EnsembleConfig(n_estimators=2, max_depth=0))
+    # Only integers: 2.5 was fit and persisted, and True grew depth-1 trees (or one stage).
+    for bad in (2.5, True):
+        with pytest.raises(DataError, match="max_depth must be an integer"):
+            fit(X, y, EnsembleConfig(n_estimators=2, max_depth=bad))
+        with pytest.raises(DataError, match="n_estimators must be an integer"):
+            fit(X, y, EnsembleConfig(n_estimators=bad))

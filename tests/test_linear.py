@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripcast.errors import DataError
 from tripcast.linear import (
@@ -95,12 +97,21 @@ def test_ridge_penalty_dominance():
     assert m.intercept == pytest.approx(float(np.mean(y)), abs=1e-9)
 
 
-def test_ridge_negative_penalty_rejected():
+@pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize("fit", [fit_ridge, fit_lasso], ids=["ri", "la"])
+def test_ridge_negative_penalty_rejected(fit, lam):
+    # Unchecked, NaN and infinite penalties gave NaN ridge coefficients and an all-zero "converged" lasso.
     X, y = _system(9, n=20)
-    with pytest.raises(DataError):
-        fit_ridge(X, y, -0.1)
-    with pytest.raises(DataError):
-        fit_lasso(X, y, -0.1)
+    with pytest.raises(DataError, match="penalty lam"):
+        fit(X, y, lam)
+
+
+@pytest.mark.parametrize("setting", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": np.nan}, {"tol": np.inf},
+                                     {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True}])
+def test_lasso_stopping_rule_that_could_not_stop_rejected(setting):
+    X, y = _system(9, n=20)
+    with pytest.raises(DataError, match=next(iter(setting))):
+        fit_lasso(X, y, 0.1, **setting)
 
 
 def test_ridge_objective_beats_ols_coefficients():
@@ -133,14 +144,32 @@ def test_lasso_lambda_max_kills_everything():
         assert m.converged
 
 
-def test_lasso_kkt_conditions():
-    X, y = _system(14)
-    lam = lasso_lambda_max(X, y) / 2.0
-    m = fit_lasso(X, y, lam, tol=1e-10)
-    assert m.converged
-    Xs = (X - m.feature_means) / m.feature_scales
-    residual = y - m.predict(X)
-    corr = Xs.T @ residual / X.shape[0]
+@settings(max_examples=60, deadline=3000)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=20, max_value=200),
+    k=st.integers(min_value=2, max_value=6),
+    day_type=st.booleans(),
+    fraction=st.floats(min_value=0.0, max_value=1.5, exclude_min=True),
+)
+def test_lasso_kkt_conditions(seed, n, k, day_type, fraction):
+    # KKT conditions at the returned coefficients, from G = Xs^T Xs / n and
+    # c = Xs^T (y - mean(y)) / n taken here from the rows.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, k))
+    col = k - 1 if day_type else None
+    if day_type:
+        X[:, col] = rng.integers(0, 7, size=n)
+    y = X @ rng.normal(size=k) + rng.normal(size=n)
+    lam_max = lasso_lambda_max(X, y, day_type_col=col)
+    lam = fraction * lam_max
+    m = fit_lasso(X, y, lam, tol=1e-10, day_type_col=col)
+    if lam >= lam_max:
+        assert m.converged and np.all(m.coefficients == 0.0)
+    if not m.converged:
+        return
+    Xs = (expand_day_type(X, col) - m.feature_means) / m.feature_scales
+    corr = (Xs.T @ (y - y.mean()) - Xs.T @ Xs @ m.coefficients) / n
     for j, beta_j in enumerate(m.coefficients):
         if beta_j == 0.0:
             assert abs(corr[j]) <= lam + 1e-8
@@ -213,7 +242,7 @@ def test_day_type_value_outside_the_week_rejected(entry, bad):
 def test_model_dict_round_trip():
     X, y = _system(22)
     m = fit_ridge(X, y, 2.0)
-    clone = LinearModel.from_dict(m.to_dict())
+    clone = LinearModel.from_payload(m.to_payload())
     Xq = np.random.default_rng(5).normal(size=(25, 5))
     assert np.array_equal(m.predict(Xq), clone.predict(Xq))
 

@@ -284,6 +284,8 @@ MALFORMED_PAYLOADS = {
     "br_unread_tree_feature_subsample": ("br", _set_config("tree", {"feature_subsample": 0.25}), "config: .*tree"),
     "gb_text_max_depth": ("gb", _set_config("max_depth", "deep"), "config"),
     "dt_zero_max_depth": ("dt", _set_config("max_depth", 0), "config: max_depth"),
+    "gb_fractional_max_depth": ("gb", _set_config("max_depth", 2.5), "config: max_depth"),
+    "gb_fractional_n_estimators": ("gb", _set_config("n_estimators", 2.5), "config: n_estimators"),
     "gb_member_no_tree": ("gb", _member("tree"), "member lacks tree"),
     "gb_member_no_weight": ("gb", _member("weight"), "member lacks weight"),
     "gb_member_text_weight": ("gb", _member("weight", "x"), "weight"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tripcast.ensembles import EnsembleConfig, fit_adaboost_r2, fit_bagging, fit_gbm, fit_random_forest
 from tripcast import trees
 from tripcast.errors import DataError
+from tripcast.registry import make_model
 from tripcast.rng import derive_seed, substream
 from tripcast.trees import (
     MAX_BINS,
@@ -209,6 +210,15 @@ def test_fit_validation_errors():
         fit_tree_hist(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(TypeError):  # histogram trees scan every feature and draw nothing
         fit_tree_hist(np.zeros((2, 2)), np.zeros(2), feature_subsample=0.5)
+    # A depth is an integer: 2.5 crashed the exact grower's sizing, and True grew a depth-1 tree.
+    X, y = np.zeros((2, 2)), np.arange(2.0)
+    for depth in (2.5, True):
+        with pytest.raises(DataError, match="max_depth must be an integer"):
+            fit_tree_exact(X, y, max_depth=depth)
+        with pytest.raises(DataError, match="max_depth must be an integer"):
+            fit_tree_hist(X, y, max_depth=depth)
+        with pytest.raises(DataError, match="max_depth must be an integer"):
+            make_model("dt", 0, max_depth=depth).fit(X, y)
 
 
 def test_tree_serialization_round_trip():
