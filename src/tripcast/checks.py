@@ -33,13 +33,15 @@ def as_matrix(X) -> np.ndarray:
 
 
 def training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """A non-empty, finite training matrix and its bounded target, one per row."""
+    """A finite training matrix with at least one row and one column, and its bounded target, one per row."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if X.shape[0] == 0:
         raise DataError("cannot fit a model on empty data")
+    if X.shape[1] == 0:
+        raise DataError("cannot fit a model on a matrix with no feature columns")
     _require_finite(X)
     if not np.all(np.isfinite(y)):
         raise DataError("target contains NaN or infinite values")

@@ -93,12 +93,17 @@ class EnsembleConfig:
     def validate(self, kind: EnsembleKind) -> None:
         if not (is_int(self.n_estimators) and self.n_estimators >= 1):
             raise DataError(f"n_estimators must be an integer >= 1, got {self.n_estimators!r}")
-        if not 0.0 < self.learning_rate <= 2.0:
-            raise DataError("learning_rate must be in (0, 2]")
+        if not (is_finite(self.learning_rate) and 0.0 < self.learning_rate <= 2.0):
+            raise DataError(f"learning_rate must be a number in (0, 2], got {self.learning_rate!r}")
         if self.max_depth not in ("auto", None) and not (is_int(self.max_depth) and self.max_depth >= 1):
             raise DataError(f"max_depth must be an integer >= 1, None or 'auto', got {self.max_depth!r}")
-        if self.feature_subsample is not None and not 0.0 < self.feature_subsample <= 1.0:
-            raise DataError("feature_subsample must be in (0, 1]")
+        subsample = self.feature_subsample
+        if subsample is not None and not (is_finite(subsample) and 0.0 < subsample <= 1.0):
+            raise DataError(f"feature_subsample must be a number in (0, 1], got {subsample!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise DataError(f"bootstrap must be True or False, got {self.bootstrap!r}")
+        if not is_int(self.seed):
+            raise DataError(f"seed must be an integer, got {self.seed!r}")
         for name, readers in READ_BY.items():
             default = getattr(EnsembleConfig(), name)
             if kind not in readers and getattr(self, name) != default:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
+from .checks import is_finite, is_int
 from .errors import DataError
 from .rng import substream
 from .trip_data import DAY_TYPES, Coded, StopTable, day_type_of
@@ -65,6 +66,9 @@ class GenConfig:
     (constant) draws. Cities per trip follow from a pool sized for
     ``cities_mean``; ``cities_std`` is not drawn from, but the benchmark's
     ingest check (``perfbench/workloads.py``) reads it as their spread.
+    :meth:`validate` requires every float field and each day type's mean
+    and std to be a finite number, and ``stops_min`` and ``seed`` to be
+    integers.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
@@ -97,14 +101,16 @@ class GenConfig:
         for day_type in DAY_TYPES:
             if day_type not in self.trips_per_daytype:
                 raise DataError(f"trips_per_daytype is missing {day_type!r}")
-        stds = [
-            self.stops_std,
-            self.cities_std,
-            self.duration_std,
-            self.delay_std,
-            *(s for _, s in self.trips_per_daytype.values()),
-        ]
-        if any(s < 0 for s in stds):
+        numbers = {f.name: getattr(self, f.name) for f in fields(self) if f.type in (float, "float")}
+        for day_type, (mean, std) in self.trips_per_daytype.items():
+            numbers |= {f"{day_type} trips mean": mean, f"{day_type} trips std": std}
+        for name, value in numbers.items():
+            if not is_finite(value):
+                raise DataError(f"GenConfig {name} must be a finite number, got {value!r}")
+        for name in ("stops_min", "seed"):
+            if not is_int(getattr(self, name)):
+                raise DataError(f"GenConfig {name} must be an integer, got {getattr(self, name)!r}")
+        if any(value < 0 for name, value in numbers.items() if name.endswith("std")):
             raise DataError("standard deviations must be >= 0")
         if self.stops_min < 2:
             raise DataError("stops_min must be >= 2 (trip duration is undefined below)")

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import is_int, query_matrix, training_data
+from .checks import is_finite, is_int, query_matrix, training_data
 from .errors import DataError, PersistError
 from .rng import substream
 
@@ -146,8 +146,10 @@ def fit_tree_exact(
     ``ceil(feature_subsample * n_features)``.
     """
     _check_depth(max_depth)
-    if not 0.0 < feature_subsample <= 1.0:
-        raise DataError("feature_subsample must be in (0, 1]")
+    if not (is_finite(feature_subsample) and 0.0 < feature_subsample <= 1.0):
+        raise DataError(f"feature_subsample must be a number in (0, 1], got {feature_subsample!r}")
+    if not is_int(seed):
+        raise DataError(f"seed must be an integer, got {seed!r}")
     return grow_exact(*canonical_rows(*training_data(X, y)), max_depth, feature_subsample, seed)
 
 

@@ -14,9 +14,11 @@ Neither end of the CSV does per-cell work in the ``csv`` module.
 and joins the rows itself. :func:`parse_stops_csv` splits a file in that
 dialect on its bytes, by quote parity, and codes labels once per distinct
 byte string. A file outside that dialect (a quote that does not wrap a
-whole field, a lone ``\\r``, a NUL byte, bytes that are not UTF-8, a field
-over ``csv.field_size_limit()`` or a trip or city cell over 256 bytes) is
-parsed from its start by ``csv.reader`` instead, with the same results.
+whole field, a lone ``\\r``, a NUL byte, a field over
+``csv.field_size_limit()`` or a trip or city cell over 256 bytes) is parsed
+from its start by ``csv.reader`` instead, with the same results. Both paths
+number trip and city labels by first appearance. A file that is not UTF-8
+is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,8 +41,8 @@ from .errors import DataError
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
-#: Canonical stops CSV column order. A schema mapping may rename columns in
-#: the file, but all eight logical fields are mandatory.
+#: Canonical stops CSV column order. A stops file's header must name all
+#: eight, in any order; parsing reads the ``PARSED_COLUMNS`` among them.
 CANONICAL_COLUMNS = (
     "trip_number",
     "trip_description",
@@ -169,11 +171,6 @@ class DatasetSummary:
         return rows
 
 
-def parse_timestamp(raw: str) -> datetime:
-    """Parse a canonical ``YYYY-MM-DDTHH:MM:SS`` timestamp (naive, local)."""
-    return datetime.strptime(raw.strip(), TIMESTAMP_FORMAT)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -191,96 +188,86 @@ class _OutsideDialect(Exception):
     """The file holds something the byte parse leaves to ``csv.reader``."""
 
 
-class _Labeller:
-    """Codes strings by first appearance, across every batch of one parse."""
+_Labels = tuple[list[str], np.ndarray]  # a batch's labels, and per row the index of its label
+_Points = tuple[np.ndarray, np.ndarray]  # a :func:`_code_points` pair
 
-    def __init__(self) -> None:
-        self._first: dict[str, int] = {}
-        self._ticks = itertools.count()
 
-    def raw_codes(self, values: Iterable[str], n: int) -> np.ndarray:
-        """Per value, the tick at which it was first seen (increasing, not dense)."""
-        return np.fromiter(map(self._first.setdefault, values, self._ticks), np.int64, n)
+def _code(seen: dict[str, int], column: _Labels, keep: np.ndarray) -> np.ndarray:
+    """Codes of the kept rows' labels; a label not in ``seen`` gets the next code, ``len(seen)``.
 
-    def indexed_codes(self, labels: list[str], index: np.ndarray) -> np.ndarray:
-        """Raw codes of the values ``labels[index]``, each distinct index coded once."""
-        present, first = np.unique(index, return_index=True)
-        present = present[np.argsort(first)]
-        ticks = np.zeros(len(labels), np.int64)
-        ticks[present] = self.raw_codes(map(labels.__getitem__, present.tolist()), present.size)
-        return ticks[index]
-
-    def column(self, raw: np.ndarray) -> Coded:
-        """Dense codes for raw codes, with the labels in order of first appearance."""
-        ticks = np.fromiter(self._first.values(), np.int64, len(self._first))
-        return Coded(np.searchsorted(ticks, raw), np.array(list(self._first), dtype=object))
+    Each distinct index is looked up once, in order of first appearance.
+    """
+    labels, index = column[0], column[1][keep]
+    present, first = np.unique(index, return_index=True)
+    present = present[np.argsort(first)]
+    names = list(map(labels.__getitem__, present.tolist()))
+    for label in dict.fromkeys(names):
+        seen.setdefault(label, len(seen))
+    codes = np.zeros(len(labels), np.int64)
+    codes[present] = np.fromiter(map(seen.__getitem__, names), np.int64, len(names))
+    return codes[index]
 
 
 class _Columns:
     """The parsed columns of one file, batch by batch, and its rejects in line order."""
 
     def __init__(self) -> None:
-        self.trips, self.cities = _Labeller(), _Labeller()
+        self.trips: dict[str, int] = {}  # label -> code, in order of first appearance
+        self.cities: dict[str, int] = {}
         self.batches: list[tuple[np.ndarray, ...]] = []  # (trip, city, stop, scheduled, actual)
         self.rejects: list[RowDiagnostic] = []
         self.line = 2  # line number of the next non-blank row
 
-    def checked(
-        self,
-        trip_ok: np.ndarray,
-        stop_points: tuple[np.ndarray, np.ndarray],
-        scheduled_points: tuple[np.ndarray, np.ndarray],
-        actual_points: tuple[np.ndarray, np.ndarray],
-        cells: Callable[[int], tuple[str, str, str, str]],
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Convert one batch's stop numbers and timestamps: which rows are kept, and their values.
+    def add(
+        self, trips: _Labels, cities: _Labels, stop: _Points, scheduled: _Points, actual: _Points,
+        cells: Callable[[int], tuple[str, str, str]],
+    ) -> None:
+        """Convert, check and code one batch of rows.
 
-        The points are :func:`_code_points` pairs. Rows that are not
-        canonical go through :func:`_parse_row` with the strings
-        ``cells(i)`` returns; rejects are recorded and the line count moves
-        on by the batch.
+        Trip and city labels come stripped. Rows that are not canonical go
+        through :func:`_parse_row` with their trip and the raw stop number
+        and stamps ``cells(i)`` returns; rejects are recorded and the line
+        count moves on by the batch.
         """
-        stop_number, fast = _canonical_counts(*stop_points)
-        scheduled, ok = _canonical_timestamps(*scheduled_points)
+        trip_labels, trip = trips
+        stop_number, fast = _canonical_counts(*stop)
+        scheduled_time, ok = _canonical_timestamps(*scheduled)
         fast &= ok
-        actual, ok = _canonical_timestamps(*actual_points)
-        fast &= ok & trip_ok
+        actual_time, ok = _canonical_timestamps(*actual)
+        fast &= ok & np.fromiter(map(bool, trip_labels), bool, len(trip_labels))[trip]
         keep = fast.copy()
         for i in np.flatnonzero(~fast):
-            parsed, reason = _parse_row(*cells(i))
+            parsed, reason = _parse_row(trip_labels[trip[i]], *cells(i))
             if parsed is None:
                 self.rejects.append(RowDiagnostic(self.line + int(i), reason))
             else:
-                stop_number[i], scheduled[i], actual[i] = parsed
+                stop_number[i], scheduled_time[i], actual_time[i] = parsed
                 keep[i] = True
         self.line += len(keep)
-        return keep, (stop_number[keep], scheduled[keep], actual[keep])
+        codes = _code(self.trips, trips, keep), _code(self.cities, cities, keep)
+        self.batches.append((*codes, stop_number[keep], scheduled_time[keep], actual_time[keep]))
 
     def table(self, path: Path) -> tuple[StopTable, list[RowDiagnostic]]:
         if sum(len(batch[0]) for batch in self.batches) == 0:
             raise DataError(f"stops file {path} contains no valid rows")
         trip, city, stop_number, scheduled, actual = (np.concatenate(c) for c in zip(*self.batches))
         stops = StopTable(
-            trip=self.trips.column(trip),
+            trip=Coded(trip, np.array(list(self.trips), dtype=object)),
             stop_number=stop_number,
-            city=self.cities.column(city),
+            city=Coded(city, np.array(list(self.cities), dtype=object)),
             scheduled_time=scheduled,
             actual_time=actual,
         )
         return stops, self.rejects
 
 
-def parse_stops_csv(
-    path: str | Path,
-    schema: Mapping[str, str] | None = None,
-) -> tuple[StopTable, list[RowDiagnostic]]:
+def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     """Read a stops CSV and return (valid rows, per-row reject diagnostics).
 
-    ``schema`` maps logical column names (see ``CANONICAL_COLUMNS``) to the
-    header names actually present in the file; omitted entries default to the
-    canonical names. Raises ``DataError`` if the file is missing, a mandatory
-    column is absent from the header, or no row parses — partial results are
-    never returned for structural failures.
+    The header must name the eight ``CANONICAL_COLUMNS``, in any order.
+    Raises ``DataError`` if the file is missing, is not UTF-8, lacks a
+    column in its header, or no row parses — partial results are never
+    returned for structural failures.
 
     Rows follow ``csv.DictReader``: blank lines are skipped and not counted
     in line numbers, missing cells read as empty, extra cells are ignored,
@@ -288,7 +275,8 @@ def parse_stops_csv(
     form (an unpadded positive ASCII stop number, ``YYYY-MM-DDTHH:MM:SS``
     timestamps) convert a batch at a time; every other row goes through
     :func:`_parse_row`, which accepts what ``int`` and ``strptime`` accept
-    after stripping whitespace and says why it rejects a row.
+    after stripping whitespace and says why it rejects a row. Trip and city
+    labels are numbered in order of first appearance among the kept rows.
 
     A file in the dialect ``write_stops_csv`` writes is split into records
     and fields on its bytes (:func:`_parse_bytes`). Any other file is read
@@ -298,58 +286,56 @@ def parse_stops_csv(
     path = Path(path)
     if not path.exists():
         raise DataError(f"stops file not found: {path}")
-    names = {logical: (schema or {}).get(logical, logical) for logical in CANONICAL_COLUMNS}
     try:
-        parsed = _parse_bytes(path, names)
-    except _OutsideDialect:
-        parsed = _parse_text(path, names)
+        try:
+            parsed = _parse_bytes(path)
+        except _OutsideDialect:
+            parsed = _parse_text(path)
+    except UnicodeDecodeError:
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as error:  # offsets in the file, not in a decoded chunk
+            raise DataError(f"stops file {path} is not UTF-8: {error.reason} at byte {error.start}") from None
+        raise
     return parsed.table(path)
 
 
-def _column_positions(header: list[str] | None, names: Mapping[str, str], path: Path) -> list[int]:
+def _column_positions(header: list[str] | None, path: Path) -> list[int]:
     """Where each of ``PARSED_COLUMNS`` is in the header; a missing column is a ``DataError``."""
     if header is None:
         raise DataError(f"stops file has no header row: {path}")
-    missing = [c for c in names.values() if c not in header]
+    missing = [c for c in CANONICAL_COLUMNS if c not in header]
     if missing:
         raise DataError(f"stops file {path} is missing mandatory column(s): {', '.join(missing)}")
     last = {name: i for i, name in enumerate(header)}
-    return [last[names[c]] for c in PARSED_COLUMNS]
+    return [last[c] for c in PARSED_COLUMNS]
 
 
-def _parse_text(path: Path, names: Mapping[str, str]) -> _Columns:
+def _parse_text(path: Path) -> _Columns:
     """Parse any CSV with ``csv.reader``, a batch of ``CHUNK_ROWS`` rows at a time."""
     out = _Columns()
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        columns = _column_positions(next(reader, None), names, path)
+        columns = _column_positions(next(reader, None), path)
+        width = max(columns) + 1
         rows = filter(None, reader)
         while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-            _text_batch(chunk, columns, out)
+            for i in np.flatnonzero(np.fromiter(map(len, chunk), np.int64, len(chunk)) < width):
+                chunk[i] = chunk[i] + [""] * (width - len(chunk[i]))
+            trip, stop, city, scheduled, actual = zip(*map(operator.itemgetter(*columns), chunk))
+            index = np.arange(len(chunk))
+            out.add(
+                (list(map(str.strip, trip)), index),
+                (list(map(str.strip, city)), index),
+                _code_points(stop, _MAX_DIGITS),
+                _code_points(scheduled, _STAMP_WIDTH),
+                _code_points(actual, _STAMP_WIDTH),
+                lambda i: (stop[i], scheduled[i], actual[i]),
+            )
     return out
 
 
-def _text_batch(chunk: list[list[str]], columns: Sequence[int], out: _Columns) -> None:
-    n = len(chunk)
-    width = max(columns) + 1
-    for i in np.flatnonzero(np.fromiter(map(len, chunk), np.int64, n) < width):
-        chunk[i] = chunk[i] + [""] * (width - len(chunk[i]))
-    trip_raw, stop_raw, city_raw, sched_raw, actual_raw = zip(*map(operator.itemgetter(*columns), chunk))
-    trip = list(map(str.strip, trip_raw))
-    keep, values = out.checked(
-        np.fromiter(map(bool, trip), bool, n),
-        _code_points(stop_raw, _MAX_DIGITS),
-        _code_points(sched_raw, _STAMP_WIDTH),
-        _code_points(actual_raw, _STAMP_WIDTH),
-        lambda i: (trip[i], stop_raw[i], sched_raw[i], actual_raw[i]),
-    )
-    n_kept, selected = int(np.count_nonzero(keep)), keep.tolist()
-    trip_codes = out.trips.raw_codes(itertools.compress(trip, selected), n_kept)
-    city_codes = out.cities.raw_codes(itertools.compress(map(str.strip, city_raw), selected), n_kept)
-    out.batches.append((trip_codes, city_codes, *values))
-
-
-def _parse_bytes(path: Path, names: Mapping[str, str]) -> _Columns:
+def _parse_bytes(path: Path) -> _Columns:
     """Parse a CSV in ``write_stops_csv``'s dialect from its bytes, ``BLOCK_BYTES`` at a time.
 
     Each block is cut after its last record; the rest is carried into the
@@ -373,7 +359,7 @@ def _parse_bytes(path: Path, names: Mapping[str, str]) -> _Columns:
             if columns is None:  # the first record is the header, even if blank
                 header_end = split.terms[split.record_end[0]] + 1 if len(split.record_end) else 0
                 header = next(csv.reader(io.StringIO(data[:header_end].decode("utf-8"), newline="")), None)
-                columns = _column_positions(header, names, path)
+                columns = _column_positions(header, path)
                 first = 1
             body = np.flatnonzero(~split.blank[first:]) + first
             for lo in range(0, body.size, CHUNK_ROWS):
@@ -466,8 +452,7 @@ def _split(data: bytes, at_end: bool) -> _Split | None:
 
 
 def _byte_batch(split: _Split, records: np.ndarray, columns: Sequence[int], out: _Columns) -> None:
-    """Convert the non-blank ``records`` of ``split``, in order, as one batch."""
-    data = split.data
+    """Cut the cells of the non-blank ``records`` of ``split`` and hand them to ``out`` as one batch."""
     first_field = split.record_end[records] - split.n_fields[records] + 1
     cells = []
     for j in columns:
@@ -476,22 +461,19 @@ def _byte_batch(split: _Split, records: np.ndarray, columns: Sequence[int], out:
         start, end = np.where(has, split.starts[t], 0), np.where(has, split.ends[t], 0)
         quoted = (end > start) & (split.windows[start, 0] == _QUOTE)
         cells.append((start + quoted, end - start - 2 * quoted))
-    (trip_at, trip_len), stop, (city_at, city_len), scheduled, actual = cells
+    trip, stop, city, scheduled, actual = cells
 
-    def text(cell, i):
-        return data[cell[0][i] : cell[0][i] + cell[1][i]].decode("utf-8")
+    def text(i):
+        return tuple(split.data[at[i] : at[i] + n[i]].decode("utf-8") for at, n in (stop, scheduled, actual))
 
-    trip_labels, trip = _byte_labels(split, trip_at, trip_len)
-    keep, values = out.checked(
-        np.array([bool(label) for label in trip_labels], dtype=bool)[trip],
+    out.add(
+        _byte_labels(split, *trip),
+        _byte_labels(split, *city),
         _byte_points(split, *stop, _MAX_DIGITS),
         _byte_points(split, *scheduled, _STAMP_WIDTH),
         _byte_points(split, *actual, _STAMP_WIDTH),
-        lambda i: (trip_labels[trip[i]], text(stop, i), text(scheduled, i), text(actual, i)),
+        text,
     )
-    city_labels, city = _byte_labels(split, city_at[keep], city_len[keep])
-    trip_codes = out.trips.indexed_codes(trip_labels, trip[keep])
-    out.batches.append((trip_codes, out.cities.indexed_codes(city_labels, city), *values))
 
 
 def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -528,15 +510,13 @@ def _parse_row(
         return None, f"stop_number {stop_number} < 1"
     if stop_number > np.iinfo(np.int64).max:
         return None, f"stop_number {raw_stop!r} is out of range"
-    try:
-        scheduled = parse_timestamp(raw_scheduled)
-    except ValueError:
-        return None, f"unparseable scheduled_time {raw_scheduled!r}"
-    try:
-        actual = parse_timestamp(raw_actual)
-    except ValueError:
-        return None, f"unparseable actual_time {raw_actual!r}"
-    return (stop_number, scheduled, actual), ""
+    stamps = []
+    for name, raw in (("scheduled_time", raw_scheduled), ("actual_time", raw_actual)):
+        try:
+            stamps.append(datetime.strptime(raw.strip(), TIMESTAMP_FORMAT))
+        except ValueError:
+            return None, f"unparseable {name} {raw!r}"
+    return (stop_number, *stamps), ""
 
 
 #: Longest stop number taken by the fast path; 18 digits always fit in int64.

@@ -61,6 +61,30 @@ def test_synth_malformed_config_no_partial_file(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("line", ["duration_min = nan", "delay_std = inf", "stops_mean = nan"])
+def test_synth_non_finite_config_is_data_error_and_writes_nothing(tmp_path, capsys, line):
+    # Unchecked, NaN and inf wrote a CSV of NaT stamps (exit 0) or ended in an internal error (exit 3).
+    conf = tmp_path / "bad.conf"
+    conf.write_text(SMALL_CONFIG + line + "\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["summarize", "run"])
+def test_stops_file_not_utf8_is_data_error(tmp_path, stops_csv, capsys, command):
+    # Unchecked, csv.reader's UnicodeDecodeError ended in an internal error (exit 3).
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(Path(stops_csv).read_bytes() + "T0,d,1,a,Straße,Linz,x,y\r\n".encode("latin-1"))
+    out_dir = tmp_path / "run"
+    args = ["--scenario", "1", "--target", "delay", "--models", "lr", "--out", str(out_dir)] if command == "run" else []
+    assert main([command, str(path), *args]) == 2
+    assert "is not UTF-8" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_summarize_prints_stats(stops_csv, capsys):
     assert main(["summarize", str(stops_csv)]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripcast import linear
 from tripcast.checks import TARGET_SUM_LIMIT
 from tripcast.ensembles import (
     EnsembleConfig,
@@ -21,7 +22,7 @@ from tripcast.ensembles import (
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
 from tripcast.registry import make_model
-from tripcast.trees import BinnedColumns, canonical_rows, fit_tree_exact, predict_tree_batch
+from tripcast.trees import BinnedColumns, canonical_rows, fit_tree_exact, fit_tree_hist, predict_tree_batch
 
 from tests.helpers import reference_tree, small_model, training_mse, tree_arrays
 
@@ -397,6 +398,28 @@ def test_target_too_large_rejected(abbrev, n, at, bad, excess, sign):
         small_model(abbrev, 0, n_estimators=3).fit(X, y)
 
 
+@pytest.mark.parametrize(
+    "fit",
+    [
+        *(lambda X, y, abbrev=abbrev: small_model(abbrev, 0, n_estimators=3).fit(X, y)
+          for abbrev in ["lr", "ri", "la", "dt", "br", "rf", "gb", "ab", "hgb"]),
+        linear.fit_ols,
+        linear.fit_ridge,
+        linear.fit_lasso,
+        linear.lasso_lambda_max,
+        fit_tree_exact,
+        fit_tree_hist,
+    ],
+    ids=["lr", "ri", "la", "dt", "br", "rf", "gb", "ab", "hgb",
+         "fit_ols", "fit_ridge", "fit_lasso", "lasso_lambda_max", "fit_tree_exact", "fit_tree_hist"],
+)
+def test_matrix_without_columns_rejected(fit):
+    # Unchecked, the trees and ensembles crashed on an empty unpack or max(),
+    # the lasso on numpy's zero-size max, and OLS and ridge fit an intercept.
+    with pytest.raises(DataError, match="no feature columns"):
+        fit(np.zeros((10, 0)), np.arange(10.0))
+
+
 @pytest.mark.parametrize("abbrev", ["dt", "br", "rf", "gb", "ab", "hgb"])
 def test_tree_models_scale_exactly_with_a_power_of_two_target(abbrev):
     X, y = _regression_data(7, n=200, k=4)
@@ -455,3 +478,18 @@ def test_fitted_config_records_the_kinds_default_depth(fit, depth):
             fit(X, y, EnsembleConfig(n_estimators=2, max_depth=bad))
         with pytest.raises(DataError, match="n_estimators must be an integer"):
             fit(X, y, EnsembleConfig(n_estimators=bad))
+    # Every other setting is type-checked too: "x" raised a bare TypeError, and
+    # bootstrap="no", seed=1.5 and a True rate or subsample were fit.
+    for field, bad, message in [
+        ("learning_rate", "x", "learning_rate must be a number"),
+        ("learning_rate", True, "learning_rate must be a number"),
+        ("learning_rate", math.inf, "learning_rate must be a number"),
+        ("feature_subsample", "x", "feature_subsample must be a number"),
+        ("feature_subsample", True, "feature_subsample must be a number"),
+        ("bootstrap", "no", "bootstrap must be True or False"),
+        ("bootstrap", 0, "bootstrap must be True or False"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+    ]:
+        with pytest.raises(DataError, match=message):
+            fit(X, y, EnsembleConfig(n_estimators=2, **{field: bad}))

@@ -286,6 +286,8 @@ MALFORMED_PAYLOADS = {
     "dt_zero_max_depth": ("dt", _set_config("max_depth", 0), "config: max_depth"),
     "gb_fractional_max_depth": ("gb", _set_config("max_depth", 2.5), "config: max_depth"),
     "gb_fractional_n_estimators": ("gb", _set_config("n_estimators", 2.5), "config: n_estimators"),
+    "br_text_bootstrap": ("br", _set_config("bootstrap", "no"), "config: bootstrap must be True or False"),
+    "gb_fractional_seed": ("gb", _set_config("seed", 1.5), "config: seed must be an integer"),
     "gb_member_no_tree": ("gb", _member("tree"), "member lacks tree"),
     "gb_member_no_weight": ("gb", _member("weight"), "member lacks weight"),
     "gb_member_text_weight": ("gb", _member("weight", "x"), "weight"),

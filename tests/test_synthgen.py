@@ -128,6 +128,32 @@ def test_validation_rejects_bad_fields():
         small_config(duration_min=0.0).validate()
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"duration_min": NAN}, "duration_min must be a finite number"),
+        ({"delay_std": INF}, "delay_std must be a finite number"),
+        ({"stops_mean": NAN}, "stops_mean must be a finite number"),
+        ({"cities_mean": -INF}, "cities_mean must be a finite number"),
+        ({"stops_std": "x"}, "stops_std must be a finite number"),
+        ({"delay_mean": True}, "delay_mean must be a finite number"),
+        ({"trips_per_daytype": {"Weekday": (NAN, 8.0), "Saturday": (8.0, 2.0), "Sunday": (2.0, 0.7)}},
+         "Weekday trips mean must be a finite number"),
+        ({"trips_per_daytype": {"Weekday": (40.0, 8.0), "Saturday": (8.0, INF), "Sunday": (2.0, 0.7)}},
+         "Saturday trips std must be a finite number"),
+        ({"stops_min": 2.5}, "stops_min must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": "1"}, "seed must be an integer"),
+    ],
+)
+def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
+    with pytest.raises(DataError, match=message):
+        small_config(**overrides).validate()
+
+
 def test_load_gen_config_defaults_and_overrides(tmp_path):
     path = tmp_path / "gen.conf"
     path.write_text(

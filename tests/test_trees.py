@@ -219,6 +219,13 @@ def test_fit_validation_errors():
             fit_tree_hist(X, y, max_depth=depth)
         with pytest.raises(DataError, match="max_depth must be an integer"):
             make_model("dt", 0, max_depth=depth).fit(X, y)
+    # A subsample is a finite number, not a bool, and a seed an integer: "x" raised a bare TypeError.
+    for subsample in ("x", True, float("nan")):
+        with pytest.raises(DataError, match="feature_subsample must be a number"):
+            fit_tree_exact(X, y, feature_subsample=subsample)
+    for seed in (1.5, "1", True):
+        with pytest.raises(DataError, match="seed must be an integer"):
+            fit_tree_exact(X, y, feature_subsample=0.5, seed=seed)
 
 
 def test_tree_serialization_round_trip():

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 import tempfile
 from datetime import datetime
 from pathlib import Path
@@ -108,13 +109,6 @@ def test_parse_missing_file_and_empty(tmp_path):
         parse_stops_csv(path)
     with pytest.raises(DataError, match="no valid rows"):
         parse_stops_csv(_write(tmp_path, "header_only.csv", [HEADER]))
-
-
-def test_parse_with_schema_mapping(tmp_path):
-    header = HEADER.replace("trip_number", "tour_id").replace("stop_number", "seq")
-    path = _write(tmp_path, "mapped.csv", [header, "T1,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:00:00"])
-    records, rejects = parse_stops_csv(path, schema={"trip_number": "tour_id", "stop_number": "seq"})
-    assert len(records) == 1 and stop_rows(records)[0][0] == "T1"
 
 
 def test_parse_stop_number_beyond_int64_rejected(tmp_path):
@@ -418,7 +412,7 @@ def stops_file(draw):
     return "".join(parts), in_dialect
 
 
-def _no_fallback(path, names):
+def _no_fallback(path):
     raise AssertionError("a file in the writer's dialect was left to csv.reader")
 
 
@@ -462,10 +456,16 @@ def test_files_outside_the_dialect_take_csv_reader(tmp_path, body):
 
 
 def test_invalid_utf8_fails_as_csv_reader_does(tmp_path):
-    path = tmp_path / "latin1.csv"
-    path.write_bytes(f"{HEADER}\n{GOOD_ROW}\n".encode("utf-8") + "T2,d,1,a,Straße,Linz,x,y\n".encode("latin-1"))
-    with pytest.raises(UnicodeDecodeError):
-        parse_stops_csv(path)
+    # A non-UTF-8 byte is a data error naming its offset in the file, whether
+    # the file is read from its bytes or, past a lone \r, by csv.reader.
+    bad = "T2,d,1,a,Straße,Linz,x,y\n".encode("latin-1")
+    for before in ("", "T3,d,1\r"):
+        path = tmp_path / "latin1.csv"
+        head = f"{HEADER}\n{GOOD_ROW}\n{before}".encode("utf-8")
+        path.write_bytes(head + bad)
+        where = f"is not UTF-8: invalid continuation byte at byte {len(head) + len('T2,d,1,a,Stra')}"
+        with pytest.raises(DataError, match=re.escape(f"{path} {where}") + "$"):
+            parse_stops_csv(path)
 
 
 def test_synth_output_parses_without_csv_reader(tmp_path):
