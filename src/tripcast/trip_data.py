@@ -476,7 +476,7 @@ def _byte_batch(split: _Split, records: np.ndarray, columns: Sequence[int], out:
     )
 
 
-def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray) -> tuple[list[str], np.ndarray]:
+def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray) -> _Labels:
     """The distinct cells ``data[start:start + length]``, decoded and stripped, and each cell's index into them."""
     width = int(length.max(initial=1))
     if width > _MAX_LABEL_BYTES:
@@ -490,7 +490,7 @@ def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray) -> tuple[
     return [cell.decode("utf-8").strip() for cell in distinct.tolist()], index[np.cumsum(run) - 1]
 
 
-def _byte_points(split: _Split, start: np.ndarray, length: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _byte_points(split: _Split, start: np.ndarray, length: np.ndarray, width: int) -> _Points:
     """Like :func:`_code_points`, for the cells ``data[start:start + length]`` of a split buffer."""
     return split.windows[start, :width].astype(np.int32) - ord("0"), length
 
@@ -523,7 +523,7 @@ def _parse_row(
 _MAX_DIGITS = 18
 
 
-def _code_points(cells: Sequence[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+def _code_points(cells: Sequence[str], width: int) -> _Points:
     """(n, width) int32 code points minus ord('0'), zero-padded, and each cell's length.
 
     Longer cells are cut to ``width``; callers compare the lengths to tell.
