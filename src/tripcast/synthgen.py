@@ -56,6 +56,10 @@ DEFAULT_MONTHS: tuple[tuple[int, int], ...] = (
 
 DEFAULT_SEED = 20190301
 
+#: The months a config may name. ``_month_days`` steps to the day after a
+#: month's last, which for 9999-12 is past the range of ``datetime.date``.
+FIRST_MONTH, LAST_MONTH = (1, 1), (9999, 11)
+
 
 @dataclass(slots=True, frozen=True)
 class GenConfig:
@@ -68,7 +72,9 @@ class GenConfig:
     ingest check (``perfbench/workloads.py``) reads it as their spread.
     :meth:`validate` requires every float field and each day type's mean
     and std to be a finite number, and ``stops_min`` and ``seed`` to be
-    integers.
+    integers. The stop, city and duration means must be > 0, each day
+    type's trips mean >= 0, and every month within ``FIRST_MONTH`` to
+    ``LAST_MONTH``.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
@@ -98,6 +104,8 @@ class GenConfig:
             year, month = ym
             if not 1 <= month <= 12:
                 raise DataError(f"invalid month {ym!r}")
+            if not FIRST_MONTH <= ym <= LAST_MONTH:
+                raise DataError(f"month {year:04d}-{month:02d} is outside 0001-01..9999-11")
         for day_type in DAY_TYPES:
             if day_type not in self.trips_per_daytype:
                 raise DataError(f"trips_per_daytype is missing {day_type!r}")
@@ -116,6 +124,12 @@ class GenConfig:
             raise DataError("stops_min must be >= 2 (trip duration is undefined below)")
         if self.duration_min <= 0:
             raise DataError("duration_min must be > 0")
+        for name in ("stops_mean", "cities_mean", "duration_mean"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"GenConfig {name} must be > 0, got {getattr(self, name)!r}")
+        for day_type, (mean, _) in self.trips_per_daytype.items():
+            if mean < 0:
+                raise DataError(f"{day_type} trips mean must be >= 0, got {mean!r}")
 
 
 def _norm_cdf(x: np.ndarray | float) -> np.ndarray | float:

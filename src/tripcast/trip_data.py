@@ -11,29 +11,27 @@ never silently coerced.
 
 Neither end of the CSV does per-cell work in the ``csv`` module.
 :func:`write_stops_csv` has ``csv.writer`` quote each distinct label once
-and joins the rows itself. :func:`parse_stops_csv` splits a file in that
-dialect on its bytes, by quote parity, and codes labels once per distinct
-byte string. A file outside that dialect (a quote that does not wrap a
-whole field, a lone ``\\r``, a NUL byte, a field over
-``csv.field_size_limit()`` or a trip or city cell over 256 bytes) is parsed
-from its start by ``csv.reader`` instead, with the same results. Both paths
-number trip and city labels by first appearance. A file that is not UTF-8
-is a ``DataError``.
+and joins the rows itself. :func:`parse_stops_csv` reads that dialect, and
+only that dialect, from the file's bytes: it splits records and fields by
+quote parity and codes labels once per distinct byte string, numbered by
+first appearance. Any other file is a ``DataError`` naming the offset of
+the byte where it leaves the dialect: a quote that does not wrap a whole
+field, an unclosed quote, a lone ``\\r``, a NUL byte, bytes that are not
+UTF-8, a trip or city cell over 256 bytes, or a record that has not ended
+within 4 MiB.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
-import operator
 import statistics
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -174,22 +172,26 @@ class DatasetSummary:
 # ---------------------------------------------------------------------------
 # Parsing
 
-#: Bytes the byte parse reads at a time; bounds its index arrays.
+#: Bytes the parse reads at a time; bounds its index arrays.
 BLOCK_BYTES = 1 << 22
 
-#: Longest trip or city cell the byte parse codes; a longer one sends the
-#: file to ``csv.reader``, so that a label matrix stays within 8 MB.
+#: Longest record the parse reads, its line end not counted. A record that
+#: has not ended within it is refused, so the buffer a record is sought in
+#: stays within it plus one block.
+_MAX_RECORD_BYTES = 1 << 22
+
+#: Longest trip or city cell the parse codes, so that a label matrix stays within 8 MB.
 _MAX_LABEL_BYTES = 256
 
 _COMMA, _QUOTE, _LF, _CR = b',"\n\r'
 
-
-class _OutsideDialect(Exception):
-    """The file holds something the byte parse leaves to ``csv.reader``."""
-
-
 _Labels = tuple[list[str], np.ndarray]  # a batch's labels, and per row the index of its label
-_Points = tuple[np.ndarray, np.ndarray]  # a :func:`_code_points` pair
+_Points = tuple[np.ndarray, np.ndarray]  # a :func:`_byte_points` pair
+
+
+def _refuse(path: Path, at: int, reason: str) -> DataError:
+    """The error for a stops file that leaves the writer's dialect at byte ``at``."""
+    return DataError(f"stops file {path} {reason} at byte {at}")
 
 
 def _code(seen: dict[str, int], column: _Labels, keep: np.ndarray) -> np.ndarray:
@@ -218,26 +220,33 @@ class _Columns:
         self.rejects: list[RowDiagnostic] = []
         self.line = 2  # line number of the next non-blank row
 
-    def add(
-        self, trips: _Labels, cities: _Labels, stop: _Points, scheduled: _Points, actual: _Points,
-        cells: Callable[[int], tuple[str, str, str]],
-    ) -> None:
-        """Convert, check and code one batch of rows.
+    def add(self, split: _Split, records: np.ndarray, columns: Sequence[int]) -> None:
+        """Convert, check and code the non-blank ``records`` of ``split`` as one batch.
 
-        Trip and city labels come stripped. Rows that are not canonical go
-        through :func:`_parse_row` with their trip and the raw stop number
-        and stamps ``cells(i)`` returns; rejects are recorded and the line
-        count moves on by the batch.
+        ``columns`` are the fields that hold the ``PARSED_COLUMNS``; a record
+        that ends before one reads it empty. Trip and city labels come
+        stripped. Rows that are not canonical go through :func:`_parse_row`
+        with their trip and their raw stop number and stamps; rejects are
+        recorded and the line count moves on by the batch.
         """
-        trip_labels, trip = trips
-        stop_number, fast = _canonical_counts(*stop)
-        scheduled_time, ok = _canonical_timestamps(*scheduled)
+        first_field = split.record_end[records] - split.n_fields[records] + 1
+        cells = []
+        for j in columns:
+            has = j < split.n_fields[records]
+            start, length = split.cells(np.where(has, first_field + j, 0))
+            cells.append((start, np.where(has, length, 0)))
+        trip, stop, city, scheduled, actual = cells
+        trip_labels, trip_index = trips = _byte_labels(split, *trip, "trip_number")
+        cities = _byte_labels(split, *city, "city")
+        stop_number, fast = _canonical_counts(*_byte_points(split, *stop, _MAX_DIGITS))
+        scheduled_time, ok = _canonical_timestamps(*_byte_points(split, *scheduled, _STAMP_WIDTH))
         fast &= ok
-        actual_time, ok = _canonical_timestamps(*actual)
-        fast &= ok & np.fromiter(map(bool, trip_labels), bool, len(trip_labels))[trip]
+        actual_time, ok = _canonical_timestamps(*_byte_points(split, *actual, _STAMP_WIDTH))
+        fast &= ok & np.fromiter(map(bool, trip_labels), bool, len(trip_labels))[trip_index]
         keep = fast.copy()
         for i in np.flatnonzero(~fast):
-            parsed, reason = _parse_row(trip_labels[trip[i]], *cells(i))
+            raw = (split.text(at[i], n[i]) for at, n in (stop, scheduled, actual))
+            parsed, reason = _parse_row(trip_labels[trip_index[i]], *raw)
             if parsed is None:
                 self.rejects.append(RowDiagnostic(self.line + int(i), reason))
             else:
@@ -265,9 +274,12 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     """Read a stops CSV and return (valid rows, per-row reject diagnostics).
 
     The header must name the eight ``CANONICAL_COLUMNS``, in any order.
-    Raises ``DataError`` if the file is missing, is not UTF-8, lacks a
-    column in its header, or no row parses — partial results are never
-    returned for structural failures.
+    Raises ``DataError`` if the file is missing, lacks a column in its
+    header, leaves the dialect ``write_stops_csv`` writes, or no row parses
+    — partial results are never returned for structural failures. A file
+    leaves the dialect at a fault :func:`_split` names or at a trip or city
+    cell over ``_MAX_LABEL_BYTES``; the error names the reason and the
+    offset in the file of the first fault the parse meets.
 
     Rows follow ``csv.DictReader``: blank lines are skipped and not counted
     in line numbers, missing cells read as empty, extra cells are ignored,
@@ -278,108 +290,67 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     after stripping whitespace and says why it rejects a row. Trip and city
     labels are numbered in order of first appearance among the kept rows.
 
-    A file in the dialect ``write_stops_csv`` writes is split into records
-    and fields on its bytes (:func:`_parse_bytes`). Any other file is read
-    from the start by ``csv.reader`` (:func:`_parse_text`); the two give
-    the same rows, labels and rejects.
+    The file is read ``BLOCK_BYTES`` at a time and split into records and
+    fields on its bytes. Each block is cut after its last record; the rest
+    is carried into the next.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"stops file not found: {path}")
-    try:
-        try:
-            parsed = _parse_bytes(path)
-        except _OutsideDialect:
-            parsed = _parse_text(path)
-    except UnicodeDecodeError:
-        try:
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as error:  # offsets in the file, not in a decoded chunk
-            raise DataError(f"stops file {path} is not UTF-8: {error.reason} at byte {error.start}") from None
-        raise
-    return parsed.table(path)
-
-
-def _column_positions(header: list[str] | None, path: Path) -> list[int]:
-    """Where each of ``PARSED_COLUMNS`` is in the header; a missing column is a ``DataError``."""
-    if header is None:
-        raise DataError(f"stops file has no header row: {path}")
-    missing = [c for c in CANONICAL_COLUMNS if c not in header]
-    if missing:
-        raise DataError(f"stops file {path} is missing mandatory column(s): {', '.join(missing)}")
-    last = {name: i for i, name in enumerate(header)}
-    return [last[c] for c in PARSED_COLUMNS]
-
-
-def _parse_text(path: Path) -> _Columns:
-    """Parse any CSV with ``csv.reader``, a batch of ``CHUNK_ROWS`` rows at a time."""
-    out = _Columns()
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        columns = _column_positions(next(reader, None), path)
-        width = max(columns) + 1
-        rows = filter(None, reader)
-        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-            for i in np.flatnonzero(np.fromiter(map(len, chunk), np.int64, len(chunk)) < width):
-                chunk[i] = chunk[i] + [""] * (width - len(chunk[i]))
-            trip, stop, city, scheduled, actual = zip(*map(operator.itemgetter(*columns), chunk))
-            index = np.arange(len(chunk))
-            out.add(
-                (list(map(str.strip, trip)), index),
-                (list(map(str.strip, city)), index),
-                _code_points(stop, _MAX_DIGITS),
-                _code_points(scheduled, _STAMP_WIDTH),
-                _code_points(actual, _STAMP_WIDTH),
-                lambda i: (stop[i], scheduled[i], actual[i]),
-            )
-    return out
-
-
-def _parse_bytes(path: Path) -> _Columns:
-    """Parse a CSV in ``write_stops_csv``'s dialect from its bytes, ``BLOCK_BYTES`` at a time.
-
-    Each block is cut after its last record; the rest is carried into the
-    next. Raises ``_OutsideDialect`` for a file ``csv.reader`` might read
-    differently (see :func:`_split`) and for a trip or city cell longer
-    than ``_MAX_LABEL_BYTES``.
-    """
     out = _Columns()
     columns = None
+    offset, rest = 0, b""
     with path.open("rb") as handle:
-        rest = b""
         while True:
             block = handle.read(BLOCK_BYTES)
             data = rest + block
-            split = _split(data, at_end=not block)
+            split = _split(path, data, offset, at_end=not block)
             if split is None:
                 rest = data
                 continue
-            rest = data[split.used :]
+            rest, offset = data[split.used :], offset + split.used
             first = 0
             if columns is None:  # the first record is the header, even if blank
-                header_end = split.terms[split.record_end[0]] + 1 if len(split.record_end) else 0
-                header = next(csv.reader(io.StringIO(data[:header_end].decode("utf-8"), newline="")), None)
-                columns = _column_positions(header, path)
+                columns = _column_positions(split)
                 first = 1
             body = np.flatnonzero(~split.blank[first:]) + first
             for lo in range(0, body.size, CHUNK_ROWS):
-                _byte_batch(split, body[lo : lo + CHUNK_ROWS], columns, out)
+                out.add(split, body[lo : lo + CHUNK_ROWS], columns)
             if not block:
-                return out
+                return out.table(path)
+
+
+def _column_positions(split: _Split) -> list[int]:
+    """Where each of ``PARSED_COLUMNS`` is in the header, the first record of ``split``.
+
+    An empty file or a header that lacks a column is a ``DataError``.
+    """
+    if not len(split.record_end):
+        raise DataError(f"stops file has no header row: {split.path}")
+    # The first record's fields are the first fields of the split.
+    header = [split.text(at, n) for at, n in zip(*split.cells(np.arange(split.n_fields[0])))]
+    missing = [c for c in CANONICAL_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"stops file {split.path} is missing mandatory column(s): {', '.join(missing)}")
+    last = {name: i for i, name in enumerate(header)}
+    return [last[c] for c in PARSED_COLUMNS]
 
 
 @dataclass(slots=True, frozen=True)
 class _Split:
     """Records and fields of the leading whole records of a byte buffer.
 
-    ``terms`` holds the position of every field's terminator (a ``,`` or
-    ``\\n`` outside quotes, or the end of the file); field ``t`` spans
-    ``starts[t]:ends[t]``, quotes included and a ``\\r`` before its
-    ``\\n`` excluded. Record ``r`` is fields ``record_end[r] - n_fields[r] + 1``
-    to ``record_end[r]``.
+    ``data`` starts at byte ``offset`` of the file at ``path``. ``terms``
+    holds the position of every field's terminator (a ``,`` or ``\\n``
+    outside quotes, or the end of the file); field ``t`` spans
+    ``starts[t]:ends[t]``, quotes included and a ``\\r`` before its ``\\n``
+    excluded. Record ``r`` is fields ``record_end[r] - n_fields[r] + 1`` to
+    ``record_end[r]``.
     """
 
+    path: Path
     data: bytes
+    offset: int
     windows: np.ndarray  # row i: the _MAX_LABEL_BYTES bytes from data[i], zero past the end
     used: int
     terms: np.ndarray
@@ -389,16 +360,29 @@ class _Split:
     n_fields: np.ndarray
     blank: np.ndarray
 
+    def cells(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the text of each field in ``fields`` starts, and its length, enclosing quotes left out."""
+        start, end = self.starts[fields], self.ends[fields]
+        quoted = (end > start) & (self.windows[start, 0] == _QUOTE)
+        return start + quoted, end - start - 2 * quoted
 
-def _split(data: bytes, at_end: bool) -> _Split | None:
-    """Split the whole records of ``data`` by quote parity; None if it holds none yet.
+    def text(self, at: int, length: int) -> str:
+        """The cell text ``data[at:at + length]``, each ``""`` read as ``"``."""
+        return self.data[at : at + length].decode("utf-8").replace('""', '"')
 
-    A ``,``, ``\\n`` or ``\\r`` separates only outside quotes, that is after
-    an even number of ``"``. Raises ``_OutsideDialect`` unless every quote
-    wraps a whole field with no quote inside, every ``\\r`` outside quotes
-    ends a ``\\r\\n``, the file holds no NUL byte, its non-ASCII bytes are
-    UTF-8 and no field is longer than ``csv.field_size_limit()``: then
-    ``csv.reader`` splits the records and fields at the same bytes.
+
+def _split(path: Path, data: bytes, offset: int, at_end: bool) -> _Split | None:
+    """Split the whole records of ``data``, byte ``offset`` on in ``path``; None if it holds none yet.
+
+    A ``,`` or ``\\n`` separates fields and records only outside quotes,
+    that is after an even number of ``"``. This reads ``csv.writer``'s
+    dialect: a quote opens a field and closes it, and inside a quoted field
+    a ``""`` stands for one ``"``. Anything else is a ``DataError`` at the
+    first byte that is
+    - a quote that does not wrap a whole field, or one left unclosed;
+    - a ``\\r`` outside quotes that does not come before a ``\\n``;
+    - a NUL byte, or not UTF-8;
+    - the start of a record that has not ended within ``_MAX_RECORD_BYTES``.
     """
     b = np.frombuffer(data, np.uint8)
     at = np.flatnonzero((b == _COMMA) | (b == _QUOTE) | (b == _LF) | (b == _CR))
@@ -408,90 +392,86 @@ def _split(data: bytes, at_end: bool) -> _Split | None:
     lf = (kind == _LF) & outside
     if at_end:
         used = len(b)
-    elif lf.any():
-        used = int(at[np.flatnonzero(lf)[-1]]) + 1
     else:
-        return None
+        used = int(at[np.flatnonzero(lf)[-1]]) + 1 if lf.any() else 0
+        if not used and len(b) <= _MAX_RECORD_BYTES:
+            return None
     cut = np.searchsorted(at, used)
     at, kind, quote, outside = at[:cut], kind[:cut], quote[:cut], outside[:cut]
-    if not b[:used].all():
-        raise _OutsideDialect("NUL byte")
-    if used and b[:used].max() >= 0x80:
-        try:
-            data[:used].decode("utf-8")
-        except UnicodeDecodeError:
-            raise _OutsideDialect("not UTF-8") from None
-
-    quotes = at[quote]
-    if quotes.size % 2:
-        raise _OutsideDialect("unclosed quote")
-    opens, closes = quotes[0::2], quotes[1::2]
-    before = np.where(opens > 0, b[opens - 1], _LF)
-    after = np.where(closes + 1 < used, b[np.minimum(closes + 1, used - 1)], _LF)
-    if not (np.isin(before, (_COMMA, _LF)).all() and np.isin(after, (_COMMA, _LF, _CR)).all()):
-        raise _OutsideDialect("quote inside a field")
-    cr = at[(kind == _CR) & outside]
-    if not (b[np.minimum(cr + 1, used - 1)] == _LF).all():  # a \r at the very end reads itself
-        raise _OutsideDialect("lone \\r")
-
     is_term = ((kind == _COMMA) | (kind == _LF)) & outside
     terms, is_end = at[is_term], kind[is_term] == _LF
     if used > (terms[is_end][-1] + 1 if is_end.any() else 0):  # a last record with no \n
         terms, is_end = np.append(terms, used), np.append(is_end, True)
     starts = np.concatenate(([0], terms + 1))[:-1]
-    if (terms - starts).max(initial=0) > csv.field_size_limit():
-        raise _OutsideDialect("field over the csv size limit")
-    ends = terms.copy()
-    ends[np.searchsorted(terms, cr + 1)] -= 1
     record_end = np.flatnonzero(is_end)
     n_fields = np.diff(record_end, prepend=-1)
+
+    faults = []  # (position in data, reason); the first is refused
+    if not b[:used].all():
+        faults.append((int(np.argmin(b[:used])), "has a NUL byte"))
+    if used and b[:used].max() >= 0x80:
+        try:
+            data[:used].decode("utf-8")
+        except UnicodeDecodeError as error:
+            faults.append((error.start, f"is not UTF-8: {error.reason}"))
+    quotes = at[quote]
+    if quotes.size % 2:
+        faults.append((int(quotes[-1]), "has an unclosed quote"))
+    # A quote pair sits between separators, or next to another pair: a "" inside a quoted field.
+    opens, closes = quotes[0::2], quotes[1::2]
+    before = np.where(opens > 0, b[opens - 1], _LF)
+    after = np.where(closes + 1 < used, b[np.minimum(closes + 1, used - 1)], _LF)
+    stray = np.concatenate((
+        opens[~np.isin(before, (_COMMA, _LF, _QUOTE))], closes[~np.isin(after, (_COMMA, _LF, _CR, _QUOTE))]
+    ))
+    if stray.size:
+        faults.append((int(stray.min()), "has a quote that does not wrap a whole field"))
+    cr = at[(kind == _CR) & outside]
+    lone = cr[b[np.minimum(cr + 1, used - 1)] != _LF]  # a \r at the very end reads itself
+    if lone.size:
+        faults.append((int(lone[0]), "has a lone \\r"))
+    record_start = starts[record_end - n_fields + 1]
+    long = record_start[terms[record_end] - record_start > _MAX_RECORD_BYTES]
+    if long.size or len(b) - used > _MAX_RECORD_BYTES:
+        faults.append((int(long[0]) if long.size else used, f"has a record over {_MAX_RECORD_BYTES} bytes"))
+    if faults:
+        at, reason = min(faults)
+        raise _refuse(path, offset + at, reason)
+
+    ends = terms.copy()
+    ends[np.searchsorted(terms, cr + 1)] -= 1
     blank = (n_fields == 1) & (ends[record_end] == starts[record_end])
     padded = np.concatenate((b, np.zeros(_MAX_LABEL_BYTES, np.uint8)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, _MAX_LABEL_BYTES)
-    return _Split(data, windows, used, terms, starts, ends, record_end, n_fields, blank)
+    return _Split(path, data, offset, windows, used, terms, starts, ends, record_end, n_fields, blank)
 
 
-def _byte_batch(split: _Split, records: np.ndarray, columns: Sequence[int], out: _Columns) -> None:
-    """Cut the cells of the non-blank ``records`` of ``split`` and hand them to ``out`` as one batch."""
-    first_field = split.record_end[records] - split.n_fields[records] + 1
-    cells = []
-    for j in columns:
-        has = j < split.n_fields[records]
-        t = np.where(has, first_field + j, 0)
-        start, end = np.where(has, split.starts[t], 0), np.where(has, split.ends[t], 0)
-        quoted = (end > start) & (split.windows[start, 0] == _QUOTE)
-        cells.append((start + quoted, end - start - 2 * quoted))
-    trip, stop, city, scheduled, actual = cells
+def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray, name: str) -> _Labels:
+    """The distinct cells ``split.text(start, length)``, stripped, and each cell's index into them.
 
-    def text(i):
-        return tuple(split.data[at[i] : at[i] + n[i]].decode("utf-8") for at, n in (stop, scheduled, actual))
-
-    out.add(
-        _byte_labels(split, *trip),
-        _byte_labels(split, *city),
-        _byte_points(split, *stop, _MAX_DIGITS),
-        _byte_points(split, *scheduled, _STAMP_WIDTH),
-        _byte_points(split, *actual, _STAMP_WIDTH),
-        text,
-    )
-
-
-def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray) -> _Labels:
-    """The distinct cells ``data[start:start + length]``, decoded and stripped, and each cell's index into them."""
+    A cell over ``_MAX_LABEL_BYTES`` is a ``DataError`` naming column ``name``.
+    """
     width = int(length.max(initial=1))
     if width > _MAX_LABEL_BYTES:
-        raise _OutsideDialect("label over _MAX_LABEL_BYTES")
+        at = split.offset + int(start[np.argmax(length > _MAX_LABEL_BYTES)])
+        raise _refuse(split.path, at, f"has a {name} cell over {_MAX_LABEL_BYTES} bytes")
     cells = np.where(np.arange(width) < length[:, None], split.windows[start, :width], 0)
     cells = cells.view(f"S{width}").ravel()
     # A label mostly repeats on the next row: sort only the first cell of each run.
     run = np.ones(cells.size, dtype=bool)
     run[1:] = cells[1:] != cells[:-1]
     distinct, index = np.unique(cells[run], return_inverse=True)
-    return [cell.decode("utf-8").strip() for cell in distinct.tolist()], index[np.cumsum(run) - 1]
+    labels = [cell.decode("utf-8").replace('""', '"').strip() for cell in distinct.tolist()]
+    return labels, index[np.cumsum(run) - 1]
 
 
 def _byte_points(split: _Split, start: np.ndarray, length: np.ndarray, width: int) -> _Points:
-    """Like :func:`_code_points`, for the cells ``data[start:start + length]`` of a split buffer."""
+    """(n, width) int32 bytes minus ord('0') of the cells at ``start``, and each cell's ``length``.
+
+    Bytes past a cell's end are whatever follows it in the split buffer;
+    callers read only within a cell's length, and compare the lengths to
+    tell a cell longer than ``width``.
+    """
     return split.windows[start, :width].astype(np.int32) - ord("0"), length
 
 
@@ -523,23 +503,10 @@ def _parse_row(
 _MAX_DIGITS = 18
 
 
-def _code_points(cells: Sequence[str], width: int) -> _Points:
-    """(n, width) int32 code points minus ord('0'), zero-padded, and each cell's length.
-
-    Longer cells are cut to ``width``; callers compare the lengths to tell.
-    A cell whose last characters are NULs reads shorter here than its
-    length, which no caller's shape test accepts.
-    """
-    n = len(cells)
-    lengths = np.fromiter(map(len, cells), np.int64, n)
-    points = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(n, width)
-    return points.astype(np.int32) - ord("0"), lengths
-
-
 def _canonical_counts(digits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of cells of 1 to 18 ASCII digits with a value >= 1, and which cells those are.
 
-    Takes a :func:`_code_points` pair, cut to ``_MAX_DIGITS``.
+    Takes a :func:`_byte_points` pair, cut to ``_MAX_DIGITS``.
     """
     inside = np.arange(_MAX_DIGITS) < lengths[:, None]
     is_digit = (digits >= 0) & (digits <= 9)
@@ -559,7 +526,7 @@ _STAMP_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 def _canonical_timestamps(d: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Times of cells shaped exactly ``YYYY-MM-DDTHH:MM:SS`` naming a real second.
 
-    Takes a :func:`_code_points` pair, cut to ``_STAMP_WIDTH``. Returns
+    Takes a :func:`_byte_points` pair, cut to ``_STAMP_WIDTH``. Returns
     ``datetime64[s]`` values (meaningless where not accepted) and the
     acceptance mask. Everything accepted here ``strptime`` accepts with
     the same value; the rest is left to it.

@@ -154,6 +154,22 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         small_config(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"stops_mean": -5.0}, "stops_mean must be > 0"),
+        ({"cities_mean": 0.0}, "cities_mean must be > 0"),
+        ({"duration_mean": -1.0}, "duration_mean must be > 0"),
+        ({"trips_per_daytype": {"Weekday": (-3.0, 8.0), "Saturday": (8.0, 2.0), "Sunday": (2.0, 0.7)}},
+         "Weekday trips mean must be >= 0"),
+    ],
+)
+def test_validation_rejects_means_out_of_range(overrides, message):
+    # Unchecked, each of these wrote a CSV with exit 0.
+    with pytest.raises(DataError, match=message):
+        small_config(**overrides).validate()
+
+
 def test_load_gen_config_defaults_and_overrides(tmp_path):
     path = tmp_path / "gen.conf"
     path.write_text(
@@ -198,6 +214,14 @@ def test_load_gen_config_errors(tmp_path):
     no_eq.write_text("just a line\n", encoding="utf-8")
     with pytest.raises(DataError, match="key = value"):
         load_gen_config(no_eq)
+    # Years outside datetime.date's range ended in an internal error (exit 3).
+    bad_month = tmp_path / "bad_month.conf"
+    for months in ("0000-01", "9999-12", "2019-03..10000-01"):
+        bad_month.write_text(f"months = {months}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="is outside 0001-01..9999-11"):
+            load_gen_config(bad_month)
+    bad_month.write_text("months = 9999-11\n", encoding="utf-8")
+    assert load_gen_config(bad_month).months == ((9999, 11),)
 
 
 def test_calibration_tracks_custom_targets():

@@ -1,6 +1,5 @@
 """Ingestion, trip assembly, and summary statistics."""
 
-import contextlib
 import csv
 import io
 import math
@@ -24,7 +23,7 @@ from tripcast.trip_data import (
     write_stops_csv,
 )
 
-from tests.helpers import coded, make_stops, stop_rows, trip_table, trip_tables_equal
+from tests.helpers import coded, make_stops, stop_rows, time_limit, trip_table, trip_tables_equal
 
 HEADER = "trip_number,trip_description,stop_number,client_name,address,city,scheduled_time,actual_time"
 
@@ -208,7 +207,6 @@ EDGE_TIMESTAMPS = [
     "2019-03-1T08:00:00",
     "2019-03-01T8:00:00",
     "١٠١٩-03-01T08:00:00",
-    "2019-03-01T08:00:0\x00",
     "2019-03-01t08:00:00",
 ]
 
@@ -295,7 +293,7 @@ def test_parse_matches_row_reference(rows, chunk):
 
 
 CANONICAL_ROW = ["T1", "d", "1", "c", "a", "Linz", "2019-03-01T08:00:00", "2019-03-01T09:00:00"]
-EDGE_STOP_NUMBERS = ["0", "00", "007", "-1", "+3", "3_0", "٣", " 4 ", "4\x00", "", "1.0", "9" * 18, "1" + "0" * 18]
+EDGE_STOP_NUMBERS = ["0", "00", "007", "-1", "+3", "3_0", "٣", " 4 ", "", "1.0", "9" * 18, "1" + "0" * 18]
 
 
 def test_parse_edge_cells_match_reference(tmp_path):
@@ -379,8 +377,8 @@ def raw_cell(draw, values, in_dialect):
     """One cell as it stands in the file: a value, quoted as csv.writer would or not."""
     value = draw(padding) + draw(st.one_of(values, values, odd_text)) + draw(padding)
     if in_dialect:
-        value = value.replace('"', "").replace("\x00", "")
-        needs_quotes = any(c in value for c in ',\n\r')
+        value = value.replace("\x00", "")
+        needs_quotes = any(c in value for c in ',"\n\r')
         return _quote(value) if needs_quotes or draw(st.booleans()) else value
     form = draw(st.sampled_from(["plain", "quoted", "padded quoted", "quote inside"]))
     if form == "plain":
@@ -412,22 +410,26 @@ def stops_file(draw):
     return "".join(parts), in_dialect
 
 
-def _no_fallback(path):
-    raise AssertionError("a file in the writer's dialect was left to csv.reader")
+#: A refusal: the file leaves the writer's dialect at the byte it names.
+REFUSED = re.compile(r"stops file .* at byte \d+")
 
 
 @settings(max_examples=400, deadline=None)
 @given(doc=stops_file(), block=st.sampled_from([1, 7, 64, 1 << 22]), chunk=st.sampled_from([1, 2, 1 << 15]))
 def test_byte_parse_matches_row_reference(doc, block, chunk):
+    # A file in the dialect parses as the reference does; any other file
+    # either does too or is refused, and only for a quote, a \r or a NUL.
     text, in_dialect = doc
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stops.csv"
         path.write_bytes(text.encode("utf-8"))
-        with (
-            mock.patch.object(trip_data, "BLOCK_BYTES", block),
-            mock.patch.object(trip_data, "CHUNK_ROWS", chunk),
-            mock.patch.object(trip_data, "_parse_text", _no_fallback) if in_dialect else contextlib.nullcontext(),
-        ):
+        with mock.patch.object(trip_data, "BLOCK_BYTES", block), mock.patch.object(trip_data, "CHUNK_ROWS", chunk):
+            try:
+                parse_stops_csv(path)
+            except DataError as error:
+                if REFUSED.fullmatch(str(error)):
+                    assert not in_dialect and any(c in text for c in '"\r\x00'), error
+                    return
             assert_parse_matches_reference(path)
 
 
@@ -435,37 +437,78 @@ GOOD_ROW = "T1,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00"
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body,reason,marker",
     [
-        'T2,d,1,a,"p""q",Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n',  # a doubled quote
-        'T2,d,1,a,x"y,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n',  # a quote inside a field
-        'T2,d,1,a, "addr",Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n',  # a padded quoted field
-        "T2,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\rT3,d,1\n",  # a lone \r
-        "T2,d,1,a,ad\x00dr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n",  # a NUL byte
-        "T" + "2" * 300 + ",d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n",  # a long label
-        "T2,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\r",  # a \r at the end
-        'T2,d,1,a,addr,"Linz',  # an unclosed quote
+        ('T2,d,1,a,x"y,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n', "a quote that does not wrap a whole field", '"'),
+        ('T2,d,1,a, "addr",Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n', "a quote that does not wrap a whole field", '"'),
+        ('T2,d,1,a,"addr"x,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n', "a quote that does not wrap a whole field", '"x'),
+        ('T2,d,1,a,addr,"Linz', "an unclosed quote", '"'),
+        ("T2,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\rT3,d,1\n", "a lone \\r", "\r"),
+        ("T2,d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\r", "a lone \\r", "\r"),
+        ("T2,d,1,a,ad\x00dr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n", "a NUL byte", "\x00"),
+        ("T2,d,4\x00,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n", "a NUL byte", "\x00"),
+        ("T2,d,1,a,addr,Linz,2019-03-01T08:00:0\x00,2019-03-01T08:05:00\n", "a NUL byte", "\x00"),
+        ("T" + "2" * 300 + ",d,1,a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n", "a trip_number cell over 256 bytes", "T2"),
+        ('T2,d,1,a,addr,"' + "L" * 300 + '",2019-03-01T08:00:00,2019-03-01T08:05:00\n', "a city cell over 256 bytes", "LL"),
+    ],
+    ids=[
+        "quote inside a field",
+        "padded quoted field",
+        "text after a closing quote",
+        "unclosed quote",
+        "lone CR",
+        "CR at the end",
+        "NUL in free text",
+        "NUL in a stop number",
+        "NUL in a stamp",
+        "long trip",
+        "long city",
     ],
 )
-def test_files_outside_the_dialect_take_csv_reader(tmp_path, body):
+@pytest.mark.parametrize("block", [7, 1 << 22])
+def test_files_outside_the_dialect_are_refused(tmp_path, body, reason, marker, block):
+    # Each is refused at the offending byte's offset in the file, also when it lies blocks in.
     path = tmp_path / "odd.csv"
-    path.write_bytes(f"{HEADER}\n{GOOD_ROW}\n{body}".encode("utf-8"))
-    with mock.patch.object(trip_data, "_parse_text", wraps=trip_data._parse_text) as text_parse:
-        assert_parse_matches_reference(path)
-    assert text_parse.call_count == 1
+    head = f"{HEADER}\n{GOOD_ROW}\n".encode("utf-8")
+    path.write_bytes(head + body.encode("utf-8"))
+    at = len(head) + body.encode("utf-8").index(marker.encode("utf-8"))
+    with mock.patch.object(trip_data, "BLOCK_BYTES", block):
+        with pytest.raises(DataError, match=re.escape(f"stops file {path} has {reason} at byte {at}") + "$"):
+            parse_stops_csv(path)
+
+
+def test_long_records_are_refused_in_bounded_time(tmp_path):
+    # Without a bound, each block re-split the growing line: 64 MiB took 2.3 s before failing.
+    path = tmp_path / "one_line.csv"
+    path.write_bytes(f"{HEADER}\n".encode("utf-8") + b"x" * (64 << 20))
+    with time_limit(1.0), pytest.raises(DataError, match=f"has a record over {1 << 22} bytes at byte {len(HEADER) + 1}$"):
+        parse_stops_csv(path)
+    # A long free-text cell that nothing reads parses.
+    path.write_text(f"{HEADER}\n{GOOD_ROW}\nT2,d,1,a,{'a' * 200_000},Linz,2019-03-01T08:00:00,2019-03-01T08:05:00\n")
+    stops, rejects = parse_stops_csv(path)
+    assert len(stops) == 2 and rejects == []
 
 
 def test_invalid_utf8_fails_as_csv_reader_does(tmp_path):
-    # A non-UTF-8 byte is a data error naming its offset in the file, whether
-    # the file is read from its bytes or, past a lone \r, by csv.reader.
+    # A non-UTF-8 byte is a data error naming its offset in the file, also
+    # blocks in. A file with more than one fault is refused at the first:
+    # here a lone \r.
     bad = "T2,d,1,a,Straße,Linz,x,y\n".encode("latin-1")
-    for before in ("", "T3,d,1\r"):
-        path = tmp_path / "latin1.csv"
-        head = f"{HEADER}\n{GOOD_ROW}\n{before}".encode("utf-8")
-        path.write_bytes(head + bad)
-        where = f"is not UTF-8: invalid continuation byte at byte {len(head) + len('T2,d,1,a,Stra')}"
-        with pytest.raises(DataError, match=re.escape(f"{path} {where}") + "$"):
-            parse_stops_csv(path)
+    head = f"{HEADER}\n{GOOD_ROW}\n".encode("utf-8")
+    path = tmp_path / "latin1.csv"
+    for before, where in [
+        (b"", f"is not UTF-8: invalid continuation byte at byte {len(head) + len('T2,d,1,a,Stra')}"),
+        (b"T3,d,1\r", f"has a lone \\r at byte {len(head) + len('T3,d,1')}"),
+    ]:
+        path.write_bytes(head + before + bad)
+        for block in (7, 1 << 22):
+            with mock.patch.object(trip_data, "BLOCK_BYTES", block):
+                with pytest.raises(DataError, match=re.escape(f"{path} {where}") + "$"):
+                    parse_stops_csv(path)
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was asked to read the stops file")
 
 
 def test_synth_output_parses_without_csv_reader(tmp_path):
@@ -473,15 +516,7 @@ def test_synth_output_parses_without_csv_reader(tmp_path):
     conf.write_text("months = 2019-03\nweekday_trips_mean = 20\nweekday_trips_std = 3\nseed = 3\n", encoding="utf-8")
     path = tmp_path / "stops.csv"
     assert cli.main(["synth", "--config", str(conf), "--out", str(path)]) == 0
-    real_reader = csv.reader
-
-    def header_only(lines, *args, **kwargs):
-        # The header is handed over as one string; a file handle means the body fell back.
-        if not isinstance(lines, io.StringIO):
-            raise AssertionError("csv.reader was asked to read the stops file")
-        return real_reader(lines, *args, **kwargs)
-
-    with mock.patch.object(trip_data.csv, "reader", header_only):
+    with mock.patch.object(csv, "reader", _no_csv_reader):
         stops, rejects = parse_stops_csv(path)
     assert len(stops) > 100 and rejects == []
     assert_parse_matches_reference(path)
@@ -626,6 +661,29 @@ def test_write_matches_csv_writer_bytes():
         sched, actual = (str(t)[:19].replace(" ", "T") for t in (stops.scheduled_time[i], stops.actual_time[i]))
         writer.writerow([labels[i], "", i + 1, labels[i], labels[-1 - i], labels[-1 - i], sched, actual])
     assert got.getvalue() == want.getvalue()
+
+
+def test_writer_odd_labels_parse_back_from_bytes(tmp_path):
+    # Every label the writer can write, quotes included, is read back stripped without csv.reader.
+    labels = ODD_LABELS + ['""', 'x"', '"y']
+    n = len(labels)
+    stops = make_stops(
+        [(labels[i], i + 1, labels[-1 - i], f"2019-03-04T08:{i:02d}:00", f"2019-03-04T09:{i:02d}:00") for i in range(n)]
+    )
+    stops = trip_data.StopTable(
+        stops.trip, stops.stop_number, stops.city, stops.scheduled_time, stops.actual_time,
+        text={"address": coded(labels[::-1]), "client_name": coded(labels)},
+    )
+    path = tmp_path / "odd.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        write_stops_csv(stops, handle)
+    with mock.patch.object(csv, "reader", _no_csv_reader):
+        parsed, rejects = parse_stops_csv(path)
+    want = [(trip.strip(), stop, city.strip(), *times) for trip, stop, city, *times in stop_rows(stops)]
+    assert stop_rows(parsed) == [row for row in want if row[0]]
+    assert [(r.line_number, r.reason) for r in rejects] == [
+        (i + 2, "empty trip_number") for i, row in enumerate(want) if not row[0]
+    ]
 
 
 def _trips(*specs):
