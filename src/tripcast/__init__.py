@@ -7,7 +7,6 @@ synthetic trip generator.
 """
 
 from .ensembles import (
-    EnsembleConfig,
     EnsembleModel,
     fit_adaboost_r2,
     fit_bagging,

@@ -7,9 +7,11 @@ Non-finite values are refused outright: a NaN feature compares false with
 every split threshold and poisons a least-squares solve, and a NaN target
 turns every prediction into NaN. Targets are bounded too (:data:`TARGET_SUM_LIMIT`).
 
-The ``require*`` helpers check persisted model documents, which come from
-outside the program too; they raise :class:`~tripcast.errors.PersistError`
-with a ``malformed model document: ...`` message.
+:func:`check_setting` is the one check of each tree and ensemble setting,
+for fitters and model documents alike. The ``require*`` helpers check
+persisted model documents, which come from outside the program too; they
+raise :class:`~tripcast.errors.PersistError` with a ``malformed model
+document: ...`` message.
 """
 
 from __future__ import annotations
@@ -86,3 +88,23 @@ def is_finite(value: object) -> bool:
         return math.isfinite(value)  # type: ignore[arg-type]
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+#: What each tree and ensemble setting must be: a test of its value, and the
+#: test in words. A learning rate in (0, 2] is the range for which no boosting
+#: stage can raise the training loss.
+_SETTINGS = {
+    "n_estimators": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "max_depth": (lambda v: v is None or (is_int(v) and v >= 1), "an integer >= 1 or None"),
+    "learning_rate": (lambda v: is_finite(v) and 0.0 < v <= 2.0, "a number in (0, 2]"),
+    "feature_subsample": (lambda v: is_finite(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "bootstrap": (lambda v: isinstance(v, bool), "True or False"),
+    "seed": (is_int, "an integer"),
+}
+
+
+def check_setting(name: str, value: object) -> None:
+    """Refuse a bad ``value`` of the tree or ensemble setting ``name`` with a ``DataError``."""
+    ok, what = _SETTINGS[name]
+    if not ok(value):
+        raise DataError(f"{name} must be {what}, got {value!r}")

@@ -20,7 +20,7 @@ by all stages: the presort and a row-membership mask (exact), or the
 
 Training data is checked once per fit (:mod:`tripcast.checks`) and brought
 into canonical order before any bootstrap index is drawn, so fitted models
-are deterministic in (data, config, seed) and invariant to input row order.
+are deterministic in (data, settings) and invariant to input row order.
 A sorted resample of a canonical table is itself canonical, so members grow
 from it directly without a second check or sort. Members are flat
 :class:`~tripcast.trees.Tree` records, descended one at a time over a
@@ -28,20 +28,22 @@ feature-major copy of the query and combined in member order; AdaBoost.R2
 holds its canonical rows only feature-major. A single decision tree is a
 one-member bagging ensemble without bootstrap.
 
-Settings are one flat :class:`EnsembleConfig`. :class:`EnsembleModel` owns
-its persisted form (``to_payload`` / ``from_payload``), which checks a
-document before rebuilding from it.
+Each kind takes the settings :data:`SETTINGS` declares for it, by keyword,
+and no others; the fitted :class:`EnsembleModel` records them all, filled in
+with the kind's defaults. It owns its persisted form (``to_payload`` /
+``from_payload``), which checks a document's settings as a fit does before
+rebuilding from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .checks import is_finite, is_int, require, require_keys, training_data
+from .checks import check_setting, is_finite, is_int, require, require_keys, training_data
 from .errors import DataError, PersistError
 from .rng import derive_seed, substream
 from .trees import (
@@ -60,54 +62,35 @@ EnsembleKind = Literal["bagging", "random_forest", "gbm_exact", "gbm_hist", "ada
 #: Average losses below this are treated as a perfect fit (see fit_adaboost_r2).
 PERFECT_LOSS_EPS = 1e-10
 
-#: EnsembleConfig fields that only some kinds read, and those kinds. Only
-#: bagging and random forest members subsample features; AdaBoost members and
-#: gradient-boosting stages split over every feature.
-READ_BY: dict[str, tuple[EnsembleKind, ...]] = {
-    "learning_rate": ("gbm_exact", "gbm_hist"),
-    "bootstrap": ("bagging", "random_forest"),
-    "feature_subsample": ("bagging", "random_forest"),
+_BOOSTING = {"n_estimators": 100, "max_depth": 3, "learning_rate": 0.1}
+
+#: Each kind's settings and their defaults: a fitter takes these and no
+#: others. Bagging and random forest grow unlimited trees by default; only
+#: random forest subsamples features, and it always draws bootstrap
+#: resamples. Boosting stages split over every feature, and gradient
+#: boosting draws nothing at random.
+SETTINGS: dict[EnsembleKind, dict[str, object]] = {
+    "bagging": {"n_estimators": 100, "max_depth": None, "bootstrap": True, "seed": 0},
+    "random_forest": {"n_estimators": 100, "max_depth": None, "feature_subsample": 1.0 / 3.0, "seed": 0},
+    "gbm_exact": _BOOSTING,
+    "gbm_hist": _BOOSTING,
+    "adaboost_r2": {"n_estimators": 100, "max_depth": 3, "seed": 0},
 }
 
 
-@dataclass(slots=True, frozen=True)
-class EnsembleConfig:
-    """Shared ensemble settings.
+def _kind_settings(kind: EnsembleKind, given: dict[str, object]) -> dict[str, object]:
+    """``kind``'s settings: its defaults with ``given`` in their place, each checked.
 
-    ``max_depth`` of None is unlimited; ``"auto"``, resolved at fit time,
-    is unlimited for bagging and random forest and 3 for the boosting
-    variants. ``feature_subsample`` of None likewise defaults per kind (1/3
-    for random forest, 1.0 for bagging). ``learning_rate`` must stay in
-    (0, 2]; that is the range for which each boosting stage provably cannot
-    increase the training loss. A field that a kind does not read
-    (:data:`READ_BY`) must keep its default for that kind.
+    A name the kind does not take is a ``DataError``, not ignored.
     """
-
-    n_estimators: int = 100
-    learning_rate: float = 0.1
-    max_depth: int | None | Literal["auto"] = "auto"
-    bootstrap: bool = True
-    feature_subsample: float | None = None
-    seed: int = 0
-
-    def validate(self, kind: EnsembleKind) -> None:
-        if not (is_int(self.n_estimators) and self.n_estimators >= 1):
-            raise DataError(f"n_estimators must be an integer >= 1, got {self.n_estimators!r}")
-        if not (is_finite(self.learning_rate) and 0.0 < self.learning_rate <= 2.0):
-            raise DataError(f"learning_rate must be a number in (0, 2], got {self.learning_rate!r}")
-        if self.max_depth not in ("auto", None) and not (is_int(self.max_depth) and self.max_depth >= 1):
-            raise DataError(f"max_depth must be an integer >= 1, None or 'auto', got {self.max_depth!r}")
-        subsample = self.feature_subsample
-        if subsample is not None and not (is_finite(subsample) and 0.0 < subsample <= 1.0):
-            raise DataError(f"feature_subsample must be a number in (0, 1], got {subsample!r}")
-        if not isinstance(self.bootstrap, bool):
-            raise DataError(f"bootstrap must be True or False, got {self.bootstrap!r}")
-        if not is_int(self.seed):
-            raise DataError(f"seed must be an integer, got {self.seed!r}")
-        for name, readers in READ_BY.items():
-            default = getattr(EnsembleConfig(), name)
-            if kind not in readers and getattr(self, name) != default:
-                raise DataError(f"{kind} does not read {name}; leave it at {default!r}")
+    defaults = SETTINGS[kind]
+    for name in given:
+        if name not in defaults:
+            raise DataError(f"{kind} does not take {name}; it takes {', '.join(defaults)}")
+    settings = {**defaults, **given}
+    for name, value in settings.items():
+        check_setting(name, value)
+    return settings
 
 
 @dataclass(slots=True)
@@ -115,15 +98,16 @@ class EnsembleModel:
     """A fitted ensemble: member trees with stage weights.
 
     ``base_prediction`` is the training-target mean for boosting and unused
-    otherwise. ``train_mse`` tracks the training error after each boosting
-    stage (kept in memory only, not persisted).
+    otherwise. ``settings`` holds every setting of the kind (:data:`SETTINGS`)
+    the model was fit with. ``train_mse`` tracks the training error after
+    each boosting stage (kept in memory only, not persisted).
     """
 
     kind: EnsembleKind
     n_features: int
     base_prediction: float
     members: list[tuple[Tree, float]]
-    config: EnsembleConfig = field(default_factory=EnsembleConfig)
+    settings: dict[str, object]
     train_mse: list[float] = field(default_factory=list)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -131,7 +115,7 @@ class EnsembleModel:
 
     def to_payload(self) -> dict:
         return {
-            "config": asdict(self.config),
+            "settings": dict(self.settings),
             "n_features": self.n_features,
             "base_prediction": self.base_prediction,
             "members": [{"tree": tree.to_dict(), "weight": weight} for tree, weight in self.members],
@@ -140,7 +124,7 @@ class EnsembleModel:
     @classmethod
     def from_payload(cls, kind: EnsembleKind, payload: dict) -> "EnsembleModel":
         """Rebuild a persisted ensemble; a malformed payload raises ``PersistError``."""
-        require_keys(payload, ("config", "n_features", "base_prediction", "members"))
+        require_keys(payload, ("settings", "n_features", "base_prediction", "members"))
         n_features, members = payload["n_features"], payload["members"]
         require(is_int(n_features) and n_features >= 1, "n_features is not a positive integer")
         require(is_finite(payload["base_prediction"]), "base_prediction is not a finite number")
@@ -148,71 +132,61 @@ class EnsembleModel:
         for member in members:
             require_keys(member, ("tree", "weight"), "member")
             require(is_finite(member["weight"]), "a member weight is not a finite number")
-        require(isinstance(payload["config"], dict), "config is not an object")
+        require_keys(payload["settings"], tuple(SETTINGS[kind]), "settings")
         try:
-            config = EnsembleConfig(**payload["config"])
-            config.validate(kind)
-        except (TypeError, DataError) as exc:
-            raise PersistError(f"malformed model document: config: {exc}") from exc
+            settings = _kind_settings(kind, payload["settings"])
+        except DataError as exc:
+            raise PersistError(f"malformed model document: settings: {exc}") from exc
         return cls(
             kind=kind,
             n_features=n_features,
             base_prediction=float(payload["base_prediction"]),
             members=[(Tree.from_dict(m["tree"], n_features), float(m["weight"])) for m in members],
-            config=config,
+            settings=settings,
         )
 
 
-def _prepare(X, y, cfg: EnsembleConfig, kind: EnsembleKind):
-    """``cfg`` checked for ``kind``, with the kind's default depth filled in for fits to
-    record, and the checked data in canonical order."""
-    cfg.validate(kind)
-    if cfg.max_depth == "auto":
-        cfg = replace(cfg, max_depth=None if kind in ("bagging", "random_forest") else 3)
-    return (cfg, *canonical_rows(*training_data(X, y)))
+def _prepare(X, y, kind: EnsembleKind, given: dict[str, object]):
+    """``kind``'s checked settings, and the checked data in canonical order."""
+    return (_kind_settings(kind, given), *canonical_rows(*training_data(X, y)))
 
 
-def fit_bagging(X: np.ndarray, y: np.ndarray, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleModel:
-    """Average of trees fit on bootstrap resamples (size n, with replacement)."""
-    return _fit_averaged(X, y, cfg, kind="bagging", default_subsample=1.0)
+def fit_bagging(X: np.ndarray, y: np.ndarray, **settings: object) -> EnsembleModel:
+    """Average of trees fit on bootstrap resamples (size n, with replacement), or on the rows themselves."""
+    settings, Xc, yc = _prepare(X, y, "bagging", settings)
+    return _fit_averaged(Xc, yc, "bagging", settings, settings["bootstrap"], 1.0)
 
 
-def fit_random_forest(
-    X: np.ndarray, y: np.ndarray, cfg: EnsembleConfig = EnsembleConfig()
-) -> EnsembleModel:
-    """Bagging plus per-node random feature subsampling (default rate 1/3)."""
-    return _fit_averaged(X, y, cfg, kind="random_forest", default_subsample=1.0 / 3.0)
+def fit_random_forest(X: np.ndarray, y: np.ndarray, **settings: object) -> EnsembleModel:
+    """Bagging plus per-node random feature subsampling."""
+    settings, Xc, yc = _prepare(X, y, "random_forest", settings)
+    return _fit_averaged(Xc, yc, "random_forest", settings, True, settings["feature_subsample"])
 
 
 def _fit_averaged(
-    X, y, cfg: EnsembleConfig, kind: EnsembleKind, default_subsample: float
+    Xc, yc, kind: EnsembleKind, settings: dict, bootstrap: bool, subsample: float
 ) -> EnsembleModel:
-    cfg, Xc, yc = _prepare(X, y, cfg, kind)
-    subsample = cfg.feature_subsample if cfg.feature_subsample is not None else default_subsample
     members: list[tuple[Tree, float]] = []
     n = Xc.shape[0]
-    for m in range(cfg.n_estimators):
-        if cfg.bootstrap:
-            rng = substream(cfg.seed, "bootstrap", m)
+    for m in range(settings["n_estimators"]):
+        if bootstrap:
+            rng = substream(settings["seed"], "bootstrap", m)
             idx = np.sort(rng.integers(0, n, size=n))
         else:
             idx = np.arange(n)
-        seed = derive_seed(cfg.seed, "member-tree", m)
-        members.append((grow_exact(Xc[idx], yc[idx], cfg.max_depth, subsample, seed), 1.0))
+        seed = derive_seed(settings["seed"], "member-tree", m)
+        members.append((grow_exact(Xc[idx], yc[idx], settings["max_depth"], subsample, seed), 1.0))
     return EnsembleModel(
         kind=kind,
         n_features=Xc.shape[1],
         base_prediction=0.0,
         members=members,
-        config=cfg,
+        settings=settings,
     )
 
 
 def fit_gbm(
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: EnsembleConfig = EnsembleConfig(),
-    mode: Literal["exact", "hist"] = "exact",
+    X: np.ndarray, y: np.ndarray, mode: Literal["exact", "hist"] = "exact", **settings: object
 ) -> EnsembleModel:
     """Forward stagewise squared-loss boosting.
 
@@ -225,7 +199,7 @@ def fit_gbm(
     if mode not in ("exact", "hist"):
         raise DataError(f"unknown gbm mode {mode!r}")
     kind: EnsembleKind = "gbm_hist" if mode == "hist" else "gbm_exact"
-    cfg, Xc, yc = _prepare(X, y, cfg, kind)
+    settings, Xc, yc = _prepare(X, y, kind, settings)
     n = Xc.shape[0]
 
     columns = BinnedColumns(Xc) if mode == "hist" else ExactColumns(Xc)
@@ -233,11 +207,11 @@ def fit_gbm(
     current = np.full(n, base)
     members: list[tuple[Tree, float]] = []
     train_mse: list[float] = []
-    nu = cfg.learning_rate
-    for _ in range(cfg.n_estimators):
+    nu = settings["learning_rate"]
+    for _ in range(settings["n_estimators"]):
         # Growth routed the training rows with the same `<=` test a
         # prediction would, so their leaves give the stage's predictions.
-        tree, leaf_of = _grow(Xc, yc - current, cfg.max_depth, columns)
+        tree, leaf_of = _grow(Xc, yc - current, settings["max_depth"], columns)
         members.append((tree, nu))
         current = current + nu * tree.value[leaf_of]
         train_mse.append(float(np.mean((yc - current) ** 2)))
@@ -246,14 +220,12 @@ def fit_gbm(
         n_features=Xc.shape[1],
         base_prediction=base,
         members=members,
-        config=cfg,
+        settings=settings,
         train_mse=train_mse,
     )
 
 
-def fit_adaboost_r2(
-    X: np.ndarray, y: np.ndarray, cfg: EnsembleConfig = EnsembleConfig()
-) -> EnsembleModel:
+def fit_adaboost_r2(X: np.ndarray, y: np.ndarray, **settings: object) -> EnsembleModel:
     """AdaBoost for regression with weighted-median combination.
 
     Each stage resamples the training set in proportion to the sample
@@ -265,16 +237,16 @@ def fit_adaboost_r2(
     a stage is essentially perfect (average loss below ``PERFECT_LOSS_EPS``,
     which gets a large finite weight instead of a division by zero).
     """
-    cfg, Xc, yc = _prepare(X, y, cfg, "adaboost_r2")
+    settings, Xc, yc = _prepare(X, y, "adaboost_r2", settings)
     cols = np.ascontiguousarray(Xc.T)
     del Xc  # stages grow on rows of cols.T: one copy of the table, not two
     n = yc.shape[0]
     sample_weight = np.full(n, 1.0 / n)
     members: list[tuple[Tree, float]] = []
-    for m in range(cfg.n_estimators):
-        rng = substream(cfg.seed, "resample", m)
+    for m in range(settings["n_estimators"]):
+        rng = substream(settings["seed"], "resample", m)
         idx = np.sort(rng.choice(n, size=n, replace=True, p=sample_weight))
-        tree = grow_exact(cols.T[idx], yc[idx], cfg.max_depth)  # every feature is a candidate
+        tree = grow_exact(cols.T[idx], yc[idx], settings["max_depth"])  # every feature is a candidate
 
         error = np.abs(descend(tree, cols) - yc)
         error_max = float(error.max())
@@ -298,7 +270,7 @@ def fit_adaboost_r2(
         n_features=cols.shape[0],
         base_prediction=0.0,
         members=members,
-        config=cfg,
+        settings=settings,
     )
 
 

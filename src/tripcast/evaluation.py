@@ -238,8 +238,8 @@ def run_scenario(
         note = None
         if not getattr(fitted, "converged", True):
             note = f"fold {fold.index}: fit did not converge; its last iterate is used"
-        elif getattr(fitted, "kind", None) == "adaboost_r2" and len(fitted.members) < fitted.config.n_estimators:
-            note = f"fold {fold.index}: stopped after {len(fitted.members)} of {fitted.config.n_estimators} stages"
+        elif getattr(fitted, "kind", None) == "adaboost_r2" and len(fitted.members) < fitted.settings["n_estimators"]:
+            note = f"fold {fold.index}: stopped after {len(fitted.members)} of {fitted.settings['n_estimators']} stages"
         pred = model.predict(X_test)
         fold_mae = mae(y_test, pred)
         fold_rmse = rmse(y_test, pred)

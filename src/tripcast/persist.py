@@ -8,15 +8,18 @@ half-usable model. A document is written as compact JSON with sorted keys,
 the form its checksum is taken over after parsing, so an indented document
 (as earlier builds wrote) loads too.
 
-Format version 4 stores each tree as flat per-node lists (``feature``,
+Format version 5 stores each tree as flat per-node lists (``feature``,
 ``threshold``, ``right``, ``value``; a left child is always the next node,
-so it is derived) and each ensemble config as one flat object. Earlier
-documents are rejected, naming their version: version 3 also stored
-``left`` lists and nested a tree config in the ensemble config, version 2
-also carried ``min_samples_leaf``, ``min_samples_split``, ``max_bins`` and
-the AdaBoost ``loss``, and version 1 nested one object per node. Because a
-document comes from outside the program, the loader also checks that each
-tree's arrays form a tree before it is used (see
+so it is derived) and each ensemble's ``settings``: exactly the settings
+its kind takes (:data:`tripcast.ensembles.SETTINGS`), checked on load as a
+fit checks them. Earlier documents are rejected, naming their version:
+version 4 stored a six-field ``config`` for every ensemble kind, including
+fields the kind did not read; version 3 also stored ``left`` lists and
+nested a tree config in the ensemble config; version 2 also carried
+``min_samples_leaf``, ``min_samples_split``, ``max_bins`` and the AdaBoost
+``loss``; and version 1 nested one object per node. Because a document
+comes from outside the program, the loader also checks that each tree's
+arrays form a tree before it is used (see
 :meth:`tripcast.trees.Tree.from_dict`).
 """
 
@@ -30,7 +33,7 @@ from .errors import PersistError
 from .registry import model_from_payload
 
 FORMAT_NAME = "tripcast-model"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _canonical(doc: dict) -> str:

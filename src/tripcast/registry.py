@@ -1,14 +1,15 @@
 """Model registry: paper-style abbreviations -> configured estimators.
 
 Every entry builds an :class:`Estimator`: a fit function with its settings
-bound (an ensemble fitter with its config, or a linear fitter with its
-penalty), behind the common ``fit(X, y)`` / ``predict(X)`` contract. The
-fitted model, not the adapter, predicts and writes and checks its own
-persisted payload. Each entry declares the settings its model takes, and
-:func:`make_model` refuses any other. ``xgb``, ``cb`` and ``lgb`` are
-reserved names that fail loudly: the histogram GBM here stands in for that
-family generically, and silently aliasing them would misattribute results
-to the vendor libraries.
+bound (an ensemble fitter with its tree settings, and the seed for a kind
+that draws at random, or a linear fitter with its penalty), behind the
+common ``fit(X, y)`` / ``predict(X)`` contract. The fitted model, not the
+adapter, predicts and writes and checks its own persisted payload. Each
+entry declares the settings its model takes, and :func:`make_model`
+refuses any other. ``xgb``, ``cb`` and ``lgb`` are reserved names that
+fail loudly: the histogram GBM here stands in for that family generically,
+and silently aliasing them would misattribute results to the vendor
+libraries.
 :func:`model_name` is the one check of a model name, for the library and
 the CLI alike.
 """
@@ -68,11 +69,13 @@ class ModelRegistryEntry:
 
 
 def _ensemble(kind: str, fit: Callable, **fixed: object) -> Callable[..., Estimator]:
-    """A builder of ``fit`` with an EnsembleConfig of ``fixed`` and only the settings passed."""
+    """A builder of ``fit`` with ``fixed``, the settings passed, and the seed if ``kind`` takes one."""
+    seeded = "seed" in ensembles.SETTINGS[kind]
 
     def build(seed: int, **settings: object) -> Estimator:
-        cfg = ensembles.EnsembleConfig(seed=seed, **fixed, **settings)
-        return Estimator(kind, partial(fit, cfg=cfg))
+        if seeded:
+            settings["seed"] = seed
+        return Estimator(kind, partial(fit, **fixed, **settings))
 
     return build
 

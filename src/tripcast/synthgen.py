@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtr
@@ -68,13 +69,17 @@ class GenConfig:
     All duration/delay figures are hours; trip counts are per calendar day
     of the given day type. Standard deviations of zero give degenerate
     (constant) draws. Cities per trip follow from a pool sized for
-    ``cities_mean``; ``cities_std`` is not drawn from, but the benchmark's
-    ingest check (``perfbench/workloads.py``) reads it as their spread.
+    ``cities_mean`` alone, so their spread is not a setting:
+    ``cities_std`` is the spread of the default calibration, which the
+    benchmark's ingest check (``perfbench/workloads.py``) reads.
     :meth:`validate` requires every float field and each day type's mean
     and std to be a finite number, and ``stops_min`` and ``seed`` to be
-    integers. The stop, city and duration means must be > 0, each day
-    type's trips mean >= 0, and every month within ``FIRST_MONTH`` to
-    ``LAST_MONTH``.
+    integers. The stop, city and duration means must be > 0, the stop and
+    duration means at least their floors ``stops_min`` and
+    ``duration_min``, each day type's trips mean >= 0, and every month
+    within ``FIRST_MONTH`` to ``LAST_MONTH``. A duration mean that the
+    delay law and the floor together put out of reach is refused when the
+    generator calibrates, before any draw.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
@@ -89,7 +94,7 @@ class GenConfig:
     stops_std: float = 3.0
     stops_min: int = 2
     cities_mean: float = 5.0
-    cities_std: float = 3.0
+    cities_std: ClassVar[float] = 3.0
     duration_mean: float = 4.55
     duration_std: float = 4.19
     duration_min: float = 0.05
@@ -127,6 +132,12 @@ class GenConfig:
         for name in ("stops_mean", "cities_mean", "duration_mean"):
             if getattr(self, name) <= 0:
                 raise DataError(f"GenConfig {name} must be > 0, got {getattr(self, name)!r}")
+        for name, floor in (("stops_mean", "stops_min"), ("duration_mean", "duration_min")):
+            if getattr(self, name) < getattr(self, floor):
+                raise DataError(
+                    f"GenConfig {name} {getattr(self, name)!r} is below {floor} {getattr(self, floor)!r},"
+                    " which every trip meets"
+                )
         for day_type, (mean, _) in self.trips_per_daytype.items():
             if mean < 0:
                 raise DataError(f"{day_type} trips mean must be >= 0, got {mean!r}")
@@ -170,13 +181,10 @@ def _solve_base_duration_mean(cfg: GenConfig) -> float:
 
     Solves E[max(B, duration_min - delay)] = duration_mean - delay_mean so the
     actual-duration mean lands on target despite the minimum-duration floor.
-    Falls back to a near-zero base when the floor alone already exceeds the
-    target (infeasible configuration).
+    When the floor alone meets or exceeds the target, even with a near-zero
+    base, no base reaches it: that is a ``DataError``.
     """
     target = cfg.duration_mean - cfg.delay_mean
-    if target <= 0:
-        return 1e-9
-
     if cfg.delay_std == 0.0:
         floor_grid = np.array([cfg.duration_min - cfg.delay_mean])
         floor_pdf_w = np.array([1.0])
@@ -194,7 +202,12 @@ def _solve_base_duration_mean(cfg: GenConfig) -> float:
 
     lo_m, hi_m = 1e-9, target
     if g(lo_m) >= 0.0:
-        return lo_m
+        lowest = g(lo_m) + target + cfg.delay_mean
+        raise DataError(
+            f"GenConfig duration_mean {cfg.duration_mean!r} cannot be met: with delay_mean"
+            f" {cfg.delay_mean!r} (std {cfg.delay_std!r}) and duration_min {cfg.duration_min!r}"
+            f" the mean trip duration is at least {lowest:.6g}"
+        )
     # g(hi_m) >= 0 because E[max(B, F)] >= E[B]; plain bisection.
     for _ in range(100):
         mid = 0.5 * (lo_m + hi_m)
@@ -386,19 +399,8 @@ def _stop_table(days: list[_Day], pool_size: int) -> StopTable:
 # ---------------------------------------------------------------------------
 # Config file loading: plain key = value lines, # comments, all keys optional.
 
-_SCALAR_KEYS = {
-    "stops_mean": float,
-    "stops_std": float,
-    "stops_min": int,
-    "cities_mean": float,
-    "cities_std": float,
-    "duration_mean": float,
-    "duration_std": float,
-    "duration_min": float,
-    "delay_mean": float,
-    "delay_std": float,
-    "seed": int,
-}
+#: Every scalar GenConfig field, by the type its value is read as.
+_SCALAR_KEYS = {f.name: {"float": float, "int": int}[f.type] for f in fields(GenConfig) if f.type in ("float", "int")}
 
 _DAYTYPE_KEYS = {
     "weekday_trips_mean": ("Weekday", 0),

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import is_finite, is_int, query_matrix, training_data
-from .errors import DataError, PersistError
+from .checks import check_setting, query_matrix, training_data
+from .errors import PersistError
 from .rng import substream
 
 
@@ -145,24 +145,17 @@ def fit_tree_exact(
     order and seeded by ``seed``; the subset size is
     ``ceil(feature_subsample * n_features)``.
     """
-    _check_depth(max_depth)
-    if not (is_finite(feature_subsample) and 0.0 < feature_subsample <= 1.0):
-        raise DataError(f"feature_subsample must be a number in (0, 1], got {feature_subsample!r}")
-    if not is_int(seed):
-        raise DataError(f"seed must be an integer, got {seed!r}")
+    check_setting("max_depth", max_depth)
+    check_setting("feature_subsample", feature_subsample)
+    check_setting("seed", seed)
     return grow_exact(*canonical_rows(*training_data(X, y)), max_depth, feature_subsample, seed)
 
 
 def fit_tree_hist(X: np.ndarray, y: np.ndarray, max_depth: int | None = None) -> Tree:
     """Grow a regression tree over every feature, scanning the boundaries of bins of ``X``'s own values."""
-    _check_depth(max_depth)
+    check_setting("max_depth", max_depth)
     X, y = canonical_rows(*training_data(X, y))
     return _grow(X, y, max_depth, BinnedColumns(X))[0]
-
-
-def _check_depth(max_depth: int | None) -> None:
-    if max_depth is not None and not (is_int(max_depth) and max_depth >= 1):
-        raise DataError(f"max_depth must be an integer >= 1 or None, got {max_depth!r}")
 
 
 def predict_tree_batch(tree: Tree, X: np.ndarray) -> np.ndarray:

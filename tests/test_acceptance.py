@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tripcast.cli import main
-from tripcast.ensembles import EnsembleConfig, fit_bagging, fit_gbm, fit_random_forest
+from tripcast.ensembles import fit_bagging, fit_gbm, fit_random_forest
 from tripcast.evaluation import (
     DEFAULT_SCALE_SIZES,
     ScenarioSpec,
@@ -143,9 +143,7 @@ def test_acceptance_3_boosting_monotonicity():
         y = X[:, 0] * 2.0 + np.sin(2.0 * X[:, 1]) + (X[:, 2] > 0) * 1.5 + rng.normal(size=250)
         for nu in (0.1, 1.0):
             for mode in ("exact", "hist"):
-                model = fit_gbm(
-                    X, y, EnsembleConfig(n_estimators=40, learning_rate=nu, seed=seed), mode=mode
-                )
+                model = fit_gbm(X, y, mode=mode, n_estimators=40, learning_rate=nu)
                 mse = np.array(model.train_mse)
                 assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12)), (seed, nu, mode)
     _report(3, "boosting monotonicity", time.perf_counter() - t0, 120.0)
@@ -163,16 +161,14 @@ def test_acceptance_4_baseline_degeneracies():
     queries = rng.normal(size=(100, 6))
 
     # bagging(1 tree, no bootstrap) behaves exactly like a decision tree
-    bag = fit_bagging(X, y, EnsembleConfig(n_estimators=1, bootstrap=False, max_depth=5))
+    bag = fit_bagging(X, y, n_estimators=1, bootstrap=False, max_depth=5)
     tree = fit_tree_exact(X, y, max_depth=5)
     assert np.array_equal(bag.predict(queries), predict_tree_batch(tree, queries))
 
     # random forest(feature_subsample=1.0) behaves exactly like bagging
-    cfg = EnsembleConfig(n_estimators=8, seed=5, max_depth=5)
-    forest = fit_random_forest(
-        X, y, EnsembleConfig(n_estimators=8, seed=5, max_depth=5, feature_subsample=1.0)
-    )
-    assert np.array_equal(fit_bagging(X, y, cfg).predict(queries), forest.predict(queries))
+    forest = fit_random_forest(X, y, n_estimators=8, seed=5, max_depth=5, feature_subsample=1.0)
+    bag = fit_bagging(X, y, n_estimators=8, seed=5, max_depth=5)
+    assert np.array_equal(bag.predict(queries), forest.predict(queries))
 
     # ridge(lam=0) == OLS within 1e-8
     assert np.allclose(fit_ridge(X, y, 0.0).coefficients, fit_ols(X, y).coefficients, atol=1e-8)

@@ -332,7 +332,7 @@ def test_load_model_malformed_payload_is_data_error(tmp_path, stops_csv, capsys,
     elif edit == "empty_members":
         doc["payload"]["members"] = []
     else:
-        del doc["payload"]["config"]
+        del doc["payload"]["settings"]
     body = {k: v for k, v in doc.items() if k != "checksum"}
     doc["checksum"] = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
     model_path.write_text(json.dumps(doc), encoding="utf-8")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tripcast import linear
 from tripcast.checks import TARGET_SUM_LIMIT
 from tripcast.ensembles import (
-    EnsembleConfig,
+    SETTINGS,
     fit_adaboost_r2,
     fit_bagging,
     fit_gbm,
@@ -36,8 +36,7 @@ def _regression_data(seed, n=300, k=5, noise=1.0):
 
 def test_bagging_single_tree_identity():
     X, y = _regression_data(0)
-    cfg = EnsembleConfig(n_estimators=1, bootstrap=False, max_depth=4, seed=3)
-    bag = fit_bagging(X, y, cfg)
+    bag = fit_bagging(X, y, n_estimators=1, bootstrap=False, max_depth=4, seed=3)
     tree = fit_tree_exact(X, y, max_depth=4)
     Xq = np.random.default_rng(1).normal(size=(60, 5))
     assert np.array_equal(bag.predict(Xq), predict_tree_batch(tree, Xq))
@@ -48,18 +47,18 @@ def test_constant_target_all_kinds():
     y = np.full(40, 3.25)
     Xq = np.random.default_rng(1).normal(size=(10, 3))
     for model in (
-        fit_bagging(X, y, EnsembleConfig(n_estimators=3, seed=1)),
-        fit_random_forest(X, y, EnsembleConfig(n_estimators=3, seed=1)),
-        fit_gbm(X, y, EnsembleConfig(n_estimators=3, seed=1), mode="exact"),
-        fit_gbm(X, y, EnsembleConfig(n_estimators=3, seed=1), mode="hist"),
-        fit_adaboost_r2(X, y, EnsembleConfig(n_estimators=3, seed=1)),
+        fit_bagging(X, y, n_estimators=3, seed=1),
+        fit_random_forest(X, y, n_estimators=3, seed=1),
+        fit_gbm(X, y, mode="exact", n_estimators=3),
+        fit_gbm(X, y, mode="hist", n_estimators=3),
+        fit_adaboost_r2(X, y, n_estimators=3, seed=1),
     ):
         assert np.allclose(model.predict(Xq), 3.25)
 
 
 def test_gbm_constant_target_zero_stage_trees():
     X = np.random.default_rng(0).normal(size=(30, 2))
-    model = fit_gbm(X, np.full(30, 5.0), EnsembleConfig(n_estimators=4, seed=0))
+    model = fit_gbm(X, np.full(30, 5.0), n_estimators=4)
     assert model.base_prediction == 5.0
     for tree, _ in model.members:
         assert tree_arrays(tree) == [[-1], [0.0], [0], [0], [0.0]]
@@ -67,10 +66,8 @@ def test_gbm_constant_target_zero_stage_trees():
 
 def test_random_forest_full_subsample_equals_bagging():
     X, y = _regression_data(7)
-    b = fit_bagging(X, y, EnsembleConfig(n_estimators=6, seed=11, max_depth=5))
-    f = fit_random_forest(
-        X, y, EnsembleConfig(n_estimators=6, seed=11, max_depth=5, feature_subsample=1.0)
-    )
+    b = fit_bagging(X, y, n_estimators=6, seed=11, max_depth=5)
+    f = fit_random_forest(X, y, n_estimators=6, seed=11, max_depth=5, feature_subsample=1.0)
     Xq = np.random.default_rng(2).normal(size=(50, 5))
     assert np.array_equal(b.predict(Xq), f.predict(Xq))
 
@@ -81,7 +78,7 @@ def test_bagging_beats_single_tree_in_paired_runs():
     wins = 0
     for seed in range(20):
         X, y = _regression_data(1000 + seed, n=500, k=6)
-        bag = fit_bagging(X, y, EnsembleConfig(n_estimators=50, max_depth=5, seed=seed))
+        bag = fit_bagging(X, y, n_estimators=50, max_depth=5, seed=seed)
         tree = fit_tree_exact(X, y, max_depth=5)
         wins += float(np.mean((y - bag.predict(X)) ** 2)) <= training_mse(tree, X, y)
     assert wins >= 19
@@ -90,7 +87,7 @@ def test_bagging_beats_single_tree_in_paired_runs():
 def test_gbm_two_stage_hand_recursion():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 10.0])
-    model = fit_gbm(X, y, EnsembleConfig(n_estimators=2, learning_rate=0.5, max_depth=1))
+    model = fit_gbm(X, y, n_estimators=2, learning_rate=0.5, max_depth=1)
     assert model.base_prediction == 5.0
     # stage 1 leaves -5/+5 -> F1 = [2.5, 7.5]; stage 2 residuals -+2.5 -> F2 = [1.25, 8.75]
     assert np.allclose(model.predict(X), [1.25, 8.75])
@@ -101,9 +98,7 @@ def test_gbm_one_stage_perfect_fit():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(50, 2))  # continuous features: all rows distinct
     y = rng.normal(size=50)
-    model = fit_gbm(
-        X, y, EnsembleConfig(n_estimators=1, learning_rate=1.0, max_depth=None)
-    )
+    model = fit_gbm(X, y, n_estimators=1, learning_rate=1.0, max_depth=None)
     assert model.train_mse[0] == pytest.approx(0.0, abs=1e-18)
 
 
@@ -111,7 +106,7 @@ def test_gbm_one_stage_perfect_fit():
 @pytest.mark.parametrize("mode", ["exact", "hist"])
 def test_gbm_training_mse_monotone(nu, mode):
     X, y = _regression_data(21)
-    model = fit_gbm(X, y, EnsembleConfig(n_estimators=30, learning_rate=nu, seed=2), mode=mode)
+    model = fit_gbm(X, y, mode=mode, n_estimators=30, learning_rate=nu)
     mse = np.array(model.train_mse)
     assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12))
 
@@ -148,8 +143,7 @@ def test_property_gbm_every_stage_equals_per_node_reference(data, n_features, co
     # of that stage's residuals, so state a fit keeps across stages (the
     # exact scan's row mask) must be as it was before stage 1.
     X, y = _duplicated_rows(data, n_features, copies)
-    cfg = EnsembleConfig(n_estimators=n_stages, learning_rate=nu, max_depth=depth)
-    model = fit_gbm(X, y, cfg, mode=mode)
+    model = fit_gbm(X, y, mode=mode, n_estimators=n_stages, learning_rate=nu, max_depth=depth)
     bins = BinnedColumns(canonical_rows(X, y)[0]) if mode == "hist" else None
     current = np.full(y.size, model.base_prediction)
     for tree, weight in model.members:
@@ -170,8 +164,7 @@ def test_property_gbm_training_mse_never_rises(data, n_features, copies, depth, 
     # residual by a few ulps of the largest target, and the MSE by the
     # matching first- and second-order terms.
     X, y = _duplicated_rows(data, n_features, copies)
-    cfg = EnsembleConfig(n_estimators=6, learning_rate=nu, max_depth=depth)
-    mse = np.array(fit_gbm(X, y, cfg, mode=mode).train_mse)
+    mse = np.array(fit_gbm(X, y, mode=mode, n_estimators=6, learning_rate=nu, max_depth=depth).train_mse)
     slack = 8 * np.finfo(float).eps * np.abs(y).max()
     assert np.all(mse[1:] <= mse[:-1] * (1 + 1e-12) + 2 * np.sqrt(mse[:-1]) * slack + slack**2)
 
@@ -204,9 +197,8 @@ def test_gbm_hist_equals_exact_on_integer_grid():
     rng = np.random.default_rng(8)
     X = rng.integers(0, 15, size=(250, 4)).astype(float)
     y = rng.integers(-50, 50, size=250).astype(float)
-    cfg = EnsembleConfig(n_estimators=12, seed=5)
-    exact = fit_gbm(X, y, cfg, mode="exact")
-    hist = fit_gbm(X, y, cfg, mode="hist")
+    exact = fit_gbm(X, y, mode="exact", n_estimators=12)
+    hist = fit_gbm(X, y, mode="hist", n_estimators=12)
     Xq = rng.normal(scale=8.0, size=(120, 4))
     assert np.array_equal(exact.predict(Xq), hist.predict(Xq))
 
@@ -214,22 +206,22 @@ def test_gbm_hist_equals_exact_on_integer_grid():
 def test_gbm_learning_rate_bounds():
     X, y = _regression_data(1, n=40)
     with pytest.raises(DataError):
-        fit_gbm(X, y, EnsembleConfig(learning_rate=0.0))
+        fit_gbm(X, y, learning_rate=0.0)
     with pytest.raises(DataError):
-        fit_gbm(X, y, EnsembleConfig(learning_rate=2.5))
+        fit_gbm(X, y, learning_rate=2.5)
 
 
 def test_adaboost_perfect_first_learner_short_circuits():
     X = np.array([[0.0], [1.0]])
     y = np.array([2.0, 8.0])
-    model = fit_adaboost_r2(X, y, EnsembleConfig(n_estimators=25, seed=1))
+    model = fit_adaboost_r2(X, y, n_estimators=25, seed=1)
     assert len(model.members) == 1
     assert np.allclose(model.predict(X), y)
 
 
 def test_adaboost_weighted_median_matches_bruteforce():
     X, y = _regression_data(31, n=200, k=4, noise=0.5)
-    model = fit_adaboost_r2(X, y, EnsembleConfig(n_estimators=12, seed=9))
+    model = fit_adaboost_r2(X, y, n_estimators=12, seed=9)
     assert len(model.members) > 1
     Xq = np.random.default_rng(4).normal(size=(40, 4))
     got = model.predict(Xq)
@@ -246,7 +238,7 @@ def test_adaboost_member_weights_follow_the_linear_loss():
     # Each stage's loss is its absolute error over the largest one on the
     # training rows; the stage weighs ln(1/beta) and reweights rows by beta^(1 - loss).
     X, y = _regression_data(5, n=120, k=3)
-    model = fit_adaboost_r2(X, y, EnsembleConfig(n_estimators=6, seed=2))
+    model = fit_adaboost_r2(X, y, n_estimators=6, seed=2)
     assert len(model.members) == 6
     Xc, yc = canonical_rows(X, y)
     sample_weight = np.full(yc.size, 1.0 / yc.size)
@@ -261,9 +253,10 @@ def test_adaboost_member_weights_follow_the_linear_loss():
 
 
 def test_adaboost_unknown_loss():
-    # AdaBoost.R2 has the linear loss only, so the config has no loss to set.
-    with pytest.raises(TypeError, match="loss"):
-        EnsembleConfig(loss="huber")
+    # AdaBoost.R2 has the linear loss only, so it takes no loss to set.
+    X, y = _regression_data(5, n=40, k=3)
+    with pytest.raises(DataError, match="adaboost_r2 does not take loss"):
+        fit_adaboost_r2(X, y, loss="huber")
 
 
 @pytest.mark.parametrize("abbrev", ["dt", "br", "rf", "gb", "hgb", "ab"])
@@ -284,7 +277,7 @@ def test_prediction_range_bounded_for_averaging_ensembles():
     X, y = _regression_data(41, n=250, k=4)
     Xq = np.random.default_rng(6).normal(scale=4.0, size=(200, 4))
     for fit in (fit_bagging, fit_random_forest):
-        model = fit(X, y, EnsembleConfig(n_estimators=10, seed=3))
+        model = fit(X, y, n_estimators=10, seed=3)
         pred = model.predict(Xq)
         assert np.all(pred >= y.min()) and np.all(pred <= y.max())
 
@@ -292,13 +285,12 @@ def test_prediction_range_bounded_for_averaging_ensembles():
 def test_seed_determinism_identical_serialized_models():
     X, y = _regression_data(50, n=150, k=4)
     for fit, kw in (
-        (fit_bagging, {}),
-        (fit_random_forest, {}),
-        (lambda a, b, c: fit_gbm(a, b, c, mode="hist"), {}),
-        (fit_adaboost_r2, {}),
+        (fit_bagging, {"seed": 12345}),
+        (fit_random_forest, {"seed": 12345}),
+        (fit_gbm, {"mode": "hist"}),
+        (fit_adaboost_r2, {"seed": 12345}),
     ):
-        cfg = EnsembleConfig(n_estimators=5, seed=12345)
-        m1, m2 = fit(X, y, cfg), fit(X, y, cfg)
+        m1, m2 = fit(X, y, n_estimators=5, **kw), fit(X, y, n_estimators=5, **kw)
         assert dumps_model(m1) == dumps_model(m2)
 
 
@@ -306,37 +298,37 @@ def test_ensemble_permutation_invariance():
     X, y = _regression_data(60, n=180, k=4)
     rng = np.random.default_rng(0)
     p = rng.permutation(180)
-    cfg = EnsembleConfig(n_estimators=4, seed=8)
     Xq = rng.normal(size=(30, 4))
-    for fit in (
-        fit_bagging,
-        fit_random_forest,
-        lambda a, b, c: fit_gbm(a, b, c, mode="exact"),
-        lambda a, b, c: fit_gbm(a, b, c, mode="hist"),
-        fit_adaboost_r2,
+    for fit, kw in (
+        (fit_bagging, {"seed": 8}),
+        (fit_random_forest, {"seed": 8}),
+        (fit_gbm, {"mode": "exact"}),
+        (fit_gbm, {"mode": "hist"}),
+        (fit_adaboost_r2, {"seed": 8}),
     ):
-        assert np.array_equal(fit(X, y, cfg).predict(Xq), fit(X[p], y[p], cfg).predict(Xq))
+        assert np.array_equal(
+            fit(X, y, n_estimators=4, **kw).predict(Xq), fit(X[p], y[p], n_estimators=4, **kw).predict(Xq)
+        )
 
 
 def test_subsampled_forest_deterministic_and_row_order_invariant():
     X, y = _regression_data(61, n=150, k=6)
     X, y = np.vstack([X, X[:40]]), np.concatenate([y, y[:40]])  # duplicated rows
     p = np.random.default_rng(1).permutation(len(y))
-    cfg = EnsembleConfig(n_estimators=3, seed=21, feature_subsample=0.5)
-    model = fit_random_forest(X, y, cfg)
-    assert dumps_model(model) == dumps_model(fit_random_forest(X, y, cfg))
-    assert dumps_model(model) == dumps_model(fit_random_forest(X[p], y[p], cfg))
-    other_seed = EnsembleConfig(n_estimators=3, seed=22, feature_subsample=0.5)
-    assert dumps_model(model) != dumps_model(fit_random_forest(X, y, other_seed))
+    cfg = dict(n_estimators=3, seed=21, feature_subsample=0.5)
+    model = fit_random_forest(X, y, **cfg)
+    assert dumps_model(model) == dumps_model(fit_random_forest(X, y, **cfg))
+    assert dumps_model(model) == dumps_model(fit_random_forest(X[p], y[p], **cfg))
+    assert dumps_model(model) != dumps_model(fit_random_forest(X, y, **{**cfg, "seed": 22}))
 
 
 def test_predict_errors():
     X, y = _regression_data(2, n=50, k=3)
-    model = fit_bagging(X, y, EnsembleConfig(n_estimators=2, seed=0))
+    model = fit_bagging(X, y, n_estimators=2, seed=0)
     with pytest.raises(DataError, match="features"):
         predict_ensemble_batch(model, np.zeros((5, 2)))
     with pytest.raises(DataError):
-        fit_bagging(np.zeros((0, 3)), np.zeros(0), EnsembleConfig())
+        fit_bagging(np.zeros((0, 3)), np.zeros(0))
 
 
 def test_weighted_median_simple_cases():
@@ -447,17 +439,20 @@ def test_tree_models_scale_exactly_with_a_power_of_two_target(abbrev):
         (fit_bagging, "tree.feature_subsample", 0.25),
         (fit_random_forest, "tree.feature_subsample", 0.25),
         (fit_gbm, "tree.feature_subsample", 0.25),
+        # Refused even at another kind's default: gradient boosting draws nothing at
+        # random, bagging never subsamples features and random forest always resamples.
+        (fit_gbm, "seed", 0),
+        (fit_bagging, "feature_subsample", 1.0),
+        (fit_random_forest, "bootstrap", True),
     ],
 )
 def test_config_field_a_kind_does_not_read_is_rejected(fit, field, value):
     X, y = _regression_data(8, n=40)
-    if field.startswith("tree."):
-        # The flat config has no nested tree, so its seed and feature subsample are refused for every kind.
-        with pytest.raises(TypeError, match="tree"):
-            fit(X, y, EnsembleConfig(n_estimators=2, tree={field.removeprefix("tree."): value}))
-    else:
-        with pytest.raises(DataError, match=f"does not read {field}"):
-            fit(X, y, EnsembleConfig(n_estimators=2, **{field: value}))
+    kind = {fit_bagging: "bagging", fit_random_forest: "random_forest", fit_gbm: "gbm_exact", fit_adaboost_r2: "adaboost_r2"}[fit]
+    name, _, inner = field.partition(".")
+    settings = {name: {inner: value}} if inner else {name: value}  # no kind takes a nested tree
+    with pytest.raises(DataError, match=f"{kind} does not take {name}; it takes {', '.join(SETTINGS[kind])}"):
+        fit(X, y, n_estimators=2, **settings)
 
 
 @pytest.mark.parametrize(
@@ -465,21 +460,22 @@ def test_config_field_a_kind_does_not_read_is_rejected(fit, field, value):
     [(fit_bagging, None), (fit_random_forest, None), (fit_gbm, 3), (fit_adaboost_r2, 3)],
 )
 def test_fitted_config_records_the_kinds_default_depth(fit, depth):
+    # A fitted model records every setting its kind takes, with the kind's defaults filled in.
     X, y = _regression_data(9, n=60)
-    model = fit(X, y, EnsembleConfig(n_estimators=2))
-    assert model.config.max_depth == depth
-    assert EnsembleConfig().max_depth == "auto"
-    assert fit(X, y, EnsembleConfig(n_estimators=2, max_depth=2)).config.max_depth == 2
+    model = fit(X, y, n_estimators=2)
+    assert model.settings == {**SETTINGS[model.kind], "n_estimators": 2}
+    assert model.settings["max_depth"] == depth
+    assert fit(X, y, n_estimators=2, max_depth=2).settings["max_depth"] == 2
     with pytest.raises(DataError, match="max_depth"):
-        fit(X, y, EnsembleConfig(n_estimators=2, max_depth=0))
+        fit(X, y, n_estimators=2, max_depth=0)
     # Only integers: 2.5 was fit and persisted, and True grew depth-1 trees (or one stage).
     for bad in (2.5, True):
         with pytest.raises(DataError, match="max_depth must be an integer"):
-            fit(X, y, EnsembleConfig(n_estimators=2, max_depth=bad))
+            fit(X, y, n_estimators=2, max_depth=bad)
         with pytest.raises(DataError, match="n_estimators must be an integer"):
-            fit(X, y, EnsembleConfig(n_estimators=bad))
-    # Every other setting is type-checked too: "x" raised a bare TypeError, and
-    # bootstrap="no", seed=1.5 and a True rate or subsample were fit.
+            fit(X, y, n_estimators=bad)
+    # Every other setting the kind takes is type-checked too: "x" raised a bare
+    # TypeError, and bootstrap="no", seed=1.5 and a True rate or subsample were fit.
     for field, bad, message in [
         ("learning_rate", "x", "learning_rate must be a number"),
         ("learning_rate", True, "learning_rate must be a number"),
@@ -491,5 +487,6 @@ def test_fitted_config_records_the_kinds_default_depth(fit, depth):
         ("seed", 1.5, "seed must be an integer"),
         ("seed", True, "seed must be an integer"),
     ]:
-        with pytest.raises(DataError, match=message):
-            fit(X, y, EnsembleConfig(n_estimators=2, **{field: bad}))
+        if field in SETTINGS[model.kind]:
+            with pytest.raises(DataError, match=message):
+                fit(X, y, n_estimators=2, **{field: bad})

@@ -1,11 +1,13 @@
 """Model persistence: exact prediction round trips and failure modes."""
 
+import copy
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from tripcast.ensembles import SETTINGS
 from tripcast.errors import PersistError, UsageError
 from tripcast.persist import (
     FORMAT_VERSION,
@@ -140,9 +142,28 @@ def test_version_1_document_rejected():
         loads_model(_rechecksummed(doc))
 
 
+def _as_version_4(doc: dict) -> dict:
+    """A saved ensemble document rewritten in format 4: one six-field config for every kind."""
+    settings = doc["payload"].pop("settings")
+    doc["payload"]["config"] = {"learning_rate": 0.1, "bootstrap": True, "feature_subsample": None, "seed": 0, **settings}
+    doc["format_version"] = 4
+    return doc
+
+
+@pytest.mark.parametrize("abbrev", ["br", "rf", "gb", "ab", "hgb"])
+def test_version_4_document_rejected(abbrev):
+    # Format 4 recorded fields the kind does not read, such as a seed for gradient boosting.
+    doc = _as_version_4(_saved_doc(abbrev))
+    with pytest.raises(PersistError, match="unsupported model format version 4"):
+        loads_model(_rechecksummed(doc))
+    doc["format_version"] = FORMAT_VERSION
+    with pytest.raises(PersistError, match="lacks settings"):  # nor does it load under this version
+        loads_model(_rechecksummed(doc))
+
+
 def _as_version_3(doc: dict) -> dict:
     """A saved document rewritten in format 3: a nested tree config and stored left children."""
-    config = doc["payload"]["config"]
+    config = _as_version_4(doc)["payload"]["config"]
     config["tree"] = {"max_depth": config.pop("max_depth"), "feature_subsample": 1.0, "seed": 0}
     for member in doc["payload"]["members"]:
         tree = member["tree"]
@@ -160,21 +181,22 @@ def test_version_2_document_rejected():
     with pytest.raises(PersistError, match="version 2"):
         loads_model(_rechecksummed(doc))
     doc["format_version"] = FORMAT_VERSION
-    with pytest.raises(PersistError, match="config"):  # nor do they load under this version
+    with pytest.raises(PersistError, match="lacks settings"):  # nor do they load under this version
         loads_model(_rechecksummed(doc))
 
 
 @pytest.mark.parametrize("abbrev", ["dt", "gb"])
 def test_version_3_document_rejected(abbrev):
     # Format 3 nested a tree config in the ensemble config and stored each tree's left children.
-    doc = _as_version_3(_saved_doc(abbrev))
+    saved = _saved_doc(abbrev)
+    doc = _as_version_3(copy.deepcopy(saved))
     with pytest.raises(PersistError, match="version 3"):
         loads_model(_rechecksummed(doc))
     doc["format_version"] = FORMAT_VERSION
-    with pytest.raises(PersistError, match="config: .*tree"):  # nor does it load under this version
+    with pytest.raises(PersistError, match="lacks settings"):  # nor does it load under this version
         loads_model(_rechecksummed(doc))
-    del doc["payload"]["config"]["tree"]
-    doc["payload"]["config"]["max_depth"] = 3
+    del doc["payload"]["config"]
+    doc["payload"]["settings"] = saved["payload"]["settings"]
     with pytest.raises(PersistError, match="tree node arrays are not exactly"):  # a stored left list is refused too
         loads_model(_rechecksummed(doc))
 
@@ -238,8 +260,8 @@ def _set(key, value):
     return lambda payload: payload.__setitem__(key, value)
 
 
-def _set_config(key, value):
-    return lambda payload: payload["config"].__setitem__(key, value)
+def _set_setting(key, value):
+    return lambda payload: payload["settings"].__setitem__(key, value)
 
 
 def _member(key, value=None):
@@ -264,30 +286,33 @@ def _linear(key, value=None):
 
 MALFORMED_PAYLOADS = {
     "gb_no_members": ("gb", _drop("members"), "lacks members"),
-    "gb_no_config": ("gb", _drop("config"), "lacks config"),
+    # Cases named for format 4's "config" edit its "settings" object.
+    "gb_no_config": ("gb", _drop("settings"), "payload lacks settings"),
     "gb_no_n_features": ("gb", _drop("n_features"), "lacks n_features"),
     "gb_no_base_prediction": ("gb", _drop("base_prediction"), "lacks base_prediction"),
     "gb_empty_members": ("gb", _set("members", []), "non-empty list"),
     "gb_members_not_list": ("gb", _set("members", {"tree": 1}), "non-empty list"),
     "gb_text_n_features": ("gb", _set("n_features", "9"), "n_features"),
     "gb_nan_base_prediction": ("gb", _set("base_prediction", float("nan")), "base_prediction"),
-    "gb_config_not_object": ("gb", _set("config", [1]), "config"),
-    "gb_unknown_config_key": ("gb", lambda p: p["config"].__setitem__("bogus", 1), "config"),
-    "gb_bad_config_value": ("gb", lambda p: p["config"].__setitem__("learning_rate", 5.0), "config"),
-    "gb_unread_feature_subsample": ("gb", lambda p: p["config"].__setitem__("feature_subsample", 0.5), "does not read"),
-    "ab_unread_bootstrap": ("ab", lambda p: p["config"].__setitem__("bootstrap", False), "does not read"),
-    "rf_unread_learning_rate": ("rf", lambda p: p["config"].__setitem__("learning_rate", 0.5), "does not read"),
-    "dt_unread_loss": ("dt", lambda p: p["config"].__setitem__("loss", "square"), "config: .*loss"),
-    # Format 4 has no nested tree config, so neither of its knobs loads.
-    "ab_unread_tree_seed": ("ab", _set_config("tree", {"seed": 99}), "config: .*tree"),
-    "gb_unread_tree_feature_subsample": ("gb", _set_config("tree", {"feature_subsample": 0.25}), "config: .*tree"),
-    "br_unread_tree_feature_subsample": ("br", _set_config("tree", {"feature_subsample": 0.25}), "config: .*tree"),
-    "gb_text_max_depth": ("gb", _set_config("max_depth", "deep"), "config"),
-    "dt_zero_max_depth": ("dt", _set_config("max_depth", 0), "config: max_depth"),
-    "gb_fractional_max_depth": ("gb", _set_config("max_depth", 2.5), "config: max_depth"),
-    "gb_fractional_n_estimators": ("gb", _set_config("n_estimators", 2.5), "config: n_estimators"),
-    "br_text_bootstrap": ("br", _set_config("bootstrap", "no"), "config: bootstrap must be True or False"),
-    "gb_fractional_seed": ("gb", _set_config("seed", 1.5), "config: seed must be an integer"),
+    "gb_config_not_object": ("gb", _set("settings", [1]), "settings is not an object"),
+    "gb_unknown_config_key": ("gb", _set_setting("bogus", 1), "settings: gbm_exact does not take bogus"),
+    "gb_bad_config_value": ("gb", _set_setting("learning_rate", 5.0), r"settings: learning_rate must be a number in \(0, 2\]"),
+    "gb_unread_feature_subsample": ("gb", _set_setting("feature_subsample", 0.5), "gbm_exact does not take feature_subsample"),
+    "ab_unread_bootstrap": ("ab", _set_setting("bootstrap", False), "adaboost_r2 does not take bootstrap"),
+    "rf_unread_learning_rate": ("rf", _set_setting("learning_rate", 0.5), "random_forest does not take learning_rate"),
+    "dt_unread_loss": ("dt", _set_setting("loss", "square"), "settings: bagging does not take loss"),
+    # No kind takes a nested tree config, so neither of its knobs loads.
+    "ab_unread_tree_seed": ("ab", _set_setting("tree", {"seed": 99}), "settings: adaboost_r2 does not take tree"),
+    "gb_unread_tree_feature_subsample": ("gb", _set_setting("tree", {"feature_subsample": 0.25}), "settings: .*tree"),
+    "br_unread_tree_feature_subsample": ("br", _set_setting("tree", {"feature_subsample": 0.25}), "settings: .*tree"),
+    "gb_text_max_depth": ("gb", _set_setting("max_depth", "deep"), "settings: max_depth"),
+    "dt_zero_max_depth": ("dt", _set_setting("max_depth", 0), "settings: max_depth"),
+    "gb_fractional_max_depth": ("gb", _set_setting("max_depth", 2.5), "settings: max_depth"),
+    "gb_fractional_n_estimators": ("gb", _set_setting("n_estimators", 2.5), "settings: n_estimators"),
+    "br_text_bootstrap": ("br", _set_setting("bootstrap", "no"), "settings: bootstrap must be True or False"),
+    "gb_fractional_seed": ("gb", _set_setting("seed", 1.5), "settings: gbm_exact does not take seed"),
+    "ab_fractional_seed": ("ab", _set_setting("seed", 1.5), "settings: seed must be an integer"),
+    "rf_zero_feature_subsample": ("rf", _set_setting("feature_subsample", 0.0), "settings: feature_subsample must be"),
     "gb_member_no_tree": ("gb", _member("tree"), "member lacks tree"),
     "gb_member_no_weight": ("gb", _member("weight"), "member lacks weight"),
     "gb_member_text_weight": ("gb", _member("weight", "x"), "weight"),
@@ -321,3 +346,31 @@ def test_document_without_kind_or_payload_rejected(key):
     del doc[key]
     with pytest.raises(PersistError):
         loads_model(_rechecksummed(doc))
+
+
+#: For each ensemble model, a setting its kind does not take, at a value a kind that takes it accepts.
+UNREAD = {
+    "br": ("feature_subsample", 1.0),
+    "rf": ("learning_rate", 0.1),
+    "gb": ("seed", 1),
+    "hgb": ("seed", 0),
+    "ab": ("bootstrap", True),
+}
+
+
+@pytest.mark.parametrize("abbrev", sorted(UNREAD))
+def test_document_records_exactly_its_kinds_settings(abbrev):
+    doc = _saved_doc(abbrev)  # n_estimators 3, seed 1
+    kind, settings = doc["kind"], doc["payload"]["settings"]
+    seeded = {"seed": 1} if "seed" in SETTINGS[kind] else {}
+    assert settings == {**SETTINGS[kind], "n_estimators": 3, **seeded}
+    name, value = UNREAD[abbrev]
+    added = copy.deepcopy(doc)
+    added["payload"]["settings"][name] = value
+    with pytest.raises(PersistError, match=f"settings: {kind} does not take {name}"):
+        loads_model(_rechecksummed(added))
+    for missing in settings:
+        short = copy.deepcopy(doc)
+        del short["payload"]["settings"][missing]
+        with pytest.raises(PersistError, match=f"settings lacks {missing}"):
+            loads_model(_rechecksummed(short))

@@ -45,7 +45,6 @@ def test_zero_std_degenerate_duration():
     cfg = small_config(
         trips_per_daytype={"Weekday": (10.0, 0.0), "Saturday": (3.0, 0.0), "Sunday": (1.0, 0.0)},
         stops_std=0.0,
-        cities_std=0.0,
         duration_std=0.0,
         delay_std=0.0,
     )
@@ -162,12 +161,23 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         ({"duration_mean": -1.0}, "duration_mean must be > 0"),
         ({"trips_per_daytype": {"Weekday": (-3.0, 8.0), "Saturday": (8.0, 2.0), "Sunday": (2.0, 0.7)}},
          "Weekday trips mean must be >= 0"),
+        # Means below the floor every trip meets: 1e-9 wrote 2.45 stops and 3.43 h a trip.
+        ({"stops_mean": 1e-9}, "stops_mean 1e-09 is below stops_min 2"),
+        ({"stops_mean": 2.5, "stops_min": 3}, "stops_mean 2.5 is below stops_min 3"),
+        ({"duration_mean": 1e-9}, "duration_mean 1e-09 is below duration_min 0.05"),
+        ({"duration_mean": 0.01}, "duration_mean 0.01 is below duration_min 0.05"),
+        # Above the floor, but the delay law lifts every trip further: the generator
+        # fell back to a near-zero base duration and missed the mean.
+        ({"duration_mean": 0.5}, r"duration_mean 0.5 cannot be met: with delay_mean 0.71 .* at least 3\.2"),
+        ({"duration_mean": 2.0}, r"duration_mean 2.0 cannot be met: .*duration_min 0.05"),
+        ({"duration_mean": 0.8, "delay_mean": 0.9, "delay_std": 0.0},
+         r"duration_mean 0.8 cannot be met: with delay_mean 0.9 \(std 0.0\) and duration_min 0.05 .* at least 0\.9"),
     ],
 )
 def test_validation_rejects_means_out_of_range(overrides, message):
-    # Unchecked, each of these wrote a CSV with exit 0.
+    # Unchecked, each of these wrote a CSV with exit 0. Each is refused before any draw.
     with pytest.raises(DataError, match=message):
-        small_config(**overrides).validate()
+        generate(small_config(**overrides))
 
 
 def test_load_gen_config_defaults_and_overrides(tmp_path):
@@ -202,7 +212,7 @@ def test_load_gen_config_errors(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_gen_config(tmp_path / "absent.conf")
     bad_key = tmp_path / "bad_key.conf"
-    for line in ("trips = 5\n", "cities_min = 1\n"):  # cities_min was never drawn from
+    for line in ("trips = 5\n", "cities_min = 1\n", "cities_std = 1\n"):  # neither city key was drawn from
         bad_key.write_text(line, encoding="utf-8")
         with pytest.raises(DataError, match="unknown config key"):
             load_gen_config(bad_key)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripcast.ensembles import EnsembleConfig, fit_adaboost_r2, fit_bagging, fit_gbm, fit_random_forest
+from tripcast.ensembles import fit_adaboost_r2, fit_bagging, fit_gbm, fit_random_forest
 from tripcast import trees
 from tripcast.errors import DataError
 from tripcast.registry import make_model
@@ -243,13 +243,12 @@ def _ensemble_trees():
     X = rng.normal(size=(400, 4))
     X[:, 3] = rng.integers(0, 5, size=400)  # ties at thresholds
     y = X[:, 0] * 2.0 + np.sin(3.0 * X[:, 1]) + rng.normal(size=400)
-    cfg = EnsembleConfig(n_estimators=4, seed=3)
     for model in (
-        fit_bagging(X, y, cfg),
-        fit_random_forest(X, y, cfg),
-        fit_gbm(X, y, cfg, mode="exact"),
-        fit_gbm(X, y, cfg, mode="hist"),
-        fit_adaboost_r2(X, y, cfg),
+        fit_bagging(X, y, n_estimators=4, seed=3),
+        fit_random_forest(X, y, n_estimators=4, seed=3),
+        fit_gbm(X, y, mode="exact", n_estimators=4),
+        fit_gbm(X, y, mode="hist", n_estimators=4),
+        fit_adaboost_r2(X, y, n_estimators=4, seed=3),
     ):
         for tree, _ in model.members:
             yield model.kind, tree, X
@@ -453,7 +452,7 @@ def test_scans_over_several_feature_blocks_grow_the_default_trees(monkeypatch, b
 
     def fits():
         boosted = [
-            fit_gbm(X, y, EnsembleConfig(n_estimators=3, max_depth=4), mode=mode)
+            fit_gbm(X, y, mode=mode, n_estimators=3, max_depth=4)
             for mode in ("exact", "hist")
         ]
         single = [fit_tree_exact(X, y, feature_subsample=s, seed=2) for s in (1.0, 0.5)]
@@ -468,8 +467,7 @@ def test_bagging_members_equal_exact_trees_on_their_resamples():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(120, 3))
     y = rng.normal(size=120)
-    cfg = EnsembleConfig(n_estimators=3, seed=5, max_depth=6, feature_subsample=0.5)
-    model = fit_random_forest(X, y, cfg)
+    model = fit_random_forest(X, y, n_estimators=3, seed=5, max_depth=6, feature_subsample=0.5)
     Xc, yc = canonical_rows(X, y)
     for m, (tree, _) in enumerate(model.members):
         idx = substream(5, "bootstrap", m).integers(0, 120, size=120)
