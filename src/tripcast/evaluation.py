@@ -292,7 +292,9 @@ def run_scale_bench(
     """Median wall-clock fit time per (model, training size).
 
     Each model is fit on the first n chronological rows, ``repeats`` times;
-    runs execute strictly serially so timings stay meaningful.
+    runs execute strictly serially so timings stay meaningful. Within each
+    size and repeat the models take turns, so a drift in machine speed
+    reaches every model alike. Results come model by model, then by size.
     """
     if not sizes:
         raise DataError("run_scale_bench needs at least one size")
@@ -303,25 +305,19 @@ def run_scale_bench(
         raise DataError(f"size {max(sizes)} exceeds table rows ({len(table)})")
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
-    results = []
-    for name, factory in factories.items():
-        for n in sizes:
-            X, y = table.X[:n], table.y[:n]
-            times = []
-            for rep in range(repeats):
+    times: dict[tuple[str, int], list[float]] = {(name, n): [] for name in factories for n in sizes}
+    for n in sizes:
+        X, y = table.X[:n], table.y[:n]
+        for rep in range(repeats):
+            for name, factory in factories.items():
                 model = factory(rep)
                 t0 = time.perf_counter()
                 model.fit(X, y)
-                times.append(time.perf_counter() - t0)
-            results.append(
-                ScaleResult(
-                    model=name,
-                    n_samples=n,
-                    fit_time=float(np.median(times)),
-                    repeats=tuple(times),
-                )
-            )
-    return results
+                times[name, n].append(time.perf_counter() - t0)
+    return [
+        ScaleResult(model=name, n_samples=n, fit_time=float(np.median(ts)), repeats=tuple(ts))
+        for (name, n), ts in times.items()
+    ]
 
 
 DEFAULT_SCALE_SIZES = (1_000, 5_000, 10_000, 25_000, 50_000, 100_000, 150_000)

@@ -1,7 +1,7 @@
 """Model registry: paper-style abbreviations -> configured estimators.
 
 Every entry builds an :class:`Estimator`: a fit function with its settings
-bound (an ensemble fitter with its tree settings, and the seed for a kind
+bound (an ensemble fitter with its tree settings, and the seed for a model
 that draws at random, or a linear fitter with its penalty), behind the
 common ``fit(X, y)`` / ``predict(X)`` contract. The fitted model, not the
 adapter, predicts and writes and checks its own persisted payload. Each
@@ -69,8 +69,8 @@ class ModelRegistryEntry:
 
 
 def _ensemble(kind: str, fit: Callable, **fixed: object) -> Callable[..., Estimator]:
-    """A builder of ``fit`` with ``fixed``, the settings passed, and the seed if ``kind`` takes one."""
-    seeded = "seed" in ensembles.SETTINGS[kind]
+    """A builder of ``fit`` with ``fixed`` and the settings passed; the seed too, if ``kind`` takes one ``fixed`` lacks."""
+    seeded = "seed" in ensembles.SETTINGS[kind] and "seed" not in fixed
 
     def build(seed: int, **settings: object) -> Estimator:
         if seeded:
@@ -98,9 +98,12 @@ REGISTRY: dict[str, ModelRegistryEntry] = {
     "lr": ModelRegistryEntry("linear regression (least squares)", _linear(linear.fit_ols)),
     "ri": ModelRegistryEntry("ridge regression (L2)", _linear(linear.fit_ridge), ("lam",)),
     "la": ModelRegistryEntry("lasso (L1)", _linear(linear.fit_lasso), ("lam",)),
-    # A single tree is bagging with one member and no bootstrap.
+    # A single tree is bagging with one member and no bootstrap. It draws nothing
+    # at random, so it keeps bagging's default seed whatever seed it is built with.
     "dt": ModelRegistryEntry(
-        "decision tree (exact CART)", _ensemble("bagging", fit_bagging, n_estimators=1, bootstrap=False), ("max_depth",)
+        "decision tree (exact CART)",
+        _ensemble("bagging", fit_bagging, n_estimators=1, bootstrap=False, seed=ensembles.SETTINGS["bagging"]["seed"]),
+        ("max_depth",),
     ),
     "br": ModelRegistryEntry("bagging of trees", _ensemble("bagging", fit_bagging), _TREES),
     "rf": ModelRegistryEntry("random forest", _ensemble("random_forest", fit_random_forest), _TREES),

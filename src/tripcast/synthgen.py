@@ -35,10 +35,9 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import ndtr
 
 from .checks import is_finite, is_int
 from .errors import DataError
@@ -61,6 +60,16 @@ DEFAULT_SEED = 20190301
 #: month's last, which for 9999-12 is past the range of ``datetime.date``.
 FIRST_MONTH, LAST_MONTH = (1, 1), (9999, 11)
 
+#: The most stops a trip may have at 8 stds, ``stops_mean + 8 stops_std``:
+#: the top of the stop-count PMF's support.
+MAX_STOPS = 1_000
+
+#: The longest trip the duration and delay laws may reach, in hours:
+#: ``duration_mean + |delay_mean| + 8 (duration_std + delay_std)`` bounds
+#: both the scheduled and the actual span at 8 stds. A trip that starts on
+#: ``LAST_MONTH``'s last day and lasts 31 days still ends in year 9999.
+MAX_TRIP_HOURS = 31 * 24.0
+
 
 @dataclass(slots=True, frozen=True)
 class GenConfig:
@@ -77,9 +86,11 @@ class GenConfig:
     integers. The stop, city and duration means must be > 0, the stop and
     duration means at least their floors ``stops_min`` and
     ``duration_min``, each day type's trips mean >= 0, and every month
-    within ``FIRST_MONTH`` to ``LAST_MONTH``. A duration mean that the
-    delay law and the floor together put out of reach is refused when the
-    generator calibrates, before any draw.
+    within ``FIRST_MONTH`` to ``LAST_MONTH``. Stop counts may reach at
+    most ``MAX_STOPS``, and trips last at most ``MAX_TRIP_HOURS``, each
+    at 8 stds. A duration mean that the delay law and the floor together
+    put out of reach is refused when the generator calibrates, before any
+    draw.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
@@ -141,10 +152,41 @@ class GenConfig:
         for day_type, (mean, _) in self.trips_per_daytype.items():
             if mean < 0:
                 raise DataError(f"{day_type} trips mean must be >= 0, got {mean!r}")
+        most_stops = self.stops_mean + 8.0 * self.stops_std
+        if most_stops > MAX_STOPS:
+            raise DataError(f"GenConfig stops_mean + 8 stops_std is {most_stops:.6g}, above MAX_STOPS {MAX_STOPS}")
+        longest = self.duration_mean + abs(self.delay_mean) + 8.0 * (self.duration_std + self.delay_std)
+        if longest > MAX_TRIP_HOURS:
+            raise DataError(
+                f"GenConfig duration_mean + |delay_mean| + 8 (duration_std + delay_std) is {longest:.6g} h,"
+                f" above MAX_TRIP_HOURS {MAX_TRIP_HOURS:g}"
+            )
 
 
-def _norm_cdf(x: np.ndarray | float) -> np.ndarray | float:
-    return ndtr(x)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _each(f: Callable[[float], float], v: np.ndarray) -> np.ndarray:
+    """``f`` (a C builtin such as ``math.erf``) over ``v``: no Python frame per element."""
+    return np.fromiter(map(f, v.tolist()), np.float64, v.size)
+
+
+def _norm_cdf(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise: cephes ``ndtr`` on the C library's ``erf``/``erfc``.
+
+    Near zero ``0.5 + 0.5 erf(x)`` is accurate; in the tails the complement
+    ``0.5 erfc(|x|)`` keeps its relative accuracy where ``erf`` would round
+    to 1 (Cody, Math. Comp. 1969).
+    """
+    x = np.asarray(a, dtype=np.float64) * _SQRT_HALF
+    z = np.abs(x)
+    near = z < _SQRT_HALF
+    out = np.empty_like(x)
+    out[near] = 0.5 + 0.5 * _each(math.erf, x[near])
+    far = ~near
+    tail = 0.5 * _each(math.erfc, z[far])
+    out[far] = np.where(x[far] > 0.0, 1.0 - tail, tail)
+    return out
 
 
 def _lognormal_params(mean: float, std: float) -> tuple[float, float]:
@@ -176,13 +218,12 @@ def _expected_floored_base(
     return float(np.sum(values * floor_pdf_w))
 
 
-def _solve_base_duration_mean(cfg: GenConfig) -> float:
-    """Mean of the lognormal scheduled-duration base.
+def _base_mean_gap(cfg: GenConfig) -> Callable[[float], float]:
+    """g(m0) = E[max(B, F)] - (duration_mean - delay_mean) for a base B of mean m0.
 
-    Solves E[max(B, duration_min - delay)] = duration_mean - delay_mean so the
-    actual-duration mean lands on target despite the minimum-duration floor.
-    When the floor alone meets or exceeds the target, even with a near-zero
-    base, no base reaches it: that is a ``DataError``.
+    F = duration_min - delay is the floor the delay law puts under B, on a
+    4,001-point grid over 10 delay stds (a point mass when the delay is
+    constant).
     """
     target = cfg.duration_mean - cfg.delay_mean
     if cfg.delay_std == 0.0:
@@ -200,6 +241,19 @@ def _solve_base_duration_mean(cfg: GenConfig) -> float:
     def g(m0: float) -> float:
         return _expected_floored_base(m0, cfg.duration_std, floor_grid, floor_pdf_w) - target
 
+    return g
+
+
+def _solve_base_duration_mean(cfg: GenConfig) -> float:
+    """Mean of the lognormal scheduled-duration base.
+
+    Solves E[max(B, duration_min - delay)] = duration_mean - delay_mean so the
+    actual-duration mean lands on target despite the minimum-duration floor.
+    When the floor alone meets or exceeds the target, even with a near-zero
+    base, no base reaches it: that is a ``DataError``.
+    """
+    g = _base_mean_gap(cfg)
+    target = cfg.duration_mean - cfg.delay_mean
     lo_m, hi_m = 1e-9, target
     if g(lo_m) >= 0.0:
         lowest = g(lo_m) + target + cfg.delay_mean
@@ -208,9 +262,13 @@ def _solve_base_duration_mean(cfg: GenConfig) -> float:
             f" {cfg.delay_mean!r} (std {cfg.delay_std!r}) and duration_min {cfg.duration_min!r}"
             f" the mean trip duration is at least {lowest:.6g}"
         )
-    # g(hi_m) >= 0 because E[max(B, F)] >= E[B]; plain bisection.
+    # g(hi_m) >= 0 because E[max(B, F)] >= E[B]; plain bisection, at most 100 steps.
     for _ in range(100):
         mid = 0.5 * (lo_m + hi_m)
+        if mid == lo_m or mid == hi_m:
+            # lo_m and hi_m are adjacent floats: each later step would set one of them
+            # to mid, which leaves mid, and so the result, as it is.
+            break
         if g(mid) < 0.0:
             lo_m = mid
         else:

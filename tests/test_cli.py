@@ -73,6 +73,19 @@ def test_synth_non_finite_config_is_data_error_and_writes_nothing(tmp_path, caps
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("line", ["stops_mean = 1e7", "stops_std = 1e12", "duration_std = 1e300", "duration_mean = 1e300"])
+def test_synth_config_past_a_ceiling_is_data_error_and_writes_nothing(tmp_path, capsys, line):
+    # Unchecked, the first two ran out of memory drawing stops, the third ended
+    # in an OverflowError (exit 3), and the fourth wrote NaT stamps after an invalid cast (exit 0).
+    conf = tmp_path / "big.conf"
+    conf.write_text(SMALL_CONFIG + line + "\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
+    assert re.search(r"above MAX_(STOPS|TRIP_HOURS)", capsys.readouterr().err)
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("command", ["summarize", "run"])
 def test_stops_file_not_utf8_is_data_error(tmp_path, stops_csv, capsys, command):
     # Unchecked, csv.reader's UnicodeDecodeError ended in an internal error (exit 3).

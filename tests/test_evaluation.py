@@ -324,6 +324,20 @@ def test_run_scale_bench_structure():
         assert r.fit_time >= 0.0
 
 
+def test_run_scale_bench_takes_models_in_turn():
+    # Within each size and repeat every model fits once, so a drift in machine speed
+    # reaches all of them alike; the results still come model by model.
+    table = _seven_month_table(trips_per_day=3)
+    fits = []
+
+    def factory(name):
+        return lambda rep: fits.append((name, rep)) or MeanModel()
+
+    results = run_scale_bench(table, [50, 120], {"a": factory("a"), "b": factory("b")}, repeats=2)
+    assert fits == [("a", 0), ("b", 0), ("a", 1), ("b", 1)] * 2
+    assert [(r.model, r.n_samples) for r in results] == [("a", 50), ("a", 120), ("b", 50), ("b", 120)]
+
+
 def test_run_scale_bench_size_errors():
     table = _seven_month_table()
     with pytest.raises(DataError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tripcast.errors import UsageError
+from tripcast.persist import dumps_model
 from tripcast.registry import REGISTRY, make_model
 
 SETTINGS = {"n_estimators": 3, "learning_rate": 0.5, "max_depth": 2, "lam": 50.0}
@@ -47,3 +48,12 @@ def test_every_setting_is_used_or_refused(abbrev, setting):
     default = make_model(abbrev, 0, **base).fit(X, y).predict(X)
     changed = make_model(abbrev, 0, **base, **{setting: value}).fit(X, y).predict(X)
     assert not np.array_equal(default, changed)
+
+
+def test_decision_tree_document_does_not_depend_on_the_seed():
+    # A single tree draws nothing at random: the seed it is built with used to be
+    # recorded in its document all the same.
+    X, y = _data()
+    one, two = (make_model("dt", seed).fit(X, y) for seed in (1, 2))
+    assert dumps_model(one) == dumps_model(two)
+    assert np.array_equal(one.predict(X), two.predict(X))

@@ -2,12 +2,24 @@
 
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tripcast
 from tripcast.errors import DataError
-from tripcast.synthgen import GenConfig, generate, load_gen_config
+from tripcast.synthgen import (
+    MAX_STOPS,
+    GenConfig,
+    _base_mean_gap,
+    _norm_cdf,
+    _solve_base_duration_mean,
+    generate,
+    load_gen_config,
+)
 from tripcast.trip_data import assemble_trips, parse_stops_csv, summarize, write_stops_csv
 
 from tests.helpers import stop_rows
@@ -172,12 +184,27 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         ({"duration_mean": 2.0}, r"duration_mean 2.0 cannot be met: .*duration_min 0.05"),
         ({"duration_mean": 0.8, "delay_mean": 0.9, "delay_std": 0.0},
          r"duration_mean 0.8 cannot be met: with delay_mean 0.9 \(std 0.0\) and duration_min 0.05 .* at least 0\.9"),
+        # Past the ceilings: the stop-count PMF or the draws ran out of memory, and
+        # huge durations ended in an OverflowError or wrote NaT stamps.
+        ({"stops_mean": 1e7}, r"stops_mean \+ 8 stops_std is 1e\+07, above MAX_STOPS 1000"),
+        ({"stops_std": 1e12}, r"stops_mean \+ 8 stops_std is 8e\+12"),
+        ({"duration_std": 1e300}, r"is 8e\+300 h, above MAX_TRIP_HOURS 744"),
+        ({"duration_mean": 1e300}, r"is 1e\+300 h, above MAX_TRIP_HOURS 744"),
+        ({"delay_mean": -1e300}, r"is 1e\+300 h, above MAX_TRIP_HOURS 744"),
+        ({"delay_std": 90.0}, r"is 7\d\d\.\d+ h, above MAX_TRIP_HOURS 744"),
     ],
 )
 def test_validation_rejects_means_out_of_range(overrides, message):
-    # Unchecked, each of these wrote a CSV with exit 0. Each is refused before any draw.
+    # Unchecked, each of these wrote a CSV with exit 0 or failed inside a draw.
+    # Each is refused before any draw.
     with pytest.raises(DataError, match=message):
         generate(small_config(**overrides))
+
+
+def test_configs_at_the_ceilings_pass():
+    small_config(stops_mean=float(MAX_STOPS), stops_std=0.0, stops_min=MAX_STOPS).validate()
+    # 100 + |-44| + 8 * (0 + 75) is MAX_TRIP_HOURS exactly.
+    small_config(duration_mean=100.0, duration_std=0.0, delay_mean=-44.0, delay_std=75.0).validate()
 
 
 def test_load_gen_config_defaults_and_overrides(tmp_path):
@@ -257,3 +284,66 @@ def test_records_sorted_canonically():
     records = generate(small_config())
     keys = [(trip, stop) for trip, stop, *_ in stop_rows(records)]
     assert keys == sorted(keys)
+
+
+# Φ(a) from mpmath (50 digits), rounded to the nearest double.
+NORMAL_CDF = [
+    (0.0, 0.5),
+    (1.96, 0.9750021048517795),
+    (-1.96, 0.024997895148220435),
+    (-10.0, 7.619853024160525e-24),
+    (-20.0, 2.7536241186062337e-89),
+    (-37.0, 5.725571222524577e-300),
+    (math.inf, 1.0),
+    (-math.inf, 0.0),
+]
+
+
+def test_norm_cdf_matches_reference_values():
+    a = np.array([point for point, _ in NORMAL_CDF])
+    got = _norm_cdf(a)
+    for point, value, reference in zip(a, got, (ref for _, ref in NORMAL_CDF)):
+        # Rounding a * sqrt(1/2) to a double moves Φ by about a² ulp in relative
+        # terms, so the bound widens in the tails; scipy's ndtr was further off.
+        tolerance = max(1e-15, 2.0**-52 * point * point) if math.isfinite(point) else 0.0
+        assert abs(value - reference) <= tolerance * reference, (point, value, reference)
+    assert np.isnan(_norm_cdf(np.array([math.nan]))).all()
+
+
+def test_norm_cdf_is_symmetric():
+    x = np.linspace(-40.0, 40.0, 8001)
+    assert np.array_equal(_norm_cdf(x) + _norm_cdf(-x), np.ones_like(x))
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(tripcast.__file__).resolve().parents[1])
+    code = "import sys, tripcast.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, timeout=60).returncode == 0
+
+
+def _bisect_100_steps(cfg):
+    """The solver's bisection without its early stop: always 100 steps."""
+    g = _base_mean_gap(cfg)
+    lo, hi = 1e-9, cfg.duration_mean - cfg.delay_mean
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # the default calibration, which every benchmark config keeps
+        {"stops_std": 0.0, "duration_std": 0.0, "delay_std": 0.0},
+        {"delay_std": 0.0},
+        {"duration_mean": 3.0, "duration_std": 2.0, "delay_mean": 0.3, "delay_std": 4.0},
+        {"duration_mean": 200.0, "duration_std": 50.0, "delay_mean": -3.0, "delay_std": 30.0},
+    ],
+)
+def test_bisection_stops_on_the_100_step_result(overrides):
+    cfg = small_config(**overrides)
+    assert _solve_base_duration_mean(cfg).hex() == _bisect_100_steps(cfg).hex()
