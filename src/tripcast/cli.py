@@ -101,13 +101,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     stops = generate(config)
     out = Path(args.out)
-    count = [0]
-
-    def produce(handle):
-        count[0] = write_stops_csv(stops, handle)
-
-    _atomic_write_text(out, produce)
-    print(f"wrote {count[0]} stop rows to {out}")
+    _atomic_write_text(out, lambda handle: write_stops_csv(stops, handle))
+    print(f"wrote {len(stops)} stop rows to {out}")
     return 0
 
 

@@ -163,10 +163,10 @@ def _moments(X: np.ndarray, y: np.ndarray, day_type_col: int | None) -> _Moments
     return _Moments(Xs.T @ Xs, Xs.T @ (y - y_mean), y_mean, means, scales, X.shape, day_type_col)
 
 
-def _check_settings(lam: float | None, tol: float = 1.0, max_iter: int = 1) -> None:
-    """Refuse a penalty that is not a finite number >= 0 (None: the lasso default), and a
-    stopping rule that could not stop: ``tol`` finite and > 0, ``max_iter`` an integer >= 1."""
-    if lam is not None and not (is_finite(lam) and lam >= 0):
+def _check_settings(lam: float, tol: float = 1.0, max_iter: int = 1) -> None:
+    """Refuse a penalty that is not a finite number >= 0, and a stopping rule that
+    could not stop: ``tol`` finite and > 0, ``max_iter`` an integer >= 1."""
+    if not (is_finite(lam) and lam >= 0):
         raise DataError(f"penalty lam must be a finite number >= 0, got {lam!r}")
     if not (is_finite(tol) and tol > 0):
         raise DataError(f"tol must be a finite number > 0, got {tol!r}")
@@ -211,7 +211,7 @@ def fit_lasso(
     ``max_iter`` sweeps do not get there the model comes back with
     ``converged=False`` rather than failing silently.
     """
-    _check_settings(lam, tol, max_iter)
+    _check_settings(0.0 if lam is None else lam, tol, max_iter)  # None: the default below
     m = _moments(X, y, day_type_col)
     n = m.shape[0]
     G, c = m.gram / n, m.xty / n

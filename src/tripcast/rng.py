@@ -14,8 +14,6 @@ import hashlib
 
 import numpy as np
 
-GENERATOR_ALGORITHM = "PCG64"
-
 
 def derive_seed(base_seed: int, *tokens: object) -> int:
     """Derive a 64-bit child seed from a base seed and a token path."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
@@ -42,7 +42,7 @@ import numpy as np
 from .checks import is_finite, is_int
 from .errors import DataError
 from .rng import substream
-from .trip_data import DAY_TYPES, Coded, StopTable, day_type_of
+from .trip_data import Coded, StopTable
 
 DEFAULT_MONTHS: tuple[tuple[int, int], ...] = (
     (2019, 3),
@@ -70,37 +70,45 @@ MAX_STOPS = 1_000
 #: ``LAST_MONTH``'s last day and lasts 31 days still ends in year 9999.
 MAX_TRIP_HOURS = 31 * 24.0
 
+#: The most stop rows a config may ask for at 8 stds: over every day of its
+#: months, ``trips_mean + 8 trips_std`` of the day's type, times
+#: ``stops_mean + 8 stops_std``. The generator holds about 110 bytes a row
+#: (a 113.9 MiB tracemalloc peak at the default config's 1,051,325 rows), so
+#: this is about 8.8 GB. The default calibration draws about a thirteenth of
+#: its bound, so three years at the default daily counts (a 72.8M bound) pass.
+MAX_ROWS = 80_000_000
+
 
 @dataclass(slots=True, frozen=True)
 class GenConfig:
     """Calibration targets and seed for the synthetic generator.
 
-    All duration/delay figures are hours; trip counts are per calendar day
-    of the given day type. Standard deviations of zero give degenerate
-    (constant) draws. Cities per trip follow from a pool sized for
-    ``cities_mean`` alone, so their spread is not a setting:
+    Every field is a config-file key of the same name
+    (:func:`load_gen_config`). All duration/delay figures are hours; the
+    trips figures count trips per calendar day on weekdays (Monday to
+    Friday), Saturdays and Sundays. Standard deviations of zero give
+    degenerate (constant) draws. Cities per trip follow from a pool sized
+    for ``cities_mean`` alone, so their spread is not a setting:
     ``cities_std`` is the spread of the default calibration, which the
     benchmark's ingest check (``perfbench/workloads.py``) reads.
-    :meth:`validate` requires every float field and each day type's mean
-    and std to be a finite number, and ``stops_min`` and ``seed`` to be
-    integers. The stop, city and duration means must be > 0, the stop and
-    duration means at least their floors ``stops_min`` and
-    ``duration_min``, each day type's trips mean >= 0, and every month
-    within ``FIRST_MONTH`` to ``LAST_MONTH``. Stop counts may reach at
-    most ``MAX_STOPS``, and trips last at most ``MAX_TRIP_HOURS``, each
-    at 8 stds. A duration mean that the delay law and the floor together
-    put out of reach is refused when the generator calibrates, before any
-    draw.
+    :meth:`validate` requires every float field to be a finite number, and
+    ``stops_min`` and ``seed`` to be integers. Every std and trips mean must
+    be >= 0, the stop, city and duration means > 0, the stop and duration
+    means at least their floors ``stops_min`` and ``duration_min``, and
+    every month within ``FIRST_MONTH`` to ``LAST_MONTH``. Stop counts may
+    reach at most ``MAX_STOPS``, trips last at most ``MAX_TRIP_HOURS``, and
+    the rows number at most ``MAX_ROWS``, each at 8 stds. A duration mean
+    that the delay law and the floor together put out of reach is refused
+    when the generator calibrates, before any draw.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
-    trips_per_daytype: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: {
-            "Weekday": (1084.57, 237.42),
-            "Saturday": (198.23, 23.54),
-            "Sunday": (48.88, 14.98),
-        }
-    )
+    weekday_trips_mean: float = 1084.57
+    weekday_trips_std: float = 237.42
+    saturday_trips_mean: float = 198.23
+    saturday_trips_std: float = 23.54
+    sunday_trips_mean: float = 48.88
+    sunday_trips_std: float = 14.98
     stops_mean: float = 6.0
     stops_std: float = 3.0
     stops_min: int = 2
@@ -122,20 +130,16 @@ class GenConfig:
                 raise DataError(f"invalid month {ym!r}")
             if not FIRST_MONTH <= ym <= LAST_MONTH:
                 raise DataError(f"month {year:04d}-{month:02d} is outside 0001-01..9999-11")
-        for day_type in DAY_TYPES:
-            if day_type not in self.trips_per_daytype:
-                raise DataError(f"trips_per_daytype is missing {day_type!r}")
         numbers = {f.name: getattr(self, f.name) for f in fields(self) if f.type in (float, "float")}
-        for day_type, (mean, std) in self.trips_per_daytype.items():
-            numbers |= {f"{day_type} trips mean": mean, f"{day_type} trips std": std}
         for name, value in numbers.items():
             if not is_finite(value):
                 raise DataError(f"GenConfig {name} must be a finite number, got {value!r}")
         for name in ("stops_min", "seed"):
             if not is_int(getattr(self, name)):
                 raise DataError(f"GenConfig {name} must be an integer, got {getattr(self, name)!r}")
-        if any(value < 0 for name, value in numbers.items() if name.endswith("std")):
-            raise DataError("standard deviations must be >= 0")
+        for name, value in numbers.items():
+            if name.endswith(("_std", "_trips_mean")) and value < 0:
+                raise DataError(f"GenConfig {name} must be >= 0, got {value!r}")
         if self.stops_min < 2:
             raise DataError("stops_min must be >= 2 (trip duration is undefined below)")
         if self.duration_min <= 0:
@@ -149,12 +153,16 @@ class GenConfig:
                     f"GenConfig {name} {getattr(self, name)!r} is below {floor} {getattr(self, floor)!r},"
                     " which every trip meets"
                 )
-        for day_type, (mean, _) in self.trips_per_daytype.items():
-            if mean < 0:
-                raise DataError(f"{day_type} trips mean must be >= 0, got {mean!r}")
         most_stops = self.stops_mean + 8.0 * self.stops_std
         if most_stops > MAX_STOPS:
             raise DataError(f"GenConfig stops_mean + 8 stops_std is {most_stops:.6g}, above MAX_STOPS {MAX_STOPS}")
+        most_trips = [mean + 8.0 * std for mean, std in _trips_by_weekday(self)]
+        most_rows = most_stops * sum(n * trips for n, trips in zip(_days_by_weekday(self.months), most_trips))
+        if most_rows > MAX_ROWS:
+            raise DataError(
+                f"GenConfig months ask for {most_rows:.6g} stop rows at trips_mean + 8 trips_std a day"
+                f" and stops_mean + 8 stops_std a trip, above MAX_ROWS {MAX_ROWS:,}"
+            )
         longest = self.duration_mean + abs(self.delay_mean) + 8.0 * (self.duration_std + self.delay_std)
         if longest > MAX_TRIP_HOURS:
             raise DataError(
@@ -315,6 +323,22 @@ def _month_days(year: int, month: int) -> list[Date]:
     return days
 
 
+def _days_by_weekday(months: tuple[tuple[int, int], ...]) -> list[int]:
+    """How many days of ``months`` fall on each weekday, Monday first, counted a month at a time."""
+    first = np.array([12 * (year - 1970) + month - 1 for year, month in months]).astype("datetime64[M]")
+    begin, end = first.astype("datetime64[D]"), (first + 1).astype("datetime64[D]")
+    return [int(np.busday_count(begin, end, weekmask=np.arange(7) == k).sum()) for k in range(7)]
+
+
+def _trips_by_weekday(cfg: GenConfig) -> tuple[tuple[float, float], ...]:
+    """The (mean, std) of the daily trip count on each weekday, Monday first."""
+    return (
+        *[(cfg.weekday_trips_mean, cfg.weekday_trips_std)] * 5,
+        (cfg.saturday_trips_mean, cfg.saturday_trips_std),
+        (cfg.sunday_trips_mean, cfg.sunday_trips_std),
+    )
+
+
 @dataclass(slots=True, frozen=True)
 class _Calibration:
     base_mu: float
@@ -357,7 +381,7 @@ class _Day:
 
 def _generate_day(cfg: GenConfig, cal: _Calibration, day: Date) -> _Day | None:
     rng = substream(cfg.seed, "day", day.isoformat())
-    mean_trips, std_trips = cfg.trips_per_daytype[day_type_of(day)]
+    mean_trips, std_trips = _trips_by_weekday(cfg)[day.weekday()]
     n_trips = int(max(round(rng.normal(mean_trips, std_trips)) if std_trips > 0 else round(mean_trips), 0))
     if n_trips == 0:
         return None
@@ -460,15 +484,6 @@ def _stop_table(days: list[_Day], pool_size: int) -> StopTable:
 #: Every scalar GenConfig field, by the type its value is read as.
 _SCALAR_KEYS = {f.name: {"float": float, "int": int}[f.type] for f in fields(GenConfig) if f.type in ("float", "int")}
 
-_DAYTYPE_KEYS = {
-    "weekday_trips_mean": ("Weekday", 0),
-    "weekday_trips_std": ("Weekday", 1),
-    "saturday_trips_mean": ("Saturday", 0),
-    "saturday_trips_std": ("Saturday", 1),
-    "sunday_trips_mean": ("Sunday", 0),
-    "sunday_trips_std": ("Sunday", 1),
-}
-
 
 def _parse_months(raw: str) -> tuple[tuple[int, int], ...]:
     def parse_one(token: str) -> tuple[int, int]:
@@ -497,8 +512,6 @@ def load_gen_config(path: str | Path) -> GenConfig:
     path = Path(path)
     if not path.exists():
         raise DataError(f"config file not found: {path}")
-    cfg = GenConfig()
-    daytype = dict(cfg.trips_per_daytype)
     updates: dict[str, object] = {}
     for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -513,15 +526,10 @@ def load_gen_config(path: str | Path) -> GenConfig:
                 updates["months"] = _parse_months(value)
             elif key in _SCALAR_KEYS:
                 updates[key] = _SCALAR_KEYS[key](value)
-            elif key in _DAYTYPE_KEYS:
-                day_type, slot = _DAYTYPE_KEYS[key]
-                pair = list(daytype[day_type])
-                pair[slot] = float(value)
-                daytype[day_type] = (pair[0], pair[1])
             else:
                 raise DataError(f"{path}:{line_number}: unknown config key {key!r}")
         except (ValueError, TypeError) as exc:
             raise DataError(f"{path}:{line_number}: bad value for {key!r}: {exc}") from exc
-    cfg = replace(cfg, trips_per_daytype=daytype, **updates)
+    cfg = GenConfig(**updates)
     cfg.validate()
     return cfg

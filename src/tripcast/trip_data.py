@@ -712,12 +712,3 @@ def weekdays(days: np.ndarray) -> np.ndarray:
     """Monday=0 .. Sunday=6 of ``datetime64`` dates (1970-01-01 was a Thursday)."""
     return (days.astype("datetime64[D]").astype(np.int64) + 3) % 7
 
-
-def day_type_of(date) -> str:
-    """Map a date to Weekday / Saturday / Sunday."""
-    dow = date.weekday()
-    if dow == 5:
-        return "Saturday"
-    if dow == 6:
-        return "Sunday"
-    return "Weekday"

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+import time
 import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
@@ -73,15 +74,28 @@ def test_synth_non_finite_config_is_data_error_and_writes_nothing(tmp_path, caps
     assert not list(tmp_path.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("line", ["stops_mean = 1e7", "stops_std = 1e12", "duration_std = 1e300", "duration_mean = 1e300"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "stops_mean = 1e7",
+        "stops_std = 1e12",
+        "duration_std = 1e300",
+        "duration_mean = 1e300",
+        "weekday_trips_mean = 1e9",
+        "weekday_trips_std = 1e12",
+    ],
+)
 def test_synth_config_past_a_ceiling_is_data_error_and_writes_nothing(tmp_path, capsys, line):
     # Unchecked, the first two ran out of memory drawing stops, the third ended
-    # in an OverflowError (exit 3), and the fourth wrote NaT stamps after an invalid cast (exit 0).
+    # in an OverflowError (exit 3), the fourth wrote NaT stamps after an invalid cast (exit 0),
+    # and the last two ran out of memory drawing a day's trips.
     conf = tmp_path / "big.conf"
     conf.write_text(SMALL_CONFIG + line + "\n", encoding="utf-8")
     out = tmp_path / "never.csv"
+    t0 = time.perf_counter()
     assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
-    assert re.search(r"above MAX_(STOPS|TRIP_HOURS)", capsys.readouterr().err)
+    assert time.perf_counter() - t0 < 1.0
+    assert re.search(r"above MAX_(STOPS|TRIP_HOURS|ROWS)", capsys.readouterr().err)
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
 

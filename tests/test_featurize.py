@@ -122,7 +122,12 @@ def test_build_table_empty_errors():
 def test_duration_minus_delay_equals_scheduled_on_generated_data():
     cfg = GenConfig(
         months=((2019, 3),),
-        trips_per_daytype={"Weekday": (12.0, 3.0), "Saturday": (3.0, 1.0), "Sunday": (1.0, 0.4)},
+        weekday_trips_mean=12.0,
+        weekday_trips_std=3.0,
+        saturday_trips_mean=3.0,
+        saturday_trips_std=1.0,
+        sunday_trips_mean=1.0,
+        sunday_trips_std=0.4,
         seed=5,
     )
     trips, _ = assemble_trips(generate(cfg))

@@ -106,6 +106,14 @@ def test_ridge_negative_penalty_rejected(fit, lam):
         fit(X, y, lam)
 
 
+def test_ridge_none_penalty_rejected():
+    # Only the lasso has a None default; a None ridge penalty reached the solve as a TypeError.
+    X, y = _system(9, n=20)
+    X = np.column_stack([X, np.arange(20) % 7])  # the day-type column the registry's linear models expand
+    with pytest.raises(DataError, match="penalty lam must be a finite number >= 0, got None"):
+        make_model("ri", 0, lam=None).fit(X, y)
+
+
 @pytest.mark.parametrize("setting", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": np.nan}, {"tol": np.inf},
                                      {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True}])
 def test_lasso_stopping_rule_that_could_not_stop_rejected(setting):

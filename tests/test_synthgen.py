@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,12 @@ import pytest
 import tripcast
 from tripcast.errors import DataError
 from tripcast.synthgen import (
+    MAX_ROWS,
     MAX_STOPS,
     GenConfig,
     _base_mean_gap,
+    _days_by_weekday,
+    _month_days,
     _norm_cdf,
     _solve_base_duration_mean,
     generate,
@@ -31,7 +36,12 @@ ONE_MONTH = ((2019, 3),)
 def small_config(**overrides):
     base = dict(
         months=ONE_MONTH,
-        trips_per_daytype={"Weekday": (40.0, 8.0), "Saturday": (8.0, 2.0), "Sunday": (2.0, 0.7)},
+        weekday_trips_mean=40.0,
+        weekday_trips_std=8.0,
+        saturday_trips_mean=8.0,
+        saturday_trips_std=2.0,
+        sunday_trips_mean=2.0,
+        sunday_trips_std=0.7,
         seed=11,
     )
     base.update(overrides)
@@ -56,7 +66,12 @@ def test_different_seed_differs():
 
 def test_zero_std_degenerate_duration():
     cfg = small_config(
-        trips_per_daytype={"Weekday": (10.0, 0.0), "Saturday": (3.0, 0.0), "Sunday": (1.0, 0.0)},
+        weekday_trips_mean=10.0,
+        weekday_trips_std=0.0,
+        saturday_trips_mean=3.0,
+        saturday_trips_std=0.0,
+        sunday_trips_mean=1.0,
+        sunday_trips_std=0.0,
         stops_std=0.0,
         duration_std=0.0,
         delay_std=0.0,
@@ -152,10 +167,8 @@ NAN, INF = math.nan, math.inf
         ({"cities_mean": -INF}, "cities_mean must be a finite number"),
         ({"stops_std": "x"}, "stops_std must be a finite number"),
         ({"delay_mean": True}, "delay_mean must be a finite number"),
-        ({"trips_per_daytype": {"Weekday": (NAN, 8.0), "Saturday": (8.0, 2.0), "Sunday": (2.0, 0.7)}},
-         "Weekday trips mean must be a finite number"),
-        ({"trips_per_daytype": {"Weekday": (40.0, 8.0), "Saturday": (8.0, INF), "Sunday": (2.0, 0.7)}},
-         "Saturday trips std must be a finite number"),
+        ({"weekday_trips_mean": NAN}, "GenConfig weekday_trips_mean must be a finite number"),
+        ({"saturday_trips_std": INF}, "GenConfig saturday_trips_std must be a finite number"),
         ({"stops_min": 2.5}, "stops_min must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": "1"}, "seed must be an integer"),
@@ -172,8 +185,7 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         ({"stops_mean": -5.0}, "stops_mean must be > 0"),
         ({"cities_mean": 0.0}, "cities_mean must be > 0"),
         ({"duration_mean": -1.0}, "duration_mean must be > 0"),
-        ({"trips_per_daytype": {"Weekday": (-3.0, 8.0), "Saturday": (8.0, 2.0), "Sunday": (2.0, 0.7)}},
-         "Weekday trips mean must be >= 0"),
+        ({"weekday_trips_mean": -3.0}, "GenConfig weekday_trips_mean must be >= 0"),
         # Means below the floor every trip meets: 1e-9 wrote 2.45 stops and 3.43 h a trip.
         ({"stops_mean": 1e-9}, "stops_mean 1e-09 is below stops_min 2"),
         ({"stops_mean": 2.5, "stops_min": 3}, "stops_mean 2.5 is below stops_min 3"),
@@ -194,6 +206,11 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         ({"delay_mean": -1e300}, r"is 1e\+300 h, above MAX_TRIP_HOURS 744"),
         # A delay spread whose 8-std reach passes the ceiling is refused as well.
         ({"delay_std": 90.0}, r"is 7\d\d\.\d+ h, above MAX_TRIP_HOURS 744"),
+        # Daily trip counts past the row ceiling: the day's draws ran out of memory.
+        ({"weekday_trips_mean": 1e9}, r"ask for 6\.3\d*e\+11 stop rows .* above MAX_ROWS 80,000,000"),
+        ({"weekday_trips_std": 1e12}, r"ask for 5\.04e\+15 stop rows .* above MAX_ROWS 80,000,000"),
+        # A negative std names its field; it read "standard deviations must be >= 0".
+        ({"sunday_trips_std": -1.0}, "GenConfig sunday_trips_std must be >= 0, got -1.0"),
     ],
 )
 def test_validation_rejects_means_out_of_range(overrides, message):
@@ -207,6 +224,68 @@ def test_configs_at_the_ceilings_pass():
     small_config(stops_mean=float(MAX_STOPS), stops_std=0.0, stops_min=MAX_STOPS).validate()
     # 100 + |-44| + 8 * (0 + 75) is MAX_TRIP_HOURS exactly.
     small_config(duration_mean=100.0, duration_std=0.0, delay_mean=-44.0, delay_std=75.0).validate()
+    # February 2021 has 20 weekdays; 2 stops on each of MAX_ROWS / 40 trips a weekday is MAX_ROWS exactly.
+    at_rows = small_config(
+        months=((2021, 2),),
+        weekday_trips_mean=MAX_ROWS / 40,
+        weekday_trips_std=0.0,
+        saturday_trips_mean=0.0,
+        saturday_trips_std=0.0,
+        sunday_trips_mean=0.0,
+        sunday_trips_std=0.0,
+        stops_mean=2.0,
+        stops_std=0.0,
+    )
+    at_rows.validate()
+    with pytest.raises(DataError, match="above MAX_ROWS"):
+        replace(at_rows, weekday_trips_mean=math.nextafter(MAX_ROWS / 40, math.inf)).validate()
+
+
+def test_three_years_at_the_default_daily_counts_pass():
+    months = tuple((year, month) for year in (2019, 2020, 2021) for month in range(1, 13))
+    GenConfig(months=months).validate()
+
+
+def test_days_by_weekday_matches_a_day_by_day_count():
+    months = ((1, 1), (1900, 2), (2000, 2), (2019, 3), (2020, 2), (2021, 2), (2021, 12), (9999, 11))
+    counts = Counter(day.weekday() for year, month in months for day in _month_days(year, month))
+    assert _days_by_weekday(months) == [counts[k] for k in range(7)]
+
+
+def test_gen_config_is_hashable():
+    # The trip counts were a dict: hash() raised a TypeError, and the dict could change after validate.
+    assert hash(GenConfig()) == hash(GenConfig())
+    assert len({GenConfig(), GenConfig(), GenConfig(seed=1)}) == 2
+
+
+#: A valid value other than the default for every scalar GenConfig field.
+CHANGED_SCALARS = {
+    "weekday_trips_mean": 50.5,
+    "weekday_trips_std": 5.25,
+    "saturday_trips_mean": 9.0,
+    "saturday_trips_std": 1.5,
+    "sunday_trips_mean": 2.0,
+    "sunday_trips_std": 0.75,
+    "stops_mean": 7.0,
+    "stops_std": 2.5,
+    "stops_min": 3,
+    "cities_mean": 4.0,
+    "duration_mean": 5.0,
+    "duration_std": 3.0,
+    "duration_min": 0.1,
+    "delay_mean": 0.5,
+    "delay_std": 6.0,
+    "seed": 99,
+}
+
+
+def test_every_scalar_field_round_trips_through_a_config_file(tmp_path):
+    assert set(CHANGED_SCALARS) == {f.name for f in fields(GenConfig)} - {"months"}
+    default = GenConfig()
+    assert all(getattr(default, name) != value for name, value in CHANGED_SCALARS.items())
+    path = tmp_path / "gen.conf"
+    path.write_text("".join(f"{name} = {value!r}\n" for name, value in CHANGED_SCALARS.items()), encoding="utf-8")
+    assert load_gen_config(path) == replace(default, **CHANGED_SCALARS)
 
 
 def test_load_gen_config_defaults_and_overrides(tmp_path):
@@ -225,8 +304,8 @@ def test_load_gen_config_defaults_and_overrides(tmp_path):
     )
     cfg = load_gen_config(path)
     assert cfg.months == ((2019, 3), (2019, 4), (2019, 5))
-    assert cfg.trips_per_daytype["Weekday"][0] == 50.0
-    assert cfg.trips_per_daytype["Saturday"] == (198.23, 23.54)  # default kept
+    assert cfg.weekday_trips_mean == 50.0
+    assert (cfg.saturday_trips_mean, cfg.saturday_trips_std) == (198.23, 23.54)  # default kept
     assert cfg.seed == 99
     assert cfg.duration_mean == 4.0
 
@@ -267,7 +346,12 @@ def test_calibration_tracks_custom_targets():
     # Different duration/delay targets should still land near their means.
     cfg = small_config(
         months=((2019, 3), (2019, 4)),
-        trips_per_daytype={"Weekday": (120.0, 10.0), "Saturday": (30.0, 5.0), "Sunday": (10.0, 2.0)},
+        weekday_trips_mean=120.0,
+        weekday_trips_std=10.0,
+        saturday_trips_mean=30.0,
+        saturday_trips_std=5.0,
+        sunday_trips_mean=10.0,
+        sunday_trips_std=2.0,
         duration_mean=3.0,
         duration_std=2.0,
         delay_mean=0.3,
