@@ -13,16 +13,15 @@ Test slices partition the 3-month test period exactly (the last slice may
 be shorter); each fold trains on the window immediately preceding its test
 slice, so train always ends where test begins and no fold can leak future
 rows into training. "Month" means calendar-month boundaries; week and day
-windows are 7/1-day slices anchored at the test-period start. Fold bounds
-are ``datetime`` values; the rows of each window are found by binary search
-in the table's ``datetime64[s]`` start times, which must be sorted.
+windows are 7/1-day slices anchored at the test-period start. Windows are
+``timedelta64`` months or days; fold bounds are ``datetime64[s]``, whose
+rows are found by binary search in the table's sorted start times.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -57,14 +56,12 @@ def _check_pair(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(slots=True, frozen=True)
 class ScenarioSpec:
-    """One retraining scheme; windows are calendar months or day counts."""
+    """One retraining scheme: ``timedelta64`` train and test windows, both in months or both in days."""
 
     id: int
     description: str
-    test_months: int | None = None
-    train_months: int | None = None
-    test_days: int | None = None
-    train_days: int | None = None
+    train: np.timedelta64
+    test: np.timedelta64
 
     @classmethod
     def for_id(cls, scenario_id: int) -> "ScenarioSpec":
@@ -75,30 +72,21 @@ class ScenarioSpec:
 
 
 SCENARIOS: dict[int, ScenarioSpec] = {
-    0: ScenarioSpec(0, "no retraining: 4 months train, 3 months test", test_months=3, train_months=4),
-    1: ScenarioSpec(1, "retrain monthly: 3 months train, 1 month test", test_months=1, train_months=3),
-    2: ScenarioSpec(2, "retrain biweekly: 6 weeks train, 2 weeks test", test_days=14, train_days=42),
-    3: ScenarioSpec(3, "retrain weekly: 3 weeks train, 1 week test", test_days=7, train_days=21),
-    4: ScenarioSpec(4, "retrain daily: 3 days train, 1 day test", test_days=1, train_days=3),
+    0: ScenarioSpec(0, "no retraining: 4 months train, 3 months test", np.timedelta64(4, "M"), np.timedelta64(3, "M")),
+    1: ScenarioSpec(1, "retrain monthly: 3 months train, 1 month test", np.timedelta64(3, "M"), np.timedelta64(1, "M")),
+    2: ScenarioSpec(2, "retrain biweekly: 6 weeks train, 2 weeks test", np.timedelta64(42, "D"), np.timedelta64(14, "D")),
+    3: ScenarioSpec(3, "retrain weekly: 3 weeks train, 1 week test", np.timedelta64(21, "D"), np.timedelta64(7, "D")),
+    4: ScenarioSpec(4, "retrain daily: 3 days train, 1 day test", np.timedelta64(3, "D"), np.timedelta64(1, "D")),
 }
 
 
 @dataclass(slots=True, frozen=True)
 class Fold:
-    """Half-open [start, end) train and test ranges; train ends at test start."""
+    """Half-open [start, end) ``datetime64[s]`` train and test ranges; train ends at test start."""
 
     index: int
-    train_range: tuple[datetime, datetime]
-    test_range: tuple[datetime, datetime]
-
-
-def month_floor(ts: datetime) -> datetime:
-    return datetime(ts.year, ts.month, 1)
-
-
-def add_months(ts: datetime, k: int) -> datetime:
-    month_index = ts.year * 12 + (ts.month - 1) + k
-    return datetime(month_index // 12, month_index % 12 + 1, 1)
+    train_range: tuple[np.datetime64, np.datetime64]
+    test_range: tuple[np.datetime64, np.datetime64]
 
 
 def make_folds(table: FeatureTable, spec: ScenarioSpec) -> list[Fold]:
@@ -111,39 +99,26 @@ def make_folds(table: FeatureTable, spec: ScenarioSpec) -> list[Fold]:
     if np.any(starts[1:] < starts[:-1]):
         raise DataError("feature table must be chronologically sorted")
 
-    t_min, t_max = starts[0].item(), starts[-1].item()
-    test_start = add_months(month_floor(t_max), -(TEST_PERIOD_MONTHS - 1))
-    end_exclusive = t_max + timedelta(seconds=1)
+    t_min, t_max = starts[0], starts[-1]
+    test_start = t_max.astype("datetime64[M]") - (TEST_PERIOD_MONTHS - 1)
     if test_start <= t_min:
         raise InsufficientSpanError(
             f"table spans {t_min}..{t_max}: no room for a {TEST_PERIOD_MONTHS}-month test period"
         )
+    # Test slices start a whole window apart, in the windows' own unit, up to t_max's.
+    unit = np.datetime_data(spec.test)[0]
+    first, last = np.datetime64(test_start, unit), np.datetime64(t_max, unit)
+    lo = first + spec.test * np.arange((last - first) // spec.test + 1)
+    train_lo = (lo - spec.train).astype("datetime64[s]")
+    hi = np.minimum((lo + spec.test).astype("datetime64[s]"), t_max + np.timedelta64(1, "s"))
+    lo = lo.astype("datetime64[s]")
 
-    slices: list[tuple[datetime, datetime]] = []
-    cursor = test_start
-    while cursor < end_exclusive:
-        if spec.test_months is not None:
-            nxt = add_months(cursor, spec.test_months)
-        else:
-            nxt = cursor + timedelta(days=spec.test_days)
-        slices.append((cursor, min(nxt, end_exclusive)))
-        cursor = nxt
-
-    folds = []
-    for index, (ts, te) in enumerate(slices):
-        if spec.train_months is not None:
-            train_start = add_months(ts, -spec.train_months)
-        else:
-            train_start = ts - timedelta(days=spec.train_days)
-        folds.append(Fold(index=index, train_range=(train_start, ts), test_range=(ts, te)))
-
-    first_train = folds[0].train_range[0]
-    if first_train < month_floor(t_min):
+    if train_lo[0] < t_min.astype("datetime64[M]"):
         raise InsufficientSpanError(
-            f"training window of fold 0 starts {first_train}, before the table's "
-            f"first month ({month_floor(t_min)}); span too short for scenario {spec.id}"
+            f"training window of fold 0 starts {train_lo[0]}, before the table's first month"
+            f" ({t_min.astype('datetime64[M]')}); span too short for scenario {spec.id}"
         )
-    return folds
+    return [Fold(index, (train_lo[index], lo[index]), (lo[index], hi[index])) for index in range(lo.size)]
 
 
 class Regressor(Protocol):
@@ -187,12 +162,6 @@ class ScenarioRun:
     diagnostics: list[str]
 
 
-def _row_range(times_s: np.ndarray, lo: datetime, hi: datetime) -> tuple[int, int]:
-    lo64 = np.datetime64(lo, "s")
-    hi64 = np.datetime64(hi, "s")
-    return int(np.searchsorted(times_s, lo64, "left")), int(np.searchsorted(times_s, hi64, "left"))
-
-
 def run_scenario(
     table: FeatureTable,
     spec: ScenarioSpec,
@@ -210,60 +179,41 @@ def run_scenario(
     diagnostic too. Aggregates are unweighted means over the executed
     folds. Metric values are deterministic for a fixed seed; fit times are not.
     """
-    folds = make_folds(table, spec)
     times_s = table.start_times
-
-    def leakage_guard(fold: Fold, tr: tuple[int, int], te: tuple[int, int]) -> None:
-        last_train = times_s[tr[1] - 1]
-        first_test = times_s[te[0]]
-        if not (last_train < first_test):
+    results: list[RunResult] = []
+    diagnostics: list[str] = []
+    for fold in make_folds(table, spec):
+        train, test = fold.train_range, fold.test_range
+        (tr0, tr1), (te0, te1) = np.searchsorted(times_s, (train, test)).tolist()
+        if te0 == te1:
+            diagnostics.append(f"fold {fold.index}: no test rows in {test[0]}..{test[1]}; skipped")
+            continue
+        if tr0 == tr1:
+            diagnostics.append(f"fold {fold.index}: no training rows in {train[0]}..{train[1]}; skipped")
+            continue
+        if not times_s[tr1 - 1] < times_s[te0]:
             raise AssertionError(f"fold {fold.index}: train overlaps test")
-
-    def run_fold(fold: Fold) -> tuple[RunResult | None, str | None]:
-        tr = _row_range(times_s, *fold.train_range)
-        te = _row_range(times_s, *fold.test_range)
-        n_train, n_test = tr[1] - tr[0], te[1] - te[0]
-        if n_test == 0:
-            return None, f"fold {fold.index}: no test rows in {fold.test_range}; skipped"
-        if n_train == 0:
-            return None, f"fold {fold.index}: no training rows in {fold.train_range}; skipped"
-        leakage_guard(fold, tr, te)
-        X_train, y_train = table.X[tr[0] : tr[1]], table.y[tr[0] : tr[1]]
-        X_test, y_test = table.X[te[0] : te[1]], table.y[te[0] : te[1]]
         model = factory(fold.index)
         t0 = time.perf_counter()
-        model.fit(X_train, y_train)
+        model.fit(table.X[tr0:tr1], table.y[tr0:tr1])
         fit_time = time.perf_counter() - t0
         fitted = getattr(model, "model", model)
-        note = None
         if not getattr(fitted, "converged", True):
-            note = f"fold {fold.index}: fit did not converge; its last iterate is used"
+            diagnostics.append(f"fold {fold.index}: fit did not converge; its last iterate is used")
         elif getattr(fitted, "kind", None) == "adaboost_r2" and len(fitted.members) < fitted.settings["n_estimators"]:
-            note = f"fold {fold.index}: stopped after {len(fitted.members)} of {fitted.settings['n_estimators']} stages"
-        pred = model.predict(X_test)
-        fold_mae = mae(y_test, pred)
-        fold_rmse = rmse(y_test, pred)
+            diagnostics.append(
+                f"fold {fold.index}: stopped after {len(fitted.members)} of {fitted.settings['n_estimators']} stages"
+            )
+        pred = model.predict(table.X[te0:te1])
+        y_test = table.y[te0:te1]
+        fold_mae, fold_rmse = mae(y_test, pred), rmse(y_test, pred)
         if not fold_mae <= fold_rmse * (1 + 1e-12) + 1e-12:
             raise AssertionError(f"fold {fold.index}: mae {fold_mae} > rmse {fold_rmse}")
-        return (
-            RunResult(
-                scenario_id=spec.id,
-                model=model_name,
-                target=table.target.value,
-                fold=fold.index,
-                n_train=n_train,
-                n_test=n_test,
-                mae=fold_mae,
-                rmse=fold_rmse,
-                fit_time=fit_time,
-            ),
-            note,
-        )
+        results.append(RunResult(
+            scenario_id=spec.id, model=model_name, target=table.target.value, fold=fold.index,
+            n_train=tr1 - tr0, n_test=te1 - te0, mae=fold_mae, rmse=fold_rmse, fit_time=fit_time,
+        ))
 
-    outcomes = [run_fold(fold) for fold in folds]
-
-    results = [r for r, _ in outcomes if r is not None]
-    diagnostics = [d for _, d in outcomes if d is not None]
     if not results:
         raise DataError(f"scenario {spec.id}: no fold produced results")
     aggregate = Aggregate(

@@ -3,9 +3,9 @@
 Produces a stops table whose summary statistics (trips per day type, stops
 and cities per trip, trip duration and delay) track a configured set of
 targets, so the full experiment pipeline can run without any proprietary
-delivery log. Output is deterministic for a fixed seed: every calendar day
-derives an independent PCG64 substream from (seed, date), and days are
-emitted in chronological order.
+delivery log. Output is deterministic for a fixed seed: every calendar day,
+a ``datetime64[D]``, derives an independent PCG64 substream from (seed, its
+ISO date text), and days are emitted in chronological order.
 
 The output is a columnar :class:`~tripcast.trip_data.StopTable`. Each day
 makes one vectorized draw per quantity (trip count, stop counts, delays,
@@ -32,8 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from datetime import date as Date
-from datetime import timedelta
 from pathlib import Path
 from typing import Callable, ClassVar
 
@@ -42,7 +40,7 @@ import numpy as np
 from .checks import is_finite, is_int
 from .errors import DataError
 from .rng import substream
-from .trip_data import Coded, StopTable
+from .trip_data import Coded, StopTable, weekdays
 
 DEFAULT_MONTHS: tuple[tuple[int, int], ...] = (
     (2019, 3),
@@ -56,8 +54,9 @@ DEFAULT_MONTHS: tuple[tuple[int, int], ...] = (
 
 DEFAULT_SEED = 20190301
 
-#: The months a config may name. ``_month_days`` steps to the day after a
-#: month's last, which for 9999-12 is past the range of ``datetime.date``.
+#: The months a config may name. A trip may last ``MAX_TRIP_HOURS``, so one
+#: that starts on the last day of 9999-11 still ends in year 9999, the last
+#: year a stops-CSV stamp can hold.
 FIRST_MONTH, LAST_MONTH = (1, 1), (9999, 11)
 
 #: The most stops a trip may have at 8 stds, ``stops_mean + 8 stops_std``:
@@ -94,8 +93,10 @@ class GenConfig:
     :meth:`validate` requires every float field to be a finite number, and
     ``stops_min`` and ``seed`` to be integers. Every std and trips mean must
     be >= 0, the stop, city and duration means > 0, the stop and duration
-    means at least their floors ``stops_min`` and ``duration_min``, and
-    every month within ``FIRST_MONTH`` to ``LAST_MONTH``. Stop counts may
+    means at least their floors ``stops_min`` and ``duration_min``.
+    ``months`` must be a nonempty tuple of (year, month) integer pairs, each a
+    real month within ``FIRST_MONTH`` to ``LAST_MONTH``, strictly increasing:
+    a repeated month would repeat its trip numbers. Stop counts may
     reach at most ``MAX_STOPS``, trips last at most ``MAX_TRIP_HOURS``, and
     the rows number at most ``MAX_ROWS``, each at 8 stds. A duration mean
     that the delay law and the floor together put out of reach is refused
@@ -122,14 +123,19 @@ class GenConfig:
     seed: int = DEFAULT_SEED
 
     def validate(self) -> None:
-        if not self.months:
-            raise DataError("GenConfig.months must be nonempty")
+        if not isinstance(self.months, tuple) or not self.months:
+            raise DataError(f"GenConfig months must be a nonempty tuple, got {self.months!r}")
         for ym in self.months:
+            if not (isinstance(ym, tuple) and len(ym) == 2 and all(map(is_int, ym))):
+                raise DataError(f"GenConfig months entries must be (year, month) pairs of integers, got {ym!r}")
             year, month = ym
             if not 1 <= month <= 12:
                 raise DataError(f"invalid month {ym!r}")
             if not FIRST_MONTH <= ym <= LAST_MONTH:
                 raise DataError(f"month {year:04d}-{month:02d} is outside 0001-01..9999-11")
+        for earlier, later in zip(self.months, self.months[1:]):
+            if earlier >= later:
+                raise DataError(f"GenConfig months must be strictly increasing, got {earlier!r} before {later!r}")
         numbers = {f.name: getattr(self, f.name) for f in fields(self) if f.type in (float, "float")}
         for name, value in numbers.items():
             if not is_finite(value):
@@ -314,19 +320,15 @@ def _solve_city_pool_size(cfg: GenConfig) -> int:
     return best_p
 
 
-def _month_days(year: int, month: int) -> list[Date]:
-    day = Date(year, month, 1)
-    days = []
-    while day.month == month:
-        days.append(day)
-        day += timedelta(days=1)
-    return days
+def _month_bounds(months: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each month's first day and the first day after it, as ``datetime64[D]``."""
+    first = np.array([12 * (year - 1970) + month - 1 for year, month in months]).astype("datetime64[M]")
+    return first.astype("datetime64[D]"), (first + 1).astype("datetime64[D]")
 
 
 def _days_by_weekday(months: tuple[tuple[int, int], ...]) -> list[int]:
     """How many days of ``months`` fall on each weekday, Monday first, counted a month at a time."""
-    first = np.array([12 * (year - 1970) + month - 1 for year, month in months]).astype("datetime64[M]")
-    begin, end = first.astype("datetime64[D]"), (first + 1).astype("datetime64[D]")
+    begin, end = _month_bounds(months)
     return [int(np.busday_count(begin, end, weekmask=np.arange(7) == k).sum()) for k in range(7)]
 
 
@@ -363,7 +365,8 @@ def generate(config: GenConfig) -> StopTable:
     """
     config.validate()
     cal = _calibrate(config)
-    days = [_generate_day(config, cal, day) for year, month in config.months for day in _month_days(year, month)]
+    begin, end = _month_bounds(config.months)
+    days = [_generate_day(config, cal, day) for lo, hi in zip(begin, end) for day in np.arange(lo, hi)]
     return _stop_table([d for d in days if d is not None], cal.pool_size)
 
 
@@ -379,9 +382,9 @@ class _Day:
     actual_time: np.ndarray
 
 
-def _generate_day(cfg: GenConfig, cal: _Calibration, day: Date) -> _Day | None:
-    rng = substream(cfg.seed, "day", day.isoformat())
-    mean_trips, std_trips = _trips_by_weekday(cfg)[day.weekday()]
+def _generate_day(cfg: GenConfig, cal: _Calibration, day: np.datetime64) -> _Day | None:
+    rng = substream(cfg.seed, "day", str(day))
+    mean_trips, std_trips = _trips_by_weekday(cfg)[weekdays(day)]
     n_trips = int(max(round(rng.normal(mean_trips, std_trips)) if std_trips > 0 else round(mean_trips), 0))
     if n_trips == 0:
         return None
@@ -426,7 +429,7 @@ def _generate_day(cfg: GenConfig, cal: _Calibration, day: Date) -> _Day | None:
         offsets = np.rint(fracs * np.repeat(span_h * 3600.0, stop_counts)).astype(np.int64)
         return start_of_row + offsets.astype("timedelta64[s]")
 
-    date_token = day.strftime("%Y%m%d")
+    date_token = str(day).replace("-", "")
     return _Day(
         trip_numbers=[f"T{date_token}-{i:05d}" for i in range(n_trips)],
         delivery_round=np.arange(n_trips) % 97,
@@ -486,24 +489,24 @@ _SCALAR_KEYS = {f.name: {"float": float, "int": int}[f.type] for f in fields(Gen
 
 
 def _parse_months(raw: str) -> tuple[tuple[int, int], ...]:
+    """``YYYY-MM`` months, comma-separated, or one ``first..last`` range; each a real month in bounds."""
+
     def parse_one(token: str) -> tuple[int, int]:
         year_s, _, month_s = token.partition("-")
-        return int(year_s), int(month_s)
+        year, month = int(year_s), int(month_s)
+        if not 1 <= month <= 12:
+            raise ValueError(f"{token.strip()!r} is not a month")
+        if not FIRST_MONTH <= (year, month) <= LAST_MONTH:
+            raise ValueError(f"month {year:04d}-{month:02d} is outside 0001-01..9999-11")
+        return year, month
 
     raw = raw.strip()
     if ".." in raw:
         first_s, _, last_s = raw.partition("..")
-        first, last = parse_one(first_s), parse_one(last_s)
-        months = []
-        year, month = first
-        while (year, month) <= last:
-            months.append((year, month))
-            month += 1
-            if month == 13:
-                year, month = year + 1, 1
-        if not months:
+        lo, hi = (12 * year + month - 1 for year, month in (parse_one(first_s), parse_one(last_s)))
+        if lo > hi:
             raise ValueError("empty month range")
-        return tuple(months)
+        return tuple((index // 12, index % 12 + 1) for index in range(lo, hi + 1))
     return tuple(parse_one(tok) for tok in raw.split(",") if tok.strip())
 
 

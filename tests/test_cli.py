@@ -100,6 +100,35 @@ def test_synth_config_past_a_ceiling_is_data_error_and_writes_nothing(tmp_path, 
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "months, problem",
+    [
+        # Unchecked, the first three were cut back to real months and the last two
+        # wrote a repeated month's trips twice under the same trip numbers (exit 0).
+        ("2019-03..2019-13", "'2019-13' is not a month"),
+        ("2019-03..2019-99", "'2019-99' is not a month"),
+        ("2019-11..2020-00", "'2020-00' is not a month"),
+        ("2019-03,2019-03,2019-04", "strictly increasing"),
+        ("2019-04,2019-03", "strictly increasing"),
+        # A range end is checked before the range is expanded, one month at a time.
+        ("2019-03..99999999-01", "month 99999999-01 is outside 0001-01..9999-11"),
+    ],
+)
+def test_synth_months_not_real_or_not_increasing_is_data_error_and_writes_nothing(tmp_path, capsys, months, problem):
+    conf = tmp_path / "months.conf"
+    conf.write_text(SMALL_CONFIG + f"months = {months}\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    t0 = time.perf_counter()
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert problem in err
+    if "increasing" not in problem:
+        assert f"{conf}:{len(SMALL_CONFIG.splitlines()) + 1}: bad value for 'months'" in err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("command", ["summarize", "run"])
 def test_stops_file_not_utf8_is_data_error(tmp_path, stops_csv, capsys, command):
     # Unchecked, csv.reader's UnicodeDecodeError ended in an internal error (exit 3).

@@ -13,10 +13,8 @@ from tripcast.errors import DataError, InsufficientSpanError
 from tripcast.evaluation import (
     SCENARIOS,
     ScenarioSpec,
-    add_months,
     mae,
     make_folds,
-    month_floor,
     rmse,
     run_scale_bench,
     run_scenario,
@@ -104,7 +102,8 @@ def test_scenario_0_single_fold_four_month_train():
     folds = make_folds(table, ScenarioSpec.for_id(0))
     assert len(folds) == 1
     fold = folds[0]
-    assert fold.train_range == (datetime(2019, 3, 1), datetime(2019, 7, 1))
+    assert {bound.dtype for bound in (*fold.train_range, *fold.test_range)} == {np.dtype("datetime64[s]")}
+    assert fold.train_range == (np.datetime64("2019-03-01T00:00:00"), np.datetime64("2019-07-01T00:00:00"))
     assert fold.test_range[0] == datetime(2019, 7, 1)
     assert fold.test_range[1] > datetime(2019, 9, 30)
 
@@ -150,6 +149,35 @@ def _start_time_table(first, span_days, points):
     return FeatureTable([f"T{i}" for i in range(n)], starts, np.zeros((n, 1)), np.zeros(n), TargetKind.DURATION)
 
 
+def _add_months(ts, k):
+    """The first of the month ``k`` months after ``ts``'s, by Python ``datetime`` arithmetic."""
+    month_index = ts.year * 12 + (ts.month - 1) + k
+    return datetime(month_index // 12, month_index % 12 + 1, 1)
+
+
+def _reference_folds(t_min, t_max, spec):
+    """(train start, test start, test end) of each fold, or None if the span is too short.
+
+    An oracle apart from ``make_folds``: ``datetime`` values, a window's
+    months added one calendar month at a time and its days as ``timedelta``.
+    """
+    unit, = {np.datetime_data(window)[0] for window in (spec.train, spec.test)}
+    train, test = int(spec.train.astype(np.int64)), int(spec.test.astype(np.int64))
+
+    def shift(ts, n):
+        return _add_months(ts, n) if unit == "M" else ts + timedelta(days=n)
+
+    test_start = _add_months(t_max, -2)
+    if test_start <= t_min:
+        return None
+    end = t_max + timedelta(seconds=1)
+    bounds = []
+    while not bounds or bounds[-1][2] < end:
+        ts = bounds[-1][2] if bounds else test_start
+        bounds.append((shift(ts, -train), ts, min(shift(ts, test), end)))
+    return bounds if bounds[0][0] >= _add_months(t_min, 0) else None
+
+
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 @settings(max_examples=60, deadline=2000)
 @given(
@@ -158,29 +186,27 @@ def _start_time_table(first, span_days, points):
     points=st.lists(st.integers(0, 1000), max_size=60),
 )
 def test_fold_partition_and_no_leakage(scenario_id, first, span_days, points):
-    # Either the span is too short, or the test windows tile the last three
-    # calendar months, each train window ends where its test window starts,
-    # and every train row precedes every test row.
+    # Either the span is too short, or the folds are those of the datetime
+    # reference: the test windows tile the last three calendar months, each
+    # train window ends where its test window starts, and every train row
+    # precedes every test row.
     table = _start_time_table(first, span_days, points)
     spec = ScenarioSpec.for_id(scenario_id)
     t_min, t_max = table.start_times[0].item(), table.start_times[-1].item()
-    last_three = add_months(month_floor(t_max), -2)
-    try:
-        folds = make_folds(table, spec)
-    except InsufficientSpanError:
-        # Only when the test months start at or before the first row, or fold 0's
-        # training window would start before the first row's month.
-        if spec.train_months is not None:
-            train_start = add_months(last_three, -spec.train_months)
-        else:
-            train_start = last_three - timedelta(days=spec.train_days)
-        assert last_three <= t_min or train_start < month_floor(t_min)
+    expected = _reference_folds(t_min, t_max, spec)
+    if expected is None:
+        with pytest.raises(InsufficientSpanError):
+            make_folds(table, spec)
         return
+    folds = make_folds(table, spec)
+    assert [(f.train_range[0].item(), *(bound.item() for bound in f.test_range)) for f in folds] == expected
+    assert [f.index for f in folds] == list(range(len(expected)))
+    last_three = _add_months(t_max, -2)
     assert folds[0].test_range[0] == last_three > t_min
     assert folds[-1].test_range[1] == t_max + timedelta(seconds=1)
     for a, b in zip(folds, folds[1:]):
         assert a.test_range[1] == b.test_range[0]
-    assert folds[0].train_range[0] >= month_floor(t_min)
+    assert folds[0].train_range[0] >= _add_months(t_min, 0)
     times = table.start_times.tolist()
     for fold in folds:
         assert fold.train_range[0] < fold.train_range[1] == fold.test_range[0] < fold.test_range[1]
@@ -199,10 +225,23 @@ def test_insufficient_span_errors():
         i += 1
         day += timedelta(days=1)
     table = build_table(trip_table(trips), TargetKind.DURATION)
-    with pytest.raises(InsufficientSpanError):
+    # Times read as ISO text, not as reprs.
+    too_early = r"fold 0 starts 2019-03-01T00:00:00, before the table's first month \(2019-06\)"
+    with pytest.raises(InsufficientSpanError, match=too_early):
         make_folds(table, ScenarioSpec.for_id(0))
     # scenario 4 needs only 3 days of history before July: fine
     assert make_folds(table, ScenarioSpec.for_id(4))
+
+
+def test_span_errors_in_the_first_months_of_year_one():
+    # Bounds in Python datetime fell before year 1 here and raised a bare ValueError.
+    table = _start_time_table(datetime(1, 1, 1, 8), 58, [])
+    with pytest.raises(InsufficientSpanError, match="spans 0001-01-01T08:00:00..0001-02-28T08:00:00"):
+        make_folds(table, ScenarioSpec.for_id(3))
+    table = _start_time_table(datetime(1, 1, 1, 8), 130, [])
+    with pytest.raises(InsufficientSpanError, match=r"starts 0000-11-01T00:00:00, before the table's first month"):
+        make_folds(table, ScenarioSpec.for_id(0))
+    assert make_folds(table, ScenarioSpec.for_id(4))[0].train_range[0] == np.datetime64("0001-02-26T00:00:00")
 
 
 def test_unknown_scenario():
@@ -286,7 +325,7 @@ def test_run_scenario_empty_test_fold_skipped_and_reported():
         day += timedelta(days=1)
     table = build_table(trip_table(trips), TargetKind.DURATION)
     run = run_scenario(table, ScenarioSpec.for_id(3), "mean", lambda fold: MeanModel())
-    assert any("no test rows" in d for d in run.diagnostics)
+    assert run.diagnostics == ["fold 9: no test rows in 2019-09-02T00:00:00..2019-09-09T00:00:00; skipped"]
     executed_folds = {r.fold for r in run.results}
     assert len(executed_folds) < len(make_folds(table, ScenarioSpec.for_id(3)))
 
@@ -303,7 +342,7 @@ def test_run_scenario_empty_train_fold_reported_run_continues():
         day += timedelta(days=1)
     table = build_table(trip_table(trips), TargetKind.DURATION)
     run = run_scenario(table, ScenarioSpec.for_id(4), "mean", lambda fold: MeanModel())
-    assert any("no training rows" in d for d in run.diagnostics)
+    assert "fold 43: no training rows in 2019-08-10T00:00:00..2019-08-13T00:00:00; skipped" in run.diagnostics
     assert run.results
 
 

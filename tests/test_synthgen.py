@@ -1,11 +1,11 @@
 """Synthetic generator: determinism, calibration mechanics, invariants."""
 
+import calendar
 import io
 import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,7 +20,6 @@ from tripcast.synthgen import (
     GenConfig,
     _base_mean_gap,
     _days_by_weekday,
-    _month_days,
     _norm_cdf,
     _solve_base_duration_mean,
     generate,
@@ -248,8 +247,42 @@ def test_three_years_at_the_default_daily_counts_pass():
 
 def test_days_by_weekday_matches_a_day_by_day_count():
     months = ((1, 1), (1900, 2), (2000, 2), (2019, 3), (2020, 2), (2021, 2), (2021, 12), (9999, 11))
-    counts = Counter(day.weekday() for year, month in months for day in _month_days(year, month))
-    assert _days_by_weekday(months) == [counts[k] for k in range(7)]
+    counts = [0] * 7
+    for year, month in months:
+        first_weekday, n_days = calendar.monthrange(year, month)
+        for day in range(n_days):
+            counts[(first_weekday + day) % 7] += 1
+    assert _days_by_weekday(months) == counts
+
+
+@pytest.mark.parametrize(
+    "months",
+    [
+        ((2019, 3.0),),
+        ((2019, True),),
+        (("2019", 3),),
+        ((2019, 3, 1),),
+        ((2019,),),
+        (2019,),
+        [(2019, 3)],
+        ((2019, 3), (2019, 3)),
+        ((2019, 4), (2019, 3)),
+    ],
+)
+def test_months_must_be_increasing_pairs_of_integers(months):
+    # Unchecked, these ended in a bare TypeError or ValueError, generated January for
+    # True, or wrote a repeated month's trips twice under the same trip numbers.
+    with pytest.raises(DataError, match="months"):
+        small_config(months=months).validate()
+
+
+def test_trip_numbers_of_years_before_1000_are_zero_padded_and_sorted():
+    # strftime("%Y") writes no leading zeros on glibc: T9991201-... sorted after T10000101-...
+    records = generate(small_config(months=((999, 12), (1000, 1))))
+    trips = [trip for trip, *_ in stop_rows(records)]
+    assert trips[0] == "T09991201-00000"
+    assert trips[-1].startswith("T10000131-")
+    assert trips == sorted(trips)
 
 
 def test_gen_config_is_hashable():
