@@ -20,7 +20,9 @@ nested a tree config in the ensemble config; version 2 also carried
 ``loss``; and version 1 nested one object per node. Because a document
 comes from outside the program, the loader also checks that each tree's
 arrays form a tree before it is used (see
-:meth:`tripcast.trees.Tree.from_dict`).
+:meth:`tripcast.trees.Tree.from_dict`), and refuses as a ``PersistError``
+a file over ``MAX_DOCUMENT_BYTES``, bytes that are not UTF-8, nesting
+deeper than the JSON parser recurses and integers past Python's digit limit.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from .registry import model_from_payload
 
 FORMAT_NAME = "tripcast-model"
 FORMAT_VERSION = 5
+
+#: Largest model file :func:`load_model` reads (256 MiB). The largest registry
+#: documents at 40k training rows are the default forests of unlimited depth:
+#: 86 MB for ``rf`` and 83 MB for ``br`` on the benchmark's serve table.
+MAX_DOCUMENT_BYTES = 1 << 28
 
 
 def _canonical(doc: dict) -> str:
@@ -61,9 +68,18 @@ def save_model(model, path: str | Path) -> None:
 
 def loads_model(text: str):
     try:
+        return _read_document(text)
+    except RecursionError as exc:  # while parsing, or in a check of a document parsed just short of it
+        raise PersistError("model document is nested too deeply") from exc
+
+
+def _read_document(text: str):
+    try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PersistError(f"model document is not valid JSON (truncated?): {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise PersistError(f"model document has a number it cannot read: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise PersistError("not a tripcast model document")
     version = doc.get("format_version")
@@ -83,4 +99,11 @@ def load_model(path: str | Path):
     path = Path(path)
     if not path.exists():
         raise PersistError(f"model file not found: {path}")
-    return loads_model(path.read_text(encoding="utf-8"))
+    size = path.stat().st_size
+    if size > MAX_DOCUMENT_BYTES:
+        raise PersistError(f"model file {path} has {size} bytes, over the {MAX_DOCUMENT_BYTES} a document may have")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PersistError(f"model file {path} is not UTF-8: {exc}") from exc
+    return loads_model(text)

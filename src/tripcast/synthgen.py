@@ -515,8 +515,12 @@ def load_gen_config(path: str | Path) -> GenConfig:
     path = Path(path)
     if not path.exists():
         raise DataError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config file {path} is not UTF-8: {exc}") from exc
     updates: dict[str, object] = {}
-    for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

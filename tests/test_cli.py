@@ -15,7 +15,7 @@ import pytest
 from tripcast.cli import MODEL_FLAGS, main
 from tripcast.errors import UsageError
 from tripcast.persist import _canonical
-from tripcast import linear, registry
+from tripcast import linear, persist, registry
 from tripcast.registry import REGISTRY, ModelRegistryEntry, make_model
 
 SMALL_CONFIG = """
@@ -395,6 +395,46 @@ def test_load_model_malformed_payload_is_data_error(tmp_path, stops_csv, capsys,
     capsys.readouterr()
     assert main(["load-model", str(model_path)]) == 2
     assert "malformed model document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        # Each ended in an internal error (exit 3): RecursionError, UnicodeDecodeError and ValueError.
+        (b"[" * 200_000, "nested too deeply"),
+        (b'{"format": "tripcast-model", "kind": "Stra\xdfe"}', "is not UTF-8"),
+        (b'{"a":' + b"7" * 5_000 + b"}", "a number it cannot read"),
+    ],
+    ids=["deeply nested", "latin-1", "5000 digits"],
+)
+def test_load_model_unreadable_document_is_data_error_and_writes_nothing(tmp_path, stops_csv, capsys, content, problem):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    preds = tmp_path / "preds.csv"
+    t0 = time.perf_counter()
+    assert main(["load-model", str(model_path), "--stops", str(stops_csv), "--predictions-out", str(preds)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert problem in capsys.readouterr().err
+    assert not preds.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_load_model_refuses_a_file_over_the_size_bound_before_reading_it(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(b"{}")
+    with mock.patch.object(persist, "MAX_DOCUMENT_BYTES", 1), mock.patch.object(Path, "read_text", side_effect=AssertionError):
+        assert main(["load-model", str(model_path)]) == 2
+    assert "has 2 bytes, over the 1" in capsys.readouterr().err
+
+
+def test_synth_config_not_utf8_is_data_error_and_writes_nothing(tmp_path, capsys):
+    conf = tmp_path / "latin1.conf"
+    conf.write_bytes(SMALL_CONFIG.encode("utf-8") + "# Straße\n".encode("latin-1"))
+    out = tmp_path / "never.csv"
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
+    assert f"config file {conf} is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_usage_error_on_bad_flags(capsys):

@@ -10,6 +10,7 @@ import pytest
 from tripcast.ensembles import SETTINGS
 from tripcast.errors import PersistError, UsageError
 from tripcast.persist import (
+    FORMAT_NAME,
     FORMAT_VERSION,
     _canonical,
     dumps_model,
@@ -102,6 +103,18 @@ def test_not_a_model_document():
 def test_missing_file():
     with pytest.raises(PersistError, match="not found"):
         load_model("/nonexistent/model.json")
+
+
+def test_nesting_near_the_recursion_limit_is_a_persist_error():
+    # A payload nested just short of the parser's limit parses, and then the
+    # checksum's json.dumps ran out of recursion (a RecursionError). Each
+    # depth is refused as a PersistError, whichever step meets it.
+    for depth in range(900, 1100):
+        body = f'{{"format":"{FORMAT_NAME}","format_version":{FORMAT_VERSION},"kind":"linear","payload":'
+        body += "[" * depth + "]" * depth + "}"
+        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        with pytest.raises(PersistError):
+            loads_model(body[:-1] + f',"checksum":"{checksum}"}}')
 
 
 @pytest.mark.parametrize("abbrev", ["lr", "gb"])

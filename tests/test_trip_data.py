@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 from unittest import mock
@@ -489,6 +490,34 @@ def test_long_records_are_refused_in_bounded_time(tmp_path):
     assert len(stops) == 2 and rejects == []
 
 
+def test_parse_holds_one_block_at_a_time(tmp_path):
+    # While it reads, the parse's transient memory (its peak less the table
+    # it returns) stays within a few blocks, however many blocks the file
+    # has; joining the batches at the end copies the rows once, less than that
+    # here. Measured at 6.8 blocks on this file; holding the previous block's
+    # split while the next is split read 8.9, and 4 MiB blocks with
+    # 32,768-row batches, which held it too, read 9.6.
+    row = '{t},round {t},{s},client-{c},"{s} Depot Street, City-{c}",City-{c},2019-03-01T0{h}:42:58,2019-03-01T0{h}:50:00'
+    rows = [HEADER]
+    size = 0
+    while size < 8 * trip_data.BLOCK_BYTES:
+        i = len(rows)
+        rows.append(row.format(t=f"T20190301-{i // 10:05d}", s=i % 10 + 1, c=f"{i % 37:03d}", h=i % 10))
+        size += len(rows[-1]) + 2
+    path = tmp_path / "blocks.csv"
+    path.write_bytes("\r\n".join(rows).encode("utf-8") + b"\r\n")
+    n = len(rows) - 1
+    del rows
+    tracemalloc.start()
+    try:
+        stops, rejects = parse_stops_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stops) == n and rejects == []
+    assert peak - held < 8 * trip_data.BLOCK_BYTES
+
+
 def test_invalid_utf8_fails_as_csv_reader_does(tmp_path):
     # A non-UTF-8 byte is a data error naming its offset in the file, also
     # blocks in. A file with more than one fault is refused at the first:
@@ -642,7 +671,9 @@ def test_write_then_parse_round_trip(tmp_path):
 ODD_LABELS = ["", "a,b", 'say "hi"', "cr\rx", "lf\nx", "crlf\r\n", " pad ", "Straße", '"', ","]
 
 
-def test_write_matches_csv_writer_bytes():
+@pytest.mark.parametrize("chunk", [1, 7, trip_data.CHUNK_ROWS])
+def test_write_matches_csv_writer_bytes(chunk):
+    # At 1 and 7 rows a chunk, chunk boundaries fall inside the table.
     n = 3 * len(ODD_LABELS)
     labels = ODD_LABELS * 3
     stops = make_stops(
@@ -653,7 +684,8 @@ def test_write_matches_csv_writer_bytes():
         text={"address": coded(labels[::-1]), "client_name": coded(labels)},
     )
     got = io.StringIO(newline="")
-    assert write_stops_csv(stops, got) == n
+    with mock.patch.object(trip_data, "CHUNK_ROWS", chunk):
+        assert write_stops_csv(stops, got) == n
     want = io.StringIO(newline="")
     writer = csv.writer(want)
     writer.writerow(trip_data.CANONICAL_COLUMNS)
