@@ -494,8 +494,8 @@ def test_parse_holds_one_block_at_a_time(tmp_path):
     # While it reads, the parse's transient memory (its peak less the table
     # it returns) stays within a few blocks, however many blocks the file
     # has; joining the batches at the end copies the rows once, less than that
-    # here. Measured at 6.8 blocks on this file; holding the previous block's
-    # split while the next is split read 8.9, and 4 MiB blocks with
+    # here. Measured at 6.7 blocks on this file; holding the previous block's
+    # split while the next is split read 8.7, and 4 MiB blocks with
     # 32,768-row batches, which held it too, read 9.6.
     row = '{t},round {t},{s},client-{c},"{s} Depot Street, City-{c}",City-{c},2019-03-01T0{h}:42:58,2019-03-01T0{h}:50:00'
     rows = [HEADER]
