@@ -11,12 +11,14 @@ turns every prediction into NaN. Targets are bounded too (:data:`TARGET_SUM_LIMI
 for fitters and model documents alike. The ``require*`` helpers check
 persisted model documents, which come from outside the program too; they
 raise :class:`~tripcast.errors.PersistError` with a ``malformed model
-document: ...`` message.
+document: ...`` message. :func:`input_file` is the one check of a path the
+program reads: a stops CSV, a generator config or a model document.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +26,16 @@ from .errors import DataError, PersistError
 
 #: ``len(y) * max|y|`` stays below this, so a split scan's squared target sums stay finite.
 TARGET_SUM_LIMIT = 1e154
+
+
+def input_file(path: str | Path, what: str, error: type[DataError] = DataError) -> Path:
+    """``path`` as a ``Path`` if it names a regular file (or a link to one); else ``error`` naming it."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    if not path.is_file():
+        raise error(f"{what} {path} is not a regular file")
+    return path
 
 
 def as_matrix(X) -> np.ndarray:

@@ -21,8 +21,9 @@ nested a tree config in the ensemble config; version 2 also carried
 comes from outside the program, the loader also checks that each tree's
 arrays form a tree before it is used (see
 :meth:`tripcast.trees.Tree.from_dict`), and refuses as a ``PersistError``
-a file over ``MAX_DOCUMENT_BYTES``, bytes that are not UTF-8, nesting
-deeper than the JSON parser recurses and integers past Python's digit limit.
+a path that is not a regular file, a file over ``MAX_DOCUMENT_BYTES``,
+bytes that are not UTF-8, nesting deeper than the JSON parser recurses
+and integers past Python's digit limit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from .checks import input_file
 from .errors import PersistError
 from .registry import model_from_payload
 
@@ -96,9 +98,7 @@ def _read_document(text: str):
 
 
 def load_model(path: str | Path):
-    path = Path(path)
-    if not path.exists():
-        raise PersistError(f"model file not found: {path}")
+    path = input_file(path, "model file", PersistError)
     size = path.stat().st_size
     if size > MAX_DOCUMENT_BYTES:
         raise PersistError(f"model file {path} has {size} bytes, over the {MAX_DOCUMENT_BYTES} a document may have")

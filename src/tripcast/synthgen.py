@@ -37,7 +37,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .checks import is_finite, is_int
+from .checks import input_file, is_finite, is_int
 from .errors import DataError
 from .rng import substream
 from .trip_data import Coded, StopTable, weekdays
@@ -512,9 +512,7 @@ def _parse_months(raw: str) -> tuple[tuple[int, int], ...]:
 
 def load_gen_config(path: str | Path) -> GenConfig:
     """Read a GenConfig from a plain key=value file; missing keys keep defaults."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
+    path = input_file(path, "config file")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -37,6 +37,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from .checks import input_file
 from .errors import DataError
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
@@ -278,9 +279,10 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     """Read a stops CSV and return (valid rows, per-row reject diagnostics).
 
     The header must name the eight ``CANONICAL_COLUMNS``, in any order.
-    Raises ``DataError`` if the file is missing, lacks a column in its
-    header, leaves the dialect ``write_stops_csv`` writes, or no row parses
-    — partial results are never returned for structural failures. A file
+    Raises ``DataError`` if the path is missing or not a regular file, if
+    the header lacks a column, if the file leaves the dialect
+    ``write_stops_csv`` writes, or if no row parses — partial results are
+    never returned for structural failures. A file
     leaves the dialect at a fault :func:`_split` names or at a trip or city
     cell over ``_MAX_LABEL_BYTES``; the error names the reason and the
     offset in the file of the first fault the parse meets.
@@ -302,9 +304,7 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     file's size: the block's bytes, as read and padded for cell reads, its
     field indexes and one ``CHUNK_ROWS`` batch's conversions.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"stops file not found: {path}")
+    path = input_file(path, "stops file")
     out = _Columns()
     columns = None
     offset, rest = 0, b""

@@ -1,10 +1,12 @@
 """Shared construction helpers for the test suite."""
 
 import contextlib
+import re
 import signal
 from datetime import datetime
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tripcast.linear import LinearModel, expand_day_type
 from tripcast.registry import REGISTRY, make_model
@@ -218,3 +220,39 @@ def small_model(abbrev, seed, n_estimators):
     """``make_model``, with ``n_estimators`` for the models that declare it."""
     settings = {"n_estimators": n_estimators} if "n_estimators" in REGISTRY[abbrev].settings else {}
     return make_model(abbrev, seed, **settings)
+
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+#: Numbers a reader may choke on: past Python's 4,300-digit limit on integer
+#: strings, past the float range either way, and past the int64 range.
+HUGE_NUMBERS = [b"9" * 5_000, b"1.7e308", b"-1.7e308", b"1" + b"0" * 400, b"1e400", b"-1e400", b"1e-400", b"9223372036854775808", b"-" + b"9" * 20]
+
+
+@st.composite
+def mutated_bytes(draw, original: bytes) -> bytes:
+    """``original`` truncated, spliced, with bytes flipped, a number nested in lists, or a number made huge."""
+    n = len(original)
+    kind = draw(st.sampled_from(["truncate", "splice", "flip", "nest", "huge"]))
+    at = draw(st.integers(min_value=0, max_value=n))
+    if kind == "truncate":
+        return original[:at]
+    if kind == "splice":  # a piece of the text, put in place of another
+        start = draw(st.integers(min_value=0, max_value=n))
+        piece = original[start : start + draw(st.integers(min_value=0, max_value=64))]
+        return original[:at] + piece + original[at + draw(st.integers(min_value=0, max_value=64)) :]
+    if kind == "flip":
+        out = bytearray(original)
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            out[draw(st.integers(min_value=0, max_value=n - 1))] ^= draw(st.integers(min_value=1, max_value=255))
+        return bytes(out)
+    numbers = list(_NUMBER.finditer(original))
+    if not numbers:
+        return original
+    number = draw(st.sampled_from(numbers))
+    if kind == "nest":
+        depth = draw(st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=900, max_value=5_000)))
+        replacement = b"[" * depth + number.group() + b"]" * depth
+    else:
+        replacement = draw(st.sampled_from(HUGE_NUMBERS))
+    return original[: number.start()] + replacement + original[number.end() :]

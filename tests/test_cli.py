@@ -437,6 +437,26 @@ def test_synth_config_not_utf8_is_data_error_and_writes_nothing(tmp_path, capsys
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "command, what",
+    [
+        (["load-model", "{dir}"], "model file"),
+        (["synth", "--config", "{dir}", "--out", "{out}/never.csv"], "config file"),
+        (["summarize", "{dir}"], "stops file"),
+        (["run", "{dir}", "--scenario", "1", "--target", "delay", "--models", "lr", "--out", "{out}/run"], "stops file"),
+    ],
+    ids=["load-model", "synth", "summarize", "run"],
+)
+def test_directory_given_as_an_input_file_is_data_error_and_writes_nothing(tmp_path, capsys, command, what):
+    # Each ended in an internal error (exit 3, IsADirectoryError).
+    given, out = tmp_path / "given", tmp_path / "out"
+    given.mkdir()
+    assert main([arg.format(dir=given, out=out) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert f"{what} {given} is not a regular file" in captured.err
+    assert not out.exists()
+
+
 def test_usage_error_on_bad_flags(capsys):
     assert main(["run"]) == 1
     assert main(["no-such-command"]) == 1

@@ -6,9 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tripcast.ensembles import SETTINGS
-from tripcast.errors import PersistError, UsageError
+from tripcast.errors import DataError, PersistError, UsageError
 from tripcast.persist import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -20,7 +22,7 @@ from tripcast.persist import (
 )
 from tripcast.registry import make_model
 
-from tests.helpers import small_model
+from tests.helpers import mutated_bytes, small_model, time_limit
 
 
 def _data(seed=0, n=150, k=9):
@@ -387,3 +389,73 @@ def test_document_records_exactly_its_kinds_settings(abbrev):
         del short["payload"]["settings"][missing]
         with pytest.raises(PersistError, match=f"settings lacks {missing}"):
             loads_model(_rechecksummed(short))
+
+
+
+@pytest.mark.parametrize(
+    "abbrev, edit",
+    [
+        ("lr", lambda payload: payload["model"]["coefficients"].__setitem__(0, 1.7e308)),
+        ("gb", lambda payload: payload["members"][0].__setitem__("weight", 1.7e308)),
+        ("br", lambda payload: [m["tree"].__setitem__("value", [1.7e308] * len(m["tree"]["value"])) for m in payload["members"]]),
+    ],
+    ids=["linear coefficient", "boosting stage weight", "bagging leaf values"],
+)
+def test_finite_parameters_that_overflow_on_a_query_are_refused_at_predict(abbrev, edit):
+    # Each document passes every check, yet its predictions overflowed to
+    # inf and were returned as if they were numbers.
+    X, y = _data()
+    doc = json.loads(dumps_model(small_model(abbrev, 1, n_estimators=2).fit(X, y)))
+    edit(doc["payload"])
+    model = loads_model(_rechecksummed(doc))
+    with pytest.raises(DataError, match="non-finite value"):
+        model.predict(X)
+
+#: One small fitted model of each persisted kind, by kind.
+_ONE_PER_KIND = {"linear": "la", "bagging": "br", "random_forest": "rf", "gbm_exact": "gb", "gbm_hist": "hgb", "adaboost_r2": "ab"}
+
+
+@pytest.fixture(scope="module")
+def small_documents():
+    X, y = _data(n=40)
+    docs = {}
+    for kind, abbrev in _ONE_PER_KIND.items():
+        settings = {"n_estimators": 2, "max_depth": 2} if abbrev != "la" else {}
+        model = make_model(abbrev, 3, **settings).fit(X, y)
+        assert model.kind == kind
+        docs[kind] = dumps_model(model).encode("utf-8")
+    return X, docs
+
+
+def _resigned(data: bytes) -> bytes | None:
+    """``data`` with a checksum that matches it, if it is a JSON object; so the checks past the checksum see it."""
+    try:
+        doc = json.loads(data)
+        return _rechecksummed(doc).encode("utf-8") if isinstance(doc, dict) else None
+    except (ValueError, RecursionError):
+        return None
+
+
+@pytest.mark.parametrize("kind", sorted(_ONE_PER_KIND))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_property_mutated_document_loads_and_predicts_finite_values_or_is_refused(tmp_path, small_documents, kind, data):
+    # Truncated, spliced or flipped bytes fail the parse or the checksum. The
+    # same bytes with a matching checksum reach the document's own checks,
+    # and finite parameters that overflow on a query are refused there.
+    X, docs = small_documents
+    mutant = data.draw(mutated_bytes(docs[kind]))
+    path = tmp_path / "model.json"
+    for content in (mutant, _resigned(mutant)):
+        if content is None:
+            continue
+        path.write_bytes(content)
+        with time_limit(5):
+            try:
+                model = load_model(path)
+            except PersistError:
+                continue
+            try:
+                assert np.all(np.isfinite(model.predict(X)))
+            except DataError as exc:
+                assert "non-finite value" in str(exc)

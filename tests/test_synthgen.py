@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import tripcast
 from tripcast.errors import DataError
@@ -27,7 +28,7 @@ from tripcast.synthgen import (
 )
 from tripcast.trip_data import assemble_trips, parse_stops_csv, summarize, write_stops_csv
 
-from tests.helpers import stop_rows
+from tests.helpers import mutated_bytes, stop_rows, time_limit
 
 ONE_MONTH = ((2019, 3),)
 
@@ -319,6 +320,25 @@ def test_every_scalar_field_round_trips_through_a_config_file(tmp_path):
     path = tmp_path / "gen.conf"
     path.write_text("".join(f"{name} = {value!r}\n" for name, value in CHANGED_SCALARS.items()), encoding="utf-8")
     assert load_gen_config(path) == replace(default, **CHANGED_SCALARS)
+
+
+#: A config setting every key, for the mutation test below.
+FULL_CONFIG = ("months = 2019-03..2019-05\n" + "".join(f"{k} = {v!r}\n" for k, v in CHANGED_SCALARS.items())).encode()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=mutated_bytes(FULL_CONFIG))
+def test_property_mutated_config_loads_or_is_a_data_error(tmp_path, content):
+    # Truncated, spliced or flipped bytes, a number in nested brackets or a
+    # huge number: the loader returns a checked config or refuses the file.
+    path = tmp_path / "gen.conf"
+    path.write_bytes(content)
+    with time_limit(5):
+        try:
+            cfg = load_gen_config(path)
+        except DataError:
+            return
+    cfg.validate()
 
 
 def test_load_gen_config_defaults_and_overrides(tmp_path):

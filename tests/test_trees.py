@@ -14,6 +14,7 @@ from tripcast.rng import derive_seed, substream
 from tripcast.trees import (
     MAX_BINS,
     BinnedColumns,
+    ExactColumns,
     Tree,
     canonical_rows,
     fit_tree_exact,
@@ -338,6 +339,33 @@ def test_property_exact_tree_equals_per_node_reference(data, n_features, copies,
     X = np.tile([x[:n_features] for x, _ in data], (copies, 1)) * 0.5
     y = np.tile([t for _, t in data], copies)
     assert tree_arrays(fit_tree_exact(X, y, max_depth=depth)) == reference_tree(X, y, depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6), st.floats(-1e3, 1e3)
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    n_features=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    depth=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+)
+def test_property_level_wise_and_depth_first_exact_growers_give_equal_trees(data, n_features, seed, depth):
+    # grow_exact picks the grower by depth, which is sound only if both give
+    # the same tree, bit for bit, on any member's input: a sorted resample of
+    # canonical rows, which repeats rows, with float targets.
+    X, y = canonical_rows(np.array([x[:n_features] for x, _ in data]) * 0.5, np.array([t for _, t in data]))
+    idx = np.sort(np.random.default_rng(seed).integers(0, y.size, size=y.size))
+    X, y = X[idx], y[idx]
+    level = trees._grow_levels(X, y, depth)
+    first, _ = trees._grow(X, y, depth, ExactColumns(X))
+    for name in ("feature", "threshold", "right", "value"):
+        assert getattr(level, name).tobytes() == getattr(first, name).tobytes(), name
+    assert tree_arrays(trees.grow_exact(X, y, depth)) == tree_arrays(level)
 
 
 @settings(max_examples=25, deadline=None)
