@@ -225,8 +225,19 @@ def small_model(abbrev, seed, n_estimators):
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 #: Numbers a reader may choke on: past Python's 4,300-digit limit on integer
-#: strings, past the float range either way, and past the int64 range.
-HUGE_NUMBERS = [b"9" * 5_000, b"1.7e308", b"-1.7e308", b"1" + b"0" * 400, b"1e400", b"-1e400", b"1e-400", b"9223372036854775808", b"-" + b"9" * 20]
+#: strings, finite but near the float limit, past the float range either way,
+#: and past the int64 range.
+HUGE_NUMBERS = [
+    b"9" * 5_000,
+    b"1.7e308",
+    b"-1.7e308",
+    b"1" + b"0" * 400,
+    b"1e400",
+    b"-1e400",
+    b"1e-400",
+    b"9223372036854775808",
+    b"-" + b"9" * 20,
+]
 
 
 @st.composite

@@ -412,7 +412,14 @@ def test_finite_parameters_that_overflow_on_a_query_are_refused_at_predict(abbre
         model.predict(X)
 
 #: One small fitted model of each persisted kind, by kind.
-_ONE_PER_KIND = {"linear": "la", "bagging": "br", "random_forest": "rf", "gbm_exact": "gb", "gbm_hist": "hgb", "adaboost_r2": "ab"}
+_ONE_PER_KIND = {
+    "linear": "la",
+    "bagging": "br",
+    "random_forest": "rf",
+    "gbm_exact": "gb",
+    "gbm_hist": "hgb",
+    "adaboost_r2": "ab",
+}
 
 
 @pytest.fixture(scope="module")
@@ -420,8 +427,8 @@ def small_documents():
     X, y = _data(n=40)
     docs = {}
     for kind, abbrev in _ONE_PER_KIND.items():
-        settings = {"n_estimators": 2, "max_depth": 2} if abbrev != "la" else {}
-        model = make_model(abbrev, 3, **settings).fit(X, y)
+        small = {"n_estimators": 2, "max_depth": 2} if abbrev != "la" else {}
+        model = make_model(abbrev, 3, **small).fit(X, y)
         assert model.kind == kind
         docs[kind] = dumps_model(model).encode("utf-8")
     return X, docs
@@ -441,8 +448,9 @@ def _resigned(data: bytes) -> bytes | None:
 @given(data=st.data())
 def test_property_mutated_document_loads_and_predicts_finite_values_or_is_refused(tmp_path, small_documents, kind, data):
     # Truncated, spliced or flipped bytes fail the parse or the checksum. The
-    # same bytes with a matching checksum reach the document's own checks,
-    # and finite parameters that overflow on a query are refused there.
+    # same bytes with a matching checksum reach the document's own checks.
+    # A document that passes them may still refuse a query as a data error:
+    # finite parameters that overflow on it, or a day-type column moved.
     X, docs = small_documents
     mutant = data.draw(mutated_bytes(docs[kind]))
     path = tmp_path / "model.json"
@@ -456,6 +464,7 @@ def test_property_mutated_document_loads_and_predicts_finite_values_or_is_refuse
             except PersistError:
                 continue
             try:
-                assert np.all(np.isfinite(model.predict(X)))
-            except DataError as exc:
-                assert "non-finite value" in str(exc)
+                predictions = model.predict(X)
+            except DataError:
+                continue
+            assert np.all(np.isfinite(predictions))
