@@ -1,11 +1,12 @@
 """Checks on what enters a model from outside: data and model documents.
 
 Every fit entry calls :func:`training_data` and every predict entry
-:func:`query_matrix`, so trees, ensembles and linear models accept and
-reject the same inputs with the same :class:`~tripcast.errors.DataError`.
-Non-finite values are refused outright: a NaN feature compares false with
-every split threshold and poisons a least-squares solve, and a NaN target
-turns every prediction into NaN. Targets are bounded too (:data:`TARGET_SUM_LIMIT`).
+:func:`query_matrix` and :func:`finite_predictions`, so trees, ensembles and
+linear models accept and reject the same inputs with the same
+:class:`~tripcast.errors.DataError`. Non-finite values are refused outright:
+a NaN feature compares false with every split threshold and poisons a
+least-squares solve, and a NaN target turns every prediction into NaN.
+Targets are bounded too (:data:`TARGET_SUM_LIMIT`).
 
 :func:`check_setting` is the one check of each tree and ensemble setting,
 for fitters and model documents alike. The ``require*`` helpers check
@@ -17,8 +18,10 @@ program reads: a stops CSV, a generator config or a model document.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -71,6 +74,21 @@ def query_matrix(X, n_features: int) -> np.ndarray:
         raise DataError(f"model was fit on {n_features} features, input has {X.shape[1]}")
     _require_finite(X)
     return X
+
+
+def finite_predictions(predict: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """``predict``, refusing as a ``DataError`` a prediction that finite parameters overflowed to inf or NaN."""
+
+    @functools.wraps(predict)
+    def checked(*args) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, so not also a warning
+            predictions = predict(*args)
+        bad = np.flatnonzero(~np.isfinite(predictions))
+        if bad.size:
+            raise DataError(f"model predicts a non-finite value for {bad.size} row(s), the first row {bad[0]}")
+        return predictions
+
+    return checked
 
 
 def _require_finite(X: np.ndarray) -> None:

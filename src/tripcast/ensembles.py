@@ -46,7 +46,7 @@ from typing import Literal
 
 import numpy as np
 
-from .checks import check_setting, is_finite, is_int, require, require_keys, training_data
+from .checks import check_setting, finite_predictions, is_finite, is_int, require, require_keys, training_data
 from .errors import DataError, PersistError
 from .rng import derive_seed, substream
 from .trees import (
@@ -277,6 +277,7 @@ def fit_adaboost_r2(X: np.ndarray, y: np.ndarray, **settings: object) -> Ensembl
     )
 
 
+@finite_predictions
 def predict_ensemble_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """Row-matrix prediction: mean, boosted sum, or weighted median by kind.
 

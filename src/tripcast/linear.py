@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import is_finite, is_int, query_matrix, require, require_keys, training_data
+from .checks import finite_predictions, is_finite, is_int, query_matrix, require, require_keys, training_data
 from .errors import DataError
 from .featurize import N_DAY_TYPES
 
@@ -57,6 +57,7 @@ class LinearModel:
     #: Model-document kind of every linear model.
     kind = "linear"
 
+    @finite_predictions
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = query_matrix(X, self.n_raw_features)
         Xe = expand_day_type(X, self.day_type_col)

@@ -49,19 +49,9 @@ class Estimator:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """The model's predictions, refused if any is not finite.
-
-        Finite parameters can still overflow: a loaded document's coefficient
-        or stage weight near the float limit times an ordinary feature value.
-        """
         if self.model is None:
             raise DataError("model is not fitted")
-        with np.errstate(over="ignore", invalid="ignore"):
-            predictions = self.model.predict(X)
-        bad = np.flatnonzero(~np.isfinite(predictions))
-        if bad.size:
-            raise DataError(f"model predicts a non-finite value for {bad.size} row(s), the first row {bad[0]}")
-        return predictions
+        return self.model.predict(X)
 
     def to_payload(self) -> dict:
         if self.model is None:

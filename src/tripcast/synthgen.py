@@ -69,12 +69,10 @@ MAX_STOPS = 1_000
 #: ``LAST_MONTH``'s last day and lasts 31 days still ends in year 9999.
 MAX_TRIP_HOURS = 31 * 24.0
 
-#: The most stop rows a config may ask for at 8 stds: over every day of its
-#: months, ``trips_mean + 8 trips_std`` of the day's type, times
-#: ``stops_mean + 8 stops_std``. The generator holds about 110 bytes a row
-#: (a 113.9 MiB tracemalloc peak at the default config's 1,051,325 rows), so
-#: this is about 8.8 GB. The default calibration draws about a thirteenth of
-#: its bound, so three years at the default daily counts (a 72.8M bound) pass.
+#: The most stop rows a config may ask for: the mean of its total plus 8 of
+#: its stds, with the expected stops a trip. The generator holds about 110
+#: bytes a row (a 113.9 MiB tracemalloc peak at the default config's 1,051,325
+#: rows), so this is about 8.8 GB. Forty years at the default daily counts pass.
 MAX_ROWS = 80_000_000
 
 
@@ -98,9 +96,9 @@ class GenConfig:
     real month within ``FIRST_MONTH`` to ``LAST_MONTH``, strictly increasing:
     a repeated month would repeat its trip numbers. Stop counts may
     reach at most ``MAX_STOPS``, trips last at most ``MAX_TRIP_HOURS``, and
-    the rows number at most ``MAX_ROWS``, each at 8 stds. A duration mean
-    that the delay law and the floor together put out of reach is refused
-    when the generator calibrates, before any draw.
+    the rows number at most ``MAX_ROWS``, each at 8 stds (of the total, for
+    the rows). A duration mean that the delay law and the floor together put
+    out of reach is refused when the generator calibrates, before any draw.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
@@ -162,12 +160,20 @@ class GenConfig:
         most_stops = self.stops_mean + 8.0 * self.stops_std
         if most_stops > MAX_STOPS:
             raise DataError(f"GenConfig stops_mean + 8 stops_std is {most_stops:.6g}, above MAX_STOPS {MAX_STOPS}")
-        most_trips = [mean + 8.0 * std for mean, std in _trips_by_weekday(self)]
-        most_rows = most_stops * sum(n * trips for n, trips in zip(_days_by_weekday(self.months), most_trips))
+        # Days and trips draw independently, so the total's variance is the sum of theirs. Clipping
+        # a day's trip count at 0 lifts its mean by at most trips_std / sqrt(2 pi).
+        ks, pmf = _stop_count_pmf(self)
+        stops = float(pmf @ ks)
+        stops_var = float(pmf @ (ks - stops) ** 2)
+        days = zip(_days_by_weekday(self.months), _trips_by_weekday(self))
+        days = [(n, mean + std / math.sqrt(2.0 * math.pi), std) for n, (mean, std) in days]
+        rows = stops * sum(n * trips for n, trips, _ in days)
+        rows_var = sum(n * (trips * stops_var + (std * stops) ** 2) for n, trips, std in days)
+        most_rows = rows + 8.0 * math.sqrt(rows_var)
         if most_rows > MAX_ROWS:
             raise DataError(
-                f"GenConfig months ask for {most_rows:.6g} stop rows at trips_mean + 8 trips_std a day"
-                f" and stops_mean + 8 stops_std a trip, above MAX_ROWS {MAX_ROWS:,}"
+                f"GenConfig months ask for {rows:.6g} stop rows on average and {most_rows:.6g} at 8 stds,"
+                f" above MAX_ROWS {MAX_ROWS:,}"
             )
         longest = self.duration_mean + abs(self.delay_mean) + 8.0 * (self.duration_std + self.delay_std)
         if longest > MAX_TRIP_HOURS:

@@ -7,7 +7,7 @@ a :class:`StopTable` has one entry per stop row and a :class:`TripTable`
 one per trip. Trip numbers and cities are integer codes into arrays of
 their distinct labels, stop numbers are int64 and timestamps
 ``datetime64[s]``. Rows that fail validation are rejected with diagnostics,
-never silently coerced.
+never silently coerced: every cell is read by one grammar (:func:`parse_stops_csv`).
 
 Neither end of the CSV does per-cell work in the ``csv`` module.
 :func:`write_stops_csv` has ``csv.writer`` quote each distinct label once
@@ -17,7 +17,7 @@ quote parity and codes labels once per distinct byte string, numbered by
 first appearance. Any other file is a ``DataError`` naming the offset of
 the byte where it leaves the dialect: a quote that does not wrap a whole
 field, an unclosed quote, a lone ``\\r``, a NUL byte, bytes that are not
-UTF-8, a trip or city cell over 256 bytes, or a record that has not ended
+UTF-8, a stripped trip or city cell over 256 bytes, or a record not ended
 within 4 MiB. The parse reads ``BLOCK_BYTES`` (1 MiB) at a time and lets
 go of each block's buffers before it splits the next, so what it holds
 besides the rows parsed so far does not grow with the file.
@@ -30,7 +30,6 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Mapping, Sequence
@@ -39,8 +38,6 @@ import numpy as np
 
 from .checks import input_file
 from .errors import DataError
-
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
 #: Canonical stops CSV column order. A stops file's header must name all
 #: eight, in any order; parsing reads the ``PARSED_COLUMNS`` among them.
@@ -185,13 +182,20 @@ BLOCK_BYTES = 1 << 20
 #: stays within it plus one block (5 MiB).
 _MAX_RECORD_BYTES = 1 << 22
 
-#: Longest trip or city cell the parse codes, so that a label matrix stays within 8 MB.
+#: Longest trip or city cell the parse codes, stripped, so that a label matrix stays within 8 MB.
 _MAX_LABEL_BYTES = 256
 
 _COMMA, _QUOTE, _LF, _CR = b',"\n\r'
 
+#: Why a row is rejected, by fault code, in the order a row's cells are checked;
+#: ``{}`` is the repr of the cell at fault, a stop number stripped and a stamp as it stands.
+_REASONS = (
+    "", "empty trip_number", "stop_number {} is not an integer", "stop_number 0 < 1", "stop_number {} is out of range",
+    "unparseable scheduled_time {}", "unparseable actual_time {}",
+)
+_EMPTY_TRIP, _NOT_INTEGER, _BELOW_ONE, _OUT_OF_RANGE, _SCHEDULED, _ACTUAL = range(1, len(_REASONS))
+
 _Labels = tuple[list[str], np.ndarray]  # a batch's labels, and per row the index of its label
-_Points = tuple[np.ndarray, np.ndarray]  # a :func:`_byte_points` pair
 
 
 def _refuse(path: Path, at: int, reason: str) -> DataError:
@@ -207,11 +211,8 @@ def _code(seen: dict[str, int], column: _Labels, keep: np.ndarray) -> np.ndarray
     labels, index = column[0], column[1][keep]
     present, first = np.unique(index, return_index=True)
     present = present[np.argsort(first)]
-    names = list(map(labels.__getitem__, present.tolist()))
-    for label in dict.fromkeys(names):
-        seen.setdefault(label, len(seen))
     codes = np.zeros(len(labels), np.int64)
-    codes[present] = np.fromiter(map(seen.__getitem__, names), np.int64, len(names))
+    codes[present] = [seen.setdefault(labels[i], len(seen)) for i in present.tolist()]
     return codes[index]
 
 
@@ -229,35 +230,29 @@ class _Columns:
         """Convert, check and code the non-blank ``records`` of ``split`` as one batch.
 
         ``columns`` are the fields that hold the ``PARSED_COLUMNS``; a record
-        that ends before one reads it empty. Trip and city labels come
-        stripped. Rows that are not canonical go through :func:`_parse_row`
-        with their trip and their raw stop number and stamps; rejects are
-        recorded and the line count moves on by the batch.
+        that ends before one reads it empty. Each row's first fault, in
+        ``_REASONS`` order, comes from the batch's masks; Python runs once per
+        reject, to write its reason. The line count moves on by the batch.
         """
+        fields = np.asarray(columns)[:, None]  # a row of cells per parsed column
         first_field = split.record_end[records] - split.n_fields[records] + 1
-        cells = []
-        for j in columns:
-            has = j < split.n_fields[records]
-            start, length = split.cells(np.where(has, first_field + j, 0))
-            cells.append((start, np.where(has, length, 0)))
-        trip, stop, city, scheduled, actual = cells
-        trip_labels, trip_index = trips = _byte_labels(split, *trip, "trip_number")
-        cities = _byte_labels(split, *city, "city")
-        stop_number, fast = _canonical_counts(*_byte_points(split, *stop, _MAX_DIGITS))
-        scheduled_time, ok = _canonical_timestamps(*_byte_points(split, *scheduled, _STAMP_WIDTH))
-        fast &= ok
-        actual_time, ok = _canonical_timestamps(*_byte_points(split, *actual, _STAMP_WIDTH))
-        fast &= ok & np.fromiter(map(bool, trip_labels), bool, len(trip_labels))[trip_index]
-        keep = fast.copy()
-        for i in np.flatnonzero(~fast):
-            raw = (split.text(at[i], n[i]) for at, n in (stop, scheduled, actual))
-            parsed, reason = _parse_row(trip_labels[trip_index[i]], *raw)
-            if parsed is None:
-                self.rejects.append(RowDiagnostic(self.line + int(i), reason))
-            else:
-                stop_number[i], scheduled_time[i], actual_time[i] = parsed
-                keep[i] = True
-        self.line += len(keep)
+        has = fields < split.n_fields[records]
+        start, length = split.cells(np.where(has, first_field + fields, 0))
+        length = np.where(has, length, 0)
+        trip, stop, city, scheduled, actual = zip(*_strip(split, start, length, _SPACE))
+        trips, cities = _byte_labels(split, *trip, "trip_number"), _byte_labels(split, *city, "city")
+        stop_number, stop_fault = _stop_numbers(split, *stop)
+        scheduled_time, scheduled_ok = _canonical_timestamps(split, *scheduled)
+        actual_time, actual_ok = _canonical_timestamps(split, *actual)
+        faults = [trip[1] == 0, stop_fault > 0, ~scheduled_ok, ~actual_ok]
+        fault = np.select(faults, [_EMPTY_TRIP, stop_fault, _SCHEDULED, _ACTUAL], 0)
+        shown = {_SCHEDULED: (start[3], length[3]), _ACTUAL: (start[4], length[4])}  # else the stop number
+        for i in np.flatnonzero(fault):
+            at, n = shown.get(fault[i], stop)
+            reason = _REASONS[fault[i]].format(repr(split.text(at[i], n[i])))
+            self.rejects.append(RowDiagnostic(self.line + int(i), reason))
+        self.line += len(fault)
+        keep = fault == 0
         codes = _code(self.trips, trips, keep), _code(self.cities, cities, keep)
         self.batches.append((*codes, stop_number[keep], scheduled_time[keep], actual_time[keep]))
 
@@ -282,19 +277,20 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     Raises ``DataError`` if the path is missing or not a regular file, if
     the header lacks a column, if the file leaves the dialect
     ``write_stops_csv`` writes, or if no row parses — partial results are
-    never returned for structural failures. A file
-    leaves the dialect at a fault :func:`_split` names or at a trip or city
-    cell over ``_MAX_LABEL_BYTES``; the error names the reason and the
-    offset in the file of the first fault the parse meets.
+    never returned for structural failures. A file leaves the dialect at a
+    fault :func:`_split` names or at a stripped trip or city cell over
+    ``_MAX_LABEL_BYTES``; the error names the reason and the offset in the
+    file of the first fault the parse meets.
 
     Rows follow ``csv.DictReader``: blank lines are skipped and not counted
     in line numbers, missing cells read as empty, extra cells are ignored,
-    and a header name given twice reads its last column. Cells in canonical
-    form (an unpadded positive ASCII stop number, ``YYYY-MM-DDTHH:MM:SS``
-    timestamps) convert a batch at a time; every other row goes through
-    :func:`_parse_row`, which accepts what ``int`` and ``strptime`` accept
-    after stripping whitespace and says why it rejects a row. Trip and city
-    labels are numbered in order of first appearance among the kept rows.
+    and a header name given twice reads its last column. A cell is stripped
+    of the ASCII whitespace ``bytes.strip()`` removes; then a trip must not
+    be empty, a stop number is 1 to 19 ASCII digits worth 1 to 2**63 - 1,
+    and a stamp is exactly ``YYYY-MM-DDTHH:MM:SS`` naming a real second. A
+    row is rejected for its first fault in that order, so ``+3``, ``1_000``,
+    ``٧`` and ``2019-3-5T1:2:3`` are rejects. Trip and city labels are
+    numbered in order of first appearance among the kept rows.
 
     The file is read ``BLOCK_BYTES`` at a time and split into records and
     fields on its bytes. Each block is cut after its last record; the rest
@@ -317,10 +313,9 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
                 rest = data
                 continue
             rest, offset = data[split.used :], offset + split.used
-            first = 0
-            if columns is None:  # the first record is the header, even if blank
+            first = int(columns is None)  # the first record is the header, even if blank
+            if first:
                 columns = _column_positions(split)
-                first = 1
             body = np.flatnonzero(~split.blank[first:]) + first
             for lo in range(0, body.size, CHUNK_ROWS):
                 out.add(split, body[lo : lo + CHUNK_ROWS], columns)
@@ -349,12 +344,11 @@ def _column_positions(split: _Split) -> list[int]:
 class _Split:
     """Records and fields of the leading whole records of a byte buffer.
 
-    ``data`` starts at byte ``offset`` of the file at ``path``. ``terms``
-    holds the position of every field's terminator (a ``,`` or ``\\n``
-    outside quotes, or the end of the file); field ``t`` spans
-    ``starts[t]:ends[t]``, quotes included and a ``\\r`` before its ``\\n``
-    excluded. Record ``r`` is fields ``record_end[r] - n_fields[r] + 1`` to
-    ``record_end[r]``.
+    ``data`` starts at byte ``offset`` of the file at ``path``. Field ``t``
+    spans ``starts[t]:ends[t]``, up to its terminator (a ``,`` or ``\\n``
+    outside quotes, or the end of the file), quotes included and a ``\\r``
+    before its ``\\n`` excluded. Record ``r`` is fields
+    ``record_end[r] - n_fields[r] + 1`` to ``record_end[r]``.
     """
 
     path: Path
@@ -362,7 +356,6 @@ class _Split:
     offset: int
     windows: np.ndarray  # row i: the _MAX_LABEL_BYTES bytes from data[i], zero past the end
     used: int
-    terms: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     record_end: np.ndarray
@@ -452,11 +445,11 @@ def _split(path: Path, data: bytes, offset: int, at_end: bool) -> _Split | None:
     blank = (n_fields == 1) & (ends[record_end] == starts[record_end])
     padded = np.concatenate((b, np.zeros(_MAX_LABEL_BYTES, np.uint8)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, _MAX_LABEL_BYTES)
-    return _Split(path, data, offset, windows, used, terms, starts, ends, record_end, n_fields, blank)
+    return _Split(path, data, offset, windows, used, starts, ends, record_end, n_fields, blank)
 
 
 def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray, name: str) -> _Labels:
-    """The distinct cells ``split.text(start, length)``, stripped, and each cell's index into them.
+    """The distinct cells ``split.text(start, length)`` and each cell's index into them.
 
     A cell over ``_MAX_LABEL_BYTES`` is a ``DataError`` naming column ``name``.
     """
@@ -470,60 +463,54 @@ def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray, name: str
     run = np.ones(cells.size, dtype=bool)
     run[1:] = cells[1:] != cells[:-1]
     distinct, index = np.unique(cells[run], return_inverse=True)
-    labels = [cell.decode("utf-8").replace('""', '"').strip() for cell in distinct.tolist()]
+    labels = [cell.decode("utf-8").replace('""', '"') for cell in distinct.tolist()]
     return labels, index[np.cumsum(run) - 1]
 
 
-def _byte_points(split: _Split, start: np.ndarray, length: np.ndarray, width: int) -> _Points:
-    """(n, width) int32 bytes minus ord('0') of the cells at ``start``, and each cell's ``length``.
+#: The ASCII whitespace ``bytes.strip()`` removes, and the ASCII digits.
+_SPACE, _DIGIT = (np.isin(np.arange(256), list(members)) for members in (b" \t\n\v\f\r", b"0123456789"))
 
-    Bytes past a cell's end are whatever follows it in the split buffer;
-    callers read only within a cell's length, and compare the lengths to
-    tell a cell longer than ``width``.
+
+def _strip(split: _Split, start: np.ndarray, length: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells at ``start`` of ``length`` bytes with the bytes ``table`` holds taken off both ends.
+
+    Only a cell that starts or ends with one is read further, in time and memory linear in its bytes.
     """
-    return split.windows[start, :width].astype(np.int32) - ord("0"), length
+    last = start + np.maximum(length - 1, 0)
+    ends = (length > 0) & (table[split.windows[start, 0]] | table[split.windows[last, 0]])
+    if not ends.any():
+        return start, length
+    offsets = np.cumsum(length[ends]) - length[ends]
+    at = np.repeat(start[ends] - offsets, length[ends])  # the bytes of those cells, one cell after another
+    at += np.arange(at.size)
+    kept = ~table[split.windows[at, 0]]
+    first = np.minimum.reduceat(np.where(kept, at, np.iinfo(at.dtype).max), offsets)
+    end = np.maximum.reduceat(np.where(kept, at, -1), offsets) + 1  # 0 where none is kept
+    start, length = start.copy(), length.copy()
+    start[ends], length[ends] = np.minimum(first, end), np.maximum(end - first, 0)
+    return start, length
 
 
-def _parse_row(
-    trip: str, raw_stop: str, raw_scheduled: str, raw_actual: str
-) -> tuple[tuple[int, datetime, datetime] | None, str]:
-    """One row the canonical fast path did not take: its values, or why it is rejected."""
-    if not trip:
-        return None, "empty trip_number"
-    raw_stop = raw_stop.strip()
-    try:
-        stop_number = int(raw_stop)
-    except ValueError:
-        return None, f"stop_number {raw_stop!r} is not an integer"
-    if stop_number < 1:
-        return None, f"stop_number {stop_number} < 1"
-    if stop_number > np.iinfo(np.int64).max:
-        return None, f"stop_number {raw_stop!r} is out of range"
-    stamps = []
-    for name, raw in (("scheduled_time", raw_scheduled), ("actual_time", raw_actual)):
-        try:
-            stamps.append(datetime.strptime(raw.strip(), TIMESTAMP_FORMAT))
-        except ValueError:
-            return None, f"unparseable {name} {raw!r}"
-    return (stop_number, *stamps), ""
+#: Most digits in a stop number; 19 digits hold every positive int64.
+_MAX_DIGITS = 19
+_TENS = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.uint64)
 
 
-#: Longest stop number taken by the fast path; 18 digits always fit in int64.
-_MAX_DIGITS = 18
-
-
-def _canonical_counts(digits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of cells of 1 to 18 ASCII digits with a value >= 1, and which cells those are.
-
-    Takes a :func:`_byte_points` pair, cut to ``_MAX_DIGITS``.
-    """
-    inside = np.arange(_MAX_DIGITS) < lengths[:, None]
+def _stop_numbers(split: _Split, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of stop number cells, and each one's fault: 0 for 1 to 19 ASCII digits worth 1 to 2**63 - 1."""
+    width = min(int(length.max(initial=0)), _MAX_DIGITS)  # the batch's longest cell
+    digits = split.windows[start, :width].astype(np.int32) - ord("0")
+    inside = np.arange(width) < length[:, None]
     is_digit = (digits >= 0) & (digits <= 9)
-    value = np.zeros(len(lengths), np.int64)
-    for j in range(_MAX_DIGITS):
-        value = np.where(inside[:, j], value * 10 + digits[:, j], value)
-    ok = (lengths <= _MAX_DIGITS) & np.all(is_digit | ~inside, axis=1) & (value >= 1)
-    return value, ok
+    integer = (length > 0) & np.all(is_digit | ~inside, axis=1)
+    long = integer & (length > _MAX_DIGITS)
+    integer[long] = _strip(split, start[long], length[long], _DIGIT)[1] == 0
+    # Each cell's digits as one number of ``width`` digits, less the places past its end.
+    value = np.where(is_digit & inside, digits, 0).astype(np.uint64) @ _TENS[:width][::-1]
+    value //= _TENS[width - np.minimum(length, width)]
+    big = (length > _MAX_DIGITS) | (value > np.iinfo(np.int64).max)
+    fault = np.select([~integer, big, value == 0], [_NOT_INTEGER, _OUT_OF_RANGE, _BELOW_ONE], 0)
+    return value.astype(np.int64), fault
 
 
 #: Positions of the digits and separators in ``YYYY-MM-DDTHH:MM:SS``.
@@ -532,27 +519,20 @@ _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _STAMP_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 
 
-def _canonical_timestamps(d: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times of cells shaped exactly ``YYYY-MM-DDTHH:MM:SS`` naming a real second.
+def _canonical_timestamps(split: _Split, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Times of cells shaped exactly ``YYYY-MM-DDTHH:MM:SS`` naming a real second, and which cells those are.
 
-    Takes a :func:`_byte_points` pair, cut to ``_STAMP_WIDTH``. Returns
-    ``datetime64[s]`` values (meaningless where not accepted) and the
-    acceptance mask. Everything accepted here ``strptime`` accepts with
-    the same value; the rest is left to it.
+    The times are ``datetime64[s]``, meaningless where a cell is not one.
     """
-    ok = (lengths == _STAMP_WIDTH) & np.all((d[:, _STAMP_DIGITS] >= 0) & (d[:, _STAMP_DIGITS] <= 9), axis=1)
+    d = split.windows[start, :_STAMP_WIDTH].astype(np.int32) - ord("0")
+    digits = d[:, _STAMP_DIGITS]
+    ok = (length == _STAMP_WIDTH) & np.all((digits >= 0) & (digits <= 9), axis=1)
     for pos, sep in _STAMP_SEPARATORS.items():
         ok &= d[:, pos] == ord(sep) - ord("0")
-    d = np.where(ok[:, None], d, 0)
-
-    def number(first: int, last: int) -> np.ndarray:
-        value = np.zeros(len(lengths), np.int64)
-        for j in range(first, last):
-            value = value * 10 + d[:, j]
-        return value
-
-    year, month, day = number(0, 4), number(5, 7), number(8, 10)
-    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
+    digits = np.where(ok[:, None], digits, 0)
+    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]  # the year's two halves, then month to second
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day, hour, minute, second = pairs[:, 2:].T
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (hour <= 23) & (minute <= 59) & (second <= 59)
     month_start = ((year - 1970) * 12 + np.clip(month, 1, 12) - 1).astype("datetime64[M]")
     first_day = month_start.astype("datetime64[D]")

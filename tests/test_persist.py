@@ -1,6 +1,7 @@
 """Model persistence: exact prediction round trips and failure modes."""
 
 import copy
+import functools
 import hashlib
 import json
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tripcast.ensembles import SETTINGS
+from tripcast.ensembles import SETTINGS, EnsembleModel, predict_ensemble_batch
 from tripcast.errors import DataError, PersistError, UsageError
 from tripcast.persist import (
     FORMAT_NAME,
@@ -403,13 +404,18 @@ def test_document_records_exactly_its_kinds_settings(abbrev):
 )
 def test_finite_parameters_that_overflow_on_a_query_are_refused_at_predict(abbrev, edit):
     # Each document passes every check, yet its predictions overflowed to
-    # inf and were returned as if they were numbers.
+    # inf and were returned as if they were numbers. The model's own entry
+    # points refuse them too, without an overflow warning (an error here).
     X, y = _data()
     doc = json.loads(dumps_model(small_model(abbrev, 1, n_estimators=2).fit(X, y)))
     edit(doc["payload"])
     model = loads_model(_rechecksummed(doc))
-    with pytest.raises(DataError, match="non-finite value"):
-        model.predict(X)
+    entry_points = [model.predict, model.model.predict]
+    if isinstance(model.model, EnsembleModel):
+        entry_points.append(functools.partial(predict_ensemble_batch, model.model))
+    for predict in entry_points:
+        with pytest.raises(DataError, match="non-finite value"):
+            predict(X)
 
 #: One small fitted model of each persisted kind, by kind.
 _ONE_PER_KIND = {

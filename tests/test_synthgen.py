@@ -207,8 +207,8 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         # A delay spread whose 8-std reach passes the ceiling is refused as well.
         ({"delay_std": 90.0}, r"is 7\d\d\.\d+ h, above MAX_TRIP_HOURS 744"),
         # Daily trip counts past the row ceiling: the day's draws ran out of memory.
-        ({"weekday_trips_mean": 1e9}, r"ask for 6\.3\d*e\+11 stop rows .* above MAX_ROWS 80,000,000"),
-        ({"weekday_trips_std": 1e12}, r"ask for 5\.04e\+15 stop rows .* above MAX_ROWS 80,000,000"),
+        ({"weekday_trips_mean": 1e9}, r"ask for 1\.286\d*e\+11 stop rows on average .* above MAX_ROWS 80,000,000"),
+        ({"weekday_trips_std": 1e12}, r"ask for 5\.13\d*e\+13 stop rows on average and 2\.758\d*e\+14 at 8 stds"),
         # A negative std names its field; it read "standard deviations must be >= 0".
         ({"sunday_trips_std": -1.0}, "GenConfig sunday_trips_std must be >= 0, got -1.0"),
     ],
@@ -244,6 +244,18 @@ def test_configs_at_the_ceilings_pass():
 def test_three_years_at_the_default_daily_counts_pass():
     months = tuple((year, month) for year in (2019, 2020, 2021) for month in range(1, 13))
     GenConfig(months=months).validate()
+
+
+def test_four_years_at_the_default_daily_counts_pass_and_fifty_are_refused():
+    # Four years draw about 7.3M rows. Their bound read 96.9M, and refused
+    # them, when it multiplied a day's 8-std trips by a trip's 8-std stops;
+    # it is now the total's mean plus 8 of its stds, 8.25M.
+    def years(n):
+        return tuple((year, month) for year in range(2019, 2019 + n) for month in range(1, 13))
+
+    GenConfig(months=years(4)).validate()
+    with pytest.raises(DataError, match=r"ask for 9\.8\d*e\+07 stop rows on average .* above MAX_ROWS"):
+        GenConfig(months=years(50)).validate()
 
 
 def test_days_by_weekday_matches_a_day_by_day_count():

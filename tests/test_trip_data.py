@@ -1,10 +1,12 @@
 """Ingestion, trip assembly, and summary statistics."""
 
 import csv
+import hashlib
 import io
 import math
 import re
 import tempfile
+import time
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
@@ -127,12 +129,18 @@ def test_parse_stop_number_beyond_int64_rejected(tmp_path):
 # Parse parity: the batch parser against a row-at-a-time reference.
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
+#: What a cell is stripped of: the ASCII whitespace ``bytes.strip()`` removes.
+SPACE = " \t\n\v\f\r"
+STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 
 def reference_parse(path):
-    """The plain reading of a stops CSV: DictReader, then int and strptime per row.
+    """The plain reading of a stops CSV: DictReader, then the cell grammar one row at a time.
 
-    Returns (accepted (trip, stop, city, scheduled, actual) rows, [(line, reason)]).
+    Every cell is stripped of ``SPACE``. A trip is not empty, a stop number
+    is 1 to 19 ASCII digits worth 1 to 2**63 - 1, and a stamp is exactly
+    ``YYYY-MM-DDTHH:MM:SS`` naming a real second. Returns (accepted
+    (trip, stop, city, scheduled, actual) rows, [(line, reason)]).
     """
     rows, rejects = [], []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -142,28 +150,31 @@ def reference_parse(path):
                 value = row.get(name)
                 return "" if value is None else value
 
-            trip = cell("trip_number").strip()
+            trip = cell("trip_number").strip(SPACE)
             if not trip:
                 rejects.append((line_number, "empty trip_number"))
                 continue
-            raw_stop = cell("stop_number").strip()
-            try:
-                stop = int(raw_stop)
-            except ValueError:
+            raw_stop = cell("stop_number").strip(SPACE)
+            if not (raw_stop.isascii() and raw_stop.isdigit()):
                 rejects.append((line_number, f"stop_number {raw_stop!r} is not an integer"))
                 continue
+            if len(raw_stop) > 19 or int(raw_stop) >= 2**63:
+                rejects.append((line_number, f"stop_number {raw_stop!r} is out of range"))
+                continue
+            stop = int(raw_stop)
             if stop < 1:
                 rejects.append((line_number, f"stop_number {stop} < 1"))
                 continue
             times = []
             for name in ("scheduled_time", "actual_time"):
                 try:
-                    times.append(datetime.strptime(cell(name).strip(), TIMESTAMP_FORMAT))
-                except ValueError:
+                    stamp = STAMP.fullmatch(cell(name).strip(SPACE))
+                    times.append(datetime.strptime(stamp.group(), TIMESTAMP_FORMAT))
+                except (AttributeError, ValueError):  # not the shape, or not a real second
                     rejects.append((line_number, f"unparseable {name} {cell(name)!r}"))
                     break
             if len(times) == 2:
-                rows.append((trip, stop, cell("city").strip(), *times))
+                rows.append((trip, stop, cell("city").strip(SPACE), *times))
     return rows, rejects
 
 
@@ -314,6 +325,93 @@ def test_parse_edge_cells_match_reference(tmp_path):
         writer.writerow(HEADER.split(","))
         writer.writerows(rows)
     assert_parse_matches_reference(path)
+
+
+GRAMMAR_EDGES = [
+    ("stop_number", "1_000", "stop_number '1_000' is not an integer"),
+    ("stop_number", "\u0667", "stop_number '\u0667' is not an integer"),  # an Arabic-Indic 7
+    ("stop_number", "+3", "stop_number '+3' is not an integer"),
+    ("stop_number", "-1", "stop_number '-1' is not an integer"),
+    ("stop_number", "0", "stop_number 0 < 1"),
+    ("stop_number", "007", 7),
+    ("stop_number", str(2**63 - 1), 2**63 - 1),
+    ("stop_number", str(2**63), f"stop_number '{2**63}' is out of range"),
+    ("stop_number", "0" * 21 + "5", f"stop_number '{'0' * 21 + '5'}' is out of range"),
+    ("stop_number", "\v\f 12\r\n\t", 12),
+    ("scheduled_time", "2019-3-5T1:2:3", "unparseable scheduled_time '2019-3-5T1:2:3'"),
+    ("actual_time", "\t2019-03-01T09:00:00\t", datetime(2019, 3, 1, 9)),
+    ("trip_number", "T1\xa0", "T1\xa0"),
+]
+
+
+@pytest.mark.parametrize("column,cell,want", GRAMMAR_EDGES, ids=[repr(cell) for _, cell, _ in GRAMMAR_EDGES])
+def test_cell_grammar_edges(tmp_path, column, cell, want):
+    # One cell under test in an otherwise canonical row: it is kept with its
+    # value, or the row is rejected with its reason. Every one of these but
+    # 007, 2**63 - 1 and the padded cells was read as a number or a stamp, or
+    # folded into the label T1, before the byte path was the only path.
+    row = dict(zip(HEADER.split(","), CANONICAL_ROW))
+    row[column] = cell
+    path = tmp_path / "edge.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(HEADER.split(","))
+        writer.writerows([row.values(), CANONICAL_ROW])
+    stops, rejects = parse_stops_csv(path)
+    if isinstance(want, str) and column != "trip_number":
+        assert [(r.line_number, r.reason) for r in rejects] == [(2, want)] and len(stops) == 1
+    else:
+        assert rejects == [] and len(stops) == 2
+        trip, stop, _, scheduled, actual = stop_rows(stops)[0]
+        kept = {"trip_number": trip, "stop_number": stop, "scheduled_time": scheduled, "actual_time": actual}
+        assert kept[column] == want
+    assert_parse_matches_reference(path)
+
+
+def _stop_table_digest(stops):
+    digest = hashlib.sha256()
+    for column in (stops.trip, stops.city):
+        digest.update(column.codes.tobytes() + "\0".join(column.labels.tolist()).encode("utf-8"))
+    for values in (stops.stop_number, stops.scheduled_time, stops.actual_time):
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+def test_padded_cells_parse_to_the_same_table_without_a_time_cliff(tmp_path):
+    # Every stop number and stamp padded with spaces and tabs: the same table,
+    # in time within 3x of the unpadded file's (best of 3 runs each). When a
+    # padded cell sent its row down a per-row int/strptime path, such a file
+    # took about 16x as long.
+    n = 50_000
+    i = np.arange(n)
+    stamps = np.datetime64("2019-03-01T08:00:00") + i * 37
+    columns = {
+        "trip": [f"T{t:06d}" for t in (i // 8).tolist()],
+        "stop": (i % 8 + 1).astype(str).tolist(),
+        "city": [f"City-{c}" for c in (i % 13).tolist()],
+        "scheduled": np.datetime_as_string(stamps, unit="s").tolist(),
+        "actual": np.datetime_as_string(stamps + 600, unit="s").tolist(),
+    }
+    pads = [(" ", "\t"), ("\t", "  "), (" \t ", "\t \t")]
+    paths = []
+    for padded in (False, True):
+        lines = [HEADER]
+        for k, (trip, stop, city, scheduled, actual) in enumerate(zip(*columns.values())):
+            left, right = pads[k % 3] if padded else ("", "")
+            stop, scheduled, actual = (left + c + right for c in (stop, scheduled, actual))
+            lines.append(f"{trip},d,{stop},c,a,{city},{scheduled},{actual}")
+        paths.append(_write(tmp_path, f"padded_{padded}.csv", lines))
+    best, digests = {}, {}
+    for _ in range(3):
+        for path in paths:
+            start = time.perf_counter()
+            stops, rejects = parse_stops_csv(path)
+            best[path] = min(best.get(path, math.inf), time.perf_counter() - start)
+            assert len(stops) == n and rejects == []
+            digests[path] = _stop_table_digest(stops)
+    plain, padded = paths
+    assert digests[plain] == digests[padded]
+    assert best[padded] < 3 * best[plain], best
 
 
 def test_parse_blank_short_and_long_rows(tmp_path):
