@@ -165,17 +165,23 @@ def reference_parse(path):
             if stop < 1:
                 rejects.append((line_number, f"stop_number {stop} < 1"))
                 continue
-            times = []
-            for name in ("scheduled_time", "actual_time"):
-                try:
-                    stamp = STAMP.fullmatch(cell(name).strip(SPACE))
-                    times.append(datetime.strptime(stamp.group(), TIMESTAMP_FORMAT))
-                except (AttributeError, ValueError):  # not the shape, or not a real second
-                    rejects.append((line_number, f"unparseable {name} {cell(name)!r}"))
-                    break
-            if len(times) == 2:
-                rows.append((trip, stop, cell("city").strip(SPACE), *times))
+            times = {name: _stamp(cell(name).strip(SPACE)) for name in ("scheduled_time", "actual_time")}
+            bad = [name for name, value in times.items() if value is None]
+            if bad:
+                rejects.append((line_number, f"unparseable {bad[0]} {cell(bad[0])!r}"))
+                continue
+            rows.append((trip, stop, cell("city").strip(SPACE), *times.values()))
     return rows, rejects
+
+
+def _stamp(text):
+    """The time ``text`` names if it is shaped ``YYYY-MM-DDTHH:MM:SS`` and is a real second, else None."""
+    if STAMP.fullmatch(text):
+        try:
+            return datetime.strptime(text, TIMESTAMP_FORMAT)
+        except ValueError:  # the shape, but not a real second
+            pass
+    return None
 
 
 def assert_parse_matches_reference(path):
