@@ -28,7 +28,10 @@ A sorted resample of a canonical table is itself canonical, so members grow
 from it directly without a second check or sort. Members are flat
 :class:`~tripcast.trees.Tree` records, descended one at a time over a
 feature-major copy of the query and combined in member order; AdaBoost.R2
-holds its canonical rows only feature-major. A single decision tree is a
+holds its canonical rows only feature-major. A descent
+(:func:`~tripcast.trees.descend`) takes the narrow top levels of a large
+query by per-node column masks, so shallow boosting stages on a large query
+make no per-row gather, and gathers each row's value below them. A single decision tree is a
 one-member bagging ensemble without bootstrap.
 
 Each kind takes the settings :data:`SETTINGS` declares for it, by keyword,
@@ -283,7 +286,8 @@ def predict_ensemble_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
 
     Members are descended one at a time over a feature-major copy of ``X``;
     besides it and AdaBoost's member predictions the working set is a few
-    arrays of one entry per row. Sums run in member order.
+    arrays of one entry per row, and a descent's row masks (one byte a row,
+    two per internal node of a masked level). Sums run in member order.
     """
     cols = feature_major(X, model.n_features)
     if not model.members:

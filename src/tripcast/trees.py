@@ -29,8 +29,13 @@ A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
 ``threshold``, ``right``, ``value``) in depth-first preorder, as in
 sklearn's ``Tree`` struct; a left child is always the next node, so it is
 derived, not stored. :func:`descend` routes all rows of a
-feature-major query at once, one step per depth level, each row reading the
-column its node tests: O(depth) numpy calls, not one Python step per node.
+feature-major query at once, one step per depth level: O(depth) numpy calls,
+not one Python step per node. On a large query the narrow top levels go by
+masks, each internal node comparing its feature's whole column once, and a
+per-row path code built one bit per level names the node reached; deeper
+levels, and those below the root of a small query, gather each row's column
+value at its node. The two bounds between the routes are constants measured
+on the benchmark's tables (:data:`_MASK_MAX_NODES`, :data:`_MASK_MIN_ROWS`).
 
 Both fitters place a split between two neighbouring training values with
 :func:`split_threshold`, so no split can leave a child empty.
@@ -176,24 +181,93 @@ def feature_major(X: np.ndarray, n_features: int) -> np.ndarray:
     return np.ascontiguousarray(query_matrix(X, n_features).T)
 
 
+#: Bounds of :func:`descend`'s mask route: a level goes by masks while it has
+#: at most ``_MASK_MAX_NODES`` internal nodes and the query at least
+#: ``_MASK_MIN_ROWS`` rows. A mask level costs a few contiguous
+#: passes per internal node, a gather level four gathers whatever its width,
+#: so masks win on narrow levels of large queries. Per-tree descent time in
+#: us, gathers only / masks on levels of at most 4, 8, 16 internal nodes
+#: (seed-1 ``serve`` table and models, fastest of 15 alternating runs on
+#: 2 vCPUs):
+#:
+#:   rows     depth-6 gb                   depth-8 rf
+#:   2,048    112 / 115, 129, 123          203 / 171, 287, 349
+#:   4,096    295 / 244, 246, 230          374 / 373, 397, 464
+#:   8,192    430 / 323, 312, 266          672 / 595, 584, 623
+#:   42,826   2088 / 1179, 941, 718        2273 / 1911, 1495, 1815
+#:
+#: At 8 nodes depth-6 gb breaks even near 3,500 rows and depth-8 rf between
+#: 4,096 (209 / 221 us) and 6,000 (259 / 252); depth-3 trees, all of whose
+#: levels pass by masks, run in half the time from 2,500 rows up.
+_MASK_MAX_NODES = 8
+_MASK_MIN_ROWS = 8192
+
+
 def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
     """Route all rows of feature-major ``cols`` down ``tree`` together, one step per depth level.
 
-    The root's test reads one whole column. Below it a row's state is
+    Shallow levels go by masks (predication; Asadi, Lin & de Vries, IEEE
+    TKDE 2014): each internal node compares its feature's whole column once,
+    ANDs that with its own row mask and XORs for its right child's, and each
+    level's right-going rows set one bit of a uint8 path code, as CatBoost
+    indexes the leaves of its oblivious trees (Prokhorenkova et al., NeurIPS
+    2018). Levels take this route while the code has a bit left, the query
+    has at least :data:`_MASK_MIN_ROWS` rows and the level at most
+    :data:`_MASK_MAX_NODES` internal nodes (their comment holds the measured
+    table). One lookup of the path code then gives each row's node, or its
+    leaf value when no deeper level remains.
+
+    Deeper levels gather, from that node on; a smaller query starts at the
+    root, whose test reads one whole column. A row's state is
     ``k = 2 * node``; tables indexed by ``k`` hold the node's column start in
-    ``cols.ravel()`` and its threshold, and at ``k + go_left`` the next ``k``.
-    Rows at nodes that test one feature thus gather from one column (Asadi,
-    Lin & de Vries, IEEE TKDE 2014). Leaves point to themselves, so rows that
-    reach one early stay put.
+    ``cols.ravel()`` and its threshold, and at ``k + go_left`` the next
+    ``k``, so rows at nodes that test one feature gather from one column.
+    Leaves point to themselves, so rows that reach one early stay put. Both
+    routes apply the same ``x <= threshold`` test, so every row reaches the
+    same leaf either way.
     """
-    flat, rows = cols.ravel(), np.arange(cols.shape[1])
-    if tree.feature[0] < 0:
-        return np.full(rows.size, tree.value[0])
-    child2 = 2 * np.stack((tree.right, tree.left), axis=1).ravel()
-    base = np.repeat(rows.size * np.maximum(tree.feature, 0), 2)  # a leaf's comparison is moot
-    threshold2 = np.repeat(tree.threshold, 2)
-    k = child2.take(cols[tree.feature[0]] <= tree.threshold[0])
-    for _ in range(tree.depth - 1):
+    n = cols.shape[1]
+    feature, threshold, right = tree.feature, tree.threshold, tree.right
+    # The level's nodes as (node, path code, row mask); None masks every row,
+    # or no row needs one. A leaf is its own left child: its rows stay put.
+    level: list[tuple[int, int, np.ndarray | None]] = [(0, 0, None)]
+    code = np.zeros(n, dtype=np.uint8)
+    depth = 0
+    while n >= _MASK_MIN_ROWS and depth < 8 * code.itemsize:
+        n_splits = sum(feature.item(node) >= 0 for node, _, _ in level)
+        if not 0 < n_splits <= _MASK_MAX_NODES:
+            break
+        below, went_right = [], None
+        for node, path, mask in level:
+            if feature.item(node) < 0:
+                below.append((node, 2 * path, None))
+                continue
+            go_left = cols[feature.item(node)] <= threshold.item(node)
+            if mask is None:
+                mask = ~go_left
+            else:
+                go_left &= mask
+                mask ^= go_left  # the node's rows that go right
+            below += [(node + 1, 2 * path, go_left), (right.item(node), 2 * path + 1, mask)]
+            went_right = mask if went_right is None else went_right | mask
+        code += code  # uint8 shifts are slower than adds
+        code |= went_right.view(np.uint8)
+        level, depth = below, depth + 1
+    at = np.zeros(1 << depth, dtype=np.intp)
+    for node, path, _ in level:
+        at[path] = node
+    path = code.astype(np.intp)  # take() casts narrower indices slowly
+    if all(feature.item(node) < 0 for node, _, _ in level):
+        return tree.value.take(at).take(path)
+    flat, rows = cols.ravel(), np.arange(n)
+    child2 = 2 * np.stack((right, tree.left), axis=1).ravel()
+    base = np.repeat(n * np.maximum(feature, 0), 2)  # a leaf's comparison is moot
+    threshold2 = np.repeat(threshold, 2)
+    if depth:
+        k = (2 * at).take(path)
+    else:  # a small query: the root's test reads one whole column
+        k, depth = child2.take(cols[feature.item(0)] <= threshold.item(0)), 1
+    for _ in range(tree.depth - depth):
         k = child2.take(k + (flat.take(base.take(k) + rows) <= threshold2.take(k)))
     return tree.value.take(k >> 1)
 

@@ -474,20 +474,36 @@ _SPACE, _DIGIT = (np.isin(np.arange(256), list(members)) for members in (b" \t\n
 def _strip(split: _Split, start: np.ndarray, length: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells at ``start`` of ``length`` bytes with the bytes ``table`` holds taken off both ends.
 
-    Only a cell that starts or ends with one is read further, in time and memory linear in its bytes.
+    Only a cell that starts or ends with one is read further, in time linear
+    in its bytes and in about six bytes of memory a byte: one int32 a byte
+    (a split buffer holds at most ``_MAX_RECORD_BYTES + BLOCK_BYTES``
+    bytes), first its position and then the count of kept bytes up to it.
     """
     last = start + np.maximum(length - 1, 0)
     ends = (length > 0) & (table[split.windows[start, 0]] | table[split.windows[last, 0]])
     if not ends.any():
         return start, length
-    offsets = np.cumsum(length[ends]) - length[ends]
-    at = np.repeat(start[ends] - offsets, length[ends])  # the bytes of those cells, one cell after another
-    at += np.arange(at.size)
-    kept = ~table[split.windows[at, 0]]
-    first = np.minimum.reduceat(np.where(kept, at, np.iinfo(at.dtype).max), offsets)
-    end = np.maximum.reduceat(np.where(kept, at, -1), offsets) + 1  # 0 where none is kept
+    cell_start, cell_length = start[ends], length[ends]
+    cell_end = np.cumsum(cell_length)  # the cells' bytes one cell after another
+    cell_first = cell_end - cell_length
+    # Steps between the bytes' positions: 1 inside a cell, a jump to each cell's first byte.
+    at = np.ones(cell_end[-1], dtype=np.int32)
+    at[cell_first] = cell_start + 1 - np.append(1, cell_start[:-1] + cell_length[:-1])
+    np.cumsum(at, out=at)
+    n_kept = at  # in place: each position gives way to its byte's count of kept bytes up to it
+    np.logical_not(table[split.windows[at, 0]], out=n_kept, casting="unsafe")
+    np.cumsum(n_kept, out=n_kept)
+    through = n_kept[cell_end - 1]
+    before = np.zeros_like(through)  # int32 like the count, which searchsorted would otherwise copy
+    before[1:] = through[:-1]
+    # A cell's first kept byte is where the count first passes its value before the cell, and
+    # its last where the count first reaches its value at the cell's end.
+    first = np.searchsorted(n_kept, before + 1)
+    length_kept = np.searchsorted(n_kept, through) + 1 - first
+    any_kept = through > before
     start, length = start.copy(), length.copy()
-    start[ends], length[ends] = np.minimum(first, end), np.maximum(end - first, 0)
+    start[ends] = np.where(any_kept, cell_start + first - cell_first, 0)
+    length[ends] = np.where(any_kept, length_kept, 0)
     return start, length
 
 

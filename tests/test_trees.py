@@ -248,6 +248,7 @@ def _ensemble_trees():
         fit_bagging(X, y, n_estimators=4, seed=3),
         fit_random_forest(X, y, n_estimators=4, seed=3),
         fit_gbm(X, y, mode="exact", n_estimators=4),
+        fit_gbm(X, y, mode="exact", n_estimators=4, max_depth=6),
         fit_gbm(X, y, mode="hist", n_estimators=4),
         fit_adaboost_r2(X, y, n_estimators=4, seed=3),
     ):
@@ -255,18 +256,97 @@ def _ensemble_trees():
             yield model.kind, tree, X
 
 
+def _internal_per_level(tree):
+    """The number of internal nodes at each depth of ``tree``, root first."""
+    counts, level = [], np.zeros(1, dtype=np.intp)
+    while (level := level[tree.feature[level] >= 0]).size:
+        counts.append(level.size)
+        level = np.concatenate((level + 1, tree.right[level]))
+    return counts
+
+
 def test_vectorized_descent_matches_row_walk_for_every_tree_kind():
     # An unlimited-depth tree on exponentially growing targets peels off one
-    # row per level, so it is far deeper than 30 levels.
+    # row per level, so it is far deeper than 30 levels. Each query runs once
+    # below the mask route's row bound and once, tiled, above it; a depth-6
+    # boosting stage has a level too wide for masks, so both routes meet in it.
     X = np.arange(60.0).reshape(-1, 1)
     deep = fit_tree_exact(X, 2.0 ** np.arange(60), max_depth=None)
     assert deep.depth > 30
     cases = [("decision_tree", deep, X), *_ensemble_trees()]
+    assert any(
+        tree.depth == 6 and max(_internal_per_level(tree)) > trees._MASK_MAX_NODES for _, tree, _ in cases
+    )
     rng = np.random.default_rng(6)
     for kind, tree, X in cases:
         queries = np.vstack([X, rng.normal(scale=3.0, size=(200, X.shape[1]))])
-        got = predict_tree_batch(tree, queries)
-        assert got.tobytes() == reference_predict(tree, queries).tobytes(), kind
+        want = reference_predict(tree, queries)
+        assert predict_tree_batch(tree, queries).tobytes() == want.tobytes(), kind
+        copies = -(-trees._MASK_MIN_ROWS // len(queries))
+        tiled = predict_tree_batch(tree, np.tile(queries, (copies, 1)))
+        assert tiled.tobytes() == np.tile(want, copies).tobytes(), kind
+
+
+#: Split thresholds and query values of the random trees below: both zeros,
+#: so that ``-0.0 <= 0.0`` and ``0.0 <= -0.0`` are both taken.
+_GRID = (-1.5, -1.0, -0.0, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def preorder_trees(draw, n_features=3):
+    """A valid preorder tree of depth 0-12 as ``Tree.from_dict`` reads it, built level by level.
+
+    Each level's internal nodes are drawn among its nodes, so leaves occur at
+    every level; levels of exactly the mask route's node bound, and of one
+    more, are drawn often. Node values are distinct, so a row routed to the
+    wrong leaf shows.
+    """
+    depth = draw(st.integers(min_value=0, max_value=12))
+    bound = trees._MASK_MAX_NODES
+    levels = [[None]]  # per level, each node's (feature, threshold) or None for a leaf
+    for _ in range(depth):
+        width = len(levels[-1])
+        at_bound = [k for k in (bound, bound + 1) if k <= width]
+        if at_bound and draw(st.booleans()):
+            n_internal = draw(st.sampled_from(at_bound))
+        else:
+            n_internal = draw(st.integers(min_value=1, max_value=min(width, bound + 2)))
+        internal = draw(st.permutations(range(width)))[:n_internal]
+        for i in internal:
+            levels[-1][i] = (draw(st.integers(0, n_features - 1)), draw(st.sampled_from(_GRID)))
+        levels.append([None] * (2 * n_internal))
+    doc = {"feature": [], "threshold": [], "right": [], "value": []}
+
+    def emit(d, i):  # preorder: the node, its left subtree, then its right one
+        node = len(doc["feature"])
+        split = levels[d][i]
+        doc["feature"].append(-1 if split is None else split[0])
+        doc["threshold"].append(0.0 if split is None else split[1])
+        doc["right"].append(node)
+        doc["value"].append(float(node))
+        if split is not None:
+            child = 2 * sum(s is not None for s in levels[d][:i])
+            emit(d + 1, child)
+            doc["right"][node] = len(doc["feature"])
+            emit(d + 1, child + 1)
+
+    emit(0, 0)
+    return Tree.from_dict(doc, n_features)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=preorder_trees(), seed=st.integers(0, 2**32 - 1))
+def test_property_both_descent_routes_equal_row_walk_on_random_trees(tree, seed):
+    # Queries are drawn from a pool of grid rows and of one row on each
+    # split's threshold; row counts straddle the mask route's row bound.
+    rng = np.random.default_rng(seed)
+    split = np.flatnonzero(tree.feature >= 0)
+    pool = rng.choice(_GRID, size=(40 + split.size, tree.n_features))
+    pool[40 + np.arange(split.size), tree.feature[split]] = tree.threshold[split]
+    want = reference_predict(tree, pool)
+    for n in (0, 1, trees._MASK_MIN_ROWS - 1, trees._MASK_MIN_ROWS + 1):
+        pick = rng.integers(0, len(pool), size=n)
+        assert predict_tree_batch(tree, pool[pick]).tobytes() == want[pick].tobytes()
 
 
 @settings(max_examples=80, deadline=5000)

@@ -420,6 +420,28 @@ def test_padded_cells_parse_to_the_same_table_without_a_time_cliff(tmp_path):
     assert best[padded] < 3 * best[plain], best
 
 
+def test_a_long_padded_cell_parses_to_the_same_table_in_bounded_memory(tmp_path):
+    # One stop number behind 4,000,000 bytes of spaces, within the 4 MiB record
+    # bound. Stripping it holds about six bytes a padded byte; with int64
+    # positions and a full-length np.where per end it held about 17, and the
+    # parse peaked at 74.3 MiB under tracemalloc.
+    row = "T1,d,{},a,addr,Linz,2019-03-01T08:00:00,2019-03-01T08:05:00"
+    plain = _write(tmp_path, "plain.csv", [HEADER, row.format("5")])
+    padded = _write(tmp_path, "padded.csv", [HEADER, row.format(" " * 4_000_000 + "5")])
+    digests = []
+    for path in (plain, padded):
+        tracemalloc.start()
+        try:
+            stops, rejects = parse_stops_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stops.stop_number.tolist() == [5] and rejects == []
+        digests.append(_stop_table_digest(stops))
+    assert digests[0] == digests[1]
+    assert peak < 74.3 / 2 * 2**20, peak
+
+
 def test_parse_blank_short_and_long_rows(tmp_path):
     path = _write(
         tmp_path,
