@@ -296,8 +296,8 @@ _GRID = (-1.5, -1.0, -0.0, 0.0, 0.5, 2.0)
 def preorder_trees(draw, n_features=3):
     """A valid preorder tree of depth 0-12 as ``Tree.from_dict`` reads it, built level by level.
 
-    Each level's internal nodes are drawn among its nodes, so leaves occur at
-    every level; levels of exactly the mask route's node bound, and of one
+    Each level's internal nodes are drawn among its nodes, so a leaf may sit
+    at any level; levels of exactly the mask route's node bound, and of one
     more, are drawn often. Node values are distinct, so a row routed to the
     wrong leaf shows.
     """
