@@ -8,12 +8,13 @@ a NaN feature compares false with every split threshold and poisons a
 least-squares solve, and a NaN target turns every prediction into NaN.
 Targets are bounded too (:data:`TARGET_SUM_LIMIT`).
 
-:func:`check_setting` is the one check of each tree and ensemble setting,
-for fitters and model documents alike. The ``require*`` helpers check
-persisted model documents, which come from outside the program too; they
-raise :class:`~tripcast.errors.PersistError` with a ``malformed model
-document: ...`` message. :func:`input_file` is the one check of a path the
-program reads: a stops CSV, a generator config or a model document.
+:func:`check_setting` is the one check of each model setting, by the rules
+of :data:`SETTING_RULES`, for fitters and model documents alike. The
+``require*`` helpers check persisted model documents, which come from
+outside the program too; they raise :class:`~tripcast.errors.PersistError`
+with a ``malformed model document: ...`` message. :func:`input_file` is
+the one check of a path the program reads: a stops CSV, a generator config
+or a model document.
 """
 
 from __future__ import annotations
@@ -120,21 +121,25 @@ def is_finite(value: object) -> bool:
         return False
 
 
-#: What each tree and ensemble setting must be: a test of its value, and the
-#: test in words. A learning rate in (0, 2] is the range for which no boosting
-#: stage can raise the training loss.
-_SETTINGS = {
-    "n_estimators": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
-    "max_depth": (lambda v: v is None or (is_int(v) and v >= 1), "an integer >= 1 or None"),
-    "learning_rate": (lambda v: is_finite(v) and 0.0 < v <= 2.0, "a number in (0, 2]"),
-    "feature_subsample": (lambda v: is_finite(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "bootstrap": (lambda v: isinstance(v, bool), "True or False"),
-    "seed": (is_int, "an integer"),
+#: What each model setting must be: a test of its value, the test in words,
+#: and the type a command-line flag parses it to. A learning rate in (0, 2] is
+#: the range for which no boosting stage can raise the training loss. The
+#: command line offers, in this order, the settings some registry model takes.
+SETTING_RULES = {
+    "n_estimators": (lambda v: is_int(v) and v >= 1, "an integer >= 1", int),
+    "learning_rate": (lambda v: is_finite(v) and 0.0 < v <= 2.0, "a number in (0, 2]", float),
+    "max_depth": (lambda v: v is None or (is_int(v) and v >= 1), "an integer >= 1 or None", int),
+    "lam": (lambda v: is_finite(v) and v >= 0, "a finite number >= 0", float),
+    "tol": (lambda v: is_finite(v) and v > 0, "a finite number > 0", float),
+    "max_iter": (lambda v: is_int(v) and v >= 1, "an integer >= 1", int),
+    "feature_subsample": (lambda v: is_finite(v) and 0.0 < v <= 1.0, "a number in (0, 1]", float),
+    "bootstrap": (lambda v: isinstance(v, bool), "True or False", bool),
+    "seed": (is_int, "an integer", int),
 }
 
 
 def check_setting(name: str, value: object) -> None:
-    """Refuse a bad ``value`` of the tree or ensemble setting ``name`` with a ``DataError``."""
-    ok, what = _SETTINGS[name]
+    """Refuse a bad ``value`` of the model setting ``name`` with a ``DataError``."""
+    ok, what, _ = SETTING_RULES[name]
     if not ok(value):
         raise DataError(f"{name} must be {what}, got {value!r}")

@@ -20,9 +20,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
+from .checks import SETTING_RULES
 from .errors import DataError, TripcastError, UsageError
 from .evaluation import (
     DEFAULT_SCALE_SIZES,
@@ -58,6 +59,22 @@ def _atomic_write_text(path: Path, produce: Callable[[io.TextIOBase], None]) -> 
         raise
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` as a CSV file at ``path``, atomically."""
+
+    def produce(handle):
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _atomic_write_text(path, produce)
+
+
+def _factory(name: str, seed: int, settings: dict, *label: object) -> Callable[[int], object]:
+    """Model ``name`` with ``settings``, seeded from ``seed``, ``label`` and the index it is called with."""
+    return lambda index: make_model(name, derive_seed(seed, name, *label, index), **settings)
+
+
 def _parse_models(raw: str) -> list[str]:
     names = [model_name(tok) for tok in raw.split(",") if tok.strip()]
     if not names:
@@ -77,8 +94,8 @@ def _load_table(stops_path: str, target: TargetKind):
     return build_table(trips, target)
 
 
-#: The model-setting flags, by registry setting name.
-MODEL_FLAGS = {"n_estimators": int, "learning_rate": float, "max_depth": int, "lam": float}
+#: The model-setting flags: each setting some registry model takes, in the order of the rule table.
+MODEL_FLAGS = tuple(name for name in SETTING_RULES if any(name in entry.settings for entry in REGISTRY.values()))
 
 
 def _model_settings(args: argparse.Namespace, models: list[str]) -> dict[str, dict]:
@@ -131,45 +148,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     settings = _model_settings(args, models)
     table = _load_table(args.stops, target)
 
-    runs = []
+    results, aggregates = [], {}
     for name in models:
-
-        def factory(fold_index: int, _name=name):
-            return make_model(_name, derive_seed(args.seed, _name, fold_index), **settings[_name])
-
-        run = run_scenario(table, spec, name, factory)
+        run = run_scenario(table, spec, name, _factory(name, args.seed, settings[name]))
         for diag in run.diagnostics:
             print(f"note [{name}]: {diag}", file=sys.stderr)
-        runs.append((name, run))
+        results += run.results
+        aggregates[name] = run.aggregate
 
     out_dir = Path(args.out)
-
-    def produce_results(handle):
-        writer = csv.writer(handle)
-        writer.writerow(RESULTS_HEADER)
-        for name, run in runs:
-            for r in run.results:
-                writer.writerow(
-                    (r.scenario_id, r.model, r.target, r.fold, r.n_train, r.n_test,
-                     repr(r.mae), repr(r.rmse), repr(r.fit_time))
-                )
-
-    def produce_aggregates(handle):
-        writer = csv.writer(handle)
-        writer.writerow(AGGREGATES_HEADER)
-        for name, run in runs:
-            a = run.aggregate
-            writer.writerow(
-                (spec.id, name, target.value, a.n_folds, repr(a.mae), repr(a.rmse), repr(a.fit_time))
-            )
-
-    _atomic_write_text(out_dir / "results.csv", produce_results)
-    _atomic_write_text(out_dir / "aggregates.csv", produce_aggregates)
+    _write_csv(
+        out_dir / "results.csv",
+        RESULTS_HEADER,
+        ((r.scenario_id, r.model, r.target, r.fold, r.n_train, r.n_test, repr(r.mae), repr(r.rmse), repr(r.fit_time))
+         for r in results),
+    )
+    _write_csv(
+        out_dir / "aggregates.csv",
+        AGGREGATES_HEADER,
+        ((spec.id, name, target.value, a.n_folds, repr(a.mae), repr(a.rmse), repr(a.fit_time))
+         for name, a in aggregates.items()),
+    )
 
     print(f"scenario {spec.id} ({spec.description}), target={target.value}")
     print(f"{'model':<6} {'folds':>5} {'mae_s':>12} {'rmse_s':>12} {'fit_time_s':>11}")
-    for name, run in runs:
-        a = run.aggregate
+    for name, a in aggregates.items():
         print(f"{name:<6} {a.n_folds:>5} {a.mae:>12.2f} {a.rmse:>12.2f} {a.fit_time:>11.3f}")
     print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'aggregates.csv'}")
     return 0
@@ -187,27 +190,16 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         sizes = list(DEFAULT_SCALE_SIZES)
     table = _load_table(args.stops, TargetKind.parse(args.target))
 
-    factories = {}
-    for name in models:
-
-        def factory(rep: int, _name=name):
-            return make_model(_name, derive_seed(args.seed, _name, "scale", rep), **settings[_name])
-
-        factories[name] = factory
-
+    factories = {name: _factory(name, args.seed, settings[name], "scale") for name in models}
     # Timing runs must stay serial and exclusive to keep wall clocks honest.
     results = run_scale_bench(table, sizes, factories, repeats=args.repeats)
 
     out_dir = Path(args.out)
-
-    def produce_csv(handle):
-        writer = csv.writer(handle)
-        rep_cols = tuple(f"rep{i}_s" for i in range(args.repeats))
-        writer.writerow(("model", "n", "fit_time_s") + rep_cols)
-        for r in results:
-            writer.writerow((r.model, r.n_samples, repr(r.fit_time), *(repr(t) for t in r.repeats)))
-
-    _atomic_write_text(out_dir / "scale.csv", produce_csv)
+    _write_csv(
+        out_dir / "scale.csv",
+        ("model", "n", "fit_time_s", *(f"rep{i}_s" for i in range(args.repeats))),
+        ((r.model, r.n_samples, repr(r.fit_time), *(repr(t) for t in r.repeats)) for r in results),
+    )
     svg = scale_chart_svg(results)
     _atomic_write_text(out_dir / "scale.svg", lambda handle: handle.write(svg))
 
@@ -243,14 +235,8 @@ def _cmd_load_model(args: argparse.Namespace) -> int:
         # Prediction reads only the feature columns, which no target changes.
         table = _load_table(args.stops, TargetKind.DURATION)
         predictions = model.predict(table.X)
-
-        def produce(handle):
-            writer = csv.writer(handle)
-            writer.writerow(("trip_id", "prediction_s"))
-            for trip_id, pred in zip(table.trip_ids, predictions):
-                writer.writerow((trip_id, repr(float(pred))))
-
-        _atomic_write_text(Path(args.predictions_out), produce)
+        rows = ((trip_id, repr(float(pred))) for trip_id, pred in zip(table.trip_ids, predictions))
+        _write_csv(Path(args.predictions_out), ("trip_id", "prediction_s"), rows)
         print(f"wrote {len(table)} predictions to {args.predictions_out}")
     return 0
 
@@ -265,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     model_flags = argparse.ArgumentParser(add_help=False)
     group = model_flags.add_argument_group("model settings", "a model gets only the settings it takes")
-    for name, kind in MODEL_FLAGS.items():
+    for name in MODEL_FLAGS:
         takers = ", ".join(m for m, entry in REGISTRY.items() if name in entry.settings)
-        group.add_argument("--" + name.replace("_", "-"), type=kind, help=f"taken by {takers}")
+        group.add_argument("--" + name.replace("_", "-"), type=SETTING_RULES[name][2], help=f"taken by {takers}")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic stops CSV")
     p_synth.add_argument("--config", help="key=value config file (defaults embedded)")

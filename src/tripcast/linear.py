@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import finite_predictions, is_finite, is_int, query_matrix, require, require_keys, training_data
+from .checks import check_setting, finite_predictions, is_finite, is_int, query_matrix, require, require_keys, training_data
 from .errors import DataError
 from .featurize import N_DAY_TYPES
 
@@ -164,17 +164,6 @@ def _moments(X: np.ndarray, y: np.ndarray, day_type_col: int | None) -> _Moments
     return _Moments(Xs.T @ Xs, Xs.T @ (y - y_mean), y_mean, means, scales, X.shape, day_type_col)
 
 
-def _check_settings(lam: float, tol: float = 1.0, max_iter: int = 1) -> None:
-    """Refuse a penalty that is not a finite number >= 0, and a stopping rule that
-    could not stop: ``tol`` finite and > 0, ``max_iter`` an integer >= 1."""
-    if not (is_finite(lam) and lam >= 0):
-        raise DataError(f"penalty lam must be a finite number >= 0, got {lam!r}")
-    if not (is_finite(tol) and tol > 0):
-        raise DataError(f"tol must be a finite number > 0, got {tol!r}")
-    if not (is_int(max_iter) and max_iter >= 1):
-        raise DataError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-
-
 def fit_ols(X: np.ndarray, y: np.ndarray, *, day_type_col: int | None = None) -> LinearModel:
     """Least squares via the normal equations (with diagonal jitter)."""
     return replace(fit_ridge(X, y, 0.0, day_type_col=day_type_col), penalty="none")
@@ -186,7 +175,7 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float = 1.0, *, day_type_col: i
     ``lam`` is the coefficient of ||beta||^2 against the plain (unscaled)
     sum of squared residuals; the intercept is unpenalized.
     """
-    _check_settings(lam)
+    check_setting("lam", lam)
     m = _moments(X, y, day_type_col)
     k = m.xty.shape[0]
     beta = np.linalg.solve(m.gram + (lam + SOLVE_JITTER) * np.eye(k), m.xty)
@@ -212,7 +201,10 @@ def fit_lasso(
     ``max_iter`` sweeps do not get there the model comes back with
     ``converged=False`` rather than failing silently.
     """
-    _check_settings(0.0 if lam is None else lam, tol, max_iter)  # None: the default below
+    if lam is not None:  # None: the default below
+        check_setting("lam", lam)
+    check_setting("tol", tol)
+    check_setting("max_iter", max_iter)
     m = _moments(X, y, day_type_col)
     n = m.shape[0]
     G, c = m.gram / n, m.xty / n

@@ -12,14 +12,9 @@ Format version 5 stores each tree as flat per-node lists (``feature``,
 ``threshold``, ``right``, ``value``; a left child is always the next node,
 so it is derived) and each ensemble's ``settings``: exactly the settings
 its kind takes (:data:`tripcast.ensembles.SETTINGS`), checked on load as a
-fit checks them. Earlier documents are rejected, naming their version:
-version 4 stored a six-field ``config`` for every ensemble kind, including
-fields the kind did not read; version 3 also stored ``left`` lists and
-nested a tree config in the ensemble config; version 2 also carried
-``min_samples_leaf``, ``min_samples_split``, ``max_bins`` and the AdaBoost
-``loss``; and version 1 nested one object per node. Because a document
-comes from outside the program, the loader also checks that each tree's
-arrays form a tree before it is used (see
+fit checks them. A document of an older version is refused, naming its
+version. Because a document comes from outside the program, the loader
+also checks that each tree's arrays form a tree before it is used (see
 :meth:`tripcast.trees.Tree.from_dict`), and refuses as a ``PersistError``
 a path that is not a regular file, a file over ``MAX_DOCUMENT_BYTES``,
 bytes that are not UTF-8, nesting deeper than the JSON parser recurses

@@ -1,12 +1,12 @@
 """Model registry: paper-style abbreviations -> configured estimators.
 
-Every entry builds an :class:`Estimator`: a fit function with its settings
-bound (an ensemble fitter with its tree settings, and the seed for a model
-that draws at random, or a linear fitter with its penalty), behind the
-common ``fit(X, y)`` / ``predict(X)`` contract. The fitted model, not the
-adapter, predicts and writes and checks its own persisted payload. Each
-entry declares the settings its model takes, and :func:`make_model`
-refuses any other. ``xgb``, ``cb`` and ``lgb`` are reserved names that
+Every entry holds its fitted kind, its fit function with the fixed
+arguments bound, and the settings its model takes. :func:`make_model` is
+the one builder: it refuses any other setting, binds those passed (and the
+seed, for a model that draws at random) and returns an :class:`Estimator`
+behind the common ``fit(X, y)`` / ``predict(X)`` contract. The fitted
+model, not the adapter, predicts and writes and checks its own persisted
+payload. ``xgb``, ``cb`` and ``lgb`` are reserved names that
 fail loudly: the histogram GBM here stands in for that family generically,
 and silently aliasing them would misattribute results to the vendor
 libraries.
@@ -61,55 +61,39 @@ class Estimator:
 
 @dataclass(slots=True, frozen=True)
 class ModelRegistryEntry:
-    """A model's description, its builder ``build(seed, **settings)`` and the settings it takes."""
+    """A model's description, fitted kind, fit function with its fixed arguments, and the settings it takes."""
 
     description: str
-    build: Callable[..., Estimator]
+    kind: str
+    fit: partial
     settings: tuple[str, ...] = ()
 
 
-def _ensemble(kind: str, fit: Callable, **fixed: object) -> Callable[..., Estimator]:
-    """A builder of ``fit`` with ``fixed`` and the settings passed; the seed too, if ``kind`` takes one ``fixed`` lacks."""
-    seeded = "seed" in ensembles.SETTINGS[kind] and "seed" not in fixed
-
-    def build(seed: int, **settings: object) -> Estimator:
-        if seeded:
-            settings["seed"] = seed
-        return Estimator(kind, partial(fit, **fixed, **settings))
-
-    return build
-
-
-def _linear(fit: Callable) -> Callable[..., Estimator]:
-    """A builder of a linear ``fit`` given only the settings passed; ``fit`` declares their defaults."""
-
-    def build(seed: int, **settings: object) -> Estimator:
-        return Estimator("linear", partial(fit, day_type_col=DAY_TYPE_COLUMN, **settings))
-
-    return build
+def _linear(description: str, fit: Callable, settings: tuple[str, ...] = ()) -> ModelRegistryEntry:
+    """The entry of a linear ``fit``, which expands the day-type column and declares its settings' defaults."""
+    return ModelRegistryEntry(description, "linear", partial(fit, day_type_col=DAY_TYPE_COLUMN), settings)
 
 
 _TREES = ("n_estimators", "max_depth")
 _BOOSTING = (*_TREES, "learning_rate")
 
-_EXACT, _HIST = partial(fit_gbm, mode="exact"), partial(fit_gbm, mode="hist")
-
 REGISTRY: dict[str, ModelRegistryEntry] = {
-    "lr": ModelRegistryEntry("linear regression (least squares)", _linear(linear.fit_ols)),
-    "ri": ModelRegistryEntry("ridge regression (L2)", _linear(linear.fit_ridge), ("lam",)),
-    "la": ModelRegistryEntry("lasso (L1)", _linear(linear.fit_lasso), ("lam",)),
+    "lr": _linear("linear regression (least squares)", linear.fit_ols),
+    "ri": _linear("ridge regression (L2)", linear.fit_ridge, ("lam",)),
+    "la": _linear("lasso (L1)", linear.fit_lasso, ("lam",)),
     # A single tree is bagging with one member and no bootstrap. It draws nothing
     # at random, so it keeps bagging's default seed whatever seed it is built with.
     "dt": ModelRegistryEntry(
         "decision tree (exact CART)",
-        _ensemble("bagging", fit_bagging, n_estimators=1, bootstrap=False, seed=ensembles.SETTINGS["bagging"]["seed"]),
+        "bagging",
+        partial(fit_bagging, n_estimators=1, bootstrap=False, seed=ensembles.SETTINGS["bagging"]["seed"]),
         ("max_depth",),
     ),
-    "br": ModelRegistryEntry("bagging of trees", _ensemble("bagging", fit_bagging), _TREES),
-    "rf": ModelRegistryEntry("random forest", _ensemble("random_forest", fit_random_forest), _TREES),
-    "gb": ModelRegistryEntry("gradient boosting (exact splits)", _ensemble("gbm_exact", _EXACT), _BOOSTING),
-    "ab": ModelRegistryEntry("AdaBoost.R2", _ensemble("adaboost_r2", fit_adaboost_r2), _TREES),
-    "hgb": ModelRegistryEntry("histogram gradient boosting", _ensemble("gbm_hist", _HIST), _BOOSTING),
+    "br": ModelRegistryEntry("bagging of trees", "bagging", partial(fit_bagging), _TREES),
+    "rf": ModelRegistryEntry("random forest", "random_forest", partial(fit_random_forest), _TREES),
+    "gb": ModelRegistryEntry("gradient boosting (exact splits)", "gbm_exact", partial(fit_gbm, mode="exact"), _BOOSTING),
+    "ab": ModelRegistryEntry("AdaBoost.R2", "adaboost_r2", partial(fit_adaboost_r2), _TREES),
+    "hgb": ModelRegistryEntry("histogram gradient boosting", "gbm_hist", partial(fit_gbm, mode="hist"), _BOOSTING),
 }
 
 #: Reserved vendor-library names; requesting one is an explicit error.
@@ -144,13 +128,15 @@ def make_model(abbreviation: str, seed: int, **settings: object) -> Estimator:
     if undeclared:
         takes = ", ".join(entry.settings) or "no settings"
         raise UsageError(f"model {name!r} does not take {', '.join(undeclared)}; it takes {takes}")
-    return entry.build(seed, **settings)
+    if "seed" in ensembles.SETTINGS.get(entry.kind, ()) and "seed" not in entry.fit.keywords:
+        settings["seed"] = seed
+    return Estimator(entry.kind, partial(entry.fit, **settings))
 
 
 def model_from_payload(kind: str, payload: dict) -> Estimator:
     """Rebuild a fitted estimator from a persisted payload."""
     if kind == "linear":
         return Estimator(kind, None, linear.LinearModel.from_payload(payload))
-    if kind in ("bagging", "random_forest", "gbm_exact", "gbm_hist", "adaboost_r2"):
+    if isinstance(kind, str) and kind in ensembles.SETTINGS:
         return Estimator(kind, None, ensembles.EnsembleModel.from_payload(kind, payload))
     raise PersistError(f"unknown persisted model kind {kind!r}")

@@ -24,11 +24,12 @@ _PALETTE = (
     "#bcbd22",
 )
 
+_TITLE = "Fit time vs training size"
 _WIDTH, _HEIGHT = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 30, 50
 
 
-def scale_chart_svg(results: list[ScaleResult], title: str = "Fit time vs training size") -> str:
+def scale_chart_svg(results: list[ScaleResult]) -> str:
     """Render scale-bench results as a standalone SVG document."""
     if not results:
         raise DataError("no scale results to plot")
@@ -61,7 +62,7 @@ def scale_chart_svg(results: list[ScaleResult], title: str = "Fit time vs traini
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" font-size="14">{_TITLE}</text>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]

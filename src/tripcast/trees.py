@@ -75,8 +75,9 @@ class Tree:
     rest to ``right``, which lies past the whole left subtree. A leaf has
     ``feature == -1`` and ``threshold == 0.0`` and is its own left and right
     child, so a descent may keep stepping after a row has reached its leaf.
-    ``value`` holds the mean training target of each node, and
-    ``n_features`` the training arity that predictions must match.
+    ``value`` holds the mean training target of each node, ``n_features``
+    the training arity that predictions must match, and ``depth`` the length
+    of the longest root-to-leaf path (0 for a single leaf).
     """
 
     feature: np.ndarray
@@ -84,23 +85,12 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     n_features: int
+    depth: int
 
     @property
     def left(self) -> np.ndarray:
         """Each node's left child: the next node, or the node itself for a leaf."""
         return np.arange(self.feature.size) + (self.feature >= 0)
-
-    @property
-    def depth(self) -> int:
-        """Length of the longest root-to-leaf path (0 for a single leaf)."""
-        level = np.zeros(1, dtype=np.intp)
-        depth = 0
-        while True:
-            level = level[self.feature[level] >= 0]
-            if level.size == 0:
-                return depth
-            level = np.concatenate((level + 1, self.right[level]))
-            depth += 1
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _NODE_ARRAYS}
@@ -132,7 +122,10 @@ class Tree:
         children = np.sort(np.concatenate((left[~leaf], right[~leaf])))
         if not np.array_equal(children, node[1:]):
             raise PersistError("tree nodes other than the root must have exactly one parent")
-        return cls(feature, threshold, right, value, n_features)
+        level, depth = node[:1], 0  # the internal nodes of each level in turn
+        while (level := level[~leaf[level]]).size:
+            level, depth = np.concatenate((level + 1, right[level])), depth + 1
+        return cls(feature, threshold, right, value, n_features, depth)
 
 
 #: What a persisted tree stores; each left child is derived (:attr:`Tree.left`).
@@ -577,7 +570,7 @@ def _preorder(feature, threshold, left, value, level_start, n_features) -> Tree:
     out = [np.empty_like(a) for a in arrays]
     for o, a in zip(out, arrays):
         o[pre] = a
-    return Tree(*out, n_features=n_features)
+    return Tree(*out, n_features=n_features, depth=len(level_start) - 2)
 
 
 class ExactColumns:
@@ -720,6 +713,7 @@ def _grow(
     right: list[int] = []
     value: list[float] = []
     leaf_of = np.empty(X.shape[0], dtype=np.intp)
+    deepest = 0
     # Depth-first, preorder; the explicit stack avoids recursion limits on
     # deep trees. Entries are (rows, depth, parent of a right child or -1).
     stack: list[tuple[np.ndarray, int, int]] = [(np.arange(X.shape[0], dtype=np.int64), 0, -1)]
@@ -738,6 +732,7 @@ def _grow(
             threshold.append(0.0)
             right.append(node)
             leaf_of[idx] = node
+            deepest = max(deepest, depth)
             continue
         f, t = best
         go_left = X[idx, f] <= t
@@ -754,6 +749,7 @@ def _grow(
         right=np.array(right, dtype=np.intp),
         value=np.array(value, dtype=np.float64),
         n_features=n_features,
+        depth=deepest,
     )
     return tree, leaf_of
 

@@ -12,11 +12,12 @@ from unittest import mock
 
 import pytest
 
+from tripcast.checks import SETTING_RULES
 from tripcast.cli import MODEL_FLAGS, main
 from tripcast.errors import UsageError
 from tripcast.persist import _canonical
 from tripcast import linear, persist, registry
-from tripcast.registry import REGISTRY, ModelRegistryEntry, make_model
+from tripcast.registry import REGISTRY, make_model
 
 SMALL_CONFIG = """
 months = 2019-03..2019-09
@@ -188,8 +189,8 @@ def test_run_metric_columns_deterministic(tmp_path, stops_csv):
 
 
 def test_run_notes_a_lasso_that_did_not_converge(tmp_path, stops_csv, capsys):
-    one_sweep = registry._linear(partial(linear.fit_lasso, max_iter=1))
-    with mock.patch.dict(REGISTRY, {"la": ModelRegistryEntry("lasso (L1)", one_sweep, ("lam",))}):
+    one_sweep = registry._linear("lasso (L1)", partial(linear.fit_lasso, max_iter=1), ("lam",))
+    with mock.patch.dict(REGISTRY, {"la": one_sweep}):
         code = main(
             ["run", str(stops_csv), "--scenario", "1", "--target", "duration",
              "--models", "la", "--out", str(tmp_path / "run")]
@@ -244,7 +245,7 @@ def test_run_non_finite_penalty_is_data_error_and_writes_nothing(tmp_path, stops
     code = main(["run", str(stops_csv), "--scenario", "1", "--target", "duration",
                  "--models", "ri", "--lam", "nan", "--out", str(out_dir)])
     assert code == 2
-    assert "penalty lam must be a finite number" in capsys.readouterr().err
+    assert "lam must be a finite number >= 0, got nan" in capsys.readouterr().err
     assert not (out_dir / "results.csv").exists()
 
 
@@ -262,6 +263,29 @@ def test_flag_no_requested_model_takes_is_usage_error(tmp_path, capsys, command)
 
 def test_model_flags_are_the_registry_settings():
     assert set(MODEL_FLAGS) == {name for entry in REGISTRY.values() for name in entry.settings}
+
+
+#: Per model flag: a model that takes it, a value its type cannot parse and a parsed value out of range.
+_BAD_FLAG_VALUES = {
+    "n_estimators": ("gb", "2.5", "0"),
+    "learning_rate": ("gb", "fast", "3"),
+    "max_depth": ("dt", "2.5", "0"),
+    "lam": ("ri", "x", "-1"),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_FLAGS)
+def test_bad_model_flag_value_is_refused_and_writes_nothing(tmp_path, stops_csv, capsys, name):
+    model, unparsable, out_of_range = _BAD_FLAG_VALUES[name]
+    flag = "--" + name.replace("_", "-")
+    out_dir = tmp_path / "run"
+    args = ["run", str(stops_csv), "--scenario", "1", "--target", "delay", "--models", model, "--out", str(out_dir)]
+    assert main(args + [flag, unparsable]) == 1
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert main(args + [flag, out_of_range]) == 2
+    _, words, kind = SETTING_RULES[name]
+    assert f"data error: {name} must be {words}, got {kind(out_of_range)!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_scale_takes_lam(tmp_path, stops_csv):

@@ -102,7 +102,7 @@ def test_ridge_penalty_dominance():
 def test_ridge_negative_penalty_rejected(fit, lam):
     # Unchecked, NaN and infinite penalties gave NaN ridge coefficients and an all-zero "converged" lasso.
     X, y = _system(9, n=20)
-    with pytest.raises(DataError, match="penalty lam"):
+    with pytest.raises(DataError, match="lam must be a finite number >= 0"):
         fit(X, y, lam)
 
 
@@ -110,7 +110,7 @@ def test_ridge_none_penalty_rejected():
     # Only the lasso has a None default; a None ridge penalty reached the solve as a TypeError.
     X, y = _system(9, n=20)
     X = np.column_stack([X, np.arange(20) % 7])  # the day-type column the registry's linear models expand
-    with pytest.raises(DataError, match="penalty lam must be a finite number >= 0, got None"):
+    with pytest.raises(DataError, match="lam must be a finite number >= 0, got None"):
         make_model("ri", 0, lam=None).fit(X, y)
 
 

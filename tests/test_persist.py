@@ -364,6 +364,14 @@ def test_document_without_kind_or_payload_rejected(key):
         loads_model(_rechecksummed(doc))
 
 
+@pytest.mark.parametrize("kind", ["tree", None, ["gbm_exact"], {"gbm_exact": 1}])
+def test_document_of_an_unknown_kind_rejected(kind):
+    doc = _saved_doc("gb")
+    doc["kind"] = kind
+    with pytest.raises(PersistError, match="unknown persisted model kind"):
+        loads_model(_rechecksummed(doc))
+
+
 #: For each ensemble model, a setting its kind does not take, at a value a kind that takes it accepts.
 UNREAD = {
     "br": ("feature_subsample", 1.0),
