@@ -13,8 +13,8 @@ of :data:`SETTING_RULES`, for fitters and model documents alike. The
 ``require*`` helpers check persisted model documents, which come from
 outside the program too; they raise :class:`~tripcast.errors.PersistError`
 with a ``malformed model document: ...`` message. :func:`input_file` is
-the one check of a path the program reads: a stops CSV, a generator config
-or a model document.
+the one check of a path the program reads (a stops CSV, a generator config
+or a model document), and :func:`read_input_text` its bounded whole-file reader.
 """
 
 from __future__ import annotations
@@ -40,6 +40,22 @@ def input_file(path: str | Path, what: str, error: type[DataError] = DataError) 
     if not path.is_file():
         raise error(f"{what} {path} is not a regular file")
     return path
+
+
+def read_input_text(path: str | Path, what: str, limit: int, error: type[DataError] = DataError) -> str:
+    """The UTF-8 text of the file at ``path``; ``error`` if over ``limit`` bytes (checked before opening), not UTF-8, or resized."""
+    path = input_file(path, what, error)
+    size = path.stat().st_size
+    if size > limit:
+        raise error(f"{what} {path} has {size} bytes, over the {limit} it may have")
+    with path.open("rb") as handle:
+        data = handle.read(size + 1)
+    if len(data) != size:
+        raise error(f"{what} {path} changed size while it was read")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8: {exc}") from exc
 
 
 def as_matrix(X) -> np.ndarray:

@@ -15,10 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -32,7 +29,7 @@ from .evaluation import (
     run_scenario,
 )
 from .featurize import TargetKind, build_table
-from .persist import dumps_model, load_model
+from .persist import load_model, save_model, write_atomically
 from .registry import REGISTRY, make_model, model_name
 from .report import scale_chart_svg
 from .rng import derive_seed
@@ -45,20 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write_text(path: Path, produce: Callable[[io.TextIOBase], None]) -> None:
-    """Write via a temp file + rename; no partial file survives a failure."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    tmp = Path(tmp_name)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            produce(handle)
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and then ``rows`` as a CSV file at ``path``, atomically."""
 
@@ -67,7 +50,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerow(header)
         writer.writerows(rows)
 
-    _atomic_write_text(path, produce)
+    write_atomically(path, produce)
 
 
 def _factory(name: str, seed: int, settings: dict, *label: object) -> Callable[[int], object]:
@@ -118,7 +101,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     stops = generate(config)
     out = Path(args.out)
-    _atomic_write_text(out, lambda handle: write_stops_csv(stops, handle))
+    write_atomically(out, lambda handle: write_stops_csv(stops, handle))
     print(f"wrote {len(stops)} stop rows to {out}")
     return 0
 
@@ -201,7 +184,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         ((r.model, r.n_samples, repr(r.fit_time), *(repr(t) for t in r.repeats)) for r in results),
     )
     svg = scale_chart_svg(results)
-    _atomic_write_text(out_dir / "scale.svg", lambda handle: handle.write(svg))
+    write_atomically(out_dir / "scale.svg", lambda handle: handle.write(svg))
 
     print(f"{'model':<6} {'n':>8} {'fit_time_s':>11}")
     for r in results:
@@ -220,8 +203,7 @@ def _cmd_save_model(args: argparse.Namespace) -> int:
     table = _load_table(args.stops, target)
     model = make_model(name, derive_seed(args.seed, name, "full-fit"), **settings[name])
     model.fit(table.X, table.y)
-    text = dumps_model(model)
-    _atomic_write_text(Path(args.out), lambda handle: handle.write(text))
+    save_model(model, args.out)
     print(f"fitted {name} on {len(table)} rows; saved to {args.out}")
     return 0
 

@@ -1,38 +1,35 @@
-"""Model persistence: a self-checking JSON document per fitted model.
+"""Model persistence: a self-checking two-line JSON document per fitted model.
 
-Floats survive the round trip exactly (shortest-repr JSON encoding), so a
-loaded model reproduces the original's predictions bit for bit. The
-payload is guarded by a SHA-256 checksum and a format version; truncation,
-corruption, or an unknown version all fail loudly instead of returning a
-half-usable model. A document is written as compact JSON with sorted keys,
-the form its checksum is taken over after parsing, so an indented document
-(as earlier builds wrote) loads too.
-
-Format version 5 stores each tree as flat per-node lists (``feature``,
-``threshold``, ``right``, ``value``; a left child is always the next node,
-so it is derived) and each ensemble's ``settings``: exactly the settings
-its kind takes (:data:`tripcast.ensembles.SETTINGS`), checked on load as a
-fit checks them. A document of an older version is refused, naming its
-version. Because a document comes from outside the program, the loader
-also checks that each tree's arrays form a tree before it is used (see
-:meth:`tripcast.trees.Tree.from_dict`), and refuses as a ``PersistError``
-a path that is not a regular file, a file over ``MAX_DOCUMENT_BYTES``,
-bytes that are not UTF-8, nesting deeper than the JSON parser recurses
-and integers past Python's digit limit.
+Format 6 is a header line, ``{"format":"tripcast-model","format_version":6,
+"sha256":...}``, and a body line, ``{"kind":...,"payload":...}`` in compact
+JSON with sorted keys, each ending in a newline. The ``sha256`` covers every
+byte after the header line as written, so a save serializes the body once
+and a load hashes it before it parses it. Floats round-trip exactly, so a
+loaded model predicts bit for bit as the original did and dumps to the same
+text. A document comes from outside the program: the loader refuses as a
+``PersistError`` an older version, naming it (formats 1 to 5 were one line,
+read as the header), a checksum mismatch, a file over ``MAX_DOCUMENT_BYTES``
+and all that the JSON parser, the payload checks (exactly the ``settings``
+an ensemble's kind takes, :data:`tripcast.ensembles.SETTINGS`) and
+:meth:`tripcast.trees.Tree.from_dict` refuse.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
+from typing import Callable
 
-from .checks import input_file
+from .checks import read_input_text, require
 from .errors import PersistError
 from .registry import model_from_payload
 
 FORMAT_NAME = "tripcast-model"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: Largest model file :func:`load_model` reads (256 MiB). The largest registry
 #: documents at 40k training rows are the default forests of unlimited depth:
@@ -40,73 +37,75 @@ FORMAT_VERSION = 5
 MAX_DOCUMENT_BYTES = 1 << 28
 
 
-def _canonical(doc: dict) -> str:
-    """Compact JSON with sorted keys: the bytes the checksum covers, and the written form."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def write_atomically(path: Path, produce: Callable[[io.TextIOBase], None]) -> None:
+    """Write ``path`` through ``produce`` via a temp sibling + rename; no partial file survives a failure."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = Path(tmp_name)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            produce(handle)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def model_document(model) -> dict:
-    """The persistable document for a fitted registry model."""
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def dumps_model(model) -> str:
+    """The document of a fitted registry model: its header line, then its body line."""
     kind = getattr(model, "kind", None)
     to_payload = getattr(model, "to_payload", None)
     if kind is None or to_payload is None:
         raise PersistError(f"object of type {type(model).__name__} is not persistable")
-    body = {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "kind": kind, "payload": to_payload()}
-    return {**body, "checksum": hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()}
-
-
-def dumps_model(model) -> str:
-    return _canonical(model_document(model))
+    body = json.dumps({"kind": kind, "payload": to_payload()}, sort_keys=True, separators=(",", ":")) + "\n"
+    header = {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "sha256": _sha256(body)}
+    return json.dumps(header, separators=(",", ":")) + "\n" + body
 
 
 def save_model(model, path: str | Path) -> None:
-    Path(path).write_text(dumps_model(model), encoding="utf-8")
+    """Write ``model``'s document to ``path`` atomically, making its directory if it is missing."""
+    write_atomically(Path(path), lambda handle: handle.write(dumps_model(model)))
 
 
-def loads_model(text: str):
+def _parse(line: str):
     try:
-        return _read_document(text)
-    except RecursionError as exc:  # while parsing, or in a check of a document parsed just short of it
-        raise PersistError("model document is nested too deeply") from exc
-
-
-def _read_document(text: str):
-    try:
-        doc = json.loads(text)
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise PersistError(f"model document is not valid JSON (truncated?): {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise PersistError(f"model document has a number it cannot read: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+    except RecursionError as exc:
+        raise PersistError("model document is nested too deeply") from exc
+
+
+def loads_model(text: str):
+    header_line, _, body = text.partition("\n")
+    del text  # the body is a copy: hold one, not two, while it is parsed and checked
+    header = _parse(header_line)
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise PersistError("not a tripcast model document")
-    version = doc.get("format_version")
+    version = header.get("format_version")
     if version != FORMAT_VERSION:
-        raise PersistError(
-            f"unsupported model format version {version!r} (this build reads {FORMAT_VERSION})"
-        )
-    stored = doc.get("checksum")
-    body = {k: v for k, v in doc.items() if k != "checksum"}
-    actual = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
-    if stored != actual:
+        raise PersistError(f"unsupported model format version {version!r} (this build reads {FORMAT_VERSION})")
+    if header.get("sha256") != _sha256(body):
         raise PersistError("model document checksum mismatch (corrupted file)")
+    doc = _parse(body)
+    del body
+    require(isinstance(doc, dict), "body is not an object")
     return model_from_payload(doc.get("kind"), doc.get("payload"))
 
 
 def load_model(path: str | Path):
     """Read and check the model document at ``path``.
 
-    Loading holds about eight times the document's size in memory, because
-    ``json.loads`` builds Python lists of every node's numbers before the
-    trees are checked: the 85.7 MB default ``rf`` document (40k rows of the
-    seed-1 ``serve`` table) raised a fresh process's ``ru_maxrss`` from 34
-    to 739 MB. A document at :data:`MAX_DOCUMENT_BYTES` was not measured.
+    Loading holds about seven times the document's size, as ``json.loads``
+    builds an object for every node number before the trees are checked: a
+    fresh process's ``ru_maxrss`` rose from 34 to 151 MB on a 17.1 MB 20-tree
+    ``rf`` document and to 608 MB on an 85.7 MB 100-tree one (both fit on 40k
+    rows of the seed-1 ``serve`` table). :data:`MAX_DOCUMENT_BYTES` was not tried.
     """
-    path = input_file(path, "model file", PersistError)
-    size = path.stat().st_size
-    if size > MAX_DOCUMENT_BYTES:
-        raise PersistError(f"model file {path} has {size} bytes, over the {MAX_DOCUMENT_BYTES} a document may have")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PersistError(f"model file {path} is not UTF-8: {exc}") from exc
-    return loads_model(text)
+    return loads_model(read_input_text(path, "model file", MAX_DOCUMENT_BYTES, PersistError))

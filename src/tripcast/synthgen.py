@@ -37,7 +37,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .checks import input_file, is_finite, is_int
+from .checks import is_finite, is_int, read_input_text
 from .errors import DataError
 from .rng import substream
 from .trip_data import Coded, StopTable, weekdays
@@ -74,6 +74,9 @@ MAX_TRIP_HOURS = 31 * 24.0
 #: bytes a row (a 113.9 MiB tracemalloc peak at the default config's 1,051,325
 #: rows), so this is about 8.8 GB. Forty years at the default daily counts pass.
 MAX_ROWS = 80_000_000
+
+#: The largest config file :func:`load_gen_config` reads: room for some 7,000 months listed one by one.
+MAX_CONFIG_BYTES = 1 << 16
 
 
 @dataclass(slots=True, frozen=True)
@@ -518,11 +521,7 @@ def _parse_months(raw: str) -> tuple[tuple[int, int], ...]:
 
 def load_gen_config(path: str | Path) -> GenConfig:
     """Read a GenConfig from a plain key=value file; missing keys keep defaults."""
-    path = input_file(path, "config file")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"config file {path} is not UTF-8: {exc}") from exc
+    text = read_input_text(path, "config file", MAX_CONFIG_BYTES)
     updates: dict[str, object] = {}
     for line_number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

@@ -1,6 +1,8 @@
 """Shared construction helpers for the test suite."""
 
 import contextlib
+import hashlib
+import json
 import re
 import signal
 from datetime import datetime
@@ -9,9 +11,21 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tripcast.linear import LinearModel, expand_day_type
+from tripcast.persist import FORMAT_NAME, FORMAT_VERSION
 from tripcast.registry import REGISTRY, make_model
 from tripcast.trees import canonical_rows, predict_tree_batch, split_threshold
 from tripcast.trip_data import Coded, StopTable, TripTable
+
+
+def signed(body: bytes, **header) -> bytes:
+    """``body``, the bytes after a model document's header line, under a header whose sha256 matches them.
+
+    ``header`` overrides the format and version fields, as an older or a
+    future build might write them.
+    """
+    fields = {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, **header}
+    fields["sha256"] = hashlib.sha256(body).hexdigest()
+    return json.dumps(fields).encode("utf-8") + b"\n" + body
 
 
 def coded(values):

@@ -1,7 +1,6 @@
 """End-to-end CLI behaviour: exit codes, atomic writes, determinism."""
 
 import csv
-import hashlib
 import json
 import re
 import time
@@ -15,9 +14,10 @@ import pytest
 from tripcast.checks import SETTING_RULES
 from tripcast.cli import MODEL_FLAGS, main
 from tripcast.errors import UsageError
-from tripcast.persist import _canonical
 from tripcast import linear, persist, registry
 from tripcast.registry import REGISTRY, make_model
+
+from tests.helpers import signed
 
 SMALL_CONFIG = """
 months = 2019-03..2019-09
@@ -406,16 +406,14 @@ def test_load_model_malformed_payload_is_data_error(tmp_path, stops_csv, capsys,
         ["save-model", str(stops_csv), "--model", "gb", "--target", "duration",
          "--n-estimators", "3", "--out", str(model_path)]
     ) == 0
-    doc = json.loads(model_path.read_text())
+    doc = json.loads(model_path.read_text().splitlines()[1])  # the body: kind and payload
     if edit == "drop_members":
         del doc["payload"]["members"]
     elif edit == "empty_members":
         doc["payload"]["members"] = []
     else:
         del doc["payload"]["settings"]
-    body = {k: v for k, v in doc.items() if k != "checksum"}
-    doc["checksum"] = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
-    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    model_path.write_bytes(signed(json.dumps(doc).encode("utf-8") + b"\n"))
     capsys.readouterr()
     assert main(["load-model", str(model_path)]) == 2
     assert "malformed model document" in capsys.readouterr().err
@@ -446,7 +444,7 @@ def test_load_model_unreadable_document_is_data_error_and_writes_nothing(tmp_pat
 def test_load_model_refuses_a_file_over_the_size_bound_before_reading_it(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     model_path.write_bytes(b"{}")
-    with mock.patch.object(persist, "MAX_DOCUMENT_BYTES", 1), mock.patch.object(Path, "read_text", side_effect=AssertionError):
+    with mock.patch.object(persist, "MAX_DOCUMENT_BYTES", 1), mock.patch.object(Path, "open", side_effect=AssertionError):
         assert main(["load-model", str(model_path)]) == 2
     assert "has 2 bytes, over the 1" in capsys.readouterr().err
 

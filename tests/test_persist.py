@@ -4,6 +4,7 @@ import copy
 import functools
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,15 +16,15 @@ from tripcast.errors import DataError, PersistError, UsageError
 from tripcast.persist import (
     FORMAT_NAME,
     FORMAT_VERSION,
-    _canonical,
     dumps_model,
     load_model,
     loads_model,
     save_model,
+    write_atomically,
 )
 from tripcast.registry import make_model
 
-from tests.helpers import mutated_bytes, small_model, time_limit
+from tests.helpers import mutated_bytes, signed, small_model, time_limit
 
 
 def _data(seed=0, n=150, k=9):
@@ -44,10 +45,40 @@ def test_round_trip_preserves_predictions_exactly(tmp_path, abbrev):
     model.fit(X, y)
     before = model.predict(X)
     path = tmp_path / f"{abbrev}.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    with mock.patch("json.dumps", wraps=json.dumps) as dumps:
+        save_model(model, path)
+    assert dumps.call_count == 2  # the body, once, and the header
+    with mock.patch("json.dumps", side_effect=AssertionError("a load serializes nothing")):
+        loaded = load_model(path)
     assert loaded.kind == model.kind
     assert np.array_equal(loaded.predict(X), before)
+    assert dumps_model(loaded) == path.read_bytes().decode("utf-8")  # the same text, byte for byte
+
+
+def test_save_makes_a_missing_directory(tmp_path):
+    model = make_model("dt", seed=1, max_depth=3).fit(*_data())
+    path = tmp_path / "new" / "dir" / "model.json"
+    save_model(model, path)
+    assert path.read_bytes() == dumps_model(model).encode("utf-8")
+
+
+def test_a_failed_save_keeps_the_earlier_file_and_leaves_no_temp_file(tmp_path):
+    model = make_model("dt", seed=1, max_depth=3).fit(*_data())
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    saved = path.read_bytes()
+    # A payload that cannot be made, and a write that fails halfway (a full disk, say).
+    with mock.patch.object(model, "to_payload", side_effect=MemoryError), pytest.raises(MemoryError):
+        save_model(model, path)
+
+    def half(handle):
+        handle.write(saved.decode("utf-8")[: len(saved) // 2])
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        write_atomically(path, half)
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_save_is_deterministic(tmp_path):
@@ -58,44 +89,69 @@ def test_save_is_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("abbrev", ["dt", "gb"])
-def test_document_is_compact_and_an_indented_one_still_loads(abbrev):
-    # Earlier builds wrote the same document with indent=1. The checksum
-    # covers the compact canonical form of the parsed document, so such a
-    # file loads and predicts as the model it was saved from.
+def test_document_is_two_compact_lines_and_a_reindented_body_is_refused(abbrev):
+    # The checksum covers the body's bytes as written, so the same body
+    # written indented (as builds before format 6 could read) is refused.
     X, y = _data()
     model = small_model(abbrev, 2, n_estimators=3).fit(X, y)
     text = dumps_model(model)
-    doc = json.loads(text)
-    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    indented = json.dumps(doc, sort_keys=True, indent=1)
-    assert len(indented) > len(text) and indented.count("\n") > 100
-    assert np.array_equal(loads_model(indented).predict(X), model.predict(X))
+    header_line, body_line, end = text.split("\n")
+    assert end == ""
+    header, body = json.loads(header_line), json.loads(body_line)
+    assert header == {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "sha256": header["sha256"]}
+    assert header["sha256"] == hashlib.sha256(f"{body_line}\n".encode("utf-8")).hexdigest()
+    assert list(body) == ["kind", "payload"]
+    assert body_line == json.dumps(body, sort_keys=True, separators=(",", ":"))
+    indented = json.dumps(body, sort_keys=True, indent=1)
+    assert indented.count("\n") > 100
+    with pytest.raises(PersistError, match="checksum mismatch"):
+        loads_model(f"{header_line}\n{indented}\n")
 
 
 def test_truncated_document_rejected(tmp_path):
     X, y = _data()
     model = make_model("dt", seed=1).fit(X, y)
     text = dumps_model(model)
-    with pytest.raises(PersistError, match="JSON"):
+    with pytest.raises(PersistError, match="checksum mismatch"):  # the body cut short
         loads_model(text[: len(text) // 2])
+    with pytest.raises(PersistError, match="JSON"):  # the header cut short
+        loads_model(text[:40])
 
 
 def test_tampered_document_rejected():
     X, y = _data()
     model = make_model("dt", seed=1).fit(X, y)
-    doc = json.loads(dumps_model(model))
-    doc["payload"]["n_features"] = 4
+    text = dumps_model(model)
+    tampered = text.replace('"n_features":9', '"n_features":4')
+    assert tampered != text
     with pytest.raises(PersistError, match="checksum"):
-        loads_model(json.dumps(doc))
+        loads_model(tampered)
 
 
 def test_unknown_version_rejected():
     X, y = _data()
     model = make_model("lr", seed=1).fit(X, y)
-    doc = json.loads(dumps_model(model))
+    doc = _doc(dumps_model(model))
     doc["format_version"] = FORMAT_VERSION + 1
     with pytest.raises(PersistError, match="version"):
-        loads_model(json.dumps(doc))
+        loads_model(_rechecksummed(doc))
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["[" * 100_000 + "]" * 100_000, '{"kind":"linear","payload":' + "7" * 5_000 + "}"],
+    ids=["nested 100,000 deep", "5,000 digits"],
+)
+def test_a_body_with_a_stale_checksum_is_refused_before_it_is_parsed(body):
+    # Parsed, the first body is nested too deeply and the second holds a
+    # number the parser cannot read. Under a stale sha256 neither is parsed:
+    # each is a checksum mismatch. Signed, each reaches the parser.
+    fresh = signed(f"{body}\n".encode("utf-8")).decode("utf-8")
+    stale = fresh.replace('"sha256": "', '"sha256": "0', 1)
+    with pytest.raises(PersistError, match="checksum mismatch"):
+        loads_model(stale)
+    with pytest.raises(PersistError, match="nested too deeply|a number it cannot read"):
+        loads_model(fresh)
 
 
 def test_not_a_model_document():
@@ -109,15 +165,13 @@ def test_missing_file():
 
 
 def test_nesting_near_the_recursion_limit_is_a_persist_error():
-    # A payload nested just short of the parser's limit parses, and then the
-    # checksum's json.dumps ran out of recursion (a RecursionError). Each
+    # A payload nested just short of the parser's limit parses and is
+    # refused by the payload checks; one nested deeper fails the parse. Each
     # depth is refused as a PersistError, whichever step meets it.
     for depth in range(900, 1100):
-        body = f'{{"format":"{FORMAT_NAME}","format_version":{FORMAT_VERSION},"kind":"linear","payload":'
-        body += "[" * depth + "]" * depth + "}"
-        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        body = '{"kind":"linear","payload":' + "[" * depth + "]" * depth + "}\n"
         with pytest.raises(PersistError):
-            loads_model(body[:-1] + f',"checksum":"{checksum}"}}')
+            loads_model(signed(body.encode("utf-8")).decode("utf-8"))
 
 
 @pytest.mark.parametrize("abbrev", ["lr", "gb"])
@@ -138,10 +192,31 @@ def test_unfitted_model_not_persistable():
         dumps_model(model)
 
 
+def _doc(text: str) -> dict:
+    """A saved document as one object: its header's format and version, and its body's kind and payload."""
+    header, body = (json.loads(line) for line in text.splitlines())
+    del header["sha256"]
+    return {**header, **body}
+
+
 def _rechecksummed(doc: dict) -> str:
-    """A document edited after saving, with a checksum that matches the edit."""
-    body = {k: v for k, v in doc.items() if k != "checksum"}
-    return json.dumps({**body, "checksum": hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()})
+    """A document (see ``_doc``) edited after saving, with a header whose sha256 matches the edited body."""
+    header = {key: doc[key] for key in ("format", "format_version")}
+    body = {key: value for key, value in doc.items() if key not in header}
+    return signed(json.dumps(body).encode("utf-8") + b"\n", **header).decode("utf-8")
+
+
+def _single_line(doc: dict) -> str:
+    """A document (see ``_doc``) written as formats 1 to 5 were: one line, with a checksum of the rest."""
+    canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    return canonical({**doc, "checksum": hashlib.sha256(canonical(doc).encode("utf-8")).hexdigest()})
+
+
+def test_version_5_document_rejected():
+    # Format 5 was one line that held its own checksum; that line is read as the header.
+    doc = {**_saved_doc("gb"), "format_version": 5}
+    with pytest.raises(PersistError, match="unsupported model format version 5"):
+        loads_model(_single_line(doc))
 
 
 def test_version_1_document_rejected():
@@ -155,7 +230,7 @@ def test_version_1_document_rejected():
     }
     doc = {"format": "tripcast-model", "format_version": 1, "kind": "decision_tree", "payload": payload}
     with pytest.raises(PersistError, match="version 1"):
-        loads_model(_rechecksummed(doc))
+        loads_model(_single_line(doc))
 
 
 def _as_version_4(doc: dict) -> dict:
@@ -171,7 +246,7 @@ def test_version_4_document_rejected(abbrev):
     # Format 4 recorded fields the kind does not read, such as a seed for gradient boosting.
     doc = _as_version_4(_saved_doc(abbrev))
     with pytest.raises(PersistError, match="unsupported model format version 4"):
-        loads_model(_rechecksummed(doc))
+        loads_model(_single_line(doc))
     doc["format_version"] = FORMAT_VERSION
     with pytest.raises(PersistError, match="lacks settings"):  # nor does it load under this version
         loads_model(_rechecksummed(doc))
@@ -195,7 +270,7 @@ def test_version_2_document_rejected():
     doc["payload"]["config"]["tree"].update(min_samples_leaf=1, min_samples_split=2, max_bins=255)
     doc["format_version"] = 2
     with pytest.raises(PersistError, match="version 2"):
-        loads_model(_rechecksummed(doc))
+        loads_model(_single_line(doc))
     doc["format_version"] = FORMAT_VERSION
     with pytest.raises(PersistError, match="lacks settings"):  # nor do they load under this version
         loads_model(_rechecksummed(doc))
@@ -207,7 +282,7 @@ def test_version_3_document_rejected(abbrev):
     saved = _saved_doc(abbrev)
     doc = _as_version_3(copy.deepcopy(saved))
     with pytest.raises(PersistError, match="version 3"):
-        loads_model(_rechecksummed(doc))
+        loads_model(_single_line(doc))
     doc["format_version"] = FORMAT_VERSION
     with pytest.raises(PersistError, match="lacks settings"):  # nor does it load under this version
         loads_model(_rechecksummed(doc))
@@ -218,7 +293,7 @@ def test_version_3_document_rejected(abbrev):
 
 def _saved_tree_doc():
     X, y = _data()
-    doc = json.loads(dumps_model(make_model("dt", seed=1, max_depth=4).fit(X, y)))
+    doc = _doc(dumps_model(make_model("dt", seed=1, max_depth=4).fit(X, y)))
     tree = doc["payload"]["members"][0]["tree"]
     assert tree["feature"][0] >= 0  # the root splits
     return doc, tree
@@ -265,7 +340,7 @@ def test_malformed_tree_arrays_rejected(edit):
 
 def _saved_doc(abbrev):
     X, y = _data()
-    return json.loads(dumps_model(small_model(abbrev, 1, n_estimators=3).fit(X, y)))
+    return _doc(dumps_model(small_model(abbrev, 1, n_estimators=3).fit(X, y)))
 
 
 def _drop(key):
@@ -415,7 +490,7 @@ def test_finite_parameters_that_overflow_on_a_query_are_refused_at_predict(abbre
     # inf and were returned as if they were numbers. The model's own entry
     # points refuse them too, without an overflow warning (an error here).
     X, y = _data()
-    doc = json.loads(dumps_model(small_model(abbrev, 1, n_estimators=2).fit(X, y)))
+    doc = _doc(dumps_model(small_model(abbrev, 1, n_estimators=2).fit(X, y)))
     edit(doc["payload"])
     model = loads_model(_rechecksummed(doc))
     entry_points = [model.predict, model.model.predict]
@@ -449,20 +524,18 @@ def small_documents():
 
 
 def _resigned(data: bytes) -> bytes | None:
-    """``data`` with a checksum that matches it, if it is a JSON object; so the checks past the checksum see it."""
-    try:
-        doc = json.loads(data)
-        return _rechecksummed(doc).encode("utf-8") if isinstance(doc, dict) else None
-    except (ValueError, RecursionError):
-        return None
+    """``data``'s bytes after its first line under a fresh header, if it has two; so the checks past the hash see them."""
+    _, newline, body = data.partition(b"\n")
+    return signed(body) if newline else None
 
 
 @pytest.mark.parametrize("kind", sorted(_ONE_PER_KIND))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_property_mutated_document_loads_and_predicts_finite_values_or_is_refused(tmp_path, small_documents, kind, data):
-    # Truncated, spliced or flipped bytes fail the parse or the checksum. The
-    # same bytes with a matching checksum reach the document's own checks.
+    # Truncated, spliced or flipped bytes fail the header's parse or the
+    # checksum. The same body under a matching header reaches the parse and
+    # the document's own checks.
     # A document that passes them may still refuse a query as a data error:
     # finite parameters that overflow on it, or a day-type column moved.
     X, docs = small_documents

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 import tripcast
 from tripcast.errors import DataError
 from tripcast.synthgen import (
+    MAX_CONFIG_BYTES,
     MAX_ROWS,
     MAX_STOPS,
     GenConfig,
@@ -405,6 +408,27 @@ def test_load_gen_config_errors(tmp_path):
             load_gen_config(bad_month)
     bad_month.write_text("months = 9999-11\n", encoding="utf-8")
     assert load_gen_config(bad_month).months == ((9999, 11),)
+
+
+def test_config_over_the_size_bound_is_refused(tmp_path):
+    # A config is read whole, so its size is bounded: at most MAX_CONFIG_BYTES
+    # (and one byte more) is read, whatever the file's length.
+    path = tmp_path / "long.conf"
+    line = b"seed = 7\n"
+    path.write_bytes(line + b"#" * (MAX_CONFIG_BYTES - len(line)))
+    assert load_gen_config(path).seed == 7
+    path.write_bytes(line + b"#" * (MAX_CONFIG_BYTES - len(line) + 1))
+    with pytest.raises(DataError, match=f"has {MAX_CONFIG_BYTES + 1} bytes, over the {MAX_CONFIG_BYTES}"):
+        load_gen_config(path)
+
+
+def test_config_that_changes_size_while_it_is_read_is_refused(tmp_path):
+    path = tmp_path / "gen.conf"
+    path.write_bytes(b"seed = 7\n")
+    real = path.stat()
+    stale = SimpleNamespace(st_mode=real.st_mode, st_size=real.st_size - 1)  # as if appended to after the stat
+    with mock.patch.object(Path, "stat", return_value=stale), pytest.raises(DataError, match="changed size while it was read"):
+        load_gen_config(path)
 
 
 def test_calibration_tracks_custom_targets():
