@@ -13,10 +13,10 @@ All four are built on the regression trees in :mod:`tripcast.trees`:
 Bagging, random forest and AdaBoost members are exact trees on their
 resamples (:func:`~tripcast.trees.grow_exact`). AdaBoost and bagging
 members with a ``max_depth`` of at most 5 (AdaBoost's default is 3) grow
-depth-first over every feature; unlimited or deeper trees, and every
-random-forest tree, grow level by level. Gradient-boosting stages are
-grown depth-first over every feature and also give the leaf of every
-training row. The columns a stage scans are built once per fit and shared
+node by node, breadth first, over every feature; unlimited or deeper
+trees, and every random-forest tree, grow level by level. Gradient-boosting
+stages are grown node by node over every feature and also give the leaf of
+every training row. Every tree is numbered in level order either way. The columns a stage scans are built once per fit and shared
 by all stages: the presort and a row-membership mask (exact), or the
 (feature, bin) key of every value, binned from the training rows
 (histogram, a dense feature x bin table per node).

@@ -1,10 +1,12 @@
 """Model persistence: a self-checking two-line JSON document per fitted model.
 
-Format 6 is a header line, ``{"format":"tripcast-model","format_version":6,
+Format 7 is a header line, ``{"format":"tripcast-model","format_version":7,
 "sha256":...}``, and a body line, ``{"kind":...,"payload":...}`` in compact
 JSON with sorted keys, each ending in a newline. The ``sha256`` covers every
 byte after the header line as written, so a save serializes the body once
-and a load hashes it before it parses it. Floats round-trip exactly, so a
+and a load hashes it before it parses it. Each tree is its ``feature``,
+``threshold`` and ``value`` lists in level order, its children implied
+(:class:`tripcast.trees.Tree`). Floats round-trip exactly, so a
 loaded model predicts bit for bit as the original did and dumps to the same
 text. A document comes from outside the program: the loader refuses as a
 ``PersistError`` an older version, naming it (formats 1 to 5 were one line,
@@ -29,11 +31,11 @@ from .errors import PersistError
 from .registry import model_from_payload
 
 FORMAT_NAME = "tripcast-model"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: Largest model file :func:`load_model` reads (256 MiB). The largest registry
 #: documents at 40k training rows are the default forests of unlimited depth:
-#: 86 MB for ``rf`` and 83 MB for ``br`` on the benchmark's serve table.
+#: 64 MB for ``rf`` and 62 MB for ``br`` on the benchmark's serve table.
 MAX_DOCUMENT_BYTES = 1 << 28
 
 
@@ -104,8 +106,8 @@ def load_model(path: str | Path):
 
     Loading holds about seven times the document's size, as ``json.loads``
     builds an object for every node number before the trees are checked: a
-    fresh process's ``ru_maxrss`` rose from 34 to 151 MB on a 17.1 MB 20-tree
-    ``rf`` document and to 608 MB on an 85.7 MB 100-tree one (both fit on 40k
+    fresh process's ``ru_maxrss`` rose from 33 to 123 MB on a 12.9 MB 20-tree
+    ``rf`` document and to 471 MB on a 64.4 MB 100-tree one (both fit on 40k
     rows of the seed-1 ``serve`` table). :data:`MAX_DOCUMENT_BYTES` was not tried.
     """
     return loads_model(read_input_text(path, "model file", MAX_DOCUMENT_BYTES, PersistError))

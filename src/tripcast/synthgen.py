@@ -65,8 +65,9 @@ MAX_STOPS = 1_000
 
 #: The longest trip the duration and delay laws may reach, in hours:
 #: ``duration_mean + |delay_mean| + 8 (duration_std + delay_std)`` bounds
-#: both the scheduled and the actual span at 8 stds. A trip that starts on
-#: ``LAST_MONTH``'s last day and lasts 31 days still ends in year 9999.
+#: both the scheduled and the actual span at 8 stds, and the generator clips
+#: both spans here. A trip that starts on ``LAST_MONTH``'s last day and lasts
+#: 31 days still ends in year 9999.
 MAX_TRIP_HOURS = 31 * 24.0
 
 #: The most stop rows a config may ask for: the mean of its total plus 8 of
@@ -413,8 +414,9 @@ def _generate_day(cfg: GenConfig, cal: _Calibration, day: np.datetime64) -> _Day
         base_h = rng.lognormal(cal.base_mu, cal.base_sigma, size=n_trips)
     else:
         base_h = np.full(n_trips, cal.base_mean)
-    sched_h = np.maximum(base_h, cfg.duration_min - delays_h)
-    actual_h = sched_h + delays_h
+    # The lognormal has no upper bound: a trip's spans stop at MAX_TRIP_HOURS, as its config's bound promises.
+    sched_h = np.minimum(np.maximum(base_h, cfg.duration_min - delays_h), MAX_TRIP_HOURS)
+    actual_h = np.minimum(sched_h + delays_h, MAX_TRIP_HOURS)
 
     start_seconds = rng.integers(0, 86400, size=n_trips)
 

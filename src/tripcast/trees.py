@@ -14,21 +14,21 @@ per-feature row lists kept sorted by node and value. Histogram trees, the
 stages of gradient boosting and shallow exact trees over every feature
 (:func:`grow_exact`'s one rule on ``max_depth`` and ``feature_subsample``;
 AdaBoost.R2's stages, and bagging and single trees given a small
-``max_depth``) are grown depth-first, one node at a time (:func:`_grow`),
+``max_depth``) are grown one node at a time, breadth first (:func:`_grow`),
 and each such node scores all features in one pass. The exact scan
 (:class:`ExactColumns`) filters the shared presort to the node, adds each
 value group's targets with ``reduceat`` and scores every group at once. The
 histogram scan (:class:`BinnedColumns`) counts the node's (feature, bin)
 keys into one dense (feature x bin) table with two ``bincount`` calls and
 scores every cell at once, an empty bin repeating the score of the bin
-before it. Both growers take the same split at every node, so an exact
-tree is the same whichever grows it; only :func:`_grow_levels` draws
-random-forest feature subsets, in level order.
+before it. Both growers take the same split at every node and number the
+nodes alike, so an exact tree is the same whichever grows it; only
+:func:`_grow_levels` draws random-forest feature subsets, in level order.
 
 A fitted tree is a :class:`Tree`: parallel node arrays (``feature``,
-``threshold``, ``right``, ``value``) in depth-first preorder, as in
-sklearn's ``Tree`` struct; a left child is always the next node, so it is
-derived, not stored. :func:`descend` routes all rows of a
+``threshold``, ``value``) in level order. The children of the k-th
+internal node are nodes 2k + 1 and 2k + 2, so no child index is stored
+(Jacobson, FOCS 1989). :func:`descend` routes all rows of a
 feature-major query at once, one step per depth level: O(depth) numpy calls,
 not one Python step per node. On a large query the narrow top levels go by
 masks, each internal node comparing its feature's whole column once, and a
@@ -57,7 +57,8 @@ may then differ.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,29 +69,38 @@ from .rng import substream
 
 @dataclass(slots=True, frozen=True, eq=False)
 class Tree:
-    """A fitted regression tree as parallel node arrays in depth-first preorder.
+    """A fitted regression tree as parallel node arrays in level order.
 
-    Node 0 is the root. An internal node routes rows with
-    ``x[feature] <= threshold`` to the next node (its left child) and the
-    rest to ``right``, which lies past the whole left subtree. A leaf has
-    ``feature == -1`` and ``threshold == 0.0`` and is its own left and right
-    child, so a descent may keep stepping after a row has reached its leaf.
-    ``value`` holds the mean training target of each node, ``n_features``
-    the training arity that predictions must match, and ``depth`` the length
-    of the longest root-to-leaf path (0 for a single leaf).
+    Node 0 is the root, and the nodes are numbered breadth first, each level
+    left to right. An internal node routes rows with
+    ``x[feature] <= threshold`` to its left child and the rest to its right
+    one; the k-th internal node in node order has children 2k + 1 and
+    2k + 2. A leaf has ``feature == -1`` and ``threshold == 0.0``.
+    ``value`` holds the mean training target of each node and ``n_features``
+    the training arity that predictions must match.
+
+    Two fields are derived from ``feature`` here, where every tree is made:
+    ``left``, each node's left child (a leaf is its own, so a descent may
+    keep stepping after a row has reached its leaf), and ``depth``, the
+    length of the longest root-to-leaf path (0 for a single leaf).
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     n_features: int
-    depth: int
+    left: np.ndarray = field(init=False)
+    depth: int = field(init=False)
 
-    @property
-    def left(self) -> np.ndarray:
-        """Each node's left child: the next node, or the node itself for a leaf."""
-        return np.arange(self.feature.size) + (self.feature >= 0)
+    def __post_init__(self):
+        internal = self.feature >= 0
+        rank = np.cumsum(internal)  # the internal nodes up to and including each node
+        object.__setattr__(self, "left", np.where(internal, 2 * rank - 1, np.arange(internal.size)))
+        # The nodes of levels 0..depth are 0..end - 1, so the next level ends at twice their splits plus 1.
+        depth, end = 0, 1
+        while (below := 2 * rank.item(end - 1) + 1) > end:
+            depth, end = depth + 1, below
+        object.__setattr__(self, "depth", depth)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _NODE_ARRAYS}
@@ -100,36 +110,39 @@ class Tree:
         """Rebuild a persisted tree, rejecting arrays that do not form one."""
         if not isinstance(doc, dict) or sorted(doc) != sorted(_NODE_ARRAYS):
             raise PersistError(f"tree node arrays are not exactly {', '.join(_NODE_ARRAYS)}")
-        try:
-            feature, right = (np.asarray(doc[k], dtype=np.intp) for k in ("feature", "right"))
-            threshold, value = (np.asarray(doc[k], dtype=np.float64) for k in ("threshold", "value"))
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
-            raise PersistError(f"tree node arrays are not numeric: {exc!r}") from exc
+        feature = _node_array(doc, "feature", {int}, np.intp)
+        threshold, value = (_node_array(doc, name, {int, float}, np.float64) for name in ("threshold", "value"))
         n = feature.size
-        if feature.ndim != 1 or n == 0 or any(a.shape != (n,) for a in (threshold, right, value)):
+        if n == 0 or threshold.size != n or value.size != n:
             raise PersistError("tree node arrays are empty or of unequal lengths")
-        node = np.arange(n)
-        leaf = feature == -1
-        left = node + ~leaf
         if np.any(feature < -1) or np.any(feature >= n_features):
             raise PersistError(f"tree splits on a feature outside 0..{n_features - 1}")
         if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
             raise PersistError("tree has a non-finite split threshold or node value")
-        if np.any(leaf & (right != node)):
-            raise PersistError("tree leaf does not point to itself")
-        if np.any(~leaf & ((right <= left) | (right >= n))):
-            raise PersistError("tree right child out of range or not past its parent's left child")
-        children = np.sort(np.concatenate((left[~leaf], right[~leaf])))
-        if not np.array_equal(children, node[1:]):
-            raise PersistError("tree nodes other than the root must have exactly one parent")
-        level, depth = node[:1], 0  # the internal nodes of each level in turn
-        while (level := level[~leaf[level]]).size:
-            level, depth = np.concatenate((level + 1, right[level])), depth + 1
-        return cls(feature, threshold, right, value, n_features, depth)
+        # With these two, every node but the root has exactly one parent, numbered before it: one tree.
+        internal = feature >= 0
+        if n != 2 * np.count_nonzero(internal) + 1:
+            raise PersistError(f"tree has {n} nodes, not 2 x its {np.count_nonzero(internal)} splits + 1")
+        tree = cls(feature, threshold, value, n_features)
+        if np.any(tree.left[internal] <= np.flatnonzero(internal)):
+            raise PersistError("tree numbers a child before its parent")
+        return tree
 
 
-#: What a persisted tree stores; each left child is derived (:attr:`Tree.left`).
-_NODE_ARRAYS = ("feature", "threshold", "right", "value")
+#: What a persisted tree stores; the children are implied by the level order.
+_NODE_ARRAYS = ("feature", "threshold", "value")
+
+
+def _node_array(doc: dict, name: str, types: set[type], dtype) -> np.ndarray:
+    """``doc[name]`` as an array, if it is a list of JSON numbers of ``types``; a boolean is not an int."""
+    values = doc[name]
+    if not isinstance(values, list) or not set(map(type, values)) <= types:
+        raise PersistError(f"tree {name} is not a list of {'integers' if types == {int} else 'numbers'}")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as exc:  # an integer past int64 or past the float range
+        raise PersistError(f"tree {name} holds a number out of range: {exc!r}") from exc
+
 
 #: Most bins a histogram gives one feature (LightGBM's default, Ke et al., 2017);
 #: bin codes 0..MAX_BINS - 1 are stored as uint8.
@@ -220,7 +233,7 @@ def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
     same leaf either way.
     """
     n = cols.shape[1]
-    feature, threshold, right = tree.feature, tree.threshold, tree.right
+    feature, threshold, left = tree.feature, tree.threshold, tree.left
     # The level's nodes as (node, path code, row mask); None masks every row,
     # or no row needs one. A leaf is its own left child: its rows stay put.
     level: list[tuple[int, int, np.ndarray | None]] = [(0, 0, None)]
@@ -241,7 +254,8 @@ def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
             else:
                 go_left &= mask
                 mask ^= go_left  # the node's rows that go right
-            below += [(node + 1, 2 * path, go_left), (right.item(node), 2 * path + 1, mask)]
+            child = left.item(node)
+            below += [(child, 2 * path, go_left), (child + 1, 2 * path + 1, mask)]
             went_right = mask if went_right is None else went_right | mask
         code += code  # uint8 shifts are slower than adds
         code |= went_right.view(np.uint8)
@@ -253,7 +267,7 @@ def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
     if all(feature.item(node) < 0 for node, _, _ in level):
         return tree.value.take(at).take(path)
     flat, rows = cols.ravel(), np.arange(n)
-    child2 = 2 * np.stack((right, tree.left), axis=1).ravel()
+    child2 = 2 * np.stack((left + (feature >= 0), left), axis=1).ravel()  # (right, left) children
     base = np.repeat(n * np.maximum(feature, 0), 2)  # a leaf's comparison is moot
     threshold2 = np.repeat(threshold, 2)
     if depth:
@@ -313,13 +327,14 @@ def column_presort(X: np.ndarray) -> np.ndarray:
     return presort
 
 
-#: The deepest bound at which an exact tree over every feature grows
-#: depth-first. The depth-first scan filters the whole presort at every node
-#: and the level-wise one at every level, so the first wins while a tree has
-#: few nodes per level. One sorted resample, level-wise / depth-first, median
-#: of alternating fits on 2 vCPUs: 1.8k rows, depth 5 7.2 / 6.0 ms, 6 10.1 /
-#: 9.9, 7 11.5 / 14.9; 40k rows, depth 5 85 / 70 ms, 6 108 / 103, 7 108 / 140.
-_DEPTH_FIRST_MAX_DEPTH = 5
+#: The deepest bound at which an exact tree over every feature grows node by
+#: node. The node scan filters the whole presort at every node and the
+#: level-wise one at every level, so the first wins while a tree has few
+#: nodes per level. One sorted resample, level-wise / node by node (then
+#: depth-first), median of alternating fits on 2 vCPUs: 1.8k rows, depth 5
+#: 7.2 / 6.0 ms, 6 10.1 / 9.9, 7 11.5 / 14.9; 40k rows, depth 5 85 / 70 ms,
+#: 6 108 / 103, 7 108 / 140.
+_NODE_BY_NODE_MAX_DEPTH = 5
 
 
 def grow_exact(
@@ -328,12 +343,12 @@ def grow_exact(
     """An exact tree on rows already in canonical order.
 
     A tree over every feature with ``max_depth`` at most
-    :data:`_DEPTH_FIRST_MAX_DEPTH` grows depth-first (:func:`_grow`); any
+    :data:`_NODE_BY_NODE_MAX_DEPTH` grows node by node (:func:`_grow`); any
     other grows level by level (:func:`_grow_levels`), which draws
     random-forest feature subsets in level order. Both take the same split
     at every node, so the rule changes only the time a fit takes.
     """
-    if feature_subsample >= 1.0 and max_depth is not None and max_depth <= _DEPTH_FIRST_MAX_DEPTH:
+    if feature_subsample >= 1.0 and max_depth is not None and max_depth <= _NODE_BY_NODE_MAX_DEPTH:
         return _grow(X, y, max_depth, ExactColumns(X))[0]
     return _grow_levels(X, y, max_depth, feature_subsample, seed)
 
@@ -348,21 +363,21 @@ def _grow_levels(
     split, as in SLIQ (Mehta et al., EDBT 1996) and SPRINT (Shafer et al.,
     VLDB 1996). Node values, group sums and prefix sums are each taken over
     the same numbers in the same order as a node-by-node scan would take
-    them, so the tree equals the depth-first one bit for bit. With
+    them, so the tree equals the node-by-node one bit for bit. With
     ``feature_subsample`` < 1 the splittable nodes draw their candidate
-    features in level order.
+    features in level order. The node arrays are built in level order, the
+    children of each level's splitting nodes numbered after the level in turn.
     """
     n, n_features = X.shape
     rng = substream(seed, "tree-feature-subsample") if feature_subsample < 1.0 else None
     n_draw = n_candidate_features(n_features, feature_subsample)
     # Node arrays in level order. A tree has at most n leaves, so at most
     # 2n - 1 nodes, and one of depth d at most 2**(d + 1) - 1.
-    n_nodes = 2 * n - 1 if max_depth is None else min(2 * n - 1, 2 ** (max_depth + 1) - 1)
-    feature = np.full(n_nodes, -1, dtype=np.intp)
-    threshold = np.zeros(n_nodes)
-    left = np.zeros(n_nodes, dtype=np.intp)  # the right child is left + 1
-    value = np.empty(n_nodes)
-    level_start = [0, 1]
+    capacity = 2 * n - 1 if max_depth is None else min(2 * n - 1, 2 ** (max_depth + 1) - 1)
+    feature = np.full(capacity, -1, dtype=np.intp)
+    threshold = np.zeros(capacity)
+    value = np.empty(capacity)
+    n_nodes = 1  # the nodes numbered so far
     # The open nodes of this level: their ids, their segments [bounds[i],
     # bounds[i + 1]) of `rows` (by node, then row) and of each `order[f]`
     # (by node, then x_f, then row).
@@ -409,16 +424,16 @@ def _grow_levels(
             f, t = best_f[i], float(best_t[i])
             raise RuntimeError(f"split x[{f}] <= {t!r} leaves a child of node {ids[i]} empty")
         feature[ids], threshold[ids] = best_f, best_t
-        left[ids] = level_start[-1] + 2 * np.arange(ids.size)
-        ids = np.arange(level_start[-1], level_start[-1] + 2 * ids.size)
-        level_start.append(ids[-1] + 1)
+        ids = np.arange(n_nodes, n_nodes + 2 * ids.size)  # the children, in level order
+        n_nodes += ids.size
 
         goes_left[rows] = go_left
         _partition(rows[None], goes_left, bounds, n_left)
         if max_depth is None or depth + 1 < max_depth:  # else the children are leaves
             _partition(order, goes_left, bounds, n_left)
         bounds = np.append(np.stack((bounds[:-1], bounds[:-1] + n_left), axis=1).ravel(), bounds[-1])
-    return _preorder(feature, threshold, left, value, level_start, n_features)
+    # Copies: a view would keep the unused capacity alive as long as the tree.
+    return Tree(*(a[:n_nodes].copy() for a in (feature, threshold, value)), n_features)
 
 
 #: Entries of the per-feature row lists that one block of an exact level or
@@ -547,32 +562,6 @@ def _partition(a: np.ndarray, goes_left: np.ndarray, bounds: np.ndarray, n_left:
         row[np.where(go_left, lefts + left_base, right_base - lefts)] = row.copy()
 
 
-def _preorder(feature, threshold, left, value, level_start, n_features) -> Tree:
-    """The level-ordered node arrays (right child at ``left + 1``) renumbered to depth-first preorder.
-
-    A left child directly follows its parent and a right child follows the
-    parent's whole left subtree, so sizes are summed bottom-up level by
-    level and positions handed down top-down.
-    """
-    n_nodes = level_start[-1]
-    internal = [np.flatnonzero(feature[a:b] >= 0) + a for a, b in zip(level_start, level_start[1:])]
-    size = np.ones(n_nodes, dtype=np.intp)
-    for p in reversed(internal):
-        size[p] += size[left[p]] + size[left[p] + 1]
-    pre = np.zeros(n_nodes, dtype=np.intp)
-    for p in internal:
-        pre[left[p]] = pre[p] + 1
-        pre[left[p] + 1] = pre[p] + 1 + size[left[p]]
-    p = np.concatenate(internal)
-    right = pre.copy()  # a leaf is its own right child
-    right[p] = pre[left[p] + 1]
-    arrays = (feature[:n_nodes], threshold[:n_nodes], right, value[:n_nodes])
-    out = [np.empty_like(a) for a in arrays]
-    for o, a in zip(out, arrays):
-        o[pre] = a
-    return Tree(*out, n_features=n_features, depth=len(level_start) - 2)
-
-
 class ExactColumns:
     """Each feature's rows in ascending value order, with the values: what an exact node scan reads.
 
@@ -699,29 +688,23 @@ class BinnedColumns:
 def _grow(
     X: np.ndarray, y: np.ndarray, max_depth: int | None, columns: ExactColumns | BinnedColumns
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree depth-first; also return the leaf index of every training row.
+    """Grow one tree node by node, breadth first; also return the leaf index of every training row.
 
     Serves the boosting stages, :func:`fit_tree_hist` and shallow exact
     trees over every feature (:func:`grow_exact`), scanning ``columns``
     built from ``X``; other exact trees grow level by level.
     Every feature is a candidate at every node, and ``columns.best_split``
-    gives a node's best split or None for a leaf.
+    gives a node's best split or None for a leaf. Nodes are numbered in the
+    order they leave the queue, which is level order (see :class:`Tree`).
     """
-    n_features = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
-    right: list[int] = []
     value: list[float] = []
     leaf_of = np.empty(X.shape[0], dtype=np.intp)
-    deepest = 0
-    # Depth-first, preorder; the explicit stack avoids recursion limits on
-    # deep trees. Entries are (rows, depth, parent of a right child or -1).
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(X.shape[0], dtype=np.int64), 0, -1)]
-    while stack:
-        idx, depth, right_of = stack.pop()
+    queue = deque([(np.arange(X.shape[0], dtype=np.int64), 0)])  # (rows, depth) of each node
+    while queue:
+        idx, depth = queue.popleft()
         node = len(value)
-        if right_of >= 0:
-            right[right_of] = node
         yn = y.take(idx)
         value.append(float(np.add.reduce(yn) / idx.size))  # np.add.reduce is np.sum without its wrapper
         # A constant target (a single row included) cannot split: no split can reduce variance.
@@ -730,9 +713,7 @@ def _grow(
         if best is None:
             feature.append(-1)
             threshold.append(0.0)
-            right.append(node)
             leaf_of[idx] = node
-            deepest = max(deepest, depth)
             continue
         f, t = best
         go_left = X[idx, f] <= t
@@ -740,16 +721,12 @@ def _grow(
             raise RuntimeError(f"split x[{f}] <= {t!r} leaves a child of node {node} empty")
         feature.append(f)
         threshold.append(t)
-        right.append(-1)  # set when the right child is visited; the left one is popped next
-        stack.append((idx[~go_left], depth + 1, node))
-        stack.append((idx[go_left], depth + 1, -1))
+        queue += ((idx[go_left], depth + 1), (idx[~go_left], depth + 1))
     tree = Tree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
-        right=np.array(right, dtype=np.intp),
         value=np.array(value, dtype=np.float64),
-        n_features=n_features,
-        depth=deepest,
+        n_features=X.shape[1],
     )
     return tree, leaf_of
 

@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import collections
 import contextlib
 import hashlib
 import json
@@ -112,24 +113,29 @@ class MeanModel:
 
 
 def tree_arrays(tree):
-    """A fitted tree's node arrays as lists, for exact structural comparison."""
-    return [getattr(tree, name).tolist() for name in ("feature", "threshold", "left", "right", "value")]
+    """A fitted tree's node arrays and its derived left children as lists, for exact structural comparison."""
+    return [getattr(tree, name).tolist() for name in ("feature", "threshold", "left", "value")]
 
 
 def reference_predict(tree, X):
-    """Walk each row from the root one node at a time: the plain reading of the node arrays."""
+    """Walk each row from the root one node at a time: the plain reading of the node arrays.
+
+    The children of the k-th internal node are nodes 2k + 1 and 2k + 2,
+    counted here from ``feature`` alone, not from the tree's ``left``.
+    """
+    rank = np.cumsum(tree.feature >= 0) - 1  # k of each internal node
     out = np.empty(X.shape[0])
     for i, x in enumerate(X):
         node = 0
         while tree.feature[node] >= 0:
             go_left = x[tree.feature[node]] <= tree.threshold[node]
-            node = tree.left[node] if go_left else tree.right[node]
+            node = 2 * rank[node] + (1 if go_left else 2)
         out[i] = tree.value[node]
     return out
 
 
 def reference_tree(X, y, max_depth=None, bins=None):
-    """A tree grown node by node, depth-first, from each node's own rows: node arrays as lists.
+    """A tree grown node by node, breadth first, from each node's own rows: node arrays as lists.
 
     Exact mode (``bins`` None): each node's rows are stably argsorted per
     feature and candidate splits lie between distinct values, whose target
@@ -141,20 +147,20 @@ def reference_tree(X, y, max_depth=None, bins=None):
     largest and the right bin's smallest training value. Either way splits
     are scored by S_L^2/N_L + S_R^2/N_R with ties to the lowest threshold,
     then the lowest feature, and taken only if they reduce the SSE. Nodes
-    are numbered in preorder, the left child first.
+    are numbered in the order they leave a queue, the left child first, so
+    in level order; each node's left child is given as :func:`tree_arrays`
+    gives it.
     """
     X, y = canonical_rows(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
     k = X.shape[1]
     if bins is not None:
         assert bins.keys.shape == X.shape
         width = bins.bin_min.shape[1]  # keys[r, f] is f * width + the bin of X[r, f]
-    feature, threshold, left, right, value = [], [], [], [], []
-    stack = [(np.arange(len(y)), 0, None)]
-    while stack:
-        idx, depth, right_of = stack.pop()
+    feature, threshold, left, value = [], [], [], []
+    queue = collections.deque([(np.arange(len(y)), 0)])
+    while queue:
+        idx, depth = queue.popleft()
         node = len(value)
-        if right_of is not None:
-            right[right_of] = node
         value.append(float(np.sum(y[idx]) / idx.size))
         best, best_score, best_parent = None, -np.inf, 0.0
         can_split = (max_depth is None or depth < max_depth) and np.any(y[idx] != y[idx[0]])
@@ -181,12 +187,13 @@ def reference_tree(X, y, max_depth=None, bins=None):
                 best_score, best_parent = score[pos], cy[-1] * cy[-1] / cn[-1]
                 best = (f, float(split_threshold(lo[pos], hi[pos])))
         if best is None or best_score - best_parent <= 0.0:
-            feature.append(-1), threshold.append(0.0), left.append(node), right.append(node)
+            feature.append(-1), threshold.append(0.0), left.append(node)
             continue
         go_left = X[idx, best[0]] <= best[1]
-        feature.append(best[0]), threshold.append(best[1]), left.append(node + 1), right.append(None)
-        stack += [(idx[~go_left], depth + 1, node), (idx[go_left], depth + 1, None)]
-    return [feature, threshold, left, right, value]
+        left.append(node + len(queue) + 1)  # after every node waiting in the queue
+        feature.append(best[0]), threshold.append(best[1])
+        queue += [(idx[go_left], depth + 1), (idx[~go_left], depth + 1)]
+    return [feature, threshold, left, value]
 
 
 def training_mse(tree, X, y):

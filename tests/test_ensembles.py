@@ -1,5 +1,6 @@
 """Ensembles: identity degeneracies, boosting recursion, AdaBoost.R2 behaviour."""
 
+import json
 import math
 import time
 
@@ -21,8 +22,8 @@ from tripcast.ensembles import (
 )
 from tripcast.errors import DataError
 from tripcast.persist import dumps_model
-from tripcast.registry import make_model
-from tripcast.trees import BinnedColumns, canonical_rows, fit_tree_exact, fit_tree_hist, predict_tree_batch
+from tripcast.registry import REGISTRY, make_model
+from tripcast.trees import BinnedColumns, Tree, canonical_rows, fit_tree_exact, fit_tree_hist, predict_tree_batch
 
 from tests.helpers import reference_tree, small_model, training_mse, tree_arrays
 
@@ -61,7 +62,7 @@ def test_gbm_constant_target_zero_stage_trees():
     model = fit_gbm(X, np.full(30, 5.0), n_estimators=4)
     assert model.base_prediction == 5.0
     for tree, _ in model.members:
-        assert tree_arrays(tree) == [[-1], [0.0], [0], [0], [0.0]]
+        assert tree_arrays(tree) == [[-1], [0.0], [0], [0.0]]
 
 
 def test_random_forest_full_subsample_equals_bagging():
@@ -176,7 +177,7 @@ def _nodes_reached(tree, X):
         node = 0
         reached[node] = True
         while tree.feature[node] >= 0:
-            node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+            node = tree.left[node] + (x[tree.feature[node]] > tree.threshold[node])
             reached[node] = True
     return reached
 
@@ -191,6 +192,36 @@ def test_property_no_split_leaves_a_child_empty(abbrev, data, n_features, copies
     model = make_model(abbrev, seed, n_estimators=n_estimators).fit(X, y).model
     for tree, _ in model.members:
         assert _nodes_reached(tree, X).all()
+
+
+@pytest.mark.parametrize("abbrev", ["dt", "br", "rf", "gb", "ab", "hgb"])
+@settings(max_examples=25, deadline=5000)
+@given(
+    **_DUPLICATED_ROWS,
+    max_depth=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_fitted_trees_are_in_level_order(abbrev, data, n_features, copies, max_depth, seed):
+    # Both growers number nodes level by level: the k-th internal node's
+    # children are nodes 2k + 1 and 2k + 2, after it, and node depths never
+    # fall in node order. Each tree survives its persisted form.
+    X, y = _duplicated_rows(data, n_features, copies)
+    given = {"n_estimators": 2, "max_depth": max_depth}
+    model = make_model(abbrev, seed, **{k: v for k, v in given.items() if k in REGISTRY[abbrev].settings}).fit(X, y)
+    for tree, _ in model.model.members:
+        internal = np.flatnonzero(tree.feature >= 0)
+        children = 2 * np.arange(internal.size) + 1
+        assert tree.feature.size == 2 * internal.size + 1
+        assert np.all(children > internal)
+        assert np.array_equal(tree.left[internal], children)
+        leaves = np.flatnonzero(tree.feature < 0)
+        assert np.array_equal(tree.left[leaves], leaves)
+        depth = np.zeros(tree.feature.size, dtype=np.intp)
+        for parent, child in zip(internal, children):
+            depth[[child, child + 1]] = depth[parent] + 1
+        assert np.all(np.diff(depth) >= 0) and depth.max() == tree.depth
+        again = Tree.from_dict(json.loads(json.dumps(tree.to_dict())), tree.n_features)
+        assert tree_arrays(again) == tree_arrays(tree) and again.depth == tree.depth
 
 
 def test_gbm_hist_equals_exact_on_integer_grid():

@@ -3,6 +3,7 @@
 import copy
 import functools
 import hashlib
+import itertools
 import json
 from unittest import mock
 
@@ -299,16 +300,6 @@ def _saved_tree_doc():
     return doc, tree
 
 
-def test_backward_child_index_rejected():
-    doc, tree = _saved_tree_doc()
-    last = len(tree["feature"]) - 1
-    assert tree["feature"][last] == -1
-    tree["feature"][last], tree["threshold"][last] = 0, 0.5
-    tree["right"][last] = 0  # points back at the root: a cycle
-    with pytest.raises(PersistError, match="past its parent's left child"):
-        loads_model(_rechecksummed(doc))
-
-
 def test_feature_out_of_range_rejected():
     doc, tree = _saved_tree_doc()
     tree["feature"][0] = doc["payload"]["n_features"]
@@ -316,11 +307,26 @@ def test_feature_out_of_range_rejected():
         loads_model(_rechecksummed(doc))
 
 
-@pytest.mark.parametrize(
-    "edit", ["short_value", "no_value", "text_feature", "infinite_threshold", "nan_value", "shared_child"]
-)
+#: Each malformed tree, and what its refusal says.
+MALFORMED_TREES = {
+    "short_value": "tree",
+    "no_value": "tree",
+    "text_feature": "tree",
+    "infinite_threshold": "tree",
+    "nan_value": "tree",
+    "node_count": r"tree has \d+ nodes, not 2 x its \d+ splits \+ 1",
+    "child_before_parent": "tree numbers a child before its parent",
+    "stored_right": "tree node arrays are not exactly feature, threshold, value",
+    "stored_left": "tree node arrays are not exactly feature, threshold, value",
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED_TREES))
 def test_malformed_tree_arrays_rejected(edit):
+    # A tree in level order implies its children, so it cannot name a shared
+    # or a backward child; it can only split too often or too late.
     doc, tree = _saved_tree_doc()
+    split = [i for i, f in enumerate(tree["feature"]) if f >= 0]
     if edit == "short_value":
         tree["value"].pop()
     elif edit == "no_value":
@@ -332,9 +338,56 @@ def test_malformed_tree_arrays_rejected(edit):
     elif edit == "nan_value":
         leaf = tree["feature"].index(-1)
         tree["value"][leaf] = float("nan")  # loaded, it would predict NaN for every row reaching this leaf
-    else:
-        tree["right"][0] = 1  # the root's left child
-    with pytest.raises(PersistError, match="tree"):
+    elif edit == "node_count":  # one more split than the nodes allow
+        leaf = tree["feature"].index(-1)
+        tree["feature"][leaf], tree["threshold"][leaf] = 0, 0.5
+    elif edit == "child_before_parent":  # the last split moved to the last node, whose children would precede it
+        tree["feature"][split[-1]], tree["threshold"][split[-1]] = -1, 0.0
+        tree["feature"][-1], tree["threshold"][-1] = 0, 0.5
+    else:  # a child list, as formats 3 (left) and 4 to 6 (right) stored one
+        tree[edit.removeprefix("stored_")] = [i + 1 if i in split else i for i in range(len(tree["feature"]))]
+    with pytest.raises(PersistError, match=MALFORMED_TREES[edit]):
+        loads_model(_rechecksummed(doc))
+
+
+@pytest.mark.parametrize(
+    "name, entry", [("feature", 8.5), ("feature", "1"), ("feature", True), ("threshold", "0.5"), ("value", False)]
+)
+def test_tree_node_arrays_hold_only_json_numbers(name, entry):
+    # The arrays were cast on load: a feature of 8.5 loaded as 8, and "1",
+    # true and a threshold of "0.5" loaded as numbers.
+    doc, tree = _saved_tree_doc()
+    tree[name][0] = entry
+    with pytest.raises(PersistError, match=f"tree {name} is not a list of"):
+        loads_model(_rechecksummed(doc))
+
+
+def _as_version_6(doc: dict) -> dict:
+    """A saved ensemble document rewritten in format 6: each tree in depth-first preorder, with its right children."""
+    for member in doc["payload"]["members"]:
+        tree = member["tree"]
+        rank = list(itertools.accumulate(int(f >= 0) for f in tree["feature"]))
+        pre, stack = [], [0]
+        while stack:  # a node, its left subtree, then its right one
+            node = stack.pop()
+            pre.append(node)
+            if tree["feature"][node] >= 0:
+                stack += [2 * rank[node], 2 * rank[node] - 1]
+        at = {node: i for i, node in enumerate(pre)}
+        member["tree"] = {name: [tree[name][node] for node in pre] for name in tree}
+        member["tree"]["right"] = [at[2 * rank[node]] if tree["feature"][node] >= 0 else at[node] for node in pre]
+    doc["format_version"] = 6
+    return doc
+
+
+@pytest.mark.parametrize("abbrev", ["dt", "gb"])
+def test_version_6_document_rejected(abbrev):
+    # Format 6 stored each tree in depth-first preorder with its right children.
+    doc = _as_version_6(_saved_doc(abbrev))
+    with pytest.raises(PersistError, match="unsupported model format version 6"):
+        loads_model(_rechecksummed(doc))
+    doc["format_version"] = FORMAT_VERSION
+    with pytest.raises(PersistError, match="tree node arrays are not exactly"):  # nor does it load under this version
         loads_model(_rechecksummed(doc))
 
 

@@ -21,6 +21,7 @@ from tripcast.synthgen import (
     MAX_CONFIG_BYTES,
     MAX_ROWS,
     MAX_STOPS,
+    MAX_TRIP_HOURS,
     GenConfig,
     _base_mean_gap,
     _days_by_weekday,
@@ -100,6 +101,21 @@ def test_output_passes_parse_and_assemble_with_zero_rejects(tmp_path):
     trips, trip_rejects = assemble_trips(parsed)
     assert trip_rejects == []
     assert len(set(records.trip.labels[records.trip.codes])) == len(trips)
+
+
+def test_trips_of_the_last_month_end_by_year_9999(tmp_path):
+    # The lognormal base has no upper bound: at a duration std of 80 h three
+    # trips of 9999-11 ran into year 10000, and the parser refused 22 rows.
+    records = generate(GenConfig(months=((9999, 11),), duration_mean=10.0, duration_std=80.0))
+    path = tmp_path / "gen.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        write_stops_csv(records, handle)
+    parsed, row_rejects = parse_stops_csv(path)
+    assert row_rejects == []
+    trips, trip_rejects = assemble_trips(parsed)
+    assert trip_rejects == []
+    longest = MAX_TRIP_HOURS * 3600.0
+    assert trips.scheduled_duration.max() == trips.actual_duration.max() == longest  # clipped, not past it
 
 
 def test_structural_invariants_per_trip():

@@ -28,7 +28,7 @@ from tests.helpers import reference_predict, reference_tree, time_limit, trainin
 
 def test_two_point_split():
     tree = fit_tree_exact(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]), max_depth=1)
-    assert tree_arrays(tree) == [[0, -1, -1], [0.5, 0.0, 0.0], [1, 1, 2], [2, 1, 2], [5.0, 0.0, 10.0]]
+    assert tree_arrays(tree) == [[0, -1, -1], [0.5, 0.0, 0.0], [1, 1, 2], [5.0, 0.0, 10.0]]
     assert tree.depth == 1
     assert training_mse(tree, np.array([[0.0], [1.0]]), np.array([0.0, 10.0])) == 0.0
 
@@ -42,7 +42,7 @@ def test_predict_tie_goes_left():
 def test_constant_target_single_leaf():
     X = np.array([[1.0], [5.0], [9.0]])
     tree = fit_tree_exact(X, np.full(3, 7.0))
-    assert tree_arrays(tree) == [[-1], [0.0], [0], [0], [7.0]]
+    assert tree_arrays(tree) == [[-1], [0.0], [0], [7.0]]
     assert tree.depth == 0
     assert predict_tree_batch(tree, np.array([[123.0]])).tolist() == [7.0]
 
@@ -155,7 +155,7 @@ def test_leaf_values_are_node_means():
         if tree.feature[node] >= 0:
             mask = X[idx, tree.feature[node]] <= tree.threshold[node]
             stack.append((tree.left[node], idx[mask]))
-            stack.append((tree.right[node], idx[~mask]))
+            stack.append((tree.left[node] + 1, idx[~mask]))
 
 
 def test_permutation_invariance_bitwise():
@@ -261,7 +261,7 @@ def _internal_per_level(tree):
     counts, level = [], np.zeros(1, dtype=np.intp)
     while (level := level[tree.feature[level] >= 0]).size:
         counts.append(level.size)
-        level = np.concatenate((level + 1, tree.right[level]))
+        level = np.concatenate((tree.left[level], tree.left[level] + 1))
     return counts
 
 
@@ -293,8 +293,8 @@ _GRID = (-1.5, -1.0, -0.0, 0.0, 0.5, 2.0)
 
 
 @st.composite
-def preorder_trees(draw, n_features=3):
-    """A valid preorder tree of depth 0-12 as ``Tree.from_dict`` reads it, built level by level.
+def level_order_trees(draw, n_features=3):
+    """A valid tree of depth 0-12 as ``Tree.from_dict`` reads it, drawn and numbered level by level.
 
     Each level's internal nodes are drawn among its nodes, so a leaf may sit
     at any level; levels of exactly the mask route's node bound, and of one
@@ -303,39 +303,27 @@ def preorder_trees(draw, n_features=3):
     """
     depth = draw(st.integers(min_value=0, max_value=12))
     bound = trees._MASK_MAX_NODES
-    levels = [[None]]  # per level, each node's (feature, threshold) or None for a leaf
-    for _ in range(depth):
-        width = len(levels[-1])
-        at_bound = [k for k in (bound, bound + 1) if k <= width]
-        if at_bound and draw(st.booleans()):
+    doc = {"feature": [], "threshold": [], "value": []}
+    width = 1  # the nodes of this level
+    for d in range(depth + 1):
+        if d == depth:
+            n_internal = 0
+        elif (at_bound := [k for k in (bound, bound + 1) if k <= width]) and draw(st.booleans()):
             n_internal = draw(st.sampled_from(at_bound))
         else:
             n_internal = draw(st.integers(min_value=1, max_value=min(width, bound + 2)))
-        internal = draw(st.permutations(range(width)))[:n_internal]
-        for i in internal:
-            levels[-1][i] = (draw(st.integers(0, n_features - 1)), draw(st.sampled_from(_GRID)))
-        levels.append([None] * (2 * n_internal))
-    doc = {"feature": [], "threshold": [], "right": [], "value": []}
-
-    def emit(d, i):  # preorder: the node, its left subtree, then its right one
-        node = len(doc["feature"])
-        split = levels[d][i]
-        doc["feature"].append(-1 if split is None else split[0])
-        doc["threshold"].append(0.0 if split is None else split[1])
-        doc["right"].append(node)
-        doc["value"].append(float(node))
-        if split is not None:
-            child = 2 * sum(s is not None for s in levels[d][:i])
-            emit(d + 1, child)
-            doc["right"][node] = len(doc["feature"])
-            emit(d + 1, child + 1)
-
-    emit(0, 0)
+        internal = set(draw(st.permutations(range(width)))[:n_internal])
+        for i in range(width):
+            split = i in internal
+            doc["feature"].append(draw(st.integers(0, n_features - 1)) if split else -1)
+            doc["threshold"].append(draw(st.sampled_from(_GRID)) if split else 0.0)
+            doc["value"].append(float(len(doc["value"])))
+        width = 2 * n_internal
     return Tree.from_dict(doc, n_features)
 
 
 @settings(max_examples=60, deadline=None)
-@given(tree=preorder_trees(), seed=st.integers(0, 2**32 - 1))
+@given(tree=level_order_trees(), seed=st.integers(0, 2**32 - 1))
 def test_property_both_descent_routes_equal_row_walk_on_random_trees(tree, seed):
     # Queries are drawn from a pool of grid rows and of one row on each
     # split's threshold; row counts straddle the mask route's row bound.
@@ -443,7 +431,7 @@ def test_property_level_wise_and_depth_first_exact_growers_give_equal_trees(data
     X, y = X[idx], y[idx]
     level = trees._grow_levels(X, y, depth)
     first, _ = trees._grow(X, y, depth, ExactColumns(X))
-    for name in ("feature", "threshold", "right", "value"):
+    for name in ("feature", "threshold", "left", "value"):
         assert getattr(level, name).tobytes() == getattr(first, name).tobytes(), name
     assert tree_arrays(trees.grow_exact(X, y, depth)) == tree_arrays(level)
 
