@@ -37,8 +37,9 @@ one-member bagging ensemble without bootstrap.
 Each kind takes the settings :data:`SETTINGS` declares for it, by keyword,
 and no others; the fitted :class:`EnsembleModel` records them all, filled in
 with the kind's defaults. It owns its persisted form (``to_payload`` /
-``from_payload``), which checks a document's settings as a fit does before
-rebuilding from it.
+``from_payload``), which checks a document's settings as a fit does, and
+its members and ``base_prediction`` against what a fit of them writes,
+before rebuilding from it.
 """
 
 from __future__ import annotations
@@ -143,6 +144,18 @@ class EnsembleModel:
             settings = _kind_settings(kind, payload["settings"])
         except DataError as exc:
             raise PersistError(f"malformed model document: settings: {exc}") from exc
+        # The members a fit of this kind and these settings writes: AdaBoost may stop early.
+        count, n_estimators = len(members), settings["n_estimators"]
+        weights = {float(m["weight"]) for m in members}
+        boosted = kind in ("gbm_exact", "gbm_hist")
+        if kind == "adaboost_r2":
+            require(count <= n_estimators, f"members holds {count} trees, over n_estimators {n_estimators}")
+            require(min(weights) > 0, "an adaboost_r2 member weight is not > 0")
+        else:
+            require(count == n_estimators, f"members holds {count} trees, not n_estimators {n_estimators}")
+            weight = float(settings["learning_rate"]) if boosted else 1.0
+            require(weights == {weight}, f"a {kind} member weight is not {weight!r}")
+        require(boosted or payload["base_prediction"] == 0, f"{kind} has a nonzero base_prediction")
         return cls(
             kind=kind,
             n_features=n_features,

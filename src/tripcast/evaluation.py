@@ -251,6 +251,9 @@ def run_scale_bench(
     sizes = [int(n) for n in sizes]
     if min(sizes) < 1:
         raise DataError("sizes must be positive")
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:  # one result row would hold the repeats of both
+            raise DataError(f"size {n} is given more than once")
     if max(sizes) > len(table):
         raise DataError(f"size {max(sizes)} exceeds table rows ({len(table)})")
     if repeats < 1:

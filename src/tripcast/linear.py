@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import check_setting, finite_predictions, is_finite, is_int, query_matrix, require, require_keys, training_data
-from .errors import DataError
+from .errors import DataError, PersistError
 from .featurize import N_DAY_TYPES
 
 #: Diagonal jitter applied to the normal equations (rank-deficiency guard).
@@ -97,8 +97,13 @@ class LinearModel:
                 f"{key} is not a list of {width} finite numbers",
             )
         require(all(v != 0 for v in doc["feature_scales"]), "feature_scales holds a zero")
-        require(is_finite(doc["intercept"]) and is_finite(doc["lam"]), "intercept or lam is not a finite number")
+        require(is_finite(doc["intercept"]), "intercept is not a finite number")
         require(doc["penalty"] in ("none", "l2", "l1"), f"unknown penalty {doc['penalty']!r}")
+        try:
+            check_setting("lam", doc["lam"])
+        except DataError as exc:
+            raise PersistError(f"malformed model document: {exc}") from exc
+        require(doc["penalty"] != "none" or doc["lam"] == 0, f"penalty none with lam {doc['lam']!r}, not 0")
         require(isinstance(doc["converged"], bool), "converged is not a boolean")
         return cls(
             **{key: np.asarray(doc[key], dtype=np.float64) for key in _ARRAYS},

@@ -172,7 +172,8 @@ class GenConfig:
         days = zip(_days_by_weekday(self.months), _trips_by_weekday(self))
         days = [(n, mean + std / math.sqrt(2.0 * math.pi), std) for n, (mean, std) in days]
         rows = stops * sum(n * trips for n, trips, _ in days)
-        rows_var = sum(n * (trips * stops_var + (std * stops) ** 2) for n, trips, std in days)
+        # A product past the float range reads inf, which the bound refuses; ``**`` would raise OverflowError.
+        rows_var = sum(n * (trips * stops_var + (std * stops) * (std * stops)) for n, trips, std in days)
         most_rows = rows + 8.0 * math.sqrt(rows_var)
         if most_rows > MAX_ROWS:
             raise DataError(
@@ -372,12 +373,16 @@ def generate(config: GenConfig) -> StopTable:
     (trip_number, stop_number); trip numbers embed the date, so the order is
     chronological by day. Every column is built a day at a time with array
     operations; the only per-trip Python work is formatting trip numbers.
+    A config that draws no trip at all is a ``DataError``.
     """
     config.validate()
     cal = _calibrate(config)
     begin, end = _month_bounds(config.months)
     days = [_generate_day(config, cal, day) for lo, hi in zip(begin, end) for day in np.arange(lo, hi)]
-    return _stop_table([d for d in days if d is not None], cal.pool_size)
+    days = [d for d in days if d is not None]
+    if not days:  # a stops file with no row is one that no parse accepts
+        raise DataError("GenConfig drew no trip on any day of its months")
+    return _stop_table(days, cal.pool_size)
 
 
 @dataclass(slots=True, frozen=True)

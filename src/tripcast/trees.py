@@ -224,13 +224,13 @@ def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
     leaf value when no deeper level remains.
 
     Deeper levels gather, from that node on; a smaller query starts at the
-    root, whose test reads one whole column. A row's state is
-    ``k = 2 * node``; tables indexed by ``k`` hold the node's column start in
-    ``cols.ravel()`` and its threshold, and at ``k + go_left`` the next
-    ``k``, so rows at nodes that test one feature gather from one column.
-    Leaves point to themselves, so rows that reach one early stay put. Both
-    routes apply the same ``x <= threshold`` test, so every row reaches the
-    same leaf either way.
+    root, whose test reads one whole column. A row's state is its node: a
+    step takes it to ``left[node] + (x > bound[node])``, ``x`` gathered from
+    ``cols.ravel()`` at the node's column start. A bound is the node's
+    threshold, or ``+inf`` at a leaf, its own left child, so rows that reach
+    a leaf early stay put. Query values are finite
+    (:func:`~tripcast.checks.query_matrix`), so ``x > bound`` is exactly
+    ``not x <= threshold``, and both routes take every row to the same leaf.
     """
     n = cols.shape[1]
     feature, threshold, left = tree.feature, tree.threshold, tree.left
@@ -264,19 +264,18 @@ def descend(tree: Tree, cols: np.ndarray) -> np.ndarray:
     for node, path, _ in level:
         at[path] = node
     path = code.astype(np.intp)  # take() casts narrower indices slowly
-    if all(feature.item(node) < 0 for node, _, _ in level):
+    if tree.depth == depth:  # every row is at its leaf
         return tree.value.take(at).take(path)
     flat, rows = cols.ravel(), np.arange(n)
-    child2 = 2 * np.stack((left + (feature >= 0), left), axis=1).ravel()  # (right, left) children
-    base = np.repeat(n * np.maximum(feature, 0), 2)  # a leaf's comparison is moot
-    threshold2 = np.repeat(threshold, 2)
+    base = n * np.maximum(feature, 0)  # a leaf's comparison is moot
+    bound = np.where(feature >= 0, threshold, np.inf)  # no row goes right of a leaf
     if depth:
-        k = (2 * at).take(path)
+        node = at.take(path)
     else:  # a small query: the root's test reads one whole column
-        k, depth = child2.take(cols[feature.item(0)] <= threshold.item(0)), 1
+        node, depth = left.item(0) + (cols[feature.item(0)] > threshold.item(0)), 1
     for _ in range(tree.depth - depth):
-        k = child2.take(k + (flat.take(base.take(k) + rows) <= threshold2.take(k)))
-    return tree.value.take(k >> 1)
+        node = left.take(node) + (flat.take(base.take(node) + rows) > bound.take(node))
+    return tree.value.take(node)
 
 
 def split_threshold(lo, hi):

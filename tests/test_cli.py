@@ -331,6 +331,16 @@ def test_scale_size_exceeding_table(tmp_path, stops_csv):
     assert code == 2
 
 
+def test_scale_repeated_size_is_data_error_and_writes_nothing(tmp_path, stops_csv, capsys):
+    # A repeated size gave its row twice the repeat cells of the header and a median over both.
+    out_dir = tmp_path / "scale"
+    code = main(["scale", str(stops_csv), "--sizes", "100,100,50", "--models", "lr",
+                 "--repeats", "1", "--out", str(out_dir)])
+    assert code == 2
+    assert "size 100 is given more than once" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("repeats", ["0", "-2"])
 def test_scale_repeats_below_one_is_data_error_and_writes_nothing(tmp_path, stops_csv, capsys, repeats):
     out_dir = tmp_path / "scale"

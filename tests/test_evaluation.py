@@ -385,6 +385,14 @@ def test_run_scale_bench_size_errors():
         run_scale_bench(table, [], {"mean": lambda rep: MeanModel()})
 
 
+def test_run_scale_bench_refuses_a_repeated_size_before_any_fit():
+    table = _seven_month_table(trips_per_day=3)
+    built = []
+    with pytest.raises(DataError, match="size 50 is given more than once"):
+        run_scale_bench(table, [50, 20, 50], {"mean": lambda rep: built.append(rep) or MeanModel()}, repeats=1)
+    assert built == []
+
+
 @pytest.mark.parametrize("repeats", [0, -1])
 def test_run_scale_bench_refuses_repeats_below_one_before_any_fit(repeats):
     # Zero repeats would give NaN medians, which the chart cannot draw.

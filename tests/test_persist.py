@@ -472,6 +472,29 @@ MALFORMED_PAYLOADS = {
     "lr_day_type_col_out_of_range": ("lr", _linear("day_type_col", 40), "day_type_col"),
     "lr_text_n_raw_features": ("lr", _linear("n_raw_features", "9"), "n_raw_features"),
     "lr_converged_text": ("lr", _linear("converged", "yes"), "converged"),
+    # Settings no fit writes: a negative lam, or a nonzero one without a penalty.
+    "ri_negative_lam": ("ri", _linear("lam", -5.0), "lam must be a finite number >= 0, got -5.0"),
+    "lr_negative_lam": ("lr", _linear("lam", -5.0), "lam must be a finite number >= 0"),
+    "la_negative_lam": ("la", _linear("lam", -5.0), "lam must be a finite number >= 0"),
+    "lr_nonzero_lam": ("lr", _linear("lam", 1.0), "penalty none with lam 1.0, not 0"),
+    "ri_penalty_none": ("ri", _linear("penalty", "none"), "penalty none with lam 1.0, not 0"),
+    # Members no fit of the document's kind and settings writes (n_estimators 3).
+    "br_member_weight": ("br", _member("weight", 7.0), "a bagging member weight is not 1.0"),
+    "dt_member_weight": ("dt", _member("weight", 7.0), "a bagging member weight is not 1.0"),
+    "rf_member_weight": ("rf", _member("weight", 0.5), "a random_forest member weight is not 1.0"),
+    "gb_member_weight": ("gb", _member("weight", 7.0), "a gbm_exact member weight is not 0.1"),
+    "hgb_member_weight": ("hgb", _member("weight", 1.0), "a gbm_hist member weight is not 0.1"),
+    "ab_zero_member_weight": ("ab", _member("weight", 0.0), "an adaboost_r2 member weight is not > 0"),
+    "ab_negative_member_weight": ("ab", _member("weight", -1.0), "an adaboost_r2 member weight is not > 0"),
+    "br_base_prediction": ("br", _set("base_prediction", 5.0), "bagging has a nonzero base_prediction"),
+    "dt_base_prediction": ("dt", _set("base_prediction", 5.0), "bagging has a nonzero base_prediction"),
+    "rf_base_prediction": ("rf", _set("base_prediction", -1), "random_forest has a nonzero base_prediction"),
+    "ab_base_prediction": ("ab", _set("base_prediction", 5.0), "adaboost_r2 has a nonzero base_prediction"),
+    "gb_one_of_three_members": ("gb", lambda p: p["members"].__delitem__(slice(1, None)), "members holds 1 trees, not n_estimators 3"),
+    "br_one_of_three_members": ("br", lambda p: p["members"].__delitem__(slice(1, None)), "members holds 1 trees, not n_estimators 3"),
+    "rf_six_members": ("rf", lambda p: p["members"].extend(p["members"]), "members holds 6 trees, not n_estimators 3"),
+    "dt_two_members": ("dt", lambda p: p["members"].extend(p["members"]), "members holds 2 trees, not n_estimators 1"),
+    "ab_four_members": ("ab", lambda p: p["members"].extend(p["members"][:1] * 4), "members holds [4-7] trees, over n_estimators 3"),
 }
 
 
@@ -529,14 +552,19 @@ def test_document_records_exactly_its_kinds_settings(abbrev):
 
 
 
+def _all_leaves(payload, value):
+    """Set every node value of every member of an ensemble payload to ``value``."""
+    return [m["tree"].__setitem__("value", [value] * len(m["tree"]["value"])) for m in payload["members"]]
+
+
 @pytest.mark.parametrize(
     "abbrev, edit",
     [
         ("lr", lambda payload: payload["model"]["coefficients"].__setitem__(0, 1.7e308)),
-        ("gb", lambda payload: payload["members"][0].__setitem__("weight", 1.7e308)),
-        ("br", lambda payload: [m["tree"].__setitem__("value", [1.7e308] * len(m["tree"]["value"])) for m in payload["members"]]),
+        ("gb", lambda payload: [payload.__setitem__("base_prediction", 1.7e308), *_all_leaves(payload, 1.7e308)]),
+        ("br", lambda payload: _all_leaves(payload, 1.7e308)),
     ],
-    ids=["linear coefficient", "boosting stage weight", "bagging leaf values"],
+    ids=["linear coefficient", "boosting base and leaf values", "bagging leaf values"],
 )
 def test_finite_parameters_that_overflow_on_a_query_are_refused_at_predict(abbrev, edit):
     # Each document passes every check, yet its predictions overflowed to

@@ -14,8 +14,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tripcast
+from tripcast import synthgen
 from tripcast.errors import DataError
 from tripcast.synthgen import (
     MAX_CONFIG_BYTES,
@@ -116,6 +118,20 @@ def test_trips_of_the_last_month_end_by_year_9999(tmp_path):
     assert trip_rejects == []
     longest = MAX_TRIP_HOURS * 3600.0
     assert trips.scheduled_duration.max() == trips.actual_duration.max() == longest  # clipped, not past it
+
+
+def test_a_trips_std_past_the_float_range_squared_is_refused_as_a_data_error():
+    # The row bound squared it with ``**``, which raised OverflowError.
+    with pytest.raises(DataError, match="above MAX_ROWS"):
+        small_config(weekday_trips_std=1e300).validate()
+
+
+def test_a_config_that_draws_no_trip_is_refused(tmp_path):
+    # Every daily count rounds to 0: synth wrote a header alone, which the parser refuses.
+    calm = small_config(**{f"{day}_trips_{law}": value for day in ("weekday", "saturday", "sunday")
+                           for law, value in (("mean", 0.4), ("std", 0.0))})
+    with pytest.raises(DataError, match="drew no trip on any day"):
+        generate(calm)
 
 
 def test_structural_invariants_per_trip():
@@ -370,6 +386,69 @@ def test_property_mutated_config_loads_or_is_a_data_error(tmp_path, content):
         except DataError:
             return
     cfg.validate()
+
+
+#: Values outside some rule of a float GenConfig field, and of an int one.
+WILD_FLOATS = (-1.0, 0.0, math.nan, math.inf, -math.inf, 1e9, 1e300)
+WILD_INTS = (-1, 0, 1, 10**9, 10**300, 2.0, True)
+#: Values within the rules of each field but months. The trip means are small,
+#: so a config that passes draws few rows; 1e9 and 1e300 trips a day pass MAX_ROWS.
+TAME = {
+    "weekday_trips_mean": (0.4, 3.0),
+    "weekday_trips_std": (0.0, 0.5, 2.0),
+    "saturday_trips_mean": (0.4, 2.0),
+    "saturday_trips_std": (0.0, 0.5),
+    "sunday_trips_mean": (0.4, 1.0),
+    "sunday_trips_std": (0.0, 0.5),
+    "stops_mean": (2.0, 3.5, 6.0),
+    "stops_std": (0.5, 3.0),
+    "stops_min": (2, 3),
+    "cities_mean": (1.0, 2.5, 5.0),
+    "duration_mean": (0.5, 4.55, 100.0),
+    "duration_std": (1.0, 4.19, 80.0),
+    "duration_min": (0.05, 1.0),
+    "delay_mean": (-3.0, 0.71),
+    "delay_std": (1.0, 7.26),
+    "seed": (7, 20190301),
+}
+#: Years and months a config may and may not name: 0001-01..9999-11 pass.
+YEARS, MONTHS = (0, 1, 1969, 2019, 9999, 10000), (0, 1, 2, 11, 12, 13)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_property_a_config_is_refused_before_a_row_is_drawn_or_writes_a_csv_that_reads_back(tmp_path, data):
+    # Every field comes from a wide set: up to three from their wild values,
+    # the rest tame, and one or two months (or none) from either side of the bounds.
+    months = tuple(data.draw(st.lists(st.tuples(st.sampled_from(YEARS), st.sampled_from(MONTHS)), max_size=2)))
+    wild = data.draw(st.sets(st.sampled_from(sorted(TAME)), max_size=3))
+    config = GenConfig(months=months, **{
+        name: data.draw(
+            st.sampled_from((WILD_INTS if isinstance(tame[0], int) else WILD_FLOATS) if name in wild else tame),
+            label=name,
+        )
+        for name, tame in TAME.items()
+    })
+    days = []
+
+    def drawn_day(*args):
+        days.append(synthgen_generate_day(*args))
+        return days[-1]
+
+    synthgen_generate_day = synthgen._generate_day
+    with mock.patch.object(synthgen, "_generate_day", drawn_day), time_limit(5):
+        try:
+            stops = generate(config)
+        except DataError:
+            assert all(day is None for day in days)  # refused before any row was drawn
+            return
+    path = tmp_path / "gen.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        write_stops_csv(stops, handle)
+    parsed, row_rejects = parse_stops_csv(path)
+    assert row_rejects == [] and len(parsed) == len(stops)
+    _, trip_rejects = assemble_trips(parsed)
+    assert trip_rejects == []
 
 
 def test_load_gen_config_defaults_and_overrides(tmp_path):
