@@ -5,12 +5,20 @@ intercept unpenalized, and can one-hot expand a day-of-week column (trees
 split the ordinal directly; a linear model needs the indicator encoding).
 Each fit reads its training rows once (:func:`_moments`): the Gram matrix
 ``Xs^T Xs`` of the standardized features ``Xs`` and their products
-``Xs^T (y - mean(y))`` with the centred target. OLS and ridge solve the
-normal equations from these with a tiny diagonal jitter for rank
-deficiency; lasso runs cyclic coordinate descent with soft thresholding on
-covariance updates (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010,
-section 2.2), so a sweep costs O(k^2) for k expanded features whatever the
-number of rows.
+``Xs^T (y - mean(y))`` with the centred target. OLS and ridge take the
+minimum-norm solution from the Gram's eigenvectors (:func:`_min_norm_solve`),
+so a direction the rows do not determine, such as the ISO week that a short
+window's day of month and day type fix, gets coefficient 0. Lasso runs
+cyclic coordinate descent with soft thresholding on covariance updates
+(Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010, section 2.2), so a
+sweep costs O(k^2) for k expanded features whatever the number of rows.
+
+The three products over the rows (the Gram, ``Xs^T y`` and a prediction's
+``Xs beta``) are ``np.einsum`` calls, numpy's own loops on the calling thread,
+not ``@``: BLAS splits products of this size over threads whose helpers keep
+spinning after each call while the caller goes on to other work. What is
+left for LAPACK and ``@`` (the k x k eigen-decomposition, the lasso's
+k-element dots) is too small for BLAS to split.
 
 Objectives (on standardized features, intercept b):
   OLS / ridge:  sum (y - Xb)^2  [+ lam * ||beta||^2]
@@ -36,8 +44,10 @@ from .checks import check_setting, finite_predictions, is_finite, is_int, query_
 from .errors import DataError, PersistError
 from .featurize import N_DAY_TYPES
 
-#: Diagonal jitter applied to the normal equations (rank-deficiency guard).
-SOLVE_JITTER = 1e-10
+#: Relative cutoff of the OLS and ridge solve: an eigenvalue of the Gram of n rows and k
+#: features at most ``RANK_RTOL * (n + k)`` times the largest is within the rounding of the
+#: Gram's n-term sums and of its eigen-decomposition, and its direction gets coefficient 0.
+RANK_RTOL = 8 * np.finfo(np.float64).eps
 
 
 @dataclass(slots=True)
@@ -60,10 +70,10 @@ class LinearModel:
     @finite_predictions
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = query_matrix(X, self.n_raw_features)
-        Xe = expand_day_type(X, self.day_type_col)
-        Xs = Xe - self.feature_means  # a new array even when Xe is the caller's X
+        Xs = expand_day_type(X, self.day_type_col)
+        Xs -= self.feature_means
         Xs /= self.feature_scales
-        return Xs @ self.coefficients + self.intercept
+        return np.einsum("ij,j->i", Xs, self.coefficients) + self.intercept
 
     def to_payload(self) -> dict:
         return {
@@ -122,23 +132,26 @@ _ARRAYS = ("coefficients", "feature_means", "feature_scales")
 
 
 def expand_day_type(X: np.ndarray, day_type_col: int | None) -> np.ndarray:
-    """Replace the day-type ordinal column with 7 one-hot indicator columns.
+    """A new array of ``X`` with the day-type ordinal column replaced by 7 one-hot indicator columns.
 
     The indicator columns are appended after the remaining features, in
-    day order Monday..Sunday. ``None`` returns ``X`` unchanged. A value
-    other than an integer 0..6 is a ``DataError``, not a day.
+    day order Monday..Sunday. ``None`` copies ``X``. A value other than an
+    integer 0..6 is a ``DataError``, not a day. The result is the caller's
+    to standardize in place.
     """
     if day_type_col is None:
-        return X
+        return X.copy()
     if not 0 <= day_type_col < X.shape[1]:
         raise DataError(f"day_type_col {day_type_col} out of range")
     day = X[:, day_type_col]
     if not np.isin(day, np.arange(N_DAY_TYPES)).all():
         raise DataError(f"day-type column {day_type_col} holds a value that is not an integer 0..{N_DAY_TYPES - 1}")
-    rest = np.delete(X, day_type_col, axis=1)
-    onehot = np.zeros((X.shape[0], N_DAY_TYPES))
-    onehot[np.arange(X.shape[0]), day.astype(np.int64)] = 1.0
-    return np.hstack([rest, onehot])
+    n, width = X.shape
+    out = np.zeros((n, width - 1 + N_DAY_TYPES))
+    out[:, :day_type_col] = X[:, :day_type_col]
+    out[:, day_type_col : width - 1] = X[:, day_type_col + 1 :]
+    out[np.arange(n), width - 1 + day.astype(np.intp)] = 1.0
+    return out
 
 
 class _Moments(NamedTuple):
@@ -160,31 +173,43 @@ class _Moments(NamedTuple):
 def _moments(X: np.ndarray, y: np.ndarray, day_type_col: int | None) -> _Moments:
     """Check the training data, standardize it and take its one pass over the rows."""
     X, y = training_data(X, y)
-    Xe = expand_day_type(X, day_type_col)
-    means = Xe.mean(axis=0)
-    scales = Xe.std(axis=0)
-    scales = np.where(scales == 0.0, 1.0, scales)
-    Xs = (Xe - means) / scales
+    Xs = expand_day_type(X, day_type_col)
+    means = Xs.mean(axis=0)
+    scales = Xs.std(axis=0)
+    scales[scales == 0.0] = 1.0
+    Xs -= means
+    Xs /= scales
     y_mean = float(np.mean(y))
-    return _Moments(Xs.T @ Xs, Xs.T @ (y - y_mean), y_mean, means, scales, X.shape, day_type_col)
+    gram, xty = np.einsum("ij,ik->jk", Xs, Xs), np.einsum("ij,i->j", Xs, y - y_mean)
+    return _Moments(gram, xty, y_mean, means, scales, X.shape, day_type_col)
+
+
+def _min_norm_solve(m: _Moments, lam: float) -> np.ndarray:
+    """Minimum-norm ``beta`` of ``(gram + lam I) beta = xty`` over the Gram's eigenvectors above rounding.
+
+    Each eigenvector ``v`` whose eigenvalue ``w`` is above ``RANK_RTOL * (n + k)``
+    times the largest carries ``(v . xty) / (w + lam)``, the others nothing.
+    """
+    w, V = np.linalg.eigh(m.gram)  # ascending
+    keep = w > RANK_RTOL * (m.shape[0] + len(w)) * w[-1]
+    V = V[:, keep]
+    return V @ ((m.xty @ V) / (w[keep] + lam))
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray, *, day_type_col: int | None = None) -> LinearModel:
-    """Least squares via the normal equations (with diagonal jitter)."""
+    """Minimum-norm least squares from the normal equations (:func:`_min_norm_solve`)."""
     return replace(fit_ridge(X, y, 0.0, day_type_col=day_type_col), penalty="none")
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float = 1.0, *, day_type_col: int | None = None) -> LinearModel:
-    """Ridge regression: closed form on standardized features.
+    """Ridge regression: closed form on standardized features (:func:`_min_norm_solve`).
 
     ``lam`` is the coefficient of ||beta||^2 against the plain (unscaled)
     sum of squared residuals; the intercept is unpenalized.
     """
     check_setting("lam", lam)
     m = _moments(X, y, day_type_col)
-    k = m.xty.shape[0]
-    beta = np.linalg.solve(m.gram + (lam + SOLVE_JITTER) * np.eye(k), m.xty)
-    return m.model(beta, "l2", lam)
+    return m.model(_min_norm_solve(m, lam), "l2", lam)
 
 
 def fit_lasso(

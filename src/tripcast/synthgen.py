@@ -76,6 +76,10 @@ MAX_TRIP_HOURS = 31 * 24.0
 #: rows), so this is about 8.8 GB. Forty years at the default daily counts pass.
 MAX_ROWS = 80_000_000
 
+#: The size of the largest city pool :func:`_solve_city_pool_size` tries. A
+#: ``cities_mean`` above the distinct cities a trip can expect from it is refused.
+MAX_CITY_POOL = 4_096
+
 #: The largest config file :func:`load_gen_config` reads: room for some 7,000 months listed one by one.
 MAX_CONFIG_BYTES = 1 << 16
 
@@ -101,8 +105,10 @@ class GenConfig:
     a repeated month would repeat its trip numbers. Stop counts may
     reach at most ``MAX_STOPS``, trips last at most ``MAX_TRIP_HOURS``, and
     the rows number at most ``MAX_ROWS``, each at 8 stds (of the total, for
-    the rows). A duration mean that the delay law and the floor together put
-    out of reach is refused when the generator calibrates, before any draw.
+    the rows). ``cities_mean`` may be at most the distinct cities a trip can
+    expect from ``MAX_CITY_POOL`` cities. A duration mean that the delay law
+    and the floor together put out of reach is refused when the generator
+    calibrates, before any draw.
     """
 
     months: tuple[tuple[int, int], ...] = DEFAULT_MONTHS
@@ -164,9 +170,15 @@ class GenConfig:
         most_stops = self.stops_mean + 8.0 * self.stops_std
         if most_stops > MAX_STOPS:
             raise DataError(f"GenConfig stops_mean + 8 stops_std is {most_stops:.6g}, above MAX_STOPS {MAX_STOPS}")
+        ks, pmf = _stop_count_pmf(self)
+        most_cities = _expected_cities(ks, pmf, MAX_CITY_POOL)
+        if self.cities_mean > most_cities:
+            raise DataError(
+                f"GenConfig cities_mean {self.cities_mean!r} is above {most_cities:.6g}, the distinct cities"
+                f" a trip of these stop counts can expect from MAX_CITY_POOL {MAX_CITY_POOL:,} cities"
+            )
         # Days and trips draw independently, so the total's variance is the sum of theirs. Clipping
         # a day's trip count at 0 lifts its mean by at most trips_std / sqrt(2 pi).
-        ks, pmf = _stop_count_pmf(self)
         stops = float(pmf @ ks)
         stops_var = float(pmf @ (ks - stops) ** 2)
         days = zip(_days_by_weekday(self.months), _trips_by_weekday(self))
@@ -316,13 +328,18 @@ def _stop_count_pmf(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
     return ks, pmf
 
 
+def _expected_cities(ks: np.ndarray, pmf: np.ndarray, pool: int) -> float:
+    """E[#distinct cities] of a trip whose stops (``ks`` with ``pmf``) each draw one of ``pool`` cities."""
+    return float(np.sum(pmf * pool * (1.0 - (1.0 - 1.0 / pool) ** ks)))
+
+
 def _solve_city_pool_size(cfg: GenConfig) -> int:
     """Pool size P so that E[#distinct among s uniform draws] hits cities_mean."""
     ks, pmf = _stop_count_pmf(cfg)
     target = cfg.cities_mean
     best_p, best_err = 1, float("inf")
-    for p in range(1, 4097):
-        expected = float(np.sum(pmf * p * (1.0 - (1.0 - 1.0 / p) ** ks)))
+    for p in range(1, MAX_CITY_POOL + 1):
+        expected = _expected_cities(ks, pmf, p)
         err = abs(expected - target)
         if err < best_err:
             best_p, best_err = p, err

@@ -101,6 +101,17 @@ def test_synth_config_past_a_ceiling_is_data_error_and_writes_nothing(tmp_path, 
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_synth_cities_mean_past_the_city_pool_is_data_error_and_writes_nothing(tmp_path, capsys):
+    # Accepted at 1e9, the generator stopped at its largest pool and drew 6.0 cities a trip.
+    conf = tmp_path / "cities.conf"
+    conf.write_text(SMALL_CONFIG + "cities_mean = 1e9\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
+    assert "cities_mean 1000000000.0 is above" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 @pytest.mark.parametrize(
     "months, problem",
     [

@@ -1,5 +1,7 @@
 """Linear baselines: closed forms, coordinate descent, KKT conditions."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from tripcast.linear import (
     lasso_lambda_max,
 )
 
+from tripcast.featurize import DAY_TYPE_COLUMN
 from tripcast.registry import make_model
 
 from tests.helpers import linear_objective
@@ -82,6 +85,70 @@ def test_ols_constant_feature_gets_zero_coefficient():
     m = fit_ols(X, y)
     assert m.feature_scales[0] == 1.0
     assert m.coefficients[0] == 0.0
+
+
+def _calendar_window(seed, n):
+    """Trips of the feature table's layout over 21 days of one month.
+
+    ``month`` is constant, and the ISO week is a linear function of the day
+    of month and the day-type one-hot, as in a weekly-retrain window.
+    """
+    rng = np.random.default_rng(seed)
+    day = rng.integers(4, 25, size=n)  # 2019-03-04, a Monday of ISO week 10, to 2019-03-24
+    week = 10 + (day - 4) // 7
+    cities, stops, hour = rng.integers(1, 9, n), rng.integers(2, 12, n), rng.integers(0, 24, n)
+    scheduled = rng.normal(3e4, 1e4, n)
+    X = np.column_stack([cities, stops, np.full(n, 3), week, day, (day - 4) % 7, hour, rng.integers(0, 60, n), scheduled])
+    y = 120.0 * cities + 300.0 * week - 40.0 * day + 0.02 * scheduled + rng.normal(0.0, 200.0, n)
+    return X.astype(np.float64), y - y.mean()
+
+
+def test_ols_on_collinear_calendar_columns_is_the_minimum_norm_solution():
+    # The standardized Gram has eigenvalues near 1e-12 next to about 4e3, which the
+    # former diagonal jitter of 1e-10 left to rounding: predictions off the data's span
+    # differed from minimum-norm least squares, and moved when the rows were permuted.
+    X, y = _calendar_window(31, 600)
+    Xq = X[:80].copy()
+    Xq[:, 3] += 1.0  # a week that the day and day type contradict
+    Xq[:40, 2] = 4.0  # and a month the window never saw
+    model = fit_ols(X, y, day_type_col=DAY_TYPE_COLUMN)
+    Xs = (expand_day_type(X, DAY_TYPE_COLUMN) - model.feature_means) / model.feature_scales
+    beta, _, rank, _ = np.linalg.lstsq(Xs, y - y.mean(), rcond=None)
+    assert rank < Xs.shape[1]
+    Xqs = (expand_day_type(Xq, DAY_TYPE_COLUMN) - model.feature_means) / model.feature_scales
+    expected = Xqs @ beta
+    pred = model.predict(Xq) - y.mean()
+    assert np.linalg.norm(pred - expected) <= 1e-9 * np.linalg.norm(expected)
+    perm = np.random.default_rng(32).permutation(len(X))
+    again = fit_ols(X[perm], y[perm], day_type_col=DAY_TYPE_COLUMN).predict(Xq) - y.mean()
+    assert np.linalg.norm(again - pred) <= 1e-9 * np.linalg.norm(pred)
+
+
+@pytest.mark.parametrize("name", ["lr", "ri", "la"])
+def test_fit_and_predict_use_no_cpu_off_the_calling_thread(name):
+    # Through ``@``, BLAS split the 40k-row products over threads whose spinning after
+    # each call took 65-150 ms of CPU on 2 vCPUs, in a window of the fit, the predict and
+    # a 50 ms pause; the products are now numpy's own loops on this thread.
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(40_000, 9))
+    X[:, DAY_TYPE_COLUMN] = rng.integers(0, 7, size=40_000)
+    y = 3.0 * X[:, 0] - X[:, 8] + rng.normal(size=40_000)
+    time.sleep(0.3)  # any BLAS worker an earlier test woke is asleep again
+    process, thread = time.process_time(), time.thread_time()
+    make_model(name, 0).fit(X, y).predict(X)
+    time.sleep(0.05)
+    elsewhere = (time.process_time() - process) - (time.thread_time() - thread)
+    assert elsewhere < 0.010
+
+
+@pytest.mark.parametrize("day_type_col", [None, DAY_TYPE_COLUMN])
+def test_fit_and_predict_leave_the_callers_rows_unchanged(day_type_col):
+    # The expanded matrix is standardized in place; it must be a copy even with no day type.
+    X, y = _calendar_window(33, 200)
+    X_before, y_before = X.copy(), y.copy()
+    for fit in (fit_ols, fit_lasso):
+        fit(X, y, day_type_col=day_type_col).predict(X)
+    assert np.array_equal(X, X_before) and np.array_equal(y, y_before)
 
 
 def test_ridge_zero_penalty_equals_ols():

@@ -20,6 +20,7 @@ import tripcast
 from tripcast import synthgen
 from tripcast.errors import DataError
 from tripcast.synthgen import (
+    MAX_CITY_POOL,
     MAX_CONFIG_BYTES,
     MAX_ROWS,
     MAX_STOPS,
@@ -27,7 +28,10 @@ from tripcast.synthgen import (
     GenConfig,
     _base_mean_gap,
     _days_by_weekday,
+    _expected_cities,
     _norm_cdf,
+    _solve_city_pool_size,
+    _stop_count_pmf,
     _solve_base_duration_mean,
     generate,
     load_gen_config,
@@ -244,6 +248,9 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         # Daily trip counts past the row ceiling: the day's draws ran out of memory.
         ({"weekday_trips_mean": 1e9}, r"ask for 1\.286\d*e\+11 stop rows on average .* above MAX_ROWS 80,000,000"),
         ({"weekday_trips_std": 1e12}, r"ask for 5\.13\d*e\+13 stop rows on average and 2\.758\d*e\+14 at 8 stds"),
+        # More distinct cities than the largest pool gives: 1e9 was accepted and drew 6.0 a trip.
+        ({"cities_mean": 1e9}, r"cities_mean 1000000000\.0 is above 6\.12\d*, .* MAX_CITY_POOL 4,096 cities"),
+        ({"cities_mean": 3.0, "stops_mean": 2.0, "stops_std": 0.0}, r"cities_mean 3\.0 is above 1\.99\d*"),
         # A negative std names its field; it read "standard deviations must be >= 0".
         ({"sunday_trips_std": -1.0}, "GenConfig sunday_trips_std must be >= 0, got -1.0"),
     ],
@@ -256,6 +263,11 @@ def test_validation_rejects_means_out_of_range(overrides, message):
 
 
 def test_configs_at_the_ceilings_pass():
+    GenConfig().validate()
+    cfg = small_config()
+    most_cities = _expected_cities(*_stop_count_pmf(cfg), MAX_CITY_POOL)
+    replace(cfg, cities_mean=most_cities).validate()
+    assert _solve_city_pool_size(replace(cfg, cities_mean=most_cities)) == MAX_CITY_POOL
     small_config(stops_mean=float(MAX_STOPS), stops_std=0.0, stops_min=MAX_STOPS).validate()
     # 100 + |-44| + 8 * (0 + 75) is MAX_TRIP_HOURS exactly.
     small_config(duration_mean=100.0, duration_std=0.0, delay_mean=-44.0, delay_std=75.0).validate()
@@ -270,6 +282,7 @@ def test_configs_at_the_ceilings_pass():
         sunday_trips_std=0.0,
         stops_mean=2.0,
         stops_std=0.0,
+        cities_mean=1.5,  # two stops visit at most two cities
     )
     at_rows.validate()
     with pytest.raises(DataError, match="above MAX_ROWS"):
