@@ -127,7 +127,7 @@ def test_ols_on_collinear_calendar_columns_is_the_minimum_norm_solution():
 @pytest.mark.parametrize("name", ["lr", "ri", "la"])
 def test_fit_and_predict_use_no_cpu_off_the_calling_thread(name):
     # Through ``@``, BLAS split the 40k-row products over threads whose spinning after
-    # each call took 65-150 ms of CPU on 2 vCPUs, in a window of the fit, the predict and
+    # each call took 60-100 ms of CPU on 2 vCPUs, in a window of the fit, the predict and
     # a 50 ms pause; the products are now numpy's own loops on this thread.
     rng = np.random.default_rng(41)
     X = rng.normal(size=(40_000, 9))

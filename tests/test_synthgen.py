@@ -30,9 +30,9 @@ from tripcast.synthgen import (
     _days_by_weekday,
     _expected_cities,
     _norm_cdf,
+    _solve_base_duration_mean,
     _solve_city_pool_size,
     _stop_count_pmf,
-    _solve_base_duration_mean,
     generate,
     load_gen_config,
 )
