@@ -248,11 +248,11 @@ def test_validation_rejects_non_finite_and_mistyped_values(overrides, message):
         # Daily trip counts past the row ceiling: the day's draws ran out of memory.
         ({"weekday_trips_mean": 1e9}, r"ask for 1\.286\d*e\+11 stop rows on average .* above MAX_ROWS 80,000,000"),
         ({"weekday_trips_std": 1e12}, r"ask for 5\.13\d*e\+13 stop rows on average and 2\.758\d*e\+14 at 8 stds"),
+        # A negative std names its field; it read "standard deviations must be >= 0".
+        ({"sunday_trips_std": -1.0}, "GenConfig sunday_trips_std must be >= 0, got -1.0"),
         # More distinct cities than the largest pool gives: 1e9 was accepted and drew 6.0 a trip.
         ({"cities_mean": 1e9}, r"cities_mean 1000000000\.0 is above 6\.12\d*, .* MAX_CITY_POOL 4,096 cities"),
         ({"cities_mean": 3.0, "stops_mean": 2.0, "stops_std": 0.0}, r"cities_mean 3\.0 is above 1\.99\d*"),
-        # A negative std names its field; it read "standard deviations must be >= 0".
-        ({"sunday_trips_std": -1.0}, "GenConfig sunday_trips_std must be >= 0, got -1.0"),
     ],
 )
 def test_validation_rejects_means_out_of_range(overrides, message):
