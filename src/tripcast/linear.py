@@ -16,7 +16,9 @@ sweep costs O(k^2) for k expanded features whatever the number of rows.
 The three products over the rows (the Gram, ``Xs^T y`` and a prediction's
 ``Xs beta``) are ``np.einsum`` calls, numpy's own loops on the calling thread,
 not ``@``: BLAS splits products of this size over threads whose helpers keep
-spinning after each call while the caller goes on to other work. What is
+spinning after each call while the caller goes on to other work. The Gram
+is summed over blocks of ``GRAM_BLOCK_ROWS`` rows, so its rounding does not
+grow with the row count as one running sum's does. What is
 left for LAPACK and ``@`` (the k x k eigen-decomposition, the lasso's
 k-element dots) is too small for BLAS to split.
 
@@ -48,6 +50,10 @@ from .featurize import N_DAY_TYPES
 #: features at most ``RANK_RTOL * (n + k)`` times the largest is within the rounding of the
 #: Gram's n-term sums and of its eigen-decomposition, and its direction gets coefficient 0.
 RANK_RTOL = 8 * np.finfo(np.float64).eps
+
+#: Rows of each block whose Gram :func:`_moments` sums: a sum of blocks' Grams rounds each entry
+#: in about n / 1024 + 1024 additions rather than in a running sum of n.
+GRAM_BLOCK_ROWS = 1 << 10
 
 
 @dataclass(slots=True)
@@ -180,7 +186,9 @@ def _moments(X: np.ndarray, y: np.ndarray, day_type_col: int | None) -> _Moments
     Xs -= means
     Xs /= scales
     y_mean = float(np.mean(y))
-    gram, xty = np.einsum("ij,ik->jk", Xs, Xs), np.einsum("ij,i->j", Xs, y - y_mean)
+    blocks = (Xs[lo : lo + GRAM_BLOCK_ROWS] for lo in range(0, len(Xs), GRAM_BLOCK_ROWS))
+    gram = sum(np.einsum("ij,ik->jk", block, block) for block in blocks)
+    xty = np.einsum("ij,i->j", Xs, y - y_mean)
     return _Moments(gram, xty, y_mean, means, scales, X.shape, day_type_col)
 
 

@@ -20,7 +20,9 @@ field, an unclosed quote, a lone ``\\r``, a NUL byte, bytes that are not
 UTF-8, a stripped trip or city cell over 256 bytes, or a record not ended
 within 4 MiB. The parse reads ``BLOCK_BYTES`` (1 MiB) at a time and lets
 go of each block's buffers before it splits the next, so what it holds
-besides the rows parsed so far does not grow with the file.
+besides the rows parsed so far does not grow with the file; its final join
+copies one column at a time. :func:`assemble_trips` likewise makes each
+per-row array only where it is used and lets it go after.
 """
 
 from __future__ import annotations
@@ -185,6 +187,9 @@ _MAX_RECORD_BYTES = 1 << 22
 #: Longest trip or city cell the parse codes, stripped, so that a label matrix stays within 8 MB.
 _MAX_LABEL_BYTES = 256
 
+#: Zeros the parse puts after the bytes it splits, so that each byte starts a whole label's window.
+_PADDING = bytes(_MAX_LABEL_BYTES)
+
 _COMMA, _QUOTE, _LF, _CR = b',"\n\r'
 
 #: Why a row is rejected, by fault code, in the order a row's cells are checked;
@@ -222,7 +227,7 @@ class _Columns:
     def __init__(self) -> None:
         self.trips: dict[str, int] = {}  # label -> code, in order of first appearance
         self.cities: dict[str, int] = {}
-        self.batches: list[tuple[np.ndarray, ...]] = []  # (trip, city, stop, scheduled, actual)
+        self.parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [])  # trip, city, stop, scheduled, actual
         self.rejects: list[RowDiagnostic] = []
         self.line = 2  # line number of the next non-blank row
 
@@ -254,12 +259,22 @@ class _Columns:
         self.line += len(fault)
         keep = fault == 0
         codes = _code(self.trips, trips, keep), _code(self.cities, cities, keep)
-        self.batches.append((*codes, stop_number[keep], scheduled_time[keep], actual_time[keep]))
+        for parts, batch in zip(self.parts, (*codes, stop_number[keep], scheduled_time[keep], actual_time[keep])):
+            parts.append(batch)
 
     def table(self, path: Path) -> tuple[StopTable, list[RowDiagnostic]]:
-        if sum(len(batch[0]) for batch in self.batches) == 0:
+        """The parsed rows as one table, and the rejects.
+
+        Each column is joined, and its batches let go, before the next is
+        joined, so the join holds the rows once and one column twice.
+        """
+        if sum(map(len, self.parts[0])) == 0:
             raise DataError(f"stops file {path} contains no valid rows")
-        trip, city, stop_number, scheduled, actual = (np.concatenate(c) for c in zip(*self.batches))
+        joined = []
+        for parts in self.parts:
+            joined.append(np.concatenate(parts))
+            parts.clear()
+        trip, city, stop_number, scheduled, actual = joined
         stops = StopTable(
             trip=Coded(trip, np.array(list(self.trips), dtype=object)),
             stop_number=stop_number,
@@ -298,7 +313,9 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     is split, so while it reads, the parse holds at most about seven blocks
     under ``tracemalloc`` besides the rows it has parsed, whatever the
     file's size: the block's bytes, as read and padded for cell reads, its
-    field indexes and one ``CHUNK_ROWS`` batch's conversions.
+    field indexes and one ``CHUNK_ROWS`` batch's conversions. The batches
+    are then joined a column at a time (:meth:`_Columns.table`), which
+    holds one column twice, not all of them.
     """
     path = input_file(path, "stops file")
     out = _Columns()
@@ -307,19 +324,21 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     with path.open("rb") as handle:
         while True:
             block = handle.read(BLOCK_BYTES)
-            data = rest + block
-            split = _split(path, data, offset, at_end=not block)
+            at_end = not block
+            data = b"".join((rest, block, _PADDING))
+            del block  # data holds its bytes
+            split = _split(path, data, offset, at_end)
             if split is None:
-                rest = data
+                rest = data[: -len(_PADDING)]
                 continue
-            rest, offset = data[split.used :], offset + split.used
+            rest, offset = data[split.used : -len(_PADDING)], offset + split.used
             first = int(columns is None)  # the first record is the header, even if blank
             if first:
                 columns = _column_positions(split)
             body = np.flatnonzero(~split.blank[first:]) + first
             for lo in range(0, body.size, CHUNK_ROWS):
                 out.add(split, body[lo : lo + CHUNK_ROWS], columns)
-            if not block:
+            if at_end:
                 return out.table(path)
             del split  # the next block is split without this one's buffers
 
@@ -386,7 +405,8 @@ def _split(path: Path, data: bytes, offset: int, at_end: bool) -> _Split | None:
     - a NUL byte, or not UTF-8;
     - the start of a record that has not ended within ``_MAX_RECORD_BYTES``.
     """
-    b = np.frombuffer(data, np.uint8)
+    padded = np.frombuffer(data, np.uint8)
+    b = padded[: -len(_PADDING)]
     at = np.flatnonzero((b == _COMMA) | (b == _QUOTE) | (b == _LF) | (b == _CR))
     kind = b[at]
     quote = kind == _QUOTE
@@ -443,7 +463,6 @@ def _split(path: Path, data: bytes, offset: int, at_end: bool) -> _Split | None:
     ends = terms.copy()
     ends[np.searchsorted(terms, cr + 1)] -= 1
     blank = (n_fields == 1) & (ends[record_end] == starts[record_end])
-    padded = np.concatenate((b, np.zeros(_MAX_LABEL_BYTES, np.uint8)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, _MAX_LABEL_BYTES)
     return _Split(path, data, offset, windows, used, starts, ends, record_end, n_fields, blank)
 
@@ -612,33 +631,47 @@ def assemble_trips(stops: StopTable) -> tuple[TripTable, list[TripDiagnostic]]:
     yields the same output. Trips with duplicate stop numbers, fewer than 2
     stops, or a negative actual duration are excluded with a diagnostic, in
     trip id order.
+
+    Besides its input and output, it holds at most three int64 arrays of a
+    stop row each at once: the rows' trip ranks, their sort order and one
+    column gathered in that order. The group of each trip comes from the
+    count of its rank, not from a sorted copy of the ranks; the trip × city
+    keys are the ranks, rewritten and sorted in place; and the sorted stop
+    numbers are kept past the duplicate check only if a trip has one to report.
     """
     ids, trip_of_label = np.unique(stops.trip.labels, return_inverse=True)
     _, city_of_label = np.unique(stops.city.labels, return_inverse=True)
-    trip = trip_of_label[stops.trip.codes]
-    city = city_of_label[stops.city.codes]
+    trip = trip_of_label.take(stops.trip.codes)
     order = np.lexsort((stops.stop_number, trip))
-    trip_sorted, stop_sorted = trip[order], stops.stop_number[order]
+    # Sorted trip-major, trip t's rows are a run as long as its count.
+    rows_of_rank = np.bincount(trip, minlength=len(ids))
+    present = np.flatnonzero(rows_of_rank)  # a label no row uses is no trip
+    num_stops = rows_of_rank[present]
+    ends = np.cumsum(num_stops)
+    starts = ends - num_stops
+    first, last = order.take(starts), order.take(ends - 1)
+    stop_sorted = stops.stop_number.take(order)
+    del order
+    repeated = np.zeros(len(stop_sorted), dtype=bool)
+    np.equal(stop_sorted[1:], stop_sorted[:-1], out=repeated[1:])
+    repeated[starts] = False  # a trip's first stop repeats nothing of its own
+    has_duplicate = np.logical_or.reduceat(repeated, starts)
+    del repeated
+    if not has_duplicate.any():
+        del stop_sorted  # read again only to name a trip's duplicates
 
-    n = len(order)
-    new_trip = np.ones(n, dtype=bool)
-    new_trip[1:] = trip_sorted[1:] != trip_sorted[:-1]
-    starts = np.flatnonzero(new_trip)
-    ends = np.append(starts[1:], n)
-    first, last = order[starts], order[ends - 1]
-    repeated = ~new_trip
-    repeated[1:] &= stop_sorted[1:] == stop_sorted[:-1]
-    has_duplicate = np.add.reduceat(repeated, starts) > 0
-
-    num_stops = ends - starts
-    pairs = np.sort(trip * len(city_of_label) + city)
-    distinct = np.ones(n, dtype=bool)
-    distinct[1:] = pairs[1:] != pairs[:-1]
+    pairs = trip  # each row's trip × city key, made in place of its trip rank
+    pairs *= len(city_of_label)
+    pairs += city_of_label.take(stops.city.codes)
+    pairs.sort()
+    distinct = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
     num_cities = np.add.reduceat(distinct, starts)  # pairs sort trip-major, like the groups
-    actual = (stops.actual_time[last] - stops.actual_time[first]).astype(np.int64).astype(np.float64)
-    scheduled = (stops.scheduled_time[last] - stops.scheduled_time[first]).astype(np.int64).astype(np.float64)
+    del pairs, distinct  # what is left is per trip
+    actual = (stops.actual_time.take(last) - stops.actual_time.take(first)).astype(np.int64).astype(np.float64)
+    scheduled = (stops.scheduled_time.take(last) - stops.scheduled_time.take(first)).astype(np.int64).astype(np.float64)
 
-    trip_ids = ids[trip_sorted[starts]]
+    trip_ids = ids.take(present)
     excluded = has_duplicate | (num_stops < 2) | (actual < 0)
     diagnostics = []
     for t in np.flatnonzero(excluded):
@@ -659,7 +692,7 @@ def assemble_trips(stops: StopTable) -> tuple[TripTable, list[TripDiagnostic]]:
         actual_duration=actual[kept],
         scheduled_duration=scheduled[kept],
         delay=actual[kept] - scheduled[kept],
-        start_time=stops.scheduled_time[first][kept],
+        start_time=stops.scheduled_time.take(first)[kept],
     )
     return trips, diagnostics
 

@@ -1,5 +1,6 @@
 """Ingestion, trip assembly, and summary statistics."""
 
+import collections
 import csv
 import hashlib
 import io
@@ -8,7 +9,7 @@ import re
 import tempfile
 import time
 import tracemalloc
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -20,13 +21,15 @@ from hypothesis import strategies as st
 from tripcast import cli, trip_data
 from tripcast.errors import DataError
 from tripcast.trip_data import (
+    Coded,
+    TripDiagnostic,
     assemble_trips,
     parse_stops_csv,
     summarize,
     write_stops_csv,
 )
 
-from tests.helpers import coded, make_stops, stop_rows, time_limit, trip_table, trip_tables_equal
+from tests.helpers import TRIP_DTYPES, coded, make_stops, stop_rows, time_limit, trip_table, trip_tables_equal
 
 HEADER = "trip_number,trip_description,stop_number,client_name,address,city,scheduled_time,actual_time"
 
@@ -644,6 +647,39 @@ def test_parse_holds_one_block_at_a_time(tmp_path):
     assert peak - held < 8 * trip_data.BLOCK_BYTES
 
 
+@pytest.fixture(scope="module")
+def big_stops_csv(tmp_path_factory):
+    """A seeded synth CSV of more than 32 parse blocks (about 39 MB, 290k stop rows)."""
+    work = tmp_path_factory.mktemp("big")
+    conf = work / "big.conf"
+    conf.write_text(
+        "months = 2019-03..2019-09\nseed = 5\n"
+        "weekday_trips_mean = 300\nweekday_trips_std = 30\nsaturday_trips_mean = 50\n"
+        "saturday_trips_std = 5\nsunday_trips_mean = 12\nsunday_trips_std = 3\n",
+        encoding="utf-8",
+    )
+    path = work / "big.csv"
+    assert cli.main(["synth", "--config", str(conf), "--out", str(path)]) == 0
+    assert path.stat().st_size >= 32 * trip_data.BLOCK_BYTES
+    return path
+
+
+def test_parse_of_many_blocks_holds_one_block_at_a_time_through_the_join(big_stops_csv):
+    # The bound of the test above on a file four times its size, which the
+    # final join of the columns reaches as well: joined all at once while
+    # their batches were held, the five columns took 10.7 MiB more than the
+    # rows at the ingest benchmark's size (12.4 MiB above the table in all).
+    # Joined and let go one column at a time, the transient read 7.0 MiB.
+    tracemalloc.start()
+    try:
+        stops, rejects = parse_stops_csv(big_stops_csv)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stops) > 250_000 and rejects == []
+    assert peak - held < 8 * trip_data.BLOCK_BYTES
+
+
 def test_invalid_utf8_fails_as_csv_reader_does(tmp_path):
     # A non-UTF-8 byte is a data error naming its offset in the file, also
     # blocks in. A file with more than one fault is refused at the first:
@@ -776,6 +812,85 @@ def test_assemble_diagnostics_in_trip_id_order():
         ("T5", "negative actual duration (last stop before first)"),
         ("T9", "fewer than 2 stops; duration undefined"),
     ]
+
+
+#: Labels of a few trips, in an order where str and numeric sorting differ, and of their cities.
+TRIP_LABELS, CITY_LABELS = ["T1", "T2", "T10", "t1", "Ä"], ["Linz", "Wels", "Graz"]
+BASE_TIME = datetime(2019, 3, 4, 8)
+minutes = st.integers(0, 600).map(lambda m: BASE_TIME + timedelta(minutes=m))
+stop_tuples = st.tuples(st.sampled_from(TRIP_LABELS), st.integers(1, 4), st.sampled_from(CITY_LABELS), minutes, minutes)
+
+
+def first_appearance(values, unused):
+    """A Coded column numbered in order of first appearance, as the parse codes it, with one label no row uses."""
+    labels = list(dict.fromkeys(values)) + [unused]
+    code = {label: i for i, label in enumerate(labels)}
+    return Coded(np.array([code[v] for v in values], dtype=np.int64), np.array(labels, dtype=object))
+
+
+def reference_assembly(rows):
+    """assemble_trips read plainly: rows grouped by trip in a dict, each trip's stops sorted by number."""
+    by_trip = collections.defaultdict(list)
+    for row in rows:
+        by_trip[row[0]].append(row)
+    kept, diagnostics = [], []
+    for trip_id in sorted(by_trip):
+        stops = sorted(by_trip[trip_id], key=lambda row: row[1])
+        numbers = [row[1] for row in stops]
+        repeated = sorted({number for number in numbers if numbers.count(number) > 1})
+        actual = (stops[-1][4] - stops[0][4]).total_seconds()
+        scheduled = (stops[-1][3] - stops[0][3]).total_seconds()
+        if repeated:
+            diagnostics.append(TripDiagnostic(trip_id, f"duplicate stop_number(s): {repeated}"))
+        elif len(stops) < 2:
+            diagnostics.append(TripDiagnostic(trip_id, "fewer than 2 stops; duration undefined"))
+        elif actual < 0:
+            diagnostics.append(TripDiagnostic(trip_id, "negative actual duration (last stop before first)"))
+        else:
+            kept.append(dict(
+                trip_ids=trip_id,
+                num_stops=len(stops),
+                num_cities=len({row[2] for row in stops}),
+                actual_duration=actual,
+                scheduled_duration=scheduled,
+                delay=actual - scheduled,
+                start_time=stops[0][3],
+            ))
+    return trip_table(kept), diagnostics
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(stop_tuples, min_size=1, max_size=24).flatmap(st.permutations), sorted_labels=st.booleans())
+def test_assemble_matches_per_trip_reference(rows, sorted_labels):
+    # Small tables with repeated stop numbers, single-stop trips, negative
+    # durations and repeated cities, in any row order, their labels coded
+    # sorted (as the generator does) or by first appearance (as the parse does).
+    stops = make_stops(rows)
+    if not sorted_labels:
+        trips, cities = (first_appearance([row[i] for row in rows], "unused") for i in (0, 2))
+        stops = trip_data.StopTable(trips, stops.stop_number, cities, stops.scheduled_time, stops.actual_time)
+    got, got_diagnostics = assemble_trips(stops)
+    want, want_diagnostics = reference_assembly(rows)
+    for name, dtype in TRIP_DTYPES.items():
+        column = getattr(got, name)
+        assert column.dtype == np.dtype(dtype) and np.array_equal(column, getattr(want, name)), name
+    assert got_diagnostics == want_diagnostics
+
+
+def test_assembly_holds_few_copies_of_the_stop_rows(big_stops_csv):
+    # Allocations of assemble_trips, its output included, per stop row of its
+    # input. Holding a per-row array from its first use to the end, it read
+    # 76 bytes a row on the ingest benchmark's table; made and let go as each
+    # is used, 36: three int64 arrays of a row at most, and per trip arrays.
+    stops, _ = parse_stops_csv(big_stops_csv)
+    tracemalloc.start()
+    try:
+        trips, _ = assemble_trips(stops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stops) >= 100_000 and len(trips) > 0
+    assert peak / len(stops) < 40
 
 
 def test_write_then_parse_round_trip(tmp_path):
