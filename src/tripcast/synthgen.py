@@ -73,9 +73,9 @@ MAX_TRIP_HOURS = 31 * 24.0
 #: The most stop rows a config may ask for: the mean of its total plus 8 of
 #: its stds, with the expected stops a trip. The generator's tracemalloc peak
 #: is 114 bytes a row (113.9 MiB at the default config's 1,051,325 rows), and
-#: ``tripcast synth``'s peak RSS grows 128 bytes a row (169 MB there, 426 MB
-#: at three times the daily trips), so this is about 10 GB. Forty years at the
-#: default daily counts pass.
+#: ``tripcast synth``'s peak RSS grows 122 bytes a row (169 MB there, 426 MB
+#: at three times the daily trips' 3,152,160), so this is about 9.8 GB. Forty
+#: years at the default daily counts pass.
 MAX_ROWS = 80_000_000
 
 #: The size of the largest city pool :func:`_solve_city_pool_size` tries. A

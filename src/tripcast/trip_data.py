@@ -310,10 +310,11 @@ def parse_stops_csv(path: str | Path) -> tuple[StopTable, list[RowDiagnostic]]:
     The file is read ``BLOCK_BYTES`` at a time and split into records and
     fields on its bytes. Each block is cut after its last record; the rest
     is carried into the next. A block's buffers are let go before the next
-    is split, so while it reads, the parse holds at most about seven blocks
+    is split, so while it reads, the parse holds at most about five blocks
     under ``tracemalloc`` besides the rows it has parsed, whatever the
-    file's size: the block's bytes, as read and padded for cell reads, its
-    field indexes and one ``CHUNK_ROWS`` batch's conversions. The batches
+    file's size: the block's bytes, joined to the carried record and padded
+    for cell reads in one copy, its field indexes and one ``CHUNK_ROWS``
+    batch's conversions. The batches
     are then joined a column at a time (:meth:`_Columns.table`), which
     holds one column twice, not all of them.
     """
@@ -394,6 +395,8 @@ class _Split:
 
 def _split(path: Path, data: bytes, offset: int, at_end: bool) -> _Split | None:
     """Split the whole records of ``data``, byte ``offset`` on in ``path``; None if it holds none yet.
+
+    ``data`` ends in ``_PADDING``, which is not split: only cell reads see it.
 
     A ``,`` or ``\\n`` separates fields and records only outside quotes,
     that is after an even number of ``"``. This reads ``csv.writer``'s

@@ -623,9 +623,10 @@ def test_parse_holds_one_block_at_a_time(tmp_path):
     # While it reads, the parse's transient memory (its peak less the table
     # it returns) stays within a few blocks, however many blocks the file
     # has; joining the batches at the end copies the rows once, less than that
-    # here. Measured at 6.7 blocks on this file; holding the previous block's
-    # split while the next is split read 8.7, and 4 MiB blocks with
-    # 32,768-row batches, which held it too, read 9.6.
+    # here. Measured at 5.0 blocks on this file; 7.0 with the block as read
+    # and a padded copy held besides its join to the carried record. Holding
+    # the previous block's split while the next is split read 8.7, and 4 MiB
+    # blocks with 32,768-row batches, which held it too, read 9.6.
     row = '{t},round {t},{s},client-{c},"{s} Depot Street, City-{c}",City-{c},2019-03-01T0{h}:42:58,2019-03-01T0{h}:50:00'
     rows = [HEADER]
     size = 0
@@ -668,8 +669,9 @@ def test_parse_of_many_blocks_holds_one_block_at_a_time_through_the_join(big_sto
     # The bound of the test above on a file four times its size, which the
     # final join of the columns reaches as well: joined all at once while
     # their batches were held, the five columns took 10.7 MiB more than the
-    # rows at the ingest benchmark's size (12.4 MiB above the table in all).
-    # Joined and let go one column at a time, the transient read 7.0 MiB.
+    # rows at the ingest benchmark's size (12.4 MiB above the table in all),
+    # and 14.5 MiB on this file. Joined and let go one column at a time, with
+    # each block held once, the transient reads 6.8 MiB here.
     tracemalloc.start()
     try:
         stops, rejects = parse_stops_csv(big_stops_csv)
