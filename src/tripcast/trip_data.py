@@ -670,7 +670,7 @@ def assemble_trips(stops: StopTable) -> tuple[TripTable, list[TripDiagnostic]]:
     distinct = np.ones(len(pairs), dtype=bool)
     np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
     num_cities = np.add.reduceat(distinct, starts)  # pairs sort trip-major, like the groups
-    del pairs, distinct  # what is left is per trip
+    del trip, pairs, distinct  # what is left is per trip
     actual = (stops.actual_time.take(last) - stops.actual_time.take(first)).astype(np.int64).astype(np.float64)
     scheduled = (stops.scheduled_time.take(last) - stops.scheduled_time.take(first)).astype(np.int64).astype(np.float64)
 
