@@ -6,8 +6,8 @@ model, with a log-scaled time axis.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 from .errors import DataError
 from .evaluation import ScaleResult
@@ -120,7 +120,7 @@ def scale_chart_svg(results: list[ScaleResult]) -> str:
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">'
-            f"{escape(model)}</text>"
+            f"{html.escape(model, quote=False)}</text>"
         )
 
     parts.append("</svg>")

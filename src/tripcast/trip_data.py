@@ -10,18 +10,18 @@ their distinct labels, stop numbers are int64 and timestamps
 never silently coerced: every cell is read by one grammar (:func:`parse_stops_csv`).
 
 Neither end of the CSV does per-cell work in the ``csv`` module.
-:func:`write_stops_csv` has ``csv.writer`` quote each distinct label once
-and joins the rows itself. :func:`parse_stops_csv` reads that dialect, and
-only that dialect, from the file's bytes: it splits records and fields by
-quote parity and codes labels once per distinct byte string, numbered by
-first appearance. Any other file is a ``DataError`` naming the offset of
-the byte where it leaves the dialect: a quote that does not wrap a whole
-field, an unclosed quote, a lone ``\\r``, a NUL byte, bytes that are not
-UTF-8, a stripped trip or city cell over 256 bytes, or a record not ended
-within 4 MiB. The parse reads ``BLOCK_BYTES`` (1 MiB) at a time and lets
-go of each block's buffers before it splits the next, so what it holds
-besides the rows parsed so far does not grow with the file; its final join
-copies one column at a time. :func:`assemble_trips` likewise makes each
+:func:`write_stops_csv` quotes and encodes each distinct label once and
+joins the rows itself from ``bytes`` cells. :func:`parse_stops_csv` reads
+that dialect, and only that dialect, from the file's bytes: it splits
+records and fields by quote parity and codes labels once per distinct byte
+string, numbered by first appearance. Any other file is a ``DataError``
+naming the offset of the byte where it leaves the dialect: a quote that
+does not wrap a whole field, an unclosed quote, a lone ``\\r``, a NUL byte,
+bytes that are not UTF-8, a stripped trip or city cell over 256 bytes, or
+a record not ended within 4 MiB. The parse reads ``BLOCK_BYTES`` (1 MiB)
+at a time and lets go of each block's buffers before it splits the next,
+so what it holds besides the rows parsed so far does not grow with the
+file; its final join copies one column at a time. :func:`assemble_trips` likewise makes each
 per-row array only where it is used and lets it go after.
 """
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,8 +65,8 @@ DAY_TYPES = ("Weekday", "Saturday", "Sunday")
 STD_CONVENTION = "sample (n-1 denominator)"
 
 #: Rows converted or written per batch. It bounds the per-row arrays and
-#: Python strings alive at once: the writer's per-chunk strings, about 5 MB at
-#: 8,192 rows, were 17 MB at 32,768.
+#: Python objects alive at once: the writer's per-chunk cells and text, about
+#: 4.6 MB at 8,192 rows under tracemalloc, were 18 MB at 32,768.
 CHUNK_ROWS = 1 << 13
 
 
@@ -479,12 +480,18 @@ def _byte_labels(split: _Split, start: np.ndarray, length: np.ndarray, name: str
     if width > _MAX_LABEL_BYTES:
         at = split.offset + int(start[np.argmax(length > _MAX_LABEL_BYTES)])
         raise _refuse(split.path, at, f"has a {name} cell over {_MAX_LABEL_BYTES} bytes")
+    # A cell of at most 8 bytes is read zero padded to 8, as one big-endian integer: that orders
+    # like its bytes, and compares and sorts as a native uint64 faster than a byte string.
+    narrow = width <= 8
+    width = max(width, 8)
     cells = np.where(np.arange(width) < length[:, None], split.windows[start, :width], 0)
-    cells = cells.view(f"S{width}").ravel()
+    cells = (cells.view(">u8").astype(np.uint64) if narrow else cells.view(f"S{width}")).ravel()
     # A label mostly repeats on the next row: sort only the first cell of each run.
     run = np.ones(cells.size, dtype=bool)
     run[1:] = cells[1:] != cells[:-1]
     distinct, index = np.unique(cells[run], return_inverse=True)
+    if narrow:
+        distinct = distinct.astype(">u8").view("S8")
     labels = [cell.decode("utf-8").replace('""', '"') for cell in distinct.tolist()]
     return labels, index[np.cumsum(run) - 1]
 
@@ -562,13 +569,16 @@ def _canonical_timestamps(split: _Split, start: np.ndarray, length: np.ndarray) 
 
     The times are ``datetime64[s]``, meaningless where a cell is not one.
     """
-    d = split.windows[start, :_STAMP_WIDTH].astype(np.int32) - ord("0")
-    digits = d[:, _STAMP_DIGITS]
-    ok = (length == _STAMP_WIDTH) & np.all((digits >= 0) & (digits <= 9), axis=1)
+    window = split.windows[start, :_STAMP_WIDTH]
+    ok = length == _STAMP_WIDTH
     for pos, sep in _STAMP_SEPARATORS.items():
-        ok &= d[:, pos] == ord(sep) - ord("0")
-    digits = np.where(ok[:, None], digits, 0)
-    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]  # the year's two halves, then month to second
+        ok &= window[:, pos] == ord(sep)
+    digits = window[:, _STAMP_DIGITS]
+    digits -= ord("0")  # uint8: a byte below "0" wraps above 9
+    ok &= digits.max(axis=1) <= 9
+    digits *= ok[:, None]
+    # The year's two halves, then month to second; widened for the calendar arithmetic.
+    pairs = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(np.int64)
     year = pairs[:, 0] * 100 + pairs[:, 1]
     month, day, hour, minute, second = pairs[:, 2:].T
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (hour <= 23) & (minute <= 59) & (second <= 59)
@@ -587,11 +597,13 @@ def _canonical_timestamps(split: _Split, start: np.ndarray, length: np.ndarray) 
 def write_stops_csv(stops: StopTable, handle: IO[str]) -> int:
     """Write stop rows to an open text handle in canonical CSV form; row count.
 
-    Writes the bytes ``csv.writer`` would: each distinct label of a coded
-    column is quoted once, by ``csv.writer`` itself, and each row joined
-    from those strings, ``str`` stop numbers and ``datetime_as_string``
-    stamps. Free-text columns that ``stops.text`` does not hold are
-    written empty.
+    Writes the bytes ``csv.writer`` would, built as UTF-8 ``bytes`` cells: each
+    distinct label of a coded column is quoted and encoded once
+    (:func:`_quoted`), stop numbers are formatted as ``b"%d"`` and stamps are
+    numpy's C cast of the ``datetime64[s]`` column to bytes, which writes
+    what ``datetime_as_string(unit="s")`` does. Each chunk of rows is joined
+    and decoded once for the handle. Free-text columns that ``stops.text``
+    does not hold are written empty.
     """
     csv.writer(handle).writerow(CANONICAL_COLUMNS)
     coded = {"trip_number": stops.trip, "city": stops.city, **stops.text}
@@ -604,22 +616,30 @@ def write_stops_csv(stops: StopTable, handle: IO[str]) -> int:
             if name in coded:
                 cells.append(quoted[name][coded[name].codes[part]].tolist())
             elif name == "stop_number":
-                cells.append(map(str, stops.stop_number[part].tolist()))
+                cells.append(map(b"%d".__mod__, stops.stop_number[part].tolist()))
             elif name in ("scheduled_time", "actual_time"):
-                cells.append(np.datetime_as_string(getattr(stops, name)[part], unit="s").tolist())
+                cells.append(getattr(stops, name)[part].astype("datetime64[s]", copy=False).astype(bytes).tolist())
             else:
-                cells.append(itertools.repeat(""))
-        handle.write("\r\n".join(map(",".join, zip(*cells))))
+                cells.append(itertools.repeat(b""))
+        handle.write(b"\r\n".join(map(b",".join, zip(*cells))).decode("utf-8"))
         handle.write("\r\n")
     return n
 
 
+#: A label holding none of these is written as it is.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _quoted(labels: np.ndarray) -> np.ndarray:
-    """Each label as ``csv.writer`` writes it inside a row of several cells."""
+    """Each label as ``csv.writer`` writes it inside a row of several cells, in UTF-8 bytes."""
+    texts = labels.tolist()
+    odd = [i for i, text in enumerate(texts) if _NEEDS_QUOTES.search(text)]
     rows: list[str] = []
     # One write per row; a second, empty cell keeps an empty label from being written as "".
-    csv.writer(SimpleNamespace(write=rows.append)).writerows(zip(labels.tolist(), itertools.repeat("")))
-    return np.array([row[: -len(",\r\n")] for row in rows], dtype=object)
+    csv.writer(SimpleNamespace(write=rows.append)).writerows((texts[i], "") for i in odd)
+    for i, row in zip(odd, rows):
+        texts[i] = row[: -len(",\r\n")]
+    return np.array([text.encode("utf-8") for text in texts], dtype=object)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """End-to-end CLI behaviour: exit codes, atomic writes, determinism."""
 
 import csv
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from functools import partial
@@ -14,7 +18,8 @@ import pytest
 from tripcast.checks import SETTING_RULES
 from tripcast.cli import MODEL_FLAGS, main
 from tripcast.errors import UsageError
-from tripcast import linear, persist, registry
+from tripcast import linear, persist, registry, report
+from tripcast.evaluation import ScaleResult
 from tripcast.registry import REGISTRY, make_model
 
 from tests.helpers import signed
@@ -52,6 +57,39 @@ def test_synth_deterministic(tmp_path, stops_csv):
     out = tmp_path / "again.csv"
     assert main(["synth", "--config", str(conf), "--out", str(out)]) == 0
     assert out.read_bytes() == Path(stops_csv).read_bytes()
+
+
+#: Small configs at the writer's edges, and the sha256 of the CSV `tripcast synth` writes for each.
+EDGE_CONFIGS = {
+    "every_std_zero": (
+        "months = 2019-03\nweekday_trips_mean = 6\nsaturday_trips_mean = 2\nsunday_trips_mean = 1\n"
+        "weekday_trips_std = 0\nsaturday_trips_std = 0\nsunday_trips_std = 0\n"
+        "stops_std = 0\nduration_std = 0\ndelay_std = 0\nseed = 3\n",
+        "9bc01c03ef92fa5f1497b08e7101099ca56e5571b87d007ea5efc298a40e09cb",
+    ),
+    # The CI config whose trips end in the last second the parser reads, year 9999.
+    "year_9999": (
+        "months = 9999-11\nduration_mean = 10\nduration_std = 80\n",
+        "ae58f6e46163afc49ca77c0b4f40e7a1b83852dfaee06f36ec31244063f03c05",
+    ),
+    # Stamps and trip numbers of a three-digit year, zero padded to four.
+    "year_999_to_1000": (
+        "months = 0999-12,1000-01\nweekday_trips_mean = 6\nweekday_trips_std = 2\nsaturday_trips_mean = 2\n"
+        "saturday_trips_std = 1\nsunday_trips_mean = 1\nsunday_trips_std = 0.5\nseed = 5\n",
+        "430138e6a2705f07adc488f55c629a62b8643155f48aa5796023b273200067fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CONFIGS))
+def test_synth_bytes_are_pinned_at_the_edges(tmp_path, name):
+    # Any change to how synth draws or writes a row changes these hashes.
+    text, sha = EDGE_CONFIGS[name]
+    conf = tmp_path / "edge.conf"
+    conf.write_text(text, encoding="utf-8")
+    out = tmp_path / "edge.csv"
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_synth_malformed_config_no_partial_file(tmp_path):
@@ -332,6 +370,20 @@ def test_scale_emits_csv_and_svg(tmp_path, stops_csv):
     svg = ET.parse(out_dir / "scale.svg")  # well-formed XML
     polylines = [e for e in svg.iter() if e.tag.endswith("polyline")]
     assert len(polylines) == 2
+
+
+def test_scale_chart_escapes_model_names_as_xml_text():
+    # &, < and > are escaped; quotes are left as they are, which text content allows.
+    svg = report.scale_chart_svg([ScaleResult("a<b>&\"c'", 100, 0.01, (0.01,))])
+    assert ">a&lt;b&gt;&amp;\"c'</text>" in svg
+    ET.fromstring(svg)
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils, imported for one escape, loaded urllib.request, http.client and ssl.
+    src = str(Path(report.__file__).resolve().parents[1])
+    code = "import sys, tripcast.cli; sys.exit(any(m in sys.modules for m in ('urllib.request', 'http.client', 'ssl')))"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60).returncode == 0
 
 
 def test_scale_size_exceeding_table(tmp_path, stops_csv):

@@ -938,6 +938,55 @@ def test_write_matches_csv_writer_bytes(chunk):
     assert got.getvalue() == want.getvalue()
 
 
+#: Text with every character csv.writer quotes for, NUL (which it writes unquoted), spaces and non-ASCII.
+_LABEL_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n\0 \tßé€'), st.characters()), max_size=10)
+
+_INT64 = np.iinfo(np.int64)
+#: Seconds from 1970 to 0001-01-01 and to 10000-01-01: the four-digit years lie between.
+_YEAR_1, _YEAR_10000 = -62_135_596_800, 253_402_300_800
+#: datetime64[s] values over the whole range; int64's least value is NaT. The last two
+#: sampled are the starts of years 0000 and -9999.
+_STAMPS = st.one_of(
+    st.integers(_INT64.min, _INT64.max),
+    st.integers(2 * _YEAR_1 - _YEAR_10000, 2 * _YEAR_10000),
+    st.sampled_from([_INT64.min, _YEAR_1 - 1, _YEAR_1, _YEAR_10000 - 1, _YEAR_10000, -62_167_219_200, -377_705_116_800]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LABEL_TEXT, min_size=1, max_size=8))
+def test_quoted_matches_csv_writer(texts):
+    # The labels _quoted writes as they are, and those it hands to csv.writer, read alike.
+    got = trip_data._quoted(np.array(texts, dtype=object)).tolist()
+    for text, cell in zip(texts, got):
+        want = io.StringIO(newline="")
+        csv.writer(want).writerow([text, ""])
+        assert cell == want.getvalue()[: -len(",\r\n")].encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_LABEL_TEXT, st.integers(_INT64.min, _INT64.max), _LABEL_TEXT, _STAMPS, _STAMPS), min_size=1, max_size=9),
+    st.sampled_from([1, 4, trip_data.CHUNK_ROWS]),
+)
+def test_write_matches_csv_writer_bytes_for_any_label_and_stamp(rows, chunk):
+    # The stamps are numpy's cast to bytes; they read as datetime_as_string(unit="s") does,
+    # NaT and years past 9999 or before 1 included.
+    trips, numbers, cities, scheduled, actual = zip(*rows)
+    scheduled, actual = (np.array(column, dtype=np.int64).view("datetime64[s]") for column in (scheduled, actual))
+    stops = trip_data.StopTable(coded(trips), np.array(numbers, dtype=np.int64), coded(cities), scheduled, actual)
+    got = io.StringIO(newline="")
+    with mock.patch.object(trip_data, "CHUNK_ROWS", chunk):
+        assert write_stops_csv(stops, got) == len(rows)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(trip_data.CANONICAL_COLUMNS)
+    stamps = zip(np.datetime_as_string(scheduled, unit="s").tolist(), np.datetime_as_string(actual, unit="s").tolist())
+    for (trip, number, city, *_), times in zip(rows, stamps):
+        writer.writerow([trip, "", number, "", "", city, *times])
+    assert got.getvalue() == want.getvalue()
+
+
 def test_writer_odd_labels_parse_back_from_bytes(tmp_path):
     # Every label the writer can write, quotes included, is read back stripped without csv.reader.
     labels = ODD_LABELS + ['""', 'x"', '"y']
