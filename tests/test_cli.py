@@ -67,7 +67,7 @@ EDGE_CONFIGS = {
         "stops_std = 0\nduration_std = 0\ndelay_std = 0\nseed = 3\n",
         "9bc01c03ef92fa5f1497b08e7101099ca56e5571b87d007ea5efc298a40e09cb",
     ),
-    # The CI config whose trips end in the last second the parser reads, year 9999.
+    # The CI config whose longest trips are clipped to end within year 9999.
     "year_9999": (
         "months = 9999-11\nduration_mean = 10\nduration_std = 80\n",
         "ae58f6e46163afc49ca77c0b4f40e7a1b83852dfaee06f36ec31244063f03c05",
